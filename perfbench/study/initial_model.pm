@@ -1,0 +1,16 @@
+# Initial causal model: student factors behind mathematics performance.
+# Motivation drives attitude and learning style; learning style drives
+# teaching-strategy match; all four feed performance directly.
+var X1 "Motivation"
+var X2 "Attitude Towards Mathematics"
+var X3 "Learning Style"
+var X4 "Teaching Strategies"
+var Y "Mathematics Performance"
+path X1 -> X2
+path X1 -> X3
+path X2 -> X3
+path X3 -> X4
+path X1 -> Y
+path X2 -> Y
+path X3 -> Y
+path X4 -> Y
