@@ -30,7 +30,7 @@ from .pathspec import load_model, render_model
 from .report import Report, file_digest
 from .screening import screen
 from .simulate import SimulationSpec, simulate_dataset
-from .tracing import reproduced_matrix, write_treks_csv
+from .tracing import _implied, reproduced_matrix, write_treks_csv
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -168,7 +168,7 @@ def _analyze(corr, model, alpha, misfit):
     """
     fitted = coefficient_inference(fit_standardized(corr, model), alpha=alpha)
     traced = model if model.is_annotated else fitted.annotated_model()
-    reproduced = reproduced_matrix(traced)
+    reproduced = _implied(traced)
     fit = assess_fit(corr, reproduced, misfit)
     effects = decompose_effects(traced)
     note = (
@@ -177,18 +177,18 @@ def _analyze(corr, model, alpha, misfit):
         if model.is_annotated
         else None
     )
-    return fitted, reproduced, fit, effects, note
+    return fitted, traced, reproduced, fit, effects, note
 
 
 def _cmd_fit(args, parser):
     corr, model, inputs, load_warnings = _load_inputs(args, parser)
-    fitted, reproduced, fit, effects, note = _analyze(
+    fitted, traced, reproduced, fit, effects, note = _analyze(
         corr, model, args.alpha, args.misfit
     )
     if note:
         load_warnings.append(note)
     if args.treks_csv:
-        write_treks_csv(reproduced, args.treks_csv)
+        write_treks_csv(reproduced_matrix(traced), args.treks_csv)
     if args.effects_csv:
         write_effects_csv(effects, args.effects_csv)
     report = Report(
@@ -221,13 +221,12 @@ def _cmd_revise(args, parser):
         exit_code = EXIT_REVISION
     final = trace.final_fit
     annotated = final.annotated_model()
-    reproduced = reproduced_matrix(annotated)
     report = Report(
         command="revise",
         inputs=inputs,
         correlations=corr,
         fitted=final,
-        reproduced=reproduced,
+        reproduced=_implied(annotated),
         fit=trace.final_assessment,
         effects=decompose_effects(annotated),
         revision=trace,

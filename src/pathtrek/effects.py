@@ -10,7 +10,7 @@ import numpy as np
 from .errors import NoAdmissibleRevision, VariableMismatch
 from .estimation import coefficient_inference, fit_standardized
 from .pathspec import Arrow, topological_order
-from .tracing import coefficient_matrix, implied_matrix, reproduced_matrix
+from .tracing import _implied, coefficient_matrix, implied_matrix
 
 DEFAULT_MISFIT_THRESHOLD = 0.05
 
@@ -96,35 +96,22 @@ class EffectsTable:
         return None
 
 
-def _directed_path_sum(m, src, dst):
-    """Sum of coefficient products over all-forward paths of length >= 2."""
-    coeff = {(a.source, a.target): a.coefficient for a in m.arrows}
-    children = {v: m.children(v) for v in m.variables}
-    total = 0.0
-
-    def walk(u, length, prod, visited):
-        nonlocal total
-        if u == dst:
-            if length >= 2:
-                total += prod
-            return
-        for w in children[u]:
-            if w not in visited:
-                walk(w, length + 1, prod * coeff[(u, w)], visited | {w})
-
-    walk(src, 0, 1.0, {src})
-    return total
-
-
 def decompose_effects(m):
     """Direct / indirect / total effects for every causally linked pair.
 
     Outcomes are listed most-downstream first with determinants in causal
     order; R² per outcome is the variance its equation explains under the
-    model-implied correlations.
+    model-implied correlations.  Total effects are the rows of (I-B)⁻¹,
+    solved by forward substitution in causal order (exactly 0.0 where no
+    directed path exists); indirect = total - direct.
     """
     implied = implied_matrix(m)
     order = topological_order(m)
+    b = coefficient_matrix(m)
+    reach = np.eye(m.k)
+    for v in order:
+        i = m.index(v)
+        reach[i] += b[i] @ reach
     rows = []
     for outcome in reversed(order):
         if not m.parents(outcome):
@@ -134,7 +121,7 @@ def decompose_effects(m):
                 continue
             arrow = m.arrow(det, outcome)
             direct = arrow.coefficient if arrow else 0.0
-            indirect = _directed_path_sum(m, det, outcome)
+            indirect = float(reach[m.index(outcome), m.index(det)]) - direct
             if arrow is None and indirect == 0.0:
                 continue
             rows.append(EffectRow(outcome, det, direct, indirect))
@@ -233,9 +220,8 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
 
     def refit(current):
         fit = coefficient_inference(fit_standardized(corr, current), alpha=alpha)
-        assessment = assess_fit(
-            corr, reproduced_matrix(fit.annotated_model()), threshold
-        )
+        # An intermediate refit may imply psi <= 0; that must not stop the search.
+        assessment = assess_fit(corr, _implied(fit.annotated_model()), threshold)
         return fit, assessment
 
     fit, assessment = refit(model)

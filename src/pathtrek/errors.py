@@ -102,7 +102,11 @@ class NonPositiveResidualVariance(PathtrekError):
 
 
 class TooManyVariables(PathtrekError):
-    """Trek enumeration guard: exhaustive search refused beyond 20 variables."""
+    """Trek enumeration refused beyond 20 variables or past its trek budget.
+
+    Only trek enumeration (explanation and export) is guarded; reproduced
+    correlations and effects come from the structural recursion at any size.
+    """
 
 
 class NoAdmissibleRevision(PathtrekError):

@@ -282,8 +282,11 @@ def t_sf_two_sided(t, df):
 def kolmogorov_sf(d_scaled):
     """Asymptotic Kolmogorov tail Q(lambda) = 2 sum_j (-1)^(j-1) exp(-2 j^2 lambda^2).
 
-    Argument is the scaled statistic sqrt(n)*D.  Clamped to [0, 1]; the sum
-    is cut off once terms drop below 1e-12.
+    Argument is the scaled statistic sqrt(n)*D.  Below lambda = 1 that
+    alternating series converges slowly and cancels, so Q = 1 - K is taken
+    from the theta-function form K = sqrt(2 pi)/lambda sum_j
+    exp(-(2j-1)^2 pi^2 / (8 lambda^2)) (Marsaglia, Tsang & Wang 2003).
+    Either sum is cut off once terms drop below 1e-12; clamped to [0, 1].
     """
     if d_scaled < 0.0:
         raise ValueError("kolmogorov_sf requires d_scaled >= 0")
@@ -291,6 +294,13 @@ def kolmogorov_sf(d_scaled):
     if lam2 < 1e-12:
         return 1.0
     total = 0.0
+    if d_scaled < 1.0:
+        for j in range(1, 1001):
+            term = math.exp(-((2 * j - 1) ** 2) * math.pi ** 2 / (8.0 * lam2))
+            total += term
+            if term < 1e-12:
+                break
+        return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / d_scaled * total))
     sign = 1.0
     for j in range(1, 1001):
         term = math.exp(-2.0 * j * j * lam2)

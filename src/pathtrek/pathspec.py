@@ -27,6 +27,8 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# A line up to its first `#` outside double quotes (labels may contain `#`).
+_CODE_RE = re.compile(r'(?:[^"#]|"[^"]*(?:"|$))*')
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ def parse_model(text):
         arrows.append(Arrow(src, dst, coeff))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = _CODE_RE.match(raw).group().rstrip()
         if not line.strip():
             continue
         toks = line.split()

@@ -8,10 +8,13 @@ product contributes to the model-implied correlation of the endpoint pair:
   * indirect - two or more along-arrow steps, none against
   * spurious - at least one against-arrow step (shared-cause component)
 
-`reproduced_matrix` sums treks exhaustively; `implied_matrix` builds the
-same correlations by the structural recursion Sigma = (I-B)^-1 Psi (I-B)^-T
-computed in causal order, giving an independent cross-check of the
-enumeration.
+Model-implied correlations are computed by the structural recursion
+Sigma = (I-B)^-1 Psi (I-B)^-T in causal order (`implied_matrix`), in O(k^3).
+Treks are enumerated only to explain a decomposition and for the trek export:
+`reproduced_matrix` sums them exhaustively, which the trek rule makes equal
+to the recursion, and serves as its cross-check.  Enumeration grows
+exponentially with the arrow count, so it is refused beyond MAX_VARIABLES
+variables or TREK_BUDGET treks.
 """
 
 from dataclasses import dataclass
@@ -27,6 +30,10 @@ from .errors import (
 from .pathspec import topological_order
 
 MAX_VARIABLES = 20
+# Partial treks one enumeration may visit, and treks one reproduced_matrix may
+# sum.  A complete DAG over 12 variables implies ~1.3e5 treks (~1 s); each
+# further variable triples that.
+TREK_BUDGET = 200_000
 
 DIRECT = "direct"
 INDIRECT = "indirect"
@@ -80,6 +87,13 @@ def _guard(m):
     m.require_annotated()
 
 
+def _over_budget(count):
+    if count > TREK_BUDGET:
+        raise TooManyVariables(
+            f"trek enumeration stopped past its budget of {TREK_BUDGET} treks"
+        )
+
+
 def enumerate_treks(m, i, j):
     """All treks between i and j, in lexicographic node-sequence order.
 
@@ -102,8 +116,12 @@ def enumerate_treks(m, i, j):
     coeff = {(a.source, a.target): a.coefficient for a in m.arrows}
 
     out = []
+    visited = 0
 
     def walk(u, nodes, nback, prod, backward_ok):
+        nonlocal visited
+        visited += 1
+        _over_budget(visited)
         if u == goal:
             out.append(Trek(tuple(nodes), nback, prod))
             return
@@ -128,10 +146,13 @@ def reproduced_matrix(m):
     k = m.k
     r_hat = np.eye(k)
     treks = {}
+    count = 0
     for a in range(k):
         for b in range(a + 1, k):
             va, vb = m.variables[a], m.variables[b]
             ts = enumerate_treks(m, va, vb)
+            count += len(ts)
+            _over_budget(count)
             key = (va, vb) if pos[va] < pos[vb] else (vb, va)
             treks[key] = tuple(ts)
             total = sum(t.product for t in ts)
@@ -148,7 +169,16 @@ def implied_matrix(m):
     to (I-B)⁻¹ Psi (I-B)⁻ᵀ, without forming an inverse.  Raises
     NonPositiveResidualVariance when the coefficients imply variance > 1.
     """
-    _guard(m)
+    implied = _implied(m)
+    for v, resid in implied.psi.items():  # causal order
+        if resid <= 0.0:
+            raise NonPositiveResidualVariance(v, resid)
+    return implied
+
+
+def _implied(m):
+    """implied_matrix without the residual-variance check: psi may be <= 0."""
+    m.require_annotated()
     order = topological_order(m)
     k = m.k
     sigma = np.zeros((k, k))
@@ -164,11 +194,7 @@ def implied_matrix(m):
             continue
         p_idx = [idx[p] for p in parents]
         beta = np.array([coeff[(p, v)] for p in parents])
-        explained = float(beta @ sigma[np.ix_(p_idx, p_idx)] @ beta)
-        resid = 1.0 - explained
-        if resid <= 0.0:
-            raise NonPositiveResidualVariance(v, resid)
-        psi[v] = resid
+        psi[v] = 1.0 - float(beta @ sigma[np.ix_(p_idx, p_idx)] @ beta)
         cov_with_all = beta @ sigma[p_idx, :]
         sigma[vi, :] = cov_with_all
         sigma[:, vi] = cov_with_all

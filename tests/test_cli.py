@@ -291,3 +291,50 @@ def test_revise_trace_export(tmp_path):
     assert lines[0] == "iteration,action,arrows,reason,misfit_count,max_difference"
     assert len(lines) == 4  # drop + two additions
     assert "X1->Y" in lines[1]
+
+
+def test_fit_and_revise_never_enumerate_treks(tmp_path, monkeypatch):
+    import pathtrek.tracing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("treks enumerated outside --treks-csv")
+
+    monkeypatch.setattr(pathtrek.tracing, "enumerate_treks", refuse)
+    for model in (INITIAL, REVISED, INITIAL_PUBLISHED):
+        code, report = run_json(tmp_path, ["fit", "--corr", CORR, "--n", "240",
+                                           "--model", model])
+        assert code == 0
+        assert report["reproduced"]["r_hat"]
+    code, report = run_json(tmp_path, ["revise", "--corr", CORR, "--n", "240",
+                                       "--model", INITIAL])
+    assert code == 0
+    assert report["revision"]["converged"]
+
+
+def test_trek_budget_stops_export_on_complete_dag(tmp_path, capsys):
+    # k = 20 passes the variable-count guard, but its complete DAG implies
+    # ~1e9 treks; only the export enumerates them.
+    import time
+
+    k = 20
+    names = [f"V{i}" for i in range(k)]
+    corr_path = tmp_path / "c.csv"
+    corr_path.write_text(
+        "," + ",".join(names) + "\n" + "".join(
+            v + "," + ",".join("1" if i == j else "0.2" for j in range(k)) + "\n"
+            for i, v in enumerate(names)
+        ),
+        encoding="utf-8",
+    )
+    model_path = tmp_path / "m.pm"
+    model_path.write_text(
+        "".join(f"path {names[i]} -> {names[j]}\n" for j in range(k) for i in range(j)),
+        encoding="utf-8",
+    )
+    argv = ["fit", "--corr", str(corr_path), "--n", "500", "--model", str(model_path),
+            "--out", str(tmp_path / "r.txt")]
+    assert main(argv) == 0
+    start = time.perf_counter()
+    assert main(argv + ["--treks-csv", str(tmp_path / "treks.csv")]) == 2
+    assert time.perf_counter() - start < 30.0
+    assert "budget" in capsys.readouterr().err

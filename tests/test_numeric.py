@@ -230,6 +230,14 @@ def test_kolmogorov_matches_dual_form(lam):
     )
 
 
+def test_kolmogorov_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for lam in np.linspace(0.001, 3.0, 600):
+        assert numeric.kolmogorov_sf(float(lam)) == pytest.approx(
+            float(special.kolmogorov(lam)), rel=1e-12, abs=1e-15
+        )
+
+
 def test_kolmogorov_monotone_and_bounded():
     values = [numeric.kolmogorov_sf(x) for x in np.linspace(0.0, 3.0, 40)]
     assert all(0.0 <= v <= 1.0 for v in values)

@@ -68,6 +68,13 @@ def test_parse_comments_and_blanks():
     assert m.variables == ("A", "B")
 
 
+def test_parse_hash_inside_quoted_label():
+    m = parse_model('var A "Score #1"  # trailing\nvar B\npath A -> B  # note\n')
+    assert m.label("A") == "Score #1"
+    assert m.arrow_set() == {("A", "B")}
+    assert parse_model(render_model(m)).labels == {"A": "Score #1"}
+
+
 @pytest.mark.parametrize("text,line", [
     ("vars A\n", 1),
     ("var A\nwat A -> B\n", 2),

@@ -7,6 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from pathtrek.effects import decompose_effects
 from pathtrek.errors import (
     MissingCoefficient,
     NonPositiveResidualVariance,
@@ -14,7 +15,9 @@ from pathtrek.errors import (
 )
 from pathtrek.estimation import fit_standardized
 from pathtrek.pathspec import Arrow, PathModel, parse_model
+from pathtrek.simulate import SimulationSpec, simulate_dataset
 from pathtrek.tracing import (
+    _implied,
     enumerate_treks,
     implied_matrix,
     reproduced_matrix,
@@ -196,6 +199,18 @@ def test_implied_rejects_exploding_coefficient():
     assert exc.value.variable == "B"
 
 
+def test_unchecked_recursion_matches_trek_sum_when_psi_negative():
+    m = parse_model("var A\nvar B\npath A -> B : 1.2\n")
+    im = _implied(m)
+    assert im.psi["B"] == pytest.approx(1.0 - 1.2 ** 2)
+    assert np.abs(im.r_hat - reproduced_matrix(m).r_hat).max() <= 1e-12
+    m = parse_model("var A\nvar B\nvar C\nvar D\npath A -> B : 0.9\npath A -> C : 0.9\n"
+                    "path B -> C : 0.9\npath C -> D : 0.5\n")
+    im = _implied(m)
+    assert im.psi["C"] < 0.0
+    assert np.abs(im.r_hat - reproduced_matrix(m).r_hat).max() <= 1e-12
+
+
 def test_saturated_model_reproduces_any_pd_matrix():
     gen = np.random.default_rng(5)
     names = tuple("ABCDE")
@@ -237,3 +252,12 @@ def test_too_many_variables_guard():
     big = PathModel(names, arrows, {})
     with pytest.raises(TooManyVariables):
         reproduced_matrix(big)
+
+
+def test_recursion_has_no_variable_limit():
+    names = tuple(f"V{i}" for i in range(25))
+    arrows = tuple(Arrow(names[i], names[i + 1], 0.5) for i in range(24))
+    big = PathModel(names, arrows, {})
+    assert implied_matrix(big).value("V0", "V24") == pytest.approx(0.5 ** 24)
+    assert decompose_effects(big).row("V0", "V24").total == pytest.approx(0.5 ** 24)
+    assert simulate_dataset(SimulationSpec(big, 10, 1)).rows.shape == (10, 25)
