@@ -24,7 +24,7 @@ from .effects import (
     write_effects_csv,
     write_revision_csv,
 )
-from .errors import NoAdmissibleRevision, PathtrekError
+from .errors import NoAdmissibleRevision, NonPositiveResidualVariance, PathtrekError
 from .estimation import coefficient_inference, fit_standardized
 from .pathspec import load_model, render_model
 from .report import Report, file_digest
@@ -158,35 +158,40 @@ def _cmd_screen(args, parser):
     return EXIT_OK
 
 
+def _psi_warnings(reproduced):
+    """One warning per equation whose coefficients imply residual variance <= 0."""
+    return [str(NonPositiveResidualVariance(v, psi))
+            for v, psi in reproduced.psi.items() if psi <= 0.0]
+
+
 def _analyze(corr, model, alpha, misfit):
     """Fit, then trace/assess/decompose.
 
     A fully annotated model file is taken as the hypothesis under test: its
     own coefficients drive the reproduced matrix, fit verdict, and effects,
     while the refit coefficients and inference are reported alongside.  A
-    bare topology is traced with the fitted coefficients.
+    bare topology is traced with the fitted coefficients.  Coefficients that
+    imply a residual variance <= 0 are reported as warnings, not errors.
     """
     fitted = coefficient_inference(fit_standardized(corr, model), alpha=alpha)
     traced = model if model.is_annotated else fitted.annotated_model()
     reproduced = _implied(traced)
     fit = assess_fit(corr, reproduced, misfit)
     effects = decompose_effects(traced)
-    note = (
-        "traced the model file's own coefficients (fully annotated input); "
-        "refit values are in the coefficients section"
-        if model.is_annotated
-        else None
-    )
-    return fitted, traced, reproduced, fit, effects, note
+    notes = []
+    if model.is_annotated:
+        notes.append("traced the model file's own coefficients (fully annotated input); "
+                     "refit values are in the coefficients section")
+    notes += _psi_warnings(reproduced)
+    return fitted, traced, reproduced, fit, effects, notes
 
 
 def _cmd_fit(args, parser):
     corr, model, inputs, load_warnings = _load_inputs(args, parser)
-    fitted, traced, reproduced, fit, effects, note = _analyze(
+    fitted, traced, reproduced, fit, effects, notes = _analyze(
         corr, model, args.alpha, args.misfit
     )
-    if note:
-        load_warnings.append(note)
+    load_warnings.extend(notes)
     if args.treks_csv:
         write_treks_csv(reproduced_matrix(traced), args.treks_csv)
     if args.effects_csv:
@@ -221,12 +226,14 @@ def _cmd_revise(args, parser):
         exit_code = EXIT_REVISION
     final = trace.final_fit
     annotated = final.annotated_model()
+    reproduced = _implied(annotated)
+    load_warnings.extend(_psi_warnings(reproduced))
     report = Report(
         command="revise",
         inputs=inputs,
         correlations=corr,
         fitted=final,
-        reproduced=_implied(annotated),
+        reproduced=reproduced,
         fit=trace.final_assessment,
         effects=decompose_effects(annotated),
         revision=trace,

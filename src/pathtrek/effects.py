@@ -10,7 +10,7 @@ import numpy as np
 from .errors import NoAdmissibleRevision, VariableMismatch
 from .estimation import coefficient_inference, fit_standardized
 from .pathspec import Arrow, topological_order
-from .tracing import _implied, coefficient_matrix, implied_matrix
+from .tracing import _implied, coefficient_matrix
 
 DEFAULT_MISFIT_THRESHOLD = 0.05
 
@@ -101,11 +101,12 @@ def decompose_effects(m):
 
     Outcomes are listed most-downstream first with determinants in causal
     order; R² per outcome is the variance its equation explains under the
-    model-implied correlations.  Total effects are the rows of (I-B)⁻¹,
-    solved by forward substitution in causal order (exactly 0.0 where no
-    directed path exists); indirect = total - direct.
+    model-implied correlations (1 - psi, above 1 when the coefficients imply
+    psi <= 0; callers that need psi > 0 use implied_matrix).  Total effects
+    are the rows of (I-B)⁻¹, solved by forward substitution in causal order
+    (exactly 0.0 where no directed path exists); indirect = total - direct.
     """
-    implied = implied_matrix(m)
+    implied = _implied(m)
     order = topological_order(m)
     b = coefficient_matrix(m)
     reach = np.eye(m.k)

@@ -1,9 +1,10 @@
 """Scalar special functions and small dense linear solves.
 
-Everything here is implemented from scratch (series, continued fractions,
-Gaussian elimination) so results are deterministic and bit-stable across
-platforms.  The matrices involved are correlation blocks of order <= ~10;
-clarity and reproducibility beat speed at that size.
+The tail probabilities are series and continued fractions over the C
+library's lgamma and erfc (via math); the solves are Gaussian elimination in
+plain floats, so results are deterministic.  The matrices involved are
+correlation blocks of order <= ~10; clarity and reproducibility beat speed
+at that size.
 """
 
 import math
@@ -87,36 +88,7 @@ def invert(a):
 
 
 # ---------------------------------------------------------------------------
-# Log-gamma and regularized incomplete gamma / beta.
-
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gammaln(x):
-    """log Γ(x) for x > 0 (Lanczos approximation, ~1e-13 relative)."""
-    if x <= 0.0:
-        raise ValueError("gammaln requires x > 0")
-    if x < 0.5:
-        # reflection keeps accuracy near zero
-        return math.log(math.pi / math.sin(math.pi * x)) - gammaln(1.0 - x)
-    x -= 1.0
-    s = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        s += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(s)
-
+# Regularized incomplete gamma / beta (log-gamma from math.lgamma).
 
 _EPS = 1e-15
 _MAX_ITER = 500
@@ -135,7 +107,7 @@ def _gamma_p_series(a, x):
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - gammaln(a))
+    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 def _gamma_q_contfrac(a, x):
     """Upper regularized incomplete gamma by continued fraction; x >= a + 1."""
@@ -158,7 +130,7 @@ def _gamma_q_contfrac(a, x):
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    return h * math.exp(-x + a * math.log(x) - gammaln(a))
+    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def gamma_p(a, x):
@@ -236,7 +208,7 @@ def betainc_reg(a, b, x):
     if x == 1.0:
         return 1.0
     front = math.exp(
-        gammaln(a + b) - gammaln(a) - gammaln(b)
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
         + a * math.log(x) + b * math.log1p(-x)
     )
     if x < (a + 1.0) / (a + b + 2.0):
@@ -250,14 +222,12 @@ def betainc_reg(a, b, x):
 def normal_cdf(z):
     """Standard normal CDF.
 
-    Built on the incomplete gamma so that normal_cdf(z) + normal_cdf(-z) == 1
-    holds exactly by construction.
+    Built on the half tail 0.5 * erfc(|z| / sqrt(2)) so that
+    normal_cdf(z) + normal_cdf(-z) == 1 holds by construction.
     """
     if not math.isfinite(z):
         raise ValueError("normal_cdf requires finite z")
-    if z == 0.0:
-        return 0.5
-    half_tail = 0.5 * gamma_q(0.5, 0.5 * z * z)
+    half_tail = 0.5 * math.erfc(abs(z) / math.sqrt(2.0))
     return half_tail if z < 0.0 else 1.0 - half_tail
 
 

@@ -110,6 +110,7 @@ def enumerate_treks(m, i, j):
     order = topological_order(m)
     pos = {v: idx for idx, v in enumerate(order)}
     start, goal = (i, j) if pos[i] < pos[j] else (j, i)
+    goal_pos = pos[goal]
 
     parents = {v: sorted(m.parents(v), key=pos.get) for v in m.variables}
     children = {v: sorted(m.children(v), key=pos.get) for v in m.variables}
@@ -130,6 +131,8 @@ def enumerate_treks(m, i, j):
                 if w not in nodes:
                     walk(w, nodes + [w], nback + 1, prod * coeff[(w, u)], True)
         for w in children[u]:
+            if pos[w] > goal_pos:
+                break  # along-arrow steps only move later in causal order
             if w not in nodes:
                 walk(w, nodes + [w], nback, prod * coeff[(u, w)], False)
 

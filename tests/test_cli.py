@@ -282,6 +282,54 @@ def test_fit_csv_exports(tmp_path):
     assert len(effect_lines) == 11  # ten causally linked pairs
 
 
+@pytest.mark.parametrize("model,sha256", [
+    (INITIAL_PUBLISHED, "8ef60f43adc812ba1a1f84e8b5b74c6116bb063f9a7a75fa774eed69968a51e0"),
+    (REVISED_PUBLISHED, "da88d89ab26893f214330a81b99a417b146d1e69cedaed6459b0d1a2cfcde8eb"),
+])
+def test_treks_csv_bytes_pinned(tmp_path, model, sha256):
+    import hashlib
+
+    treks = tmp_path / "treks.csv"
+    code = main(["fit", "--corr", CORR, "--n", "240", "--model", model,
+                 "--treks-csv", str(treks), "--out", str(tmp_path / "r.txt")])
+    assert code == 0
+    assert hashlib.sha256(treks.read_bytes()).hexdigest() == sha256
+
+
+def test_fit_warns_when_hypothesis_implies_nonpositive_psi(tmp_path, capsys):
+    corr_path = tmp_path / "c.csv"
+    corr_path.write_text(",A,B\nA,1,0.5\nB,0.5,1\n", encoding="utf-8")
+    model_path = tmp_path / "m.pm"
+    model_path.write_text("var A\nvar B\npath A -> B : 1.2\n", encoding="utf-8")
+    code = main(["fit", "--corr", str(corr_path), "--n", "100",
+                 "--model", str(model_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "coefficients imply residual variance -0.44 <= 0 for 'B'" in out
+    assert "does-not-fit" in out
+
+
+def test_revise_warns_when_final_model_implies_nonpositive_psi(tmp_path, capsys):
+    # A, B and D, E are strongly negatively correlated causes the model leaves
+    # uncorrelated; one iteration adds A -> B, and F keeps psi < 0.
+    names = "ABCDEF"
+    r = {("A", "B"): -0.9, ("A", "C"): 0.2, ("B", "C"): 0.2,
+         ("D", "E"): -0.85, ("D", "F"): 0.2, ("E", "F"): 0.2}
+    rows = [a + "," + ",".join(
+        "1" if a == b else str(r.get((a, b), r.get((b, a), 0))) for b in names
+    ) for a in names]
+    corr_path = tmp_path / "c.csv"
+    corr_path.write_text("," + ",".join(names) + "\n" + "\n".join(rows) + "\n",
+                         encoding="utf-8")
+    model_path = tmp_path / "m.pm"
+    model_path.write_text("path A -> C\npath B -> C\npath D -> F\npath E -> F\n",
+                          encoding="utf-8")
+    code = main(["revise", "--corr", str(corr_path), "--n", "100",
+                 "--model", str(model_path), "--max-iter", "1"])
+    assert code == 3
+    assert "residual variance -2.55556 <= 0 for 'F'" in capsys.readouterr().out
+
+
 def test_revise_trace_export(tmp_path):
     trace_csv = tmp_path / "trace.csv"
     code = main(["revise", "--corr", CORR, "--n", "240", "--model", INITIAL,

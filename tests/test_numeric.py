@@ -1,6 +1,7 @@
 """Special functions and the dense solver, checked against independent
 oracles: composite Simpson quadrature of the densities, a power series for
-the error function, and the Jacobi-theta dual form of the Kolmogorov tail.
+the error function, the Jacobi-theta dual form of the Kolmogorov tail, and
+scipy.special where it is installed (a test-only dependency).
 """
 
 import math
@@ -139,6 +140,14 @@ def test_normal_cdf_monotone(z, dz):
     assert numeric.normal_cdf(z + dz) >= numeric.normal_cdf(z)
 
 
+def test_normal_cdf_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for z in np.linspace(-8.0, 8.0, 1601):
+        assert numeric.normal_cdf(float(z)) == pytest.approx(
+            float(special.ndtr(z)), rel=1e-13
+        )
+
+
 def test_normal_cdf_range():
     for z in (-40.0, -5.0, 0.3, 5.0, 40.0):
         assert 0.0 <= numeric.normal_cdf(z) <= 1.0
@@ -166,6 +175,17 @@ def test_t_sf_extreme():
 def test_t_sf_monotone_in_t():
     values = [numeric.t_sf_two_sided(t, 17) for t in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)]
     assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("df", [1, 2, 5, 10, 30, 100, 238, 1000])
+def test_t_sf_matches_scipy(df):
+    # the lgamma difference in the beta prefactor cancels as df grows, so
+    # accuracy is pinned only up to df = 1000
+    special = pytest.importorskip("scipy.special")
+    for t in np.linspace(0.01, 12.0, 200):
+        assert numeric.t_sf_two_sided(float(t), df) == pytest.approx(
+            float(2.0 * special.stdtr(df, -t)), rel=1e-11
+        )
 
 
 def test_t_sf_normal_limit():
@@ -200,6 +220,15 @@ def test_chisq_sf_strictly_decreasing():
     for df in (1, 2, 5, 30):
         values = [numeric.chisq_sf(df * m, df) for m in (0.5, 1.0, 1.5, 2.0, 3.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 30, 100])
+def test_chisq_sf_matches_scipy(df):
+    special = pytest.importorskip("scipy.special")
+    for x in np.linspace(0.01, 6.0 * df + 40.0, 200):
+        assert numeric.chisq_sf(float(x), df) == pytest.approx(
+            float(special.chdtrc(df, x)), rel=1e-12
+        )
 
 
 def test_chisq_sf_validates():

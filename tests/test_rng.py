@@ -1,16 +1,51 @@
-"""Deterministic stream: golden values, moments, and backend bit-equality."""
+"""Deterministic stream: golden values, moments, and byte equality with a
+scalar reference loop."""
+
+import functools
+import math
 
 import numpy as np
 import pytest
 
-from pathtrek import _rngpure, rng
+from pathtrek import rng
 
-try:
-    from pathtrek import _rngkernel
-except ImportError:
-    _rngkernel = None
 
-# First draws from the pure reference implementation, frozen exactly.
+# Scalar reference: Knuth's MMIX LCG, top 53 bits plus half an ulp for
+# uniforms, the Box-Muller cosine branch (two uniforms each) for normals.
+_A = 6364136223846793005
+_C = 1442695040888963407
+_MASK = (1 << 64) - 1
+_TWO_PI = 6.283185307179586476925287
+_INV_2_53 = 1.0 / 9007199254740992.0
+
+
+def reference_uniforms(seed, count):
+    state = seed & _MASK
+    out = []
+    for _ in range(count):
+        state = (_A * state + _C) & _MASK
+        out.append(((state >> 11) + 0.5) * _INV_2_53)
+    return out
+
+
+def reference_normals(seed, count):
+    u = reference_uniforms(seed, 2 * count)
+    return [math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+            for u1, u2 in zip(u[0::2], u[1::2])]
+
+
+# Counts straddle the block edges (BLOCK = 2**15 states; a normal takes two).
+REFERENCE_COUNTS = (0, 1, 2, 3, 7, 1000, 32767, 32768, 32769, 65537, 200001)
+REFERENCE_SEEDS = (0, 1, 42, 12345, 123456789, 2 ** 64 - 1)
+
+
+@functools.cache
+def reference_bytes(kind, seed):
+    draws = {"uniform": reference_uniforms, "normal": reference_normals}[kind]
+    return np.array(draws(seed, max(REFERENCE_COUNTS)), dtype=np.float64).tobytes()
+
+
+# First draws of the stream, frozen exactly.
 GOLDEN_NORMALS_SEED_12345 = [
     -0.20296894248883945,
     0.2528566229590236,
@@ -53,22 +88,12 @@ def test_normal_moments():
     assert abs(z.std(ddof=1) - 1.0) < 0.02
 
 
-def test_backend_reported():
-    assert rng.backend() in ("pure", "cython")
-
-
-@pytest.mark.skipif(_rngkernel is None, reason="compiled kernel not built")
-@pytest.mark.parametrize("seed,count", [(0, 1), (1, 257), (123456789, 4096)])
-def test_backends_bit_identical(seed, count):
-    for fill in ("uniform_fill", "normal_fill"):
-        pure = np.empty(count)
-        fast = np.empty(count)
-        getattr(_rngpure, fill)(seed, pure)
-        getattr(_rngkernel, fill)(seed, fast)
-        assert pure.tobytes() == fast.tobytes(), fill
-
-
-@pytest.mark.skipif(_rngkernel is None, reason="compiled kernel not built")
-def test_backends_same_final_state():
-    out = np.empty(100)
-    assert _rngpure.normal_fill(42, out) == _rngkernel.normal_fill(42, out)
+@pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+@pytest.mark.parametrize("kind", ["uniform", "normal"])
+def test_stream_matches_reference(kind, seed):
+    stream = {"uniform": rng.uniform_stream, "normal": rng.normal_stream}[kind]
+    expected = reference_bytes(kind, seed)
+    for count in REFERENCE_COUNTS:
+        got = stream(seed, count)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected[:8 * count], count

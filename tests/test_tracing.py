@@ -246,6 +246,25 @@ def test_same_endpoint_rejected(initial_printed):
         enumerate_treks(initial_printed, "X1", "X1")
 
 
+def test_walk_stops_past_goal_on_complete_dag():
+    # No along-arrow step leads back from a variable later than the goal, so
+    # adjacent variables share one trek without a walk through the other 18.
+    names = tuple(f"X{i}" for i in range(20))
+    arrows = tuple(Arrow(names[i], names[j], 0.05) for j in range(20) for i in range(j))
+    complete = PathModel(names, arrows, {})
+    treks = enumerate_treks(complete, "X0", "X1")
+    assert [(t.nodes, t.classification, t.product) for t in treks] == [
+        (("X0", "X1"), "direct", 0.05)
+    ]
+
+
+def test_effects_do_not_require_positive_psi():
+    m = parse_model("var A\nvar B\npath A -> B : 1.2\n")
+    effects = decompose_effects(m)
+    assert effects.row("A", "B").total == 1.2
+    assert effects.r_squared["B"] == pytest.approx(1.2 ** 2)
+
+
 def test_too_many_variables_guard():
     names = tuple(f"V{i}" for i in range(21))
     arrows = tuple(Arrow(names[i], names[i + 1], 0.1) for i in range(20))
