@@ -3,6 +3,7 @@
 import csv
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ from . import numeric
 from .data import SD_FLOOR, column_sds
 from .errors import (
     AsymmetryTooLarge,
+    DataWarning,
     DiagonalNotOne,
     NotSquare,
     OutOfRange,
@@ -142,7 +144,8 @@ def load_correlation_csv(path, n):
     Layout: a header row of names (optionally preceded by a blank corner
     cell), then one row per variable whose first cell repeats the name.
     Asymmetry up to 1e-6 is repaired by averaging; diagonals must be 1
-    within 1e-9.
+    within 1e-9.  A matrix whose smallest eigenvalue is <= 0 is loaded with
+    a DataWarning naming that eigenvalue.
     """
     if n < 3:
         raise ValueError("sample size must be at least 3")
@@ -179,6 +182,14 @@ def load_correlation_csv(path, n):
         raise DiagonalNotOne(f"{path}: diagonal deviates from 1 by {diag_dev:.3e}")
     r = (r + r.T) / 2.0
     np.fill_diagonal(r, 1.0)
+    lam_min = float(np.linalg.eigvalsh(r)[0])
+    if lam_min <= 0.0:
+        warnings.warn(
+            f"{path}: not positive definite, smallest eigenvalue {lam_min:.3g}; "
+            "no sample can have these correlations",
+            DataWarning,
+            stacklevel=2,
+        )
     return CorrelationMatrix(names, r, _p_matrix(r, n), int(n))
 
 

@@ -114,8 +114,8 @@ def write_csv(d, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(d.variables)
-        for row in d.rows:
-            writer.writerow([repr(float(v)) for v in row])
+        # csv writes floats with repr; one row at a time keeps the copy small
+        writer.writerows(row.tolist() for row in d.rows)
 
 
 def column_sds(d):

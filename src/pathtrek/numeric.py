@@ -1,10 +1,12 @@
 """Scalar special functions and small dense linear solves.
 
-The tail probabilities are series and continued fractions over the C
-library's lgamma and erfc (via math); the solves are Gaussian elimination in
-plain floats, so results are deterministic.  The matrices involved are
-correlation blocks of order <= ~10; clarity and reproducibility beat speed
-at that size.
+The tail probabilities are scalar code over the C library's lgamma, erfc,
+exp and log (via math): the normal tail is erfc, the chi-squared tail a
+finite sum for its integer df, the t tail a continued fraction for the
+incomplete beta, and the Kolmogorov tail a theta series.  The solves are
+Gaussian elimination in plain floats, so results are deterministic.  The
+matrices involved are correlation blocks of order <= ~10; clarity and
+reproducibility beat speed at that size.
 """
 
 import math
@@ -88,75 +90,10 @@ def invert(a):
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete gamma / beta (log-gamma from math.lgamma).
+# Pieces of the incomplete beta for the t tail (log-gamma from math.lgamma).
 
 _EPS = 1e-15
 _MAX_ITER = 500
-
-
-def _gamma_p_series(a, x):
-    """Lower regularized incomplete gamma by series; best for x < a + 1."""
-    if x <= 0.0:
-        return 0.0
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _gamma_q_contfrac(a, x):
-    """Upper regularized incomplete gamma by continued fraction; x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def gamma_p(a, x):
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("gamma_p requires a > 0")
-    if x < 0.0:
-        raise ValueError("gamma_p requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _gamma_p_series(a, x))
-    return max(0.0, 1.0 - _gamma_q_contfrac(a, x))
-
-
-def gamma_q(a, x):
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("gamma_q requires a > 0")
-    if x < 0.0:
-        raise ValueError("gamma_q requires x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return max(0.0, 1.0 - _gamma_p_series(a, x))
-    return min(1.0, _gamma_q_contfrac(a, x))
 
 
 def _betacf(a, b, x):
@@ -197,23 +134,25 @@ def _betacf(a, b, x):
     return h
 
 
-def betainc_reg(a, b, x):
-    """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("betainc_reg requires a, b > 0")
-    if x < 0.0 or x > 1.0:
-        raise ValueError("betainc_reg requires 0 <= x <= 1")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+def _log_gamma_ratio_half(a):
+    """log Gamma(a + 1/2) - log Gamma(a).
+
+    The two lgamma values are each ~a*log(a), so their difference loses
+    digits as a grows.  From a = 20 on it is taken from Stirling's formula
+    as (a - 1/2)*log1p(1/(2a)) + log(a + 1/2)/2 - 1/2 + S(a + 1/2) - S(a),
+    with S the correction series cut after its z^-9 term (truncation error
+    below 1e-17 there).
+    """
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+
+    def stirling_remainder(z):
+        z2 = z * z
+        return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - (1.0 / 1680.0
+                - 1.0 / (1188.0 * z2)) / z2) / z2) / z2) / z
+
+    return ((a - 0.5) * math.log1p(0.5 / a) + 0.5 * math.log(a + 0.5) - 0.5
+            + stirling_remainder(a + 0.5) - stirling_remainder(a))
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +171,55 @@ def normal_cdf(z):
 
 
 def chisq_sf(x, df):
-    """Upper tail of the chi-squared distribution with df degrees of freedom."""
+    """Upper tail of the chi-squared distribution with df degrees of freedom.
+
+    For integer df the tail is a finite sum (Abramowitz & Stegun 1964,
+    26.4): with h = x/2, sum_{j < df/2} e^-h h^j / j! for even df, and
+    erfc(sqrt(h)) + sum_{j < (df-1)/2} e^-h h^(j+1/2) / Gamma(j + 3/2) for
+    odd df.  Each term is exp(a log h - h - lgamma(a + 1)), so none
+    underflows before it is added.
+    """
     if df < 1 or int(df) != df:
         raise ValueError("df must be a positive integer")
     if x < 0.0:
         raise ValueError("chisq_sf requires x >= 0")
-    return gamma_q(0.5 * df, 0.5 * x)
+    if x == 0.0:
+        return 1.0
+    df = int(df)
+    h = 0.5 * x
+    log_h = math.log(h)
+    odd = df % 2
+    total = math.erfc(math.sqrt(h)) if odd else 0.0
+    for j in range(df // 2):
+        a = j + 0.5 * odd
+        total += math.exp(a * log_h - h - math.lgamma(a + 1.0))
+    return min(1.0, total)
 
 
 def t_sf_two_sided(t, df):
-    """Two-sided tail probability of Student's t with df degrees of freedom."""
+    """Two-sided tail probability of Student's t with df degrees of freedom.
+
+    The tail is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df/(df + t^2).  Its prefactor takes log x = -log1p(t^2/df) and
+    log(1 - x) from t rather than from the rounded x, which sits near 1 at
+    large df.
+    """
     if df < 1 or int(df) != df:
         raise ValueError("df must be a positive integer")
-    if t == 0.0:
+    tt = t * t
+    if tt == 0.0:
         return 1.0
-    return betainc_reg(0.5 * df, 0.5, df / (df + t * t))
+    x = df / (df + tt)
+    if x == 0.0:
+        return 0.0
+    a = 0.5 * df
+    front = math.exp(
+        _log_gamma_ratio_half(a) - math.lgamma(0.5)
+        - a * math.log1p(tt / df) + 0.5 * (math.log(tt) - math.log(df + tt))
+    )
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _betacf(a, 0.5, x) / a
+    return 1.0 - 2.0 * front * _betacf(0.5, a, tt / (df + tt))
 
 
 def kolmogorov_sf(d_scaled):

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .data import Dataset, standardize, summarize
+from .correlation import CorrelationMatrix, pearson_matrix
+from .data import standardize, summarize
+from .estimation import fit_standardized
 from .errors import (
     SingularCovariance,
     SingularMatrix,
@@ -33,18 +35,21 @@ KS_CAVEAT = (
 def mahalanobis(d):
     """Squared Mahalanobis distance of every row from the column means.
 
-    Uses the n-1 denominator covariance; p is the chi-squared upper tail at
-    df = k.  Returns (row_index, D2, p) triples sorted by descending D2.
+    D2 = z' R^-1 z over the standardized rows z and their correlation
+    matrix R: the same statistic as the covariance form, but the absolute
+    pivot floor of the inversion sees a matrix free of the data's units.
+    p is the chi-squared upper tail at df = k.  Raises ZeroVariance for a
+    constant column and SingularCovariance for collinear columns.  Returns
+    (row_index, D2, p) triples sorted by descending D2.
     """
     if d.n <= d.k:
         raise ValueError(f"need n > k, got n={d.n}, k={d.k}")
-    centered = d.rows - d.rows.mean(axis=0)
-    cov = (centered.T @ centered) / (d.n - 1)
+    z = standardize(d).rows
     try:
-        inv = np.array(numeric.invert(cov))
+        inv = np.array(numeric.invert((z.T @ z) / (d.n - 1)))
     except SingularMatrix as exc:
         raise SingularCovariance(str(exc)) from exc
-    d2 = np.einsum("ij,jk,ik->i", centered, inv, centered)
+    d2 = np.einsum("ij,jk,ik->i", z, inv, z)
     triples = [(int(i), float(d2[i]), numeric.chisq_sf(max(d2[i], 0.0), d.k))
                for i in range(d.n)]
     triples.sort(key=lambda t: (-t[1], t[0]))
@@ -162,7 +167,11 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
         block = parent_vars if len(parent_vars) >= 2 else list(d.variables)
     else:
         block = list(d.variables)
-    vifs = vif_from_dataset(d, block)
+    if d.k >= 2:
+        corr = pearson_matrix(d)
+    else:  # pearson_matrix needs two columns; a lone one correlates 1 with itself
+        corr = CorrelationMatrix(d.variables, np.ones((1, 1)), np.ones((1, 1)), d.n)
+    vifs = vif(corr, block)
     for name, value in vifs.items():
         if value >= VIF_FLAG:
             warnings_list.append(f"VIF {name} = {value:.2f} >= {VIF_FLAG} (flag)")
@@ -171,10 +180,7 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
 
     residual_points = {}
     if model is not None and model.endogenous:
-        from .correlation import pearson_matrix
-        from .estimation import fit_standardized
-
-        fitted = fit_standardized(pearson_matrix(d), model)
+        fitted = fit_standardized(corr, model)
         residual_points = residual_diagnostics(fitted, d)
 
     return ScreeningReport(
@@ -189,15 +195,3 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
         warnings=warnings_list,
     )
 
-
-def vif_from_dataset(d, block):
-    """VIFs for a named column block, computed via the correlation matrix."""
-    from .correlation import pearson_matrix
-
-    if len(block) < 2:
-        return {name: 1.0 for name in block}
-    sub = Dataset(
-        tuple(block),
-        np.column_stack([d.column(v) for v in block]),
-    )
-    return vif(pearson_matrix(sub), block)

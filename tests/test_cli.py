@@ -248,6 +248,15 @@ def test_screen_residuals_export(tmp_path):
     assert len(lines) == 1 + 4 * 240
 
 
+def test_screen_tiny_units(tmp_path, capsys):
+    # the study scores in units of 1e-7: same screening, no singular pivot
+    d = load_csv(SCORES)
+    tiny = tmp_path / "tiny.csv"
+    write_csv(Dataset(d.variables, d.rows * 1e-7), tiny)
+    assert main(["screen", "--data", str(tiny), "--model", REVISED]) == 0
+    assert "screening" in capsys.readouterr().out
+
+
 def test_screen_missing_file(capsys):
     assert main(["screen", "--data", "nope.csv"]) == 2
 
@@ -307,6 +316,22 @@ def test_fit_warns_when_hypothesis_implies_nonpositive_psi(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "coefficients imply residual variance -0.44 <= 0 for 'B'" in out
     assert "does-not-fit" in out
+
+
+def test_fit_warns_on_impossible_correlation_table(tmp_path):
+    # A-B 0.9, B-C 0.9, A-C -0.9: smallest eigenvalue -0.8, yet A -> B -> C fits
+    corr_path = tmp_path / "c.csv"
+    corr_path.write_text(",A,B,C\nA,1,0.9,-0.9\nB,0.9,1,0.9\nC,-0.9,0.9,1\n",
+                         encoding="utf-8")
+    model_path = tmp_path / "m.pm"
+    model_path.write_text("path A -> B\npath B -> C\n", encoding="utf-8")
+    code, report = run_json(tmp_path, ["fit", "--corr", str(corr_path), "--n", "100",
+                                       "--model", str(model_path)])
+    assert code == 0
+    assert any("smallest eigenvalue -0.8" in w for w in report["warnings"])
+    _, study = run_json(tmp_path, ["fit", "--corr", CORR, "--n", "240",
+                                   "--model", REVISED])
+    assert not any("eigenvalue" in w for w in study["warnings"])
 
 
 def test_revise_warns_when_final_model_implies_nonpositive_psi(tmp_path, capsys):

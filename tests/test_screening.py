@@ -62,6 +62,24 @@ def test_mahalanobis_affine_invariance():
     assert np.abs(np.array(d2_base) - np.array(d2_tran)).max() < 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1e7])
+def test_mahalanobis_unit_free(scale):
+    # well-conditioned data in tiny or huge units: the pivot floor of the
+    # inversion must not mistake the units for collinearity
+    gen = np.random.default_rng(54)
+    base = gen.normal(size=(200, 3))
+    d2_base = [t[1] for t in mahalanobis(Dataset(("a", "b", "c"), base))]
+    d2_scaled = [t[1] for t in mahalanobis(Dataset(("a", "b", "c"), base * scale))]
+    assert d2_scaled == pytest.approx(d2_base, rel=1e-12, abs=0.0)
+
+
+def test_mahalanobis_constant_column():
+    gen = np.random.default_rng(55)
+    rows = np.column_stack([gen.normal(size=20), np.full(20, 3.0)])
+    with pytest.raises(ZeroVariance):
+        mahalanobis(Dataset(("a", "b"), rows))
+
+
 def test_mahalanobis_sorted_descending_with_p():
     gen = np.random.default_rng(52)
     d = Dataset(("a", "b"), gen.normal(size=(30, 2)))
@@ -260,6 +278,13 @@ def test_screen_flags_injected_outlier():
     assert report.outliers[0][0] == 7
     assert report.distances[0][0] == 7
     assert any("outlier" in w for w in report.warnings)
+
+
+def test_screen_one_column():
+    gen = np.random.default_rng(912)
+    report = screen(Dataset(("a",), gen.normal(size=(30, 1))))
+    assert report.vif == {"a": 1.0}
+    assert len(report.distances) == 30
 
 
 def test_screen_without_model_uses_all_columns():
