@@ -29,7 +29,7 @@ class ZeroVariance(PathtrekError):
 
 
 class SingularMatrix(PathtrekError):
-    """Pivot below the elimination floor; system cannot be solved."""
+    """Cholesky pivot at or below its relative floor: not positive definite."""
 
 
 class SingularCovariance(SingularMatrix):
@@ -102,9 +102,9 @@ class NonPositiveResidualVariance(PathtrekError):
 
 
 class TooManyVariables(PathtrekError):
-    """Trek enumeration refused beyond 20 variables or past its trek budget.
+    """Trek enumeration stopped past its trek budget.
 
-    Only trek enumeration (explanation and export) is guarded; reproduced
+    Only trek enumeration (explanation and export) is budgeted; reproduced
     correlations and effects come from the structural recursion at any size.
     """
 

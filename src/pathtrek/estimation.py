@@ -3,7 +3,8 @@
 Each endogenous variable y with parent set P is fit independently by solving
 the normal equations R_PP · beta = r_Py, so the whole recursive system is
 reproducible from the correlation matrix plus the sample size alone; raw
-data never enters.  R² = betaᵀ r_Py and the disturbance scale is
+data never enters.  With W = L⁻¹ for the Cholesky factor R_PP = L Lᵀ,
+u = W r_Py, beta = Wᵀ u, R² = |u|² and the disturbance scale is
 sqrt(1 - R²).
 """
 
@@ -72,8 +73,8 @@ def fit_standardized(corr, m):
 
     Equations are independent, estimated in causal order.  Raises
     VariableMissing when the model names a variable absent from the matrix
-    and SingularMatrix (tagged with the equation) when a parent block cannot
-    be solved.
+    and SingularMatrix (tagged with the equation) when a parent block is not
+    positive definite.
     """
     for v in m.variables:
         if v not in corr.variables:
@@ -85,19 +86,20 @@ def fit_standardized(corr, m):
     equations = {}
     for y in endo:
         parents = m.parents(y)
-        rpp = corr.submatrix(parents)
         rpy = [corr.value(p, y) for p in parents]
         try:
-            beta = numeric.solve_linear(rpp, rpy)
+            w = numeric.inverse_factor(corr.submatrix(parents))
         except SingularMatrix as exc:
             raise SingularMatrix(f"equation for {y!r}: {exc}") from exc
-        r2 = float(sum(b * r for b, r in zip(beta, rpy)))
-        if r2 < -1e-9 or r2 > 1.0 + 1e-9:
+        u = [sum(wi * r for wi, r in zip(row, rpy)) for row in w]
+        beta = [sum(row[j] * ui for row, ui in zip(w, u)) for j in range(len(u))]
+        r2 = sum(ui * ui for ui in u)
+        if r2 > 1.0 + 1e-9:
             raise ValueError(
-                f"equation for {y!r}: R² = {r2:.6g} outside [0, 1]; "
+                f"equation for {y!r}: R² = {r2:.6g} exceeds 1; "
                 "correlation matrix is not positive definite"
             )
-        r2 = min(1.0, max(0.0, r2))
+        r2 = min(1.0, r2)
         equations[y] = EquationFit(
             target=y,
             parents=parents,
@@ -123,11 +125,12 @@ def coefficient_inference(fit, alpha=DEFAULT_ALPHA):
             raise DegreesOfFreedomExhausted(
                 f"equation for {y!r}: n={n} with {len(eq.parents)} parents"
             )
-        inv = numeric.invert(corr.submatrix(eq.parents))
+        w = numeric.inverse_factor(corr.submatrix(eq.parents))
         resid_var = 1.0 - eq.r_squared
         se, t, p, sig = [], [], [], []
         for j, b in enumerate(eq.beta):
-            s = math.sqrt(max(resid_var, 0.0) * inv[j][j] / df)
+            inv_jj = sum(row[j] * row[j] for row in w)  # [R_PP⁻¹]_jj
+            s = math.sqrt(resid_var * inv_jj / df)
             se.append(s)
             tj = b / s if s > 0.0 else math.inf
             t.append(tj)

@@ -1,12 +1,13 @@
-"""Scalar special functions and small dense linear solves.
+"""Scalar special functions and the one dense factorization.
 
 The tail probabilities are scalar code over the C library's lgamma, erfc,
 exp and log (via math): the normal tail is erfc, the chi-squared tail a
 finite sum for its integer df, the t tail a continued fraction for the
-incomplete beta, and the Kolmogorov tail a theta series.  The solves are
-Gaussian elimination in plain floats, so results are deterministic.  The
-matrices involved are correlation blocks of order <= ~10; clarity and
-reproducibility beat speed at that size.
+incomplete beta, and the Kolmogorov tail a theta series.  Every matrix
+factored is a symmetric correlation block of order <= ~20, so one Cholesky
+factor in plain floats serves every solve, inverse diagonal and quadratic
+form, and results are deterministic; clarity and reproducibility beat
+speed at that size.
 """
 
 import math
@@ -29,64 +30,36 @@ def _as_rows(a):
     return rows
 
 
-def solve_linear(a, b):
-    """Solve a·x = b by Gaussian elimination with partial pivoting.
+def inverse_factor(a):
+    """W = L^-1 for the Cholesky factor L of a symmetric a = L L^T.
 
-    Raises SingularMatrix when the best available pivot falls below 1e-12
-    in absolute value.  Returns a list of floats.
+    Then a^-1 = W^T W: a solve a x = b is x = W^T (W b), [a^-1]_jj is the
+    squared norm of column j of W, and b^T a^-1 b = |W b|^2 (Golub & Van
+    Loan, Matrix Computations, 4.2).  Only the lower triangle of a is read.
+    Raises SingularMatrix when a pivot falls to PIVOT_FLOOR times its
+    diagonal entry or below, i.e. a is not (numerically) positive definite.
+    Returns W as lists of floats, zero above the diagonal.
     """
     m = _as_rows(a)
-    x = [float(v) for v in b]
     order = len(m)
-    if len(x) != order:
-        raise ValueError("right-hand side length does not match matrix order")
-    for col in range(order):
-        piv = max(range(col, order), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) < PIVOT_FLOOR:
-            raise SingularMatrix(f"pivot {m[piv][col]:.3e} below floor in column {col}")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            x[col], x[piv] = x[piv], x[col]
-        inv_p = 1.0 / m[col][col]
-        for r in range(col + 1, order):
-            f = m[r][col] * inv_p
-            if f == 0.0:
-                continue
-            for c in range(col, order):
-                m[r][c] -= f * m[col][c]
-            x[r] -= f * x[col]
-    for col in range(order - 1, -1, -1):
-        s = x[col]
-        for c in range(col + 1, order):
-            s -= m[col][c] * x[c]
-        x[col] = s / m[col][col]
-    return x
-
-
-def invert(a):
-    """Matrix inverse via Gauss-Jordan with partial pivoting (same pivot floor)."""
-    m = _as_rows(a)
-    order = len(m)
-    inv = [[1.0 if i == j else 0.0 for j in range(order)] for i in range(order)]
-    for col in range(order):
-        piv = max(range(col, order), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) < PIVOT_FLOOR:
-            raise SingularMatrix(f"pivot {m[piv][col]:.3e} below floor in column {col}")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        inv_p = 1.0 / m[col][col]
-        m[col] = [v * inv_p for v in m[col]]
-        inv[col] = [v * inv_p for v in inv[col]]
-        for r in range(order):
-            if r == col:
-                continue
-            f = m[r][col]
-            if f == 0.0:
-                continue
-            m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-            inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv
+    low = []
+    for i in range(order):
+        row = []
+        for j in range(i):
+            row.append((m[i][j] - sum(x * y for x, y in zip(row, low[j]))) / low[j][j])
+        pivot = m[i][i] - sum(x * x for x in row)
+        if pivot <= PIVOT_FLOOR * m[i][i]:
+            raise SingularMatrix(
+                f"not positive definite: pivot {pivot:.3e} in column {i}")
+        row.append(math.sqrt(pivot))
+        low.append(row)
+    w = [[0.0] * order for _ in range(order)]
+    for i in range(order):
+        d = low[i][i]
+        for j in range(i):
+            w[i][j] = -sum(low[i][k] * w[k][j] for k in range(j, i)) / d
+        w[i][i] = 1.0 / d
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,16 @@ from .errors import (
     MissingCoefficient,
     ModelSyntaxError,
     ModelWarning,
+    ParseError,
     UnknownVariable,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 # A line up to its first `#` outside double quotes (labels may contain `#`).
 _CODE_RE = re.compile(r'(?:[^"#]|"[^"]*(?:"|$))*')
+# What a label cannot hold and still render to one quoted line: a double quote
+# or any line boundary str.splitlines() (the parser's line splitter) knows.
+_LABEL_BAD_RE = re.compile(r'["\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]')
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,10 @@ class PathModel:
         cycle = _find_cycle(names, pairs)
         if cycle:
             raise CycleDetected(cycle)
+        for nm, label in self.labels.items():
+            if _LABEL_BAD_RE.search(label):
+                raise ParseError(
+                    f"label {label!r} of {nm!r} holds a double quote or a line break")
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "arrows", tuple(self.arrows))
         object.__setattr__(self, "labels", dict(self.labels))

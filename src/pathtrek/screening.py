@@ -35,9 +35,9 @@ KS_CAVEAT = (
 def mahalanobis(d):
     """Squared Mahalanobis distance of every row from the column means.
 
-    D2 = z' R^-1 z over the standardized rows z and their correlation
-    matrix R: the same statistic as the covariance form, but the absolute
-    pivot floor of the inversion sees a matrix free of the data's units.
+    D2 = z' R^-1 z = |W z|^2 over the standardized rows z and their
+    correlation matrix R = L L^T, W = L^-1: the same statistic as the
+    covariance form, computed on a matrix free of the data's units.
     p is the chi-squared upper tail at df = k.  Raises ZeroVariance for a
     constant column and SingularCovariance for collinear columns.  Returns
     (row_index, D2, p) triples sorted by descending D2.
@@ -46,12 +46,11 @@ def mahalanobis(d):
         raise ValueError(f"need n > k, got n={d.n}, k={d.k}")
     z = standardize(d).rows
     try:
-        inv = np.array(numeric.invert((z.T @ z) / (d.n - 1)))
+        w = np.array(numeric.inverse_factor((z.T @ z) / (d.n - 1)))
     except SingularMatrix as exc:
         raise SingularCovariance(str(exc)) from exc
-    d2 = np.einsum("ij,jk,ik->i", z, inv, z)
-    triples = [(int(i), float(d2[i]), numeric.chisq_sf(max(d2[i], 0.0), d.k))
-               for i in range(d.n)]
+    d2 = ((z @ w.T) ** 2).sum(axis=1)
+    triples = [(i, v, numeric.chisq_sf(v, d.k)) for i, v in enumerate(d2.tolist())]
     triples.sort(key=lambda t: (-t[1], t[0]))
     return triples
 
@@ -81,13 +80,17 @@ def ks_normality(column, alpha=0.05):
 
 
 def vif(corr, predictors):
-    """Variance inflation factors: diagonal of the inverted predictor block."""
+    """Variance inflation factors: diagonal of the inverted predictor block.
+
+    That diagonal is the squared column norms of W = L^-1 for the block's
+    Cholesky factor L.
+    """
     for name in predictors:
         if name not in corr.variables:
             raise VariableMissing(name, where="correlation matrix")
-    block = corr.submatrix(predictors)
-    inv = numeric.invert(block)
-    return {name: float(inv[j][j]) for j, name in enumerate(predictors)}
+    w = numeric.inverse_factor(corr.submatrix(predictors))
+    return {name: sum(row[j] * row[j] for row in w)
+            for j, name in enumerate(predictors)}
 
 
 def residual_diagnostics(fitted, d):

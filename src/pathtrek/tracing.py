@@ -13,8 +13,8 @@ Sigma = (I-B)^-1 Psi (I-B)^-T in causal order (`implied_matrix`), in O(k^3).
 Treks are enumerated only to explain a decomposition and for the trek export:
 `reproduced_matrix` sums them exhaustively, which the trek rule makes equal
 to the recursion, and serves as its cross-check.  Enumeration grows
-exponentially with the arrow count, so it is refused beyond MAX_VARIABLES
-variables or TREK_BUDGET treks.
+exponentially with the arrow count, so it stops past TREK_BUDGET treks,
+whatever the number of variables.
 """
 
 from dataclasses import dataclass
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .pathspec import topological_order
 
-MAX_VARIABLES = 20
 # Partial treks one enumeration may visit, and treks one reproduced_matrix may
 # sum.  A complete DAG over 12 variables implies ~1.3e5 treks (~1 s); each
 # further variable triples that.
@@ -79,14 +78,6 @@ class ReproducedMatrix:
         return self.treks.get(key, ())
 
 
-def _guard(m):
-    if m.k > MAX_VARIABLES:
-        raise TooManyVariables(
-            f"exhaustive enumeration refused for k={m.k} > {MAX_VARIABLES}"
-        )
-    m.require_annotated()
-
-
 def _over_budget(count):
     if count > TREK_BUDGET:
         raise TooManyVariables(
@@ -106,7 +97,7 @@ def enumerate_treks(m, i, j):
     for name in (i, j):
         if name not in m.variables:
             raise VariableMissing(name, where="model")
-    _guard(m)
+    m.require_annotated()
     order = topological_order(m)
     pos = {v: idx for idx, v in enumerate(order)}
     start, goal = (i, j) if pos[i] < pos[j] else (j, i)
@@ -143,7 +134,7 @@ def enumerate_treks(m, i, j):
 
 def reproduced_matrix(m):
     """Exhaustive trek-sum correlations for every variable pair."""
-    _guard(m)
+    m.require_annotated()
     order = topological_order(m)
     pos = {v: idx for idx, v in enumerate(order)}
     k = m.k

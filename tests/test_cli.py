@@ -334,6 +334,19 @@ def test_fit_warns_on_impossible_correlation_table(tmp_path):
     assert not any("eigenvalue" in w for w in study["warnings"])
 
 
+def test_fit_rejects_indefinite_parent_block(tmp_path, capsys):
+    # the A, B, C block has smallest eigenvalue -0.8, so Y's equation has none
+    corr_path = tmp_path / "c.csv"
+    corr_path.write_text(",A,B,C,Y\nA,1,0.9,-0.9,0.1\nB,0.9,1,0.9,0.2\n"
+                         "C,-0.9,0.9,1,0.3\nY,0.1,0.2,0.3,1\n", encoding="utf-8")
+    model_path = tmp_path / "m.pm"
+    model_path.write_text("path A -> Y\npath B -> Y\npath C -> Y\n", encoding="utf-8")
+    assert main(["fit", "--corr", str(corr_path), "--n", "100",
+                 "--model", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'Y'" in err and "not positive definite" in err
+
+
 def test_revise_warns_when_final_model_implies_nonpositive_psi(tmp_path, capsys):
     # A, B and D, E are strongly negatively correlated causes the model leaves
     # uncorrelated; one iteration adds A -> B, and F keeps psi < 0.
@@ -385,8 +398,8 @@ def test_fit_and_revise_never_enumerate_treks(tmp_path, monkeypatch):
 
 
 def test_trek_budget_stops_export_on_complete_dag(tmp_path, capsys):
-    # k = 20 passes the variable-count guard, but its complete DAG implies
-    # ~1e9 treks; only the export enumerates them.
+    # The complete DAG on 20 variables implies ~1e9 treks; only the export
+    # enumerates them, and it stops at the trek budget.
     import time
 
     k = 20

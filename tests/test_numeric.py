@@ -1,4 +1,4 @@
-"""Special functions and the dense solver, checked against independent
+"""Special functions and the Cholesky factor, checked against independent
 oracles: composite Simpson quadrature of the densities, a power series for
 the error function, the Jacobi-theta dual form of the Kolmogorov tail, and
 scipy.special where it is installed (a test-only dependency).
@@ -17,6 +17,13 @@ from pathtrek.errors import SingularMatrix
 
 # ---------------------------------------------------------------------------
 # Oracles (stdlib only, independent of the implementations under test).
+
+# Absolute floor for the scipy comparisons, so that their rel= tolerances
+# hold for tails far below pytest's default abs=1e-12.  It is not 0: at
+# df = 1000, x = 3763.6 chisq_sf returns the subnormal 3.159e-315, as mpmath
+# does, and scipy flushes it to 0.
+ABS_FLOOR = 1e-300
+
 
 def simpson(f, a, b, n=4000):
     if n % 2:
@@ -61,10 +68,23 @@ def kolmogorov_theta_dual(lam):
 
 
 # ---------------------------------------------------------------------------
-# solve_linear / invert
+# inverse_factor: W = L^-1, so a^-1 = W^T W and a x = b is x = W^T (W b)
+
+def solve(a, b):
+    w = np.array(numeric.inverse_factor(a))
+    return w.T @ (w @ np.asarray(b, dtype=float))
+
+
+def random_correlation_block(gen, order):
+    """Sample correlations of order + 20 rows of a Gaussian chain (condition < 1e3)."""
+    x = gen.standard_normal((order + 20, order))
+    x[:, 1:] += 0.8 * x[:, :-1]
+    return np.corrcoef(x, rowvar=False).reshape(order, order)
+
 
 def test_solve_identity():
-    assert numeric.solve_linear([[1, 0], [0, 1]], [3, 4]) == [3.0, 4.0]
+    assert numeric.inverse_factor([[1, 0], [0, 1]]) == [[1.0, 0.0], [0.0, 1.0]]
+    assert solve([[1, 0], [0, 1]], [3, 4]).tolist() == [3.0, 4.0]
 
 
 def test_solve_correlation_block():
@@ -72,32 +92,30 @@ def test_solve_correlation_block():
     a, b = 0.531, (0.514, 0.420)
     det = 1 - a * a
     expected = ((b[0] - a * b[1]) / det, (b[1] - a * b[0]) / det)
-    got = numeric.solve_linear([[1, a], [a, 1]], list(b))
+    got = solve([[1, a], [a, 1]], b).tolist()
     assert got == pytest.approx(expected, abs=1e-14)
     assert got == pytest.approx((0.405, 0.204), abs=1e-3)
 
 
 def test_solve_singular():
-    with pytest.raises(SingularMatrix):
-        numeric.solve_linear([[1, 1], [1, 1]], [1, 2])
+    with pytest.raises(SingularMatrix, match="not positive definite"):
+        numeric.inverse_factor([[1, 1], [1, 1]])
 
 
 def test_solve_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        numeric.solve_linear([[1, 2, 3], [4, 5, 6]], [1, 2])
+        numeric.inverse_factor([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
-        numeric.solve_linear([[1, 0], [0, 1]], [1, 2, 3])
-    with pytest.raises(ValueError):
-        numeric.solve_linear([[math.nan, 0], [0, 1]], [1, 2])
+        numeric.inverse_factor([[math.nan, 0], [0, 1]])
 
 
 def test_solve_residual_bound_random_systems():
     gen = np.random.default_rng(20240901)
     for _ in range(1000):
         order = int(gen.integers(1, 11))
-        a = gen.uniform(-1, 1, (order, order)) + order * np.eye(order)
+        a = random_correlation_block(gen, order)
         b = gen.uniform(-10, 10, order)
-        x = np.array(numeric.solve_linear(a, b))
+        x = solve(a, b)
         resid = np.abs(a @ x - b).max()
         assert resid <= 1e-10 * (1.0 + np.abs(b).max())
 
@@ -105,15 +123,24 @@ def test_solve_residual_bound_random_systems():
 def test_invert_roundtrip():
     gen = np.random.default_rng(7)
     for _ in range(50):
-        order = int(gen.integers(1, 9))
-        a = gen.uniform(-1, 1, (order, order)) + order * np.eye(order)
-        inv = np.array(numeric.invert(a))
-        assert np.abs(a @ inv - np.eye(order)).max() < 1e-10
+        order = int(gen.integers(1, 17))
+        a = random_correlation_block(gen, order)
+        w = np.array(numeric.inverse_factor(a))
+        assert not np.triu(w, 1).any()
+        inv = np.linalg.inv(a)
+        assert np.abs(w.T @ w - inv).max() <= 1e-12 * np.abs(inv).max()
 
 
 def test_invert_singular():
+    # a duplicated variable: positive semidefinite, last pivot ~0
     with pytest.raises(SingularMatrix):
-        numeric.invert([[1, 1], [1, 1]])
+        numeric.inverse_factor([[1, 0.5, 0.5], [0.5, 1, 1], [0.5, 1, 1]])
+
+
+def test_inverse_factor_rejects_indefinite():
+    # every 2x2 minor is a valid correlation block; the smallest eigenvalue is -0.8
+    with pytest.raises(SingularMatrix, match="not positive definite"):
+        numeric.inverse_factor([[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +171,7 @@ def test_normal_cdf_matches_scipy():
     special = pytest.importorskip("scipy.special")
     for z in np.linspace(-8.0, 8.0, 1601):
         assert numeric.normal_cdf(float(z)) == pytest.approx(
-            float(special.ndtr(z)), rel=1e-13
+            float(special.ndtr(z)), rel=1e-13, abs=ABS_FLOOR
         )
 
 
@@ -184,7 +211,7 @@ def test_t_sf_matches_scipy(df):
     special = pytest.importorskip("scipy.special")
     for t in np.linspace(0.01, 12.0, 200):
         assert numeric.t_sf_two_sided(float(t), df) == pytest.approx(
-            float(2.0 * special.stdtr(df, -t)), rel=1e-11
+            float(2.0 * special.stdtr(df, -t)), rel=1e-11, abs=ABS_FLOOR
         )
 
 
@@ -227,7 +254,7 @@ def test_chisq_sf_matches_scipy(df):
     special = pytest.importorskip("scipy.special")
     for x in np.linspace(0.01, 6.0 * df + 40.0, 200):
         assert numeric.chisq_sf(float(x), df) == pytest.approx(
-            float(special.chdtrc(df, x)), rel=1e-12
+            float(special.chdtrc(df, x)), rel=1e-12, abs=ABS_FLOOR
         )
 
 

@@ -1,13 +1,18 @@
 """Model DSL parsing, validation, causal ordering, and rendering."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pathtrek.errors import (
     CycleDetected,
     DuplicateArrow,
     ModelSyntaxError,
     ModelWarning,
+    ParseError,
 )
 from pathtrek.pathspec import (
     Arrow,
@@ -168,6 +173,27 @@ def test_roundtrip_random_models():
         assert set(again.arrows) == set(m.arrows)
         assert again.labels == m.labels
         assert topological_order(again) == topological_order(m)
+
+
+# A label renders inside one double-quoted line, so it can hold neither a
+# double quote nor any character str.splitlines() (the parser's line
+# splitter) breaks a line at.
+UNRENDERABLE = '"' + "".join(
+    c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) > 1
+)
+label_text = st.text(st.characters(exclude_characters=UNRENDERABLE))
+
+
+@given(label_text)
+def test_label_survives_render(label):
+    m = PathModel(("A", "B"), (Arrow("A", "B"),), {"A": label})
+    assert parse_model(render_model(m)).labels == m.labels
+
+
+@given(label_text, st.sampled_from(UNRENDERABLE), label_text)
+def test_unrenderable_label_rejected(head, bad, tail):
+    with pytest.raises(ParseError):
+        PathModel(("A",), (), {"A": head + bad + tail})
 
 
 def test_with_coefficients(revised_model):

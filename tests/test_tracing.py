@@ -266,11 +266,19 @@ def test_effects_do_not_require_positive_psi():
 
 
 def test_too_many_variables_guard():
+    # The guard is a work budget, not a variable count: a 21-variable chain
+    # has one trek per pair, while the complete DAG on 21 variables has ~3e9.
     names = tuple(f"V{i}" for i in range(21))
     arrows = tuple(Arrow(names[i], names[i + 1], 0.1) for i in range(20))
-    big = PathModel(names, arrows, {})
+    chain = reproduced_matrix(PathModel(names, arrows, {}))
+    (trek,) = chain.cell_treks("V0", "V20")
+    assert trek.nodes == names
+    assert trek.product == pytest.approx(1e-20, rel=1e-12)
+    assert chain.value("V0", "V20") == pytest.approx(1e-20, rel=1e-12)
+    complete = tuple(Arrow(names[i], names[j], 0.1)
+                     for j in range(21) for i in range(j))
     with pytest.raises(TooManyVariables):
-        reproduced_matrix(big)
+        reproduced_matrix(PathModel(names, complete, {}))
 
 
 def test_recursion_has_no_variable_limit():
