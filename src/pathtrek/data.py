@@ -1,6 +1,7 @@
 """Rectangular numeric datasets: CSV ingestion, standardization, summaries."""
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -65,13 +66,19 @@ class Dataset:
 def load_csv(path):
     """Read a dataset from a header-first CSV file.
 
-    Rows with missing or unparseable cells are dropped (listwise deletion);
-    the count is attached to the result and reported as a DataWarning.
+    The header is read with the csv module.  A clean body (k finite
+    numbers on every non-blank line, no quotes) is parsed in C by one
+    np.loadtxt call; its values equal those of float() on each cell.  That result is kept only
+    if np.loadtxt raised nothing, returned k columns of finite values, and
+    returned one row per non-blank line.  Any other body goes through the
+    per-row loop, because only it knows which rows to drop: rows with
+    missing, unparseable or non-finite cells are dropped (listwise
+    deletion), and the count is attached to the result and reported as a
+    DataWarning.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         names = [h.strip() for h in header]
@@ -80,22 +87,11 @@ def load_csv(path):
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ParseError(f"{path}: duplicate column names {dupes}")
-        kept, dropped = [], 0
-        for cells in reader:
-            if not cells:
-                continue  # blank line
-            if len(cells) != len(names):
-                dropped += 1
-                continue
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                dropped += 1
-                continue
-            if not all(math.isfinite(v) for v in row):
-                dropped += 1
-                continue
-            kept.append(row)
+        body = fh.read()
+    kept = _parse_clean(body, len(names))
+    dropped = 0
+    if kept is None:
+        kept, dropped = _parse_listwise(body, len(names))
     if len(kept) < 3:
         raise TooFewRows(
             f"{path}: only {len(kept)} usable rows after dropping {dropped}"
@@ -106,7 +102,53 @@ def load_csv(path):
             DataWarning,
             stacklevel=2,
         )
-    return Dataset(tuple(names), np.array(kept, dtype=np.float64), dropped=dropped)
+    return Dataset(tuple(names), np.asarray(kept, dtype=np.float64), dropped=dropped)
+
+
+def _parse_clean(body, k):
+    """The (n, k) block of a body with nothing to drop, or None.
+
+    Lines end at CR LF, CR or LF, as for the csv module reading a file
+    opened with newline="".  The row count is checked against the
+    non-blank lines, so no line the csv module reads as a row can be
+    skipped here unnoticed.  np.loadtxt strips the separators \\x1c-\\x1f
+    from a cell as whitespace and float() does not, so a body holding one
+    is left to the loop.
+    """
+    if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    lines = body.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    nonblank = len(lines) - lines.count("")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if rows.shape != (nonblank, k) or not np.isfinite(rows).all():
+        return None
+    return rows
+
+
+def _parse_listwise(body, k):
+    """Rows of k finite cells, and the count of other non-blank rows."""
+    kept, dropped = [], 0
+    for cells in csv.reader(io.StringIO(body, newline="")):
+        if not cells:
+            continue  # blank line
+        if len(cells) != k:
+            dropped += 1
+            continue
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            dropped += 1
+            continue
+        if not all(math.isfinite(v) for v in row):
+            dropped += 1
+            continue
+        kept.append(row)
+    return kept, dropped
 
 
 def write_csv(d, path):

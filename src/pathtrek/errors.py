@@ -36,6 +36,10 @@ class SingularCovariance(SingularMatrix):
     """Sample covariance matrix is not invertible."""
 
 
+class NoConvergence(PathtrekError):
+    """An iterative special function reached its iteration cap unconverged."""
+
+
 class NotSquare(PathtrekError):
     """Correlation file does not hold a square labeled matrix."""
 

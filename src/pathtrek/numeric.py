@@ -12,7 +12,7 @@ speed at that size.
 
 import math
 
-from .errors import SingularMatrix
+from .errors import NoConvergence, SingularMatrix
 
 PIVOT_FLOOR = 1e-12
 
@@ -70,7 +70,10 @@ _MAX_ITER = 500
 
 
 def _betacf(a, b, x):
-    """Continued fraction for the incomplete beta (Lentz)."""
+    """Continued fraction for the incomplete beta (Lentz).
+
+    Raises NoConvergence when _MAX_ITER terms leave it unconverged.
+    """
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -103,8 +106,10 @@ def _betacf(a, b, x):
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            break
-    return h
+            return h
+    raise NoConvergence(
+        f"incomplete beta continued fraction unconverged after {_MAX_ITER - 1} "
+        f"iterations at a={a!r}, b={b!r}, x={x!r}")
 
 
 def _log_gamma_ratio_half(a):

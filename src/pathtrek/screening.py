@@ -70,7 +70,7 @@ def ks_normality(column, alpha=0.05):
     if sd < 1e-12:
         raise ZeroVariance("(column)")
     z = (x - x.mean()) / sd
-    cdf = np.array([numeric.normal_cdf(v) for v in z])
+    cdf = np.array(list(map(numeric.normal_cdf, z.tolist())))
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     d_stat = float(max(upper.max(), lower.max()))

@@ -84,6 +84,8 @@ def test_fit_from_raw_data(tmp_path):
     r2 = {eq["target"]: eq["r_squared"] for eq in report["coefficients"]["equations"]}
     assert r2["Y"] == pytest.approx(0.805, abs=1e-3)
     assert report["fit"]["verdict"] == "fits"
+    # every warning raised while loading lands here; a clean file raises none
+    assert report["warnings"] == []
 
 
 def test_fit_usage_error_both_inputs():
@@ -345,6 +347,13 @@ def test_fit_rejects_indefinite_parent_block(tmp_path, capsys):
                  "--model", str(model_path)]) == 2
     err = capsys.readouterr().err
     assert "'Y'" in err and "not positive definite" in err
+
+
+def test_fit_reports_unconverged_t_tail(monkeypatch, capsys):
+    monkeypatch.setattr("pathtrek.numeric._MAX_ITER", 3)
+    assert main(["fit", "--corr", CORR, "--n", "240", "--model", REVISED]) == 2
+    err = capsys.readouterr().err
+    assert "pathtrek: error: incomplete beta" in err and "a=" in err
 
 
 def test_revise_warns_when_final_model_implies_nonpositive_psi(tmp_path, capsys):

@@ -1,8 +1,16 @@
-"""Dataset loading, standardization, and summaries."""
+"""Dataset loading, standardization, and summaries; load_csv against the
+listwise-deletion row loop it ran before its np.loadtxt fast path."""
+
+import csv
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pathtrek import data
 from pathtrek.data import Dataset, load_csv, standardize, summarize, write_csv
 from pathtrek.errors import DataWarning, ParseError, TooFewRows, ZeroVariance
 
@@ -131,3 +139,149 @@ def test_csv_roundtrip(tmp_path):
     back = load_csv(path)
     assert back.variables == d.variables
     assert np.array_equal(back.rows, d.rows)
+
+
+# ---------------------------------------------------------------------------
+# The fast path against the reference row loop.
+
+def reference_load(path):
+    """load_csv as one csv-module loop: float() per cell, listwise deletion."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        names = [h.strip() for h in header]
+        if any(not n for n in names):
+            raise ParseError(f"{path}: blank column name in header")
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise ParseError(f"{path}: duplicate column names {dupes}")
+        kept, dropped = [], 0
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(names):
+                dropped += 1
+                continue
+            try:
+                row = [float(c) for c in cells]
+            except ValueError:
+                dropped += 1
+                continue
+            if not all(math.isfinite(v) for v in row):
+                dropped += 1
+                continue
+            kept.append(row)
+    if len(kept) < 3:
+        raise TooFewRows(
+            f"{path}: only {len(kept)} usable rows after dropping {dropped}"
+        )
+    if dropped:
+        warnings.warn(
+            f"{path}: dropped {dropped} rows with missing or unparseable cells",
+            DataWarning,
+        )
+    return tuple(names), np.array(kept, dtype=np.float64), dropped
+
+
+def outcome(load, path):
+    """(result or (error type, message), [(warning type, message), ...])."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path)
+        except Exception as exc:  # every error must match, whatever its type
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+CLEAN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.builds(lambda sign, digits, exp: sign + digits + exp,
+              st.sampled_from(["", "+", "-"]),
+              st.sampled_from(["0", "1.", "42", "007", ".5", "3.125"]),
+              st.sampled_from(["", "e5", "E-3", "e+07", "e308", "e-320"])),
+)
+ODD_CELLS = st.sampled_from([
+    "nan", "NaN", "-nan", "inf", "-inf", "+Inf", "Infinity", "-Infinity",
+    "1e500", "1_0", "1__0", "_1", "0x10", "0x1p3", '"1.5"', '"1,5"', '"1',
+    "", " ", "\t", "+", ".", "1 2", "1e", "e5", "--1", "\u0661\u0662", "1\x00",
+])
+PADDING = st.sampled_from(["", "", "", " ", "  ", "\t", "\x0c", "\xa0", "\x85", "\u2028"])
+# np.loadtxt strips these from a cell as whitespace; float() does not
+SEPARATORS = st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A header of k names and up to 10 lines; half the bodies have nothing to drop."""
+    k = draw(st.integers(1, 4))
+    pad = st.one_of(PADDING, SEPARATORS) if draw(st.integers(0, 3)) == 0 else PADDING
+    cell = st.builds(lambda left, c, right: left + c + right, pad, CLEAN_CELLS, pad)
+    shapes = ["row", "row", "row", "blank"]
+    if draw(st.booleans()):
+        cell = st.one_of(cell, ODD_CELLS)
+        shapes += ["short", "long", "trailing comma", "spaces"]
+    lines = [",".join(f"v{j}" for j in range(k))]
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.sampled_from(shapes))
+        width = {"short": k - 1, "long": k + 1}.get(shape, k)
+        line = ",".join(draw(st.lists(cell, min_size=width, max_size=width)))
+        if shape == "trailing comma":
+            line += ","
+        elif shape == "blank":
+            line = ""
+        elif shape == "spaces":
+            line = draw(st.sampled_from([" ", "\t", "  \t "]))
+        lines.append(line)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@given(csv_texts())
+@example("v0,v1\n1,2,3\n4,5,6\n7,8,9\n")  # every row long: np.loadtxt reads 3 columns
+@example("v0\n1\n2\n3\x1c\n4\n")  # float() rejects "3\x1c"
+@example("v0\n1\n \n2\r\n\r\n3\r4")
+@settings(max_examples=400, deadline=None)
+def test_load_matches_reference_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("diff") / "body.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, got_warnings = outcome(load_csv, path)
+    want, want_warnings = outcome(reference_load, path)
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    names, rows, dropped = want
+    assert got.variables == names
+    assert got.rows.tobytes() == rows.tobytes()
+    assert got.dropped == dropped
+
+
+def test_clean_file_never_reaches_row_loop(tmp_path, monkeypatch):
+    gen = np.random.default_rng(8)
+    d = Dataset(tuple(f"V{j}" for j in range(8)), gen.normal(0.0, 30.0, (20000, 8)))
+    path = tmp_path / "clean.csv"
+    write_csv(d, path)
+
+    def no_loop(body, k):
+        raise AssertionError("clean file sent to the row loop")
+
+    monkeypatch.setattr(data, "_parse_listwise", no_loop)
+    back = load_csv(path)
+    assert back.dropped == 0
+    assert np.array_equal(back.rows, d.rows)
+
+
+def test_header_only_file_warns_nothing_from_numpy(tmp_path):
+    path = write(tmp_path, "header.csv", "a,b\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TooFewRows, match="only 0 usable rows after dropping 0"):
+            load_csv(path)
+    assert caught == []

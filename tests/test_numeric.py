@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtrek import numeric
-from pathtrek.errors import SingularMatrix
+from pathtrek.errors import NoConvergence, PathtrekError, SingularMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +213,14 @@ def test_t_sf_matches_scipy(df):
         assert numeric.t_sf_two_sided(float(t), df) == pytest.approx(
             float(2.0 * special.stdtr(df, -t)), rel=1e-11, abs=ABS_FLOOR
         )
+
+
+def test_t_sf_unconverged_fraction_raises(monkeypatch):
+    # 2 terms cannot reach the 1e-15 stopping rule at t = 2, df = 10
+    monkeypatch.setattr(numeric, "_MAX_ITER", 3)
+    with pytest.raises(NoConvergence, match=r"a=5\.0, b=0\.5, x=0\.714") as exc:
+        numeric.t_sf_two_sided(2.0, 10)
+    assert isinstance(exc.value, PathtrekError)
 
 
 def test_t_sf_normal_limit():
