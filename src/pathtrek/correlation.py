@@ -63,9 +63,26 @@ def correlation_p_value(r, n):
     return numeric.t_sf_two_sided(t, n - 2)
 
 
+def _check_correlations(r, where=""):
+    """Reject non-finite cells, asymmetry above ASYMMETRY_LIMIT and a
+    diagonal off 1 by more than DIAGONAL_LIMIT; `where` prefixes messages."""
+    if not np.isfinite(r).all():
+        raise OutOfRange(f"{where}correlations must be finite")
+    asym = float(np.max(np.abs(r - r.T), initial=0.0))
+    if asym > ASYMMETRY_LIMIT:
+        raise AsymmetryTooLarge(f"{where}max asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT}")
+    diag_dev = float(np.max(np.abs(np.diag(r) - 1.0), initial=0.0))
+    if diag_dev > DIAGONAL_LIMIT:
+        raise DiagonalNotOne(f"{where}diagonal deviates from 1 by {diag_dev:.3e}")
+
+
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Symmetric unit-diagonal correlations with per-cell two-sided p-values."""
+    """Symmetric unit-diagonal correlations with per-cell two-sided p-values.
+
+    Construction rejects non-finite correlations, asymmetry above
+    ASYMMETRY_LIMIT and a diagonal off 1 by more than DIAGONAL_LIMIT.
+    """
 
     variables: tuple
     r: np.ndarray
@@ -80,6 +97,7 @@ class CorrelationMatrix:
         k = len(names)
         if r.shape != (k, k) or p.shape != (k, k):
             raise NotSquare(f"expected {k}x{k} matrices")
+        _check_correlations(r)
         r.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "r", r)
@@ -143,14 +161,18 @@ def load_correlation_csv(path, n):
 
     Layout: a header row of names (optionally preceded by a blank corner
     cell), then one row per variable whose first cell repeats the name.
-    Asymmetry up to 1e-6 is repaired by averaging; diagonals must be 1
-    within 1e-9.  A matrix whose smallest eigenvalue is <= 0 is loaded with
-    a DataWarning naming that eigenvalue.
+    Every cell must be finite; asymmetry up to 1e-6 is repaired by
+    averaging; diagonals must be 1 within 1e-9.  A matrix whose smallest
+    eigenvalue is <= 0 is loaded with a DataWarning naming that eigenvalue.
     """
     if n < 3:
         raise ValueError("sample size must be at least 3")
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [cells for cells in csv.reader(fh) if cells]
+        reader = csv.reader(fh)
+        try:
+            rows = [cells for cells in reader if cells]
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -174,12 +196,7 @@ def load_correlation_csv(path, n):
             r[i] = [float(c) for c in cells[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}: row {i + 2}: {exc}") from None
-    asym = float(np.max(np.abs(r - r.T)))
-    if asym > ASYMMETRY_LIMIT:
-        raise AsymmetryTooLarge(f"{path}: max asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT}")
-    diag_dev = float(np.max(np.abs(np.diag(r) - 1.0)))
-    if diag_dev > DIAGONAL_LIMIT:
-        raise DiagonalNotOne(f"{path}: diagonal deviates from 1 by {diag_dev:.3e}")
+    _check_correlations(r, f"{path}: ")
     r = (r + r.T) / 2.0
     np.fill_diagonal(r, 1.0)
     lam_min = float(np.linalg.eigvalsh(r)[0])

@@ -77,10 +77,13 @@ def load_csv(path):
     DataWarning.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
         names = [h.strip() for h in header]
         if any(not n for n in names):
             raise ParseError(f"{path}: blank column name in header")
@@ -91,7 +94,7 @@ def load_csv(path):
     kept = _parse_clean(body, len(names))
     dropped = 0
     if kept is None:
-        kept, dropped = _parse_listwise(body, len(names))
+        kept, dropped = _parse_listwise(body, len(names), path, reader.line_num)
     if len(kept) < 3:
         raise TooFewRows(
             f"{path}: only {len(kept)} usable rows after dropping {dropped}"
@@ -130,24 +133,33 @@ def _parse_clean(body, k):
     return rows
 
 
-def _parse_listwise(body, k):
-    """Rows of k finite cells, and the count of other non-blank rows."""
+def _parse_listwise(body, k, path, header_lines):
+    """Rows of k finite cells, and the count of other non-blank rows.
+
+    A csv.Error (such as a cell past the csv module's field limit) becomes
+    a ParseError naming the file line, counted after the header's lines.
+    """
     kept, dropped = [], 0
-    for cells in csv.reader(io.StringIO(body, newline="")):
-        if not cells:
-            continue  # blank line
-        if len(cells) != k:
-            dropped += 1
-            continue
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            dropped += 1
-            continue
-        if not all(math.isfinite(v) for v in row):
-            dropped += 1
-            continue
-        kept.append(row)
+    reader = csv.reader(io.StringIO(body, newline=""))
+    try:
+        for cells in reader:
+            if not cells:
+                continue  # blank line
+            if len(cells) != k:
+                dropped += 1
+                continue
+            try:
+                row = [float(c) for c in cells]
+            except ValueError:
+                dropped += 1
+                continue
+            if not all(math.isfinite(v) for v in row):
+                dropped += 1
+                continue
+            kept.append(row)
+    except csv.Error as exc:
+        line = header_lines + reader.line_num
+        raise ParseError(f"{path}: line {line}: {exc}") from None
     return kept, dropped
 
 

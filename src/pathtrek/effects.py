@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoAdmissibleRevision, VariableMismatch
-from .estimation import coefficient_inference, fit_standardized
+from .estimation import FittedModel, _endogenous, _fit_equation, _infer_equation
 from .pathspec import Arrow, topological_order
 from .tracing import _implied, coefficient_matrix
 
@@ -53,13 +53,17 @@ class FitAssessment:
         return [p for p in self.pairs if p.flagged]
 
 
-def assess_fit(observed, reproduced, threshold=DEFAULT_MISFIT_THRESHOLD):
-    """Compare every unordered pair: |r - r_hat| > threshold flags a misfit."""
+def _check_variables(observed, reproduced):
     if set(observed.variables) != set(reproduced.variables):
         raise VariableMismatch(
             f"observed variables {sorted(observed.variables)} != "
             f"reproduced {sorted(reproduced.variables)}"
         )
+
+
+def assess_fit(observed, reproduced, threshold=DEFAULT_MISFIT_THRESHOLD):
+    """Compare every unordered pair: |r - r_hat| > threshold flags a misfit."""
+    _check_variables(observed, reproduced)
     pairs = []
     for a, b in observed.pairs():
         r = observed.value(a, b)
@@ -67,6 +71,25 @@ def assess_fit(observed, reproduced, threshold=DEFAULT_MISFIT_THRESHOLD):
         diff = abs(r - r_hat)
         pairs.append(PairFit(a, b, r, r_hat, diff, diff > threshold))
     return FitAssessment(tuple(pairs), threshold)
+
+
+def _misfits(observed, implied, threshold):
+    """assess_fit's flagged (a, b, difference) triples and max difference.
+
+    One pass over the upper triangle of observed.r in numpy: the pairs come
+    in observed.pairs() order, and each difference is the same float64
+    subtraction and abs that assess_fit makes, so the results are equal.
+    """
+    _check_variables(observed, implied)
+    idx = np.array([implied.index(v) for v in observed.variables])
+    iu, ju = np.triu_indices(observed.k, 1)
+    diff = np.abs(observed.r[iu, ju] - implied.r_hat[idx[iu], idx[ju]])
+    names = observed.variables
+    flagged = [
+        (names[iu[i]], names[ju[i]], float(diff[i]))
+        for i in np.flatnonzero(diff > threshold)
+    ]
+    return flagged, float(diff.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +235,44 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
     arrow set has not been visited before.  Stops on fit, on no possible
     change (NoAdmissibleRevision, partial trace attached), or after
     max_iter iterations (non-converged trace returned).
+
+    Equations are fitted independently, and a drop or an add changes only
+    the parent sets of the equations it touches, so a refit re-estimates an
+    equation only when its (target, parents) pair is new to this call; the
+    others are reused as they were, bit for bit.  Intermediate models are
+    scored in numpy; the FitAssessment is built for the final model only.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     trace = RevisionTrace()
     model = m
     seen = {model.arrow_set()}
+    cache = {}  # (target, parents) -> EquationFit with inference
 
     def refit(current):
-        fit = coefficient_inference(fit_standardized(corr, current), alpha=alpha)
+        fitted = []
+        for y in _endogenous(corr, current):
+            parents = current.parents(y)
+            fitted.append(cache.get((y, parents)) or _fit_equation(corr, y, parents))
+        equations = {}
+        for eq in fitted:  # every equation is fitted before any is inferred
+            key = (eq.target, eq.parents)
+            if key not in cache:
+                cache[key] = _infer_equation(eq, corr, corr.n, alpha)
+            equations[eq.target] = cache[key]
+        fit = FittedModel(current, equations, corr, corr.n, alpha)
         # An intermediate refit may imply psi <= 0; that must not stop the search.
-        assessment = assess_fit(corr, _implied(fit.annotated_model()), threshold)
-        return fit, assessment
+        implied = _implied(fit.annotated_model())
+        flagged, max_difference = _misfits(corr, implied, threshold)
+        return fit, implied, flagged, max_difference
 
-    fit, assessment = refit(model)
+    def finish():
+        trace.final_model = model
+        trace.final_fit = fit
+        trace.final_assessment = assess_fit(corr, implied, threshold)
+        return trace
+
+    fit, implied, flagged, max_difference = refit(model)
     for iteration in range(1, max_iter + 1):
         trace.iterations = iteration
         changed = False
@@ -242,41 +289,38 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
                 [a for a in model.arrows if (a.source, a.target) not in dropped]
             )
             if not reduced.endogenous:
-                trace.final_model = model
-                trace.final_fit = fit
-                trace.final_assessment = assessment
                 raise NoAdmissibleRevision(
                     "every arrow is non-significant; dropping all of them "
                     "leaves nothing to estimate",
-                    trace=trace,
+                    trace=finish(),
                 )
             model = reduced
             seen.add(model.arrow_set())
-            fit, assessment = refit(model)
+            fit, implied, flagged, max_difference = refit(model)
             trace.steps.append(
                 RevisionStep(
                     iteration=iteration,
                     action="drop",
                     arrows=tuple(sorted(drops)),
                     reason=f"coefficient p >= {alpha}",
-                    misfit_count=assessment.misfit_count,
-                    max_difference=assessment.max_difference,
+                    misfit_count=len(flagged),
+                    max_difference=max_difference,
                 )
             )
             changed = True
 
-        if assessment.fits:
+        if not flagged:
             trace.converged = True
             break
 
         order = topological_order(model)
         pos = {v: i for i, v in enumerate(order)}
         candidates = []
-        for pair in assessment.flagged_pairs():
-            if model.has_arrow_between(pair.a, pair.b):
+        for a, b, difference in flagged:
+            if model.has_arrow_between(a, b):
                 continue
-            src, dst = sorted((pair.a, pair.b), key=pos.get)
-            candidates.append((src, dst, pair.difference))
+            src, dst = sorted((a, b), key=pos.get)
+            candidates.append((src, dst, difference))
         candidates.sort(key=lambda c: (-c[2], pos[c[0]], pos[c[1]]))
 
         added = None
@@ -289,20 +333,16 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
 
         if added is None:
             if not changed:
-                exc = NoAdmissibleRevision(
-                    f"misfit persists ({assessment.misfit_count} pairs) but no "
+                raise NoAdmissibleRevision(
+                    f"misfit persists ({len(flagged)} pairs) but no "
                     "arrow can be added",
-                    trace=trace,
+                    trace=finish(),
                 )
-                trace.final_model = model
-                trace.final_fit = fit
-                trace.final_assessment = assessment
-                raise exc
         else:
             src, dst, diff = added
             model = model.with_arrows(model.arrows + (Arrow(src, dst, None),))
             seen.add(model.arrow_set())
-            fit, assessment = refit(model)
+            fit, implied, flagged, max_difference = refit(model)
             trace.steps.append(
                 RevisionStep(
                     iteration=iteration,
@@ -310,15 +350,12 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
                     arrows=((src, dst),),
                     reason=f"misfit |r - r_hat| = {diff:.4f} > {threshold}",
                     candidates=tuple(candidates),
-                    misfit_count=assessment.misfit_count,
-                    max_difference=assessment.max_difference,
+                    misfit_count=len(flagged),
+                    max_difference=max_difference,
                 )
             )
-            if assessment.fits:
+            if not flagged:
                 trace.converged = True
                 break
 
-    trace.final_model = model
-    trace.final_fit = fit
-    trace.final_assessment = assessment
-    return trace
+    return finish()

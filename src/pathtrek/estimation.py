@@ -76,37 +76,7 @@ def fit_standardized(corr, m):
     and SingularMatrix (tagged with the equation) when a parent block is not
     positive definite.
     """
-    for v in m.variables:
-        if v not in corr.variables:
-            raise VariableMissing(v, where="correlation matrix")
-    order = topological_order(m)
-    endo = [v for v in order if m.parents(v)]
-    if not endo:
-        raise ValueError("model has no endogenous variable to estimate")
-    equations = {}
-    for y in endo:
-        parents = m.parents(y)
-        rpy = [corr.value(p, y) for p in parents]
-        try:
-            w = numeric.inverse_factor(corr.submatrix(parents))
-        except SingularMatrix as exc:
-            raise SingularMatrix(f"equation for {y!r}: {exc}") from exc
-        u = [sum(wi * r for wi, r in zip(row, rpy)) for row in w]
-        beta = [sum(row[j] * ui for row, ui in zip(w, u)) for j in range(len(u))]
-        r2 = sum(ui * ui for ui in u)
-        if r2 > 1.0 + 1e-9:
-            raise ValueError(
-                f"equation for {y!r}: R² = {r2:.6g} exceeds 1; "
-                "correlation matrix is not positive definite"
-            )
-        r2 = min(1.0, r2)
-        equations[y] = EquationFit(
-            target=y,
-            parents=parents,
-            beta=tuple(beta),
-            r_squared=r2,
-            disturbance=math.sqrt(1.0 - r2),
-        )
+    equations = {y: _fit_equation(corr, y, m.parents(y)) for y in _endogenous(corr, m)}
     return FittedModel(model=m, equations=equations, correlation=corr, n=corr.n)
 
 
@@ -118,28 +88,9 @@ def coefficient_inference(fit, alpha=DEFAULT_ALPHA):
     when any equation has n <= |P| + 1.
     """
     corr, n = fit.correlation, fit.n
-    equations = {}
-    for y, eq in fit.equations.items():
-        df = n - len(eq.parents) - 1
-        if df < 1:
-            raise DegreesOfFreedomExhausted(
-                f"equation for {y!r}: n={n} with {len(eq.parents)} parents"
-            )
-        w = numeric.inverse_factor(corr.submatrix(eq.parents))
-        resid_var = 1.0 - eq.r_squared
-        se, t, p, sig = [], [], [], []
-        for j, b in enumerate(eq.beta):
-            inv_jj = sum(row[j] * row[j] for row in w)  # [R_PP⁻¹]_jj
-            s = math.sqrt(resid_var * inv_jj / df)
-            se.append(s)
-            tj = b / s if s > 0.0 else math.inf
-            t.append(tj)
-            pj = numeric.t_sf_two_sided(tj, df) if math.isfinite(tj) else 0.0
-            p.append(pj)
-            sig.append(pj < alpha)
-        equations[y] = replace(
-            eq, se=tuple(se), t=tuple(t), p=tuple(p), significant=tuple(sig)
-        )
+    equations = {
+        y: _infer_equation(eq, corr, n, alpha) for y, eq in fit.equations.items()
+    }
     return FittedModel(
         model=fit.model,
         equations=equations,
@@ -147,3 +98,61 @@ def coefficient_inference(fit, alpha=DEFAULT_ALPHA):
         n=n,
         alpha=alpha,
     )
+
+
+def _endogenous(corr, m):
+    """The endogenous variables of `m` in causal order, checked against `corr`."""
+    for v in m.variables:
+        if v not in corr.variables:
+            raise VariableMissing(v, where="correlation matrix")
+    endo = [v for v in topological_order(m) if m.parents(v)]
+    if not endo:
+        raise ValueError("model has no endogenous variable to estimate")
+    return endo
+
+
+def _fit_equation(corr, y, parents):
+    """beta, R² and disturbance of y regressed on `parents`, without inference."""
+    rpy = [corr.value(p, y) for p in parents]
+    try:
+        w = numeric.inverse_factor(corr.submatrix(parents))
+    except SingularMatrix as exc:
+        raise SingularMatrix(f"equation for {y!r}: {exc}") from exc
+    u = [sum(wi * r for wi, r in zip(row, rpy)) for row in w]
+    beta = [sum(row[j] * ui for row, ui in zip(w, u)) for j in range(len(u))]
+    r2 = sum(ui * ui for ui in u)
+    if r2 > 1.0 + 1e-9:
+        raise ValueError(
+            f"equation for {y!r}: R² = {r2:.6g} exceeds 1; "
+            "correlation matrix is not positive definite"
+        )
+    r2 = min(1.0, r2)
+    return EquationFit(
+        target=y,
+        parents=parents,
+        beta=tuple(beta),
+        r_squared=r2,
+        disturbance=math.sqrt(1.0 - r2),
+    )
+
+
+def _infer_equation(eq, corr, n, alpha):
+    """`eq` with SE / t / two-sided p / significance at sample size n."""
+    df = n - len(eq.parents) - 1
+    if df < 1:
+        raise DegreesOfFreedomExhausted(
+            f"equation for {eq.target!r}: n={n} with {len(eq.parents)} parents"
+        )
+    w = numeric.inverse_factor(corr.submatrix(eq.parents))
+    resid_var = 1.0 - eq.r_squared
+    se, t, p, sig = [], [], [], []
+    for j, b in enumerate(eq.beta):
+        inv_jj = sum(row[j] * row[j] for row in w)  # [R_PP⁻¹]_jj
+        s = math.sqrt(resid_var * inv_jj / df)
+        se.append(s)
+        tj = b / s if s > 0.0 else math.inf
+        t.append(tj)
+        pj = numeric.t_sf_two_sided(tj, df) if math.isfinite(tj) else 0.0
+        p.append(pj)
+        sig.append(pj < alpha)
+    return replace(eq, se=tuple(se), t=tuple(t), p=tuple(p), significant=tuple(sig))

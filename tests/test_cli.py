@@ -263,6 +263,28 @@ def test_screen_missing_file(capsys):
     assert main(["screen", "--data", "nope.csv"]) == 2
 
 
+def test_screen_rejects_cell_past_csv_field_limit(tmp_path, capsys):
+    # the csv module stops at 131072 characters per field
+    path = tmp_path / "wide.csv"
+    path.write_text("a,b\n1,2\n3,4\n5,6\n" + "x" * 200_000 + ",1\n7,8\n",
+                    encoding="utf-8")
+    assert main(["screen", "--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 5: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
+def test_fit_rejects_correlation_cell_past_csv_field_limit(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text(",A,B\nA,1,0.5\nB,0.5," + "1" * 200_000 + "\n", encoding="utf-8")
+    model = tmp_path / "m.pm"
+    model.write_text("path A -> B\n", encoding="utf-8")
+    assert main(["fit", "--corr", str(path), "--n", "50", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 3: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # digests and determinism
 

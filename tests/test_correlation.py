@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pathtrek.correlation import (
+    ASYMMETRY_LIMIT,
+    DIAGONAL_LIMIT,
+    CorrelationMatrix,
     StrengthLabel,
     classify_strength,
     load_correlation_csv,
@@ -140,6 +143,46 @@ def test_load_correlation_averages_tiny_asymmetry(tmp_path):
     corr = load_correlation_csv(path, 50)
     assert corr.value("a", "b") == pytest.approx(0.5, abs=1e-12)
     assert np.array_equal(corr.r, corr.r.T)
+
+
+def test_load_correlation_non_finite(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text(",a,b\na,1,nan\nb,nan,1\n", encoding="utf-8")
+    with pytest.raises(OutOfRange, match=f"{path}: correlations must be finite"):
+        load_correlation_csv(path, 100)
+
+
+# ---------------------------------------------------------------------------
+# direct construction
+
+def _direct(r):
+    r = np.asarray(r, dtype=np.float64)
+    return CorrelationMatrix(("a", "b"), r, np.ones_like(r), 100)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_direct_rejects_non_finite(bad):
+    with pytest.raises(OutOfRange, match="finite"):
+        _direct([[1.0, bad], [bad, 1.0]])
+
+
+def test_direct_rejects_asymmetry():
+    _direct([[1.0, 0.5], [0.5 + ASYMMETRY_LIMIT / 2, 1.0]])
+    with pytest.raises(AsymmetryTooLarge):
+        _direct([[1.0, 0.5], [0.5 + 2 * ASYMMETRY_LIMIT, 1.0]])
+
+
+def test_direct_rejects_diagonal_off_one():
+    _direct([[1.0 + DIAGONAL_LIMIT / 2, 0.5], [0.5, 1.0]])
+    with pytest.raises(DiagonalNotOne):
+        _direct([[1.0, 0.5], [0.5, 1.0 - 2 * DIAGONAL_LIMIT]])
+
+
+def test_direct_accepts_single_variable_and_indefinite():
+    CorrelationMatrix(("a",), np.ones((1, 1)), np.ones((1, 1)), 10)
+    # not positive definite, as a loaded table may be: built, not rejected
+    r = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+    CorrelationMatrix(("a", "b", "c"), r, np.ones((3, 3)), 10)
 
 
 def test_correlation_csv_roundtrip(tmp_path, observed_corr):

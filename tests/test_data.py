@@ -269,7 +269,7 @@ def test_clean_file_never_reaches_row_loop(tmp_path, monkeypatch):
     path = tmp_path / "clean.csv"
     write_csv(d, path)
 
-    def no_loop(body, k):
+    def no_loop(*args):
         raise AssertionError("clean file sent to the row loop")
 
     monkeypatch.setattr(data, "_parse_listwise", no_loop)

@@ -2,19 +2,33 @@
 table and its two documented arithmetic slips), and the revision loop.
 """
 
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pathtrek import effects, estimation
 from pathtrek.effects import (
+    DEFAULT_MISFIT_THRESHOLD,
+    RevisionStep,
+    RevisionTrace,
     assess_fit,
     decompose_effects,
     revise_model,
     total_effect_oracle,
 )
-from pathtrek.errors import NoAdmissibleRevision, VariableMismatch
-from pathtrek.estimation import fit_standardized
-from pathtrek.pathspec import Arrow, parse_model
-from pathtrek.tracing import implied_matrix, reproduced_matrix
+from pathtrek.errors import (
+    DegreesOfFreedomExhausted,
+    NoAdmissibleRevision,
+    SingularMatrix,
+    VariableMismatch,
+    VariableMissing,
+)
+from pathtrek.estimation import coefficient_inference, fit_standardized
+from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
+from pathtrek.tracing import _implied, implied_matrix, reproduced_matrix
 
 from conftest import make_corr
 from test_tracing import random_annotated_dag
@@ -269,3 +283,257 @@ def test_dropping_every_arrow_is_inadmissible():
     m = parse_model("var A\nvar B\npath A -> B\n")
     with pytest.raises(NoAdmissibleRevision, match="non-significant"):
         revise_model(corr, m)
+
+
+# ---------------------------------------------------------------------------
+# revise_model against the refit-everything loop
+
+def reference_revise(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
+                 max_iter=10):
+    """revise_model as it was before equation fits were cached: every refit
+    re-estimates every equation and assesses every pair with assess_fit."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    trace = RevisionTrace()
+    model = m
+    seen = {model.arrow_set()}
+
+    def refit(current):
+        fit = coefficient_inference(fit_standardized(corr, current), alpha=alpha)
+        # An intermediate refit may imply psi <= 0; that must not stop the search.
+        assessment = assess_fit(corr, _implied(fit.annotated_model()), threshold)
+        return fit, assessment
+
+    fit, assessment = refit(model)
+    for iteration in range(1, max_iter + 1):
+        trace.iterations = iteration
+        changed = False
+
+        drops = [
+            (eq.parents[j], y)
+            for y, eq in fit.equations.items()
+            for j in range(len(eq.parents))
+            if eq.p[j] >= alpha
+        ]
+        if drops:
+            dropped = set(drops)
+            reduced = model.with_arrows(
+                [a for a in model.arrows if (a.source, a.target) not in dropped]
+            )
+            if not reduced.endogenous:
+                trace.final_model = model
+                trace.final_fit = fit
+                trace.final_assessment = assessment
+                raise NoAdmissibleRevision(
+                    "every arrow is non-significant; dropping all of them "
+                    "leaves nothing to estimate",
+                    trace=trace,
+                )
+            model = reduced
+            seen.add(model.arrow_set())
+            fit, assessment = refit(model)
+            trace.steps.append(
+                RevisionStep(
+                    iteration=iteration,
+                    action="drop",
+                    arrows=tuple(sorted(drops)),
+                    reason=f"coefficient p >= {alpha}",
+                    misfit_count=assessment.misfit_count,
+                    max_difference=assessment.max_difference,
+                )
+            )
+            changed = True
+
+        if assessment.fits:
+            trace.converged = True
+            break
+
+        order = topological_order(model)
+        pos = {v: i for i, v in enumerate(order)}
+        candidates = []
+        for pair in assessment.flagged_pairs():
+            if model.has_arrow_between(pair.a, pair.b):
+                continue
+            src, dst = sorted((pair.a, pair.b), key=pos.get)
+            candidates.append((src, dst, pair.difference))
+        candidates.sort(key=lambda c: (-c[2], pos[c[0]], pos[c[1]]))
+
+        added = None
+        for src, dst, diff in candidates:
+            proposal = model.arrow_set() | {(src, dst)}
+            if proposal in seen:
+                continue
+            added = (src, dst, diff)
+            break
+
+        if added is None:
+            if not changed:
+                exc = NoAdmissibleRevision(
+                    f"misfit persists ({assessment.misfit_count} pairs) but no "
+                    "arrow can be added",
+                    trace=trace,
+                )
+                trace.final_model = model
+                trace.final_fit = fit
+                trace.final_assessment = assessment
+                raise exc
+        else:
+            src, dst, diff = added
+            model = model.with_arrows(model.arrows + (Arrow(src, dst, None),))
+            seen.add(model.arrow_set())
+            fit, assessment = refit(model)
+            trace.steps.append(
+                RevisionStep(
+                    iteration=iteration,
+                    action="add",
+                    arrows=((src, dst),),
+                    reason=f"misfit |r - r_hat| = {diff:.4f} > {threshold}",
+                    candidates=tuple(candidates),
+                    misfit_count=assessment.misfit_count,
+                    max_difference=assessment.max_difference,
+                )
+            )
+            if assessment.fits:
+                trace.converged = True
+                break
+
+    trace.final_model = model
+    trace.final_fit = fit
+    trace.final_assessment = assessment
+    return trace
+
+
+def revision_problem(seed, k, n, noise, strength):
+    """A start model and the correlations of a random recursive DAG plus noise.
+
+    The true DAG's coefficients are scaled by `strength`; symmetric normal
+    noise of sd `noise` is added off the diagonal.  The start model drops
+    about a third of the true arrows and adds a few false ones, and the
+    matrix lists the variables in another order than the model does.
+    """
+    gen = np.random.default_rng(seed)
+    names = tuple(f"V{i}" for i in range(k))
+    order = gen.permutation(k)  # causal position -> variable
+    true_arrows, start_arrows = [], []
+    for j in range(1, k):
+        parents = [i for i in range(j) if gen.random() < 0.4]
+        budget = 0.95 / max(1, len(parents))
+        for i in range(j):
+            src, dst = names[order[i]], names[order[j]]
+            if i in parents:
+                true_arrows.append(Arrow(src, dst, strength * float(gen.uniform(-budget, budget))))
+                if gen.random() < 0.65:
+                    start_arrows.append(Arrow(src, dst, None))
+            elif gen.random() < 0.08:
+                start_arrows.append(Arrow(src, dst, None))
+    r = implied_matrix(PathModel(names, tuple(true_arrows), {})).r_hat.copy()
+    upper = np.triu(gen.normal(0.0, noise, (k, k)), 1)
+    r = np.clip(r + upper + upper.T, -0.95, 0.95)
+    np.fill_diagonal(r, 1.0)
+    shown = gen.permutation(k)
+    corr = make_corr([names[i] for i in shown], r[np.ix_(shown, shown)], n)
+    return corr, PathModel(names, tuple(start_arrows), {})
+
+
+def _outcome(revise, corr, start, max_iter):
+    """repr of everything a revision returns or raises; repr tells -0.0 and
+    numpy scalars apart from 0.0 and Python floats."""
+    try:
+        trace, raised = revise(corr, start, max_iter=max_iter), None
+    except NoAdmissibleRevision as exc:
+        trace, raised = exc.trace, (type(exc), str(exc))
+    except Exception as exc:  # the same failure must come from both loops
+        return None, (type(exc), str(exc))
+    fit = trace.final_fit
+    return repr((
+        trace.steps, trace.converged, trace.iterations, trace.final_model,
+        fit.model, fit.equations, fit.n, fit.alpha, trace.final_assessment,
+    )), raised
+
+
+# (seed, k, n, noise, strength, max_iter) pinned on each early exit
+ALL_DROPPED = (2, 4, 30, 0.05, 0.0, 10)
+NO_ADDITION = (17, 5, 60, 0.1, 0.5, 10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(4, 12),
+    n=st.sampled_from([30, 240, 1000, 5000]),
+    noise=st.sampled_from([0.0, 0.02, 0.05, 0.1]),
+    strength=st.sampled_from([0.0, 0.6, 1.0]),
+    max_iter=st.integers(1, 10),
+)
+@example(*ALL_DROPPED)
+@example(*NO_ADDITION)
+def test_cached_revision_matches_reference(seed, k, n, noise, strength, max_iter):
+    corr, start = revision_problem(seed, k, n, noise, strength)
+    assert _outcome(revise_model, corr, start, max_iter) == \
+        _outcome(reference_revise, corr, start, max_iter)
+
+
+@pytest.mark.parametrize("pinned,message", [
+    (ALL_DROPPED, "every arrow is non-significant"),
+    (NO_ADDITION, "but no arrow can be added"),
+])
+def test_pinned_problems_reach_each_early_exit(pinned, message):
+    seed, k, n, noise, strength, max_iter = pinned
+    corr, start = revision_problem(seed, k, n, noise, strength)
+    with pytest.raises(NoAdmissibleRevision, match=message):
+        reference_revise(corr, start, max_iter=max_iter)
+
+
+def test_revision_fits_every_equation_before_inference():
+    # D has no degrees of freedom left at n = 4 and comes first; E's parents
+    # P and Q correlate 1, so E's fit fails.  Fitting comes first everywhere.
+    names = ("A", "B", "C", "D", "P", "Q", "E")
+    r = np.eye(7)
+    r[4, 5] = r[5, 4] = 1.0
+    corr = make_corr(names, r, 4)
+    m = parse_model("".join(f"var {v}\n" for v in names) +
+                    "path A -> D\npath B -> D\npath C -> D\n"
+                    "path P -> E\npath Q -> E\n")
+    with pytest.raises(DegreesOfFreedomExhausted):
+        coefficient_inference(fit_standardized(corr, m.with_arrows(m.arrows[:3])))
+    for revise in (reference_revise, revise_model):
+        with pytest.raises(SingularMatrix, match="equation for 'E'"):
+            revise(corr, m)
+
+
+def test_revision_checks_variables_on_first_refit(observed_corr):
+    extra = parse_model("var X1\nvar X2\nvar Z\npath X1 -> Z\npath X2 -> Z\n")
+    fewer = parse_model("var X1\nvar X2\npath X1 -> X2\n")
+    for revise in (reference_revise, revise_model):
+        with pytest.raises(VariableMissing, match="'Z'"):
+            revise(observed_corr, extra)
+        with pytest.raises(VariableMismatch):
+            revise(observed_corr, fewer)
+
+
+def _counting(calls, fit_equation):
+    def counted(corr, y, parents):
+        calls[(y, parents)] += 1
+        return fit_equation(corr, y, parents)
+    return counted
+
+
+@pytest.mark.parametrize("problem", ["study", "k12"])
+def test_each_equation_estimated_once_per_revision(
+    monkeypatch, observed_corr, initial_model, problem
+):
+    if problem == "study":
+        corr, start = observed_corr, initial_model
+    else:  # 14 steps, five of them drops, ending on max_iter
+        corr, start = revision_problem(6, 12, 1000, 0.02, 1.0)
+    calls, reference_calls = collections.Counter(), collections.Counter()
+    monkeypatch.setattr(effects, "_fit_equation",
+                        _counting(calls, effects._fit_equation))
+    monkeypatch.setattr(estimation, "_fit_equation",
+                        _counting(reference_calls, estimation._fit_equation))
+    revise_model(corr, start)
+    reference_revise(corr, start)
+    assert max(calls.values()) == 1
+    # the same equations as the refit-everything loop, each only once
+    assert set(calls) == set(reference_calls)
+    assert sum(reference_calls.values()) > 2 * sum(calls.values())
