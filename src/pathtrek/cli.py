@@ -53,6 +53,14 @@ def _build_parser():
             help="report rendering (default text)",
         )
 
+    def add_inputs(p, model_help):
+        p.add_argument("--data", help="dataset CSV")
+        p.add_argument("--corr", help="correlation CSV (requires --n)")
+        p.add_argument("--n", type=int, help="sample size for --corr")
+        p.add_argument("--model", required=True, help=model_help)
+        p.add_argument("--alpha", type=float, default=0.05)
+        p.add_argument("--misfit", type=float, default=0.05)
+
     p_screen = sub.add_parser("screen", help="run the data-screening battery")
     p_screen.add_argument("--data", required=True, help="dataset CSV")
     p_screen.add_argument("--model", help="optional model file for residuals/VIF block")
@@ -65,23 +73,13 @@ def _build_parser():
     add_output(p_screen)
 
     p_fit = sub.add_parser("fit", help="estimate, trace, assess, decompose")
-    p_fit.add_argument("--data", help="dataset CSV")
-    p_fit.add_argument("--corr", help="correlation CSV (requires --n)")
-    p_fit.add_argument("--n", type=int, help="sample size for --corr")
-    p_fit.add_argument("--model", required=True, help="model file")
-    p_fit.add_argument("--alpha", type=float, default=0.05)
-    p_fit.add_argument("--misfit", type=float, default=0.05)
+    add_inputs(p_fit, "model file")
     p_fit.add_argument("--treks-csv", help="export the trek decomposition here")
     p_fit.add_argument("--effects-csv", help="export the effects table here")
     add_output(p_fit)
 
     p_rev = sub.add_parser("revise", help="drop/add revision loop")
-    p_rev.add_argument("--data", help="dataset CSV")
-    p_rev.add_argument("--corr", help="correlation CSV (requires --n)")
-    p_rev.add_argument("--n", type=int, help="sample size for --corr")
-    p_rev.add_argument("--model", required=True, help="starting model file")
-    p_rev.add_argument("--alpha", type=float, default=0.05)
-    p_rev.add_argument("--misfit", type=float, default=0.05)
+    add_inputs(p_rev, "starting model file")
     p_rev.add_argument("--max-iter", type=int, default=10)
     p_rev.add_argument("--out-model", help="write the final model DSL here")
     p_rev.add_argument("--trace-csv", help="export the revision steps here")

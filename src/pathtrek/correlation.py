@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric
-from .data import SD_FLOOR, column_sds
+from .data import standardize
 from .errors import (
     AsymmetryTooLarge,
     DataWarning,
@@ -17,7 +17,6 @@ from .errors import (
     NotSquare,
     OutOfRange,
     ParseError,
-    ZeroVariance,
 )
 
 ASYMMETRY_LIMIT = 1e-6
@@ -145,11 +144,7 @@ def pearson_matrix(d):
     """Sample Pearson correlations of a dataset, with two-sided p-values."""
     if d.k < 2:
         raise ValueError("need at least 2 variables to correlate")
-    sds = column_sds(d)
-    for name, sd in zip(d.variables, sds):
-        if sd < SD_FLOOR:
-            raise ZeroVariance(name)
-    z = (d.rows - d.rows.mean(axis=0)) / sds
+    z = standardize(d).rows
     r = (z.T @ z) / (d.n - 1)
     r = np.clip((r + r.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(r, 1.0)

@@ -324,8 +324,9 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
         candidates.sort(key=lambda c: (-c[2], pos[c[0]], pos[c[1]]))
 
         added = None
+        arrows = model.arrow_set()
         for src, dst, diff in candidates:
-            proposal = model.arrow_set() | {(src, dst)}
+            proposal = arrows | {(src, dst)}
             if proposal in seen:
                 continue
             added = (src, dst, diff)

@@ -10,8 +10,13 @@ Model text is line oriented:
 Names match [A-Za-z_][A-Za-z0-9_]*.  Undeclared names used in arrows are
 implicitly declared with a ModelWarning.  The `eq` form is sugar for one
 uncoefficiented arrow per listed source.
+
+A PathModel checks itself and works out its causal structure (order,
+parents, children, arrow lookup) once, when it is constructed; every query
+after that, `topological_order` included, reads the stored tables.
 """
 
+import heapq
 import re
 import warnings
 from dataclasses import dataclass
@@ -44,7 +49,12 @@ class Arrow:
 
 @dataclass(frozen=True)
 class PathModel:
-    """A validated DAG of named variables with optional arrow coefficients."""
+    """A validated DAG of named variables with optional arrow coefficients.
+
+    Construction works out the causal structure once (the order, each
+    variable's parents and children, and the arrow of each (source, target)
+    pair); the structural queries below read those tables.
+    """
 
     variables: tuple
     arrows: tuple
@@ -59,20 +69,16 @@ class PathModel:
             if nm in seen:
                 raise UnknownVariable(f"variable {nm!r} declared twice")
             seen.add(nm)
-        pairs = set()
+        arrow_of = {}
         for a in self.arrows:
             if a.source not in seen:
                 raise UnknownVariable(f"arrow source {a.source!r} undeclared")
             if a.target not in seen:
                 raise UnknownVariable(f"arrow target {a.target!r} undeclared")
-            if a.source == a.target:
-                raise CycleDetected([a.source, a.target])
-            if (a.source, a.target) in pairs:
+            if (a.source, a.target) in arrow_of:
                 raise DuplicateArrow(a.source, a.target)
-            pairs.add((a.source, a.target))
-        cycle = _find_cycle(names, pairs)
-        if cycle:
-            raise CycleDetected(cycle)
+            arrow_of[(a.source, a.target)] = a
+        order, parents, children = _causal_structure(names, arrow_of)
         for nm, label in self.labels.items():
             if _LABEL_BAD_RE.search(label):
                 raise ParseError(
@@ -80,6 +86,10 @@ class PathModel:
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "arrows", tuple(self.arrows))
         object.__setattr__(self, "labels", dict(self.labels))
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_arrow_of", arrow_of)
 
     # -- structure ---------------------------------------------------------
 
@@ -95,31 +105,24 @@ class PathModel:
 
     @property
     def endogenous(self):
-        targets = {a.target for a in self.arrows}
-        return tuple(v for v in self.variables if v in targets)
+        return tuple(v for v in self.variables if self._parents[v])
 
     @property
     def exogenous(self):
-        targets = {a.target for a in self.arrows}
-        return tuple(v for v in self.variables if v not in targets)
+        return tuple(v for v in self.variables if not self._parents[v])
 
     def parents(self, name):
         """Sources of arrows into `name`, ordered by variable declaration."""
-        srcs = {a.source for a in self.arrows if a.target == name}
-        return tuple(v for v in self.variables if v in srcs)
+        return self._parents.get(name, ())
 
     def children(self, name):
-        dsts = {a.target for a in self.arrows if a.source == name}
-        return tuple(v for v in self.variables if v in dsts)
+        return self._children.get(name, ())
 
     def arrow(self, source, target):
-        for a in self.arrows:
-            if a.source == source and a.target == target:
-                return a
-        return None
+        return self._arrow_of.get((source, target))
 
     def has_arrow_between(self, a, b):
-        return self.arrow(a, b) is not None or self.arrow(b, a) is not None
+        return (a, b) in self._arrow_of or (b, a) in self._arrow_of
 
     def coefficient(self, source, target):
         a = self.arrow(source, target)
@@ -153,55 +156,51 @@ class PathModel:
         return PathModel(self.variables, tuple(arrows), self.labels)
 
     def arrow_set(self):
-        return frozenset((a.source, a.target) for a in self.arrows)
+        return frozenset(self._arrow_of)
 
 
-def _find_cycle(names, pairs):
-    """Return one directed cycle as a node list, or None."""
-    children = {nm: [] for nm in names}
-    for s, t in pairs:
+def _causal_structure(names, arrow_of):
+    """Causal order and per-variable parents and children of an arrow set.
+
+    One pass of Kahn's algorithm over a min-heap of declaration indices, so
+    each step takes the first-declared variable whose parents are all placed.
+    Parents and children are tuples in declaration order.  Raises
+    CycleDetected when variables are left over: every one of them still has
+    an unplaced parent, so stepping back along those arrows closes a cycle.
+    """
+    pos = {v: i for i, v in enumerate(names)}
+    parents = {v: [] for v in names}
+    children = {v: [] for v in names}
+    for s, t in arrow_of:
+        parents[t].append(s)
         children[s].append(t)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nm: WHITE for nm in names}
-    stack = []
-
-    def visit(u):
-        color[u] = GRAY
-        stack.append(u)
-        for w in children[u]:
-            if color[w] == GRAY:
-                return stack[stack.index(w):] + [w]
-            if color[w] == WHITE:
-                found = visit(w)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = BLACK
-        return None
-
-    for nm in names:
-        if color[nm] == WHITE:
-            found = visit(nm)
-            if found:
-                return found
-    return None
+    parents = {v: tuple(sorted(ps, key=pos.get)) for v, ps in parents.items()}
+    children = {v: tuple(sorted(cs, key=pos.get)) for v, cs in children.items()}
+    pending = {v: len(ps) for v, ps in parents.items()}
+    ready = [pos[v] for v in names if not pending[v]]  # ascending, so a heap
+    order = []
+    while ready:
+        v = names[heapq.heappop(ready)]
+        order.append(v)
+        for w in children[v]:
+            pending[w] -= 1
+            if not pending[w]:
+                heapq.heappush(ready, pos[w])
+    if len(order) < len(names):
+        placed = set(order)
+        v = next(v for v in names if v not in placed)
+        back = {}  # variable -> its position on the backward walk
+        while v not in back:
+            back[v] = len(back)
+            v = next(p for p in parents[v] if p not in placed)
+        walk = list(back)[back[v]:] + [v]
+        raise CycleDetected(walk[::-1])
+    return tuple(order), parents, children
 
 
 def topological_order(m):
     """Causal order consistent with every arrow; ties broken by declaration."""
-    indeg = {v: 0 for v in m.variables}
-    for a in m.arrows:
-        indeg[a.target] += 1
-    order = []
-    remaining = list(m.variables)
-    while remaining:
-        head = next(v for v in remaining if indeg[v] == 0)
-        order.append(head)
-        remaining.remove(head)
-        for a in m.arrows:
-            if a.source == head:
-                indeg[a.target] -= 1
-    return tuple(order)
+    return m._order
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,6 @@ def parse_model(text):
     labels = {}
     implicit = []
     arrows = []
-    pairs = set()
 
     def declare(name, lineno, col, explicit=False, label=None):
         _check_name(name, lineno, col)
@@ -239,12 +237,6 @@ def parse_model(text):
         elif name not in declared:
             declared.append(name)
             implicit.append(name)
-
-    def add_arrow(src, dst, coeff, lineno):
-        if (src, dst) in pairs:
-            raise DuplicateArrow(src, dst)
-        pairs.add((src, dst))
-        arrows.append(Arrow(src, dst, coeff))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _CODE_RE.match(raw).group().rstrip()
@@ -281,7 +273,7 @@ def parse_model(text):
                 except ValueError:
                     _syntax(lineno, line.rfind(coeff_tok) + 1,
                             f"bad coefficient {coeff_tok!r}")
-            add_arrow(src, dst, coeff, lineno)
+            arrows.append(Arrow(src, dst, coeff))
         elif kind == "eq":
             # eq DST <- SRC1 SRC2 ...
             m = re.match(r"\s*eq\s+(\S+)\s*<-\s*(.+)$", line)
@@ -294,7 +286,7 @@ def parse_model(text):
                 _syntax(lineno, len(line) + 1, "eq needs at least one source")
             for src in srcs:
                 declare(src, lineno, line.rfind(src) + 1)
-                add_arrow(src, dst, None, lineno)
+                arrows.append(Arrow(src, dst, None))
         else:
             _syntax(lineno, 1, f"unknown directive {kind!r}")
 

@@ -163,10 +163,7 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     warnings_list.append(KS_CAVEAT)
 
     if model is not None:
-        parent_vars = [
-            v for v in d.variables
-            if any(a.source == v for a in model.arrows)
-        ]
+        parent_vars = [v for v in d.variables if model.children(v)]
         block = parent_vars if len(parent_vars) >= 2 else list(d.variables)
     else:
         block = list(d.variables)

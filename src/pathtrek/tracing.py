@@ -105,7 +105,6 @@ def enumerate_treks(m, i, j):
 
     parents = {v: sorted(m.parents(v), key=pos.get) for v in m.variables}
     children = {v: sorted(m.children(v), key=pos.get) for v in m.variables}
-    coeff = {(a.source, a.target): a.coefficient for a in m.arrows}
 
     out = []
     visited = 0
@@ -120,12 +119,12 @@ def enumerate_treks(m, i, j):
         if backward_ok:
             for w in parents[u]:
                 if w not in nodes:
-                    walk(w, nodes + [w], nback + 1, prod * coeff[(w, u)], True)
+                    walk(w, nodes + [w], nback + 1, prod * m.coefficient(w, u), True)
         for w in children[u]:
             if pos[w] > goal_pos:
                 break  # along-arrow steps only move later in causal order
             if w not in nodes:
-                walk(w, nodes + [w], nback, prod * coeff[(u, w)], False)
+                walk(w, nodes + [w], nback, prod * m.coefficient(u, w), False)
 
     walk(start, [start], 0, 1.0, True)
     out.sort(key=lambda t: [pos[v] for v in t.nodes])
@@ -178,7 +177,6 @@ def _implied(m):
     sigma = np.zeros((k, k))
     idx = {v: m.variables.index(v) for v in m.variables}
     psi = {}
-    coeff = {(a.source, a.target): a.coefficient for a in m.arrows}
     for v in order:
         vi = idx[v]
         parents = m.parents(v)
@@ -187,7 +185,7 @@ def _implied(m):
             psi[v] = 1.0
             continue
         p_idx = [idx[p] for p in parents]
-        beta = np.array([coeff[(p, v)] for p in parents])
+        beta = np.array([m.coefficient(p, v) for p in parents])
         psi[v] = 1.0 - float(beta @ sigma[np.ix_(p_idx, p_idx)] @ beta)
         cov_with_all = beta @ sigma[p_idx, :]
         sigma[vi, :] = cov_with_all

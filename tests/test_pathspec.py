@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtrek.errors import (
@@ -121,6 +121,124 @@ def test_topological_order_chain_declared_backwards():
 
 def test_topological_order_stable(revised_model):
     assert topological_order(revised_model) == topological_order(revised_model)
+
+
+def test_long_chain_parses_without_recursion():
+    k = 2000
+    declared = "".join(f"var V{i}\n" for i in reversed(range(k)))
+    arrows = "".join(f"path V{i} -> V{i + 1}\n" for i in range(k - 1))
+    m = parse_model(declared + arrows)
+    assert topological_order(m) == tuple(f"V{i}" for i in range(k))
+    with pytest.raises(CycleDetected) as exc:
+        parse_model(declared + arrows + f"path V{k - 1} -> V0\n")
+    assert len(exc.value.cycle) == k + 1
+
+
+# The structural queries as PathModel answered them before it stored its
+# structure at construction, kept verbatim as the reference.
+
+def reference_topological_order(m):
+    """Causal order consistent with every arrow; ties broken by declaration."""
+    indeg = {v: 0 for v in m.variables}
+    for a in m.arrows:
+        indeg[a.target] += 1
+    order = []
+    remaining = list(m.variables)
+    while remaining:
+        head = next(v for v in remaining if indeg[v] == 0)
+        order.append(head)
+        remaining.remove(head)
+        for a in m.arrows:
+            if a.source == head:
+                indeg[a.target] -= 1
+    return tuple(order)
+
+
+def reference_endogenous(self):
+    targets = {a.target for a in self.arrows}
+    return tuple(v for v in self.variables if v in targets)
+
+
+def reference_exogenous(self):
+    targets = {a.target for a in self.arrows}
+    return tuple(v for v in self.variables if v not in targets)
+
+
+def reference_parents(self, name):
+    """Sources of arrows into `name`, ordered by variable declaration."""
+    srcs = {a.source for a in self.arrows if a.target == name}
+    return tuple(v for v in self.variables if v in srcs)
+
+
+def reference_children(self, name):
+    dsts = {a.target for a in self.arrows if a.source == name}
+    return tuple(v for v in self.variables if v in dsts)
+
+
+def reference_arrow(self, source, target):
+    for a in self.arrows:
+        if a.source == source and a.target == target:
+            return a
+    return None
+
+
+@st.composite
+def dags(draw):
+    """A random DAG on 1..12 variables, declared and listed in shuffled order."""
+    k = draw(st.integers(1, 12))
+    causal = draw(st.permutations([f"V{i}" for i in range(k)]))
+    pairs = [(causal[i], causal[j]) for i in range(k) for j in range(i + 1, k)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = [pair for pair, kept in zip(pairs, keep) if kept]
+    coeffs = draw(st.lists(st.none() | st.floats(-1, 1),
+                           min_size=len(chosen), max_size=len(chosen)))
+    arrows = [Arrow(s, t, c) for (s, t), c in zip(chosen, coeffs)]
+    return PathModel(tuple(draw(st.permutations(causal))), tuple(draw(st.permutations(arrows))), {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags())
+def test_stored_structure_matches_reference(m):
+    assert topological_order(m) == reference_topological_order(m)
+    assert m.endogenous == reference_endogenous(m)
+    assert m.exogenous == reference_exogenous(m)
+    for v in m.variables + ("missing",):
+        assert m.parents(v) == reference_parents(m, v)
+        assert m.children(v) == reference_children(m, v)
+        for w in m.variables + ("missing",):
+            assert m.arrow(v, w) == reference_arrow(m, v, w)
+            assert m.has_arrow_between(v, w) == (
+                reference_arrow(m, v, w) is not None or reference_arrow(m, w, v) is not None
+            )
+    assert m.arrow_set() == {(a.source, a.target) for a in m.arrows}
+
+
+@st.composite
+def cyclic_digraphs(draw):
+    """Declared names and an arrow list on 1..12 variables holding a cycle.
+
+    A one-variable ring is a self-loop; the other arrows join distinct names.
+    """
+    k = draw(st.integers(1, 12))
+    names = [f"V{i}" for i in range(k)]
+    ring = draw(st.lists(st.sampled_from(names), min_size=1, max_size=k, unique=True))
+    pairs = {(ring[i - 1], ring[i]) for i in range(len(ring))}
+    others = [(a, b) for a in names for b in names if a != b]
+    keep = draw(st.lists(st.booleans(), min_size=len(others), max_size=len(others)))
+    pairs |= {pair for pair, kept in zip(others, keep) if kept}
+    return draw(st.permutations(names)), draw(st.permutations(sorted(pairs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_digraphs())
+def test_cycle_detected_names_a_cycle(graph):
+    names, pairs = graph
+    with pytest.raises(CycleDetected) as exc:
+        PathModel(tuple(names), tuple(Arrow(s, t) for s, t in pairs), {})
+    cycle = exc.value.cycle
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+    assert len(set(cycle)) == len(cycle) - 1
+    assert all(step in pairs for step in zip(cycle, cycle[1:]))
 
 
 def test_render_coefficient_line():
