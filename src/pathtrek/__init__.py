@@ -4,7 +4,13 @@ Estimates standardized path coefficients from a correlation matrix or raw
 data, decomposes correlations into direct/indirect/spurious trek
 contributions, assesses fit through reproduced correlations, revises the
 model, and reports causal-effect summaries.
+
+The names that handle raw rows (from data, screening and simulate) are
+imported on first use (PEP 562), so `import pathtrek` and the
+correlation-table path do not load numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -15,7 +21,6 @@ from .correlation import (
     load_correlation_csv,
     pearson_matrix,
 )
-from .data import Dataset, VariableSummary, load_csv, standardize, summarize
 from .effects import (
     EffectsTable,
     FitAssessment,
@@ -29,15 +34,6 @@ from .effects import (
 )
 from .estimation import FittedModel, coefficient_inference, fit_standardized
 from .pathspec import PathModel, load_model, parse_model, render_model, topological_order
-from .screening import (
-    ScreeningReport,
-    ks_normality,
-    mahalanobis,
-    residual_diagnostics,
-    screen,
-    vif,
-)
-from .simulate import SimulationSpec, recovery_check, simulate_dataset
 from .tracing import (
     ReproducedMatrix,
     Trek,
@@ -46,6 +42,28 @@ from .tracing import (
     reproduced_matrix,
     write_treks_csv,
 )
+
+_LAZY = {
+    **dict.fromkeys(
+        ("Dataset", "VariableSummary", "load_csv", "standardize", "summarize"), "data"),
+    **dict.fromkeys(
+        ("ScreeningReport", "ks_normality", "mahalanobis", "residual_diagnostics", "screen",
+         "vif"), "screening"),
+    **dict.fromkeys(("SimulationSpec", "recovery_check", "simulate_dataset"), "simulate"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "CorrelationMatrix",

@@ -7,6 +7,10 @@
 
 Exit codes: 0 success, 1 assumption warnings under --strict, 2 input or
 usage error, 3 revision failure.
+
+The raw-data modules (data, screening, simulate), and numpy with them, are
+imported only by the commands that read or write rows, so `fit --corr` and
+`revise --corr` start without numpy.
 """
 
 import argparse
@@ -16,7 +20,6 @@ import warnings as _warnings
 
 from . import __version__
 from .correlation import load_correlation_csv, pearson_matrix
-from .data import load_csv, write_csv
 from .effects import (
     assess_fit,
     decompose_effects,
@@ -28,8 +31,6 @@ from .errors import NoAdmissibleRevision, NonPositiveResidualVariance, PathtrekE
 from .estimation import coefficient_inference, fit_standardized
 from .pathspec import load_model, render_model
 from .report import Report, file_digest
-from .screening import screen
-from .simulate import SimulationSpec, simulate_dataset
 from .tracing import _implied, reproduced_matrix, write_treks_csv
 
 EXIT_OK = 0
@@ -104,6 +105,8 @@ def _load_inputs(args, parser):
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         if args.data:
+            from .data import load_csv
+
             corr = pearson_matrix(load_csv(args.data))
             inputs[args.data] = file_digest(args.data)
         else:
@@ -124,6 +127,9 @@ def _emit(report, args):
 
 
 def _cmd_screen(args, parser):
+    from .data import load_csv
+    from .screening import screen
+
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         dataset = load_csv(args.data)
@@ -247,7 +253,14 @@ def _cmd_revise(args, parser):
 
 
 def _cmd_simulate(args, parser):
-    model = load_model(args.model)
+    from .data import write_csv
+    from .simulate import SimulationSpec, simulate_dataset
+
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        model = load_model(args.model)
+    for w in caught:
+        print(f"pathtrek: warning: {w.message}", file=sys.stderr)
     spec = SimulationSpec(model=model, n=args.n, seed=args.seed)
     dataset = simulate_dataset(spec)
     write_csv(dataset, args.out)

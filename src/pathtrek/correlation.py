@@ -5,11 +5,9 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from . import numeric
-from .data import standardize
 from .errors import (
     AsymmetryTooLarge,
     DataWarning,
@@ -17,6 +15,7 @@ from .errors import (
     NotSquare,
     OutOfRange,
     ParseError,
+    SingularMatrix,
 )
 
 ASYMMETRY_LIMIT = 1e-6
@@ -65,42 +64,62 @@ def correlation_p_value(r, n):
 def _check_correlations(r, where=""):
     """Reject non-finite cells, asymmetry above ASYMMETRY_LIMIT and a
     diagonal off 1 by more than DIAGONAL_LIMIT; `where` prefixes messages."""
-    if not np.isfinite(r).all():
+    if not all(math.isfinite(x) for row in r for x in row):
         raise OutOfRange(f"{where}correlations must be finite")
-    asym = float(np.max(np.abs(r - r.T), initial=0.0))
+    k = len(r)
+    asym = max((abs(r[i][j] - r[j][i]) for i in range(k) for j in range(i + 1, k)),
+               default=0.0)
     if asym > ASYMMETRY_LIMIT:
         raise AsymmetryTooLarge(f"{where}max asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT}")
-    diag_dev = float(np.max(np.abs(np.diag(r) - 1.0), initial=0.0))
+    diag_dev = max((abs(r[i][i] - 1.0) for i in range(k)), default=0.0)
     if diag_dev > DIAGONAL_LIMIT:
         raise DiagonalNotOne(f"{where}diagonal deviates from 1 by {diag_dev:.3e}")
 
 
-@dataclass(frozen=True)
+def _square_rows(a, k):
+    """a as k tuples of k floats; NotSquare when it has another shape."""
+    try:
+        rows = numeric.float_rows(a)
+    except TypeError:  # not a nested sequence
+        rows = None
+    if rows is None or len(rows) != k or any(len(row) != k for row in rows):
+        raise NotSquare(f"expected {k}x{k} matrices")
+    return rows
+
+
+@dataclass(frozen=True, init=False)
 class CorrelationMatrix:
     """Symmetric unit-diagonal correlations with per-cell two-sided p-values.
 
-    Construction rejects non-finite correlations, asymmetry above
-    ASYMMETRY_LIMIT and a diagonal off 1 by more than DIAGONAL_LIMIT.
+    Built from (variables, r, p, n) with r and p as nested sequences or
+    ndarrays.  The cells are kept as tuples of floats, `r_rows` and
+    `p_rows`; `.r` and `.p` are read-only float64 ndarrays built from them
+    on first access.  Construction rejects non-finite correlations,
+    asymmetry above ASYMMETRY_LIMIT and a diagonal off 1 by more than
+    DIAGONAL_LIMIT.
     """
 
     variables: tuple
-    r: np.ndarray
-    p: np.ndarray
+    r_rows: tuple
+    p_rows: tuple
     n: int
 
-    def __post_init__(self):
-        names = tuple(str(v) for v in self.variables)
+    def __init__(self, variables, r, p, n):
+        names = tuple(str(v) for v in variables)
+        r_rows, p_rows = _square_rows(r, len(names)), _square_rows(p, len(names))
+        _check_correlations(r_rows)
         object.__setattr__(self, "variables", names)
-        r = np.array(self.r, dtype=np.float64)
-        p = np.array(self.p, dtype=np.float64)
-        k = len(names)
-        if r.shape != (k, k) or p.shape != (k, k):
-            raise NotSquare(f"expected {k}x{k} matrices")
-        _check_correlations(r)
-        r.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r_rows", r_rows)
+        object.__setattr__(self, "p_rows", p_rows)
+        object.__setattr__(self, "n", n)
+
+    @cached_property
+    def r(self):
+        return numeric.readonly_array(self.r_rows)
+
+    @cached_property
+    def p(self):
+        return numeric.readonly_array(self.p_rows)
 
     @property
     def k(self):
@@ -113,14 +132,14 @@ class CorrelationMatrix:
             raise KeyError(name) from None
 
     def value(self, a, b):
-        return float(self.r[self.index(a), self.index(b)])
+        return self.r_rows[self.index(a)][self.index(b)]
 
     def p_value(self, a, b):
-        return float(self.p[self.index(a), self.index(b)])
+        return self.p_rows[self.index(a)][self.index(b)]
 
     def submatrix(self, names):
         idx = [self.index(nm) for nm in names]
-        return self.r[np.ix_(idx, idx)]
+        return tuple(tuple(self.r_rows[i][j] for j in idx) for i in idx)
 
     def pairs(self):
         """Upper-triangle (name_i, name_j) pairs in declaration order."""
@@ -132,22 +151,25 @@ class CorrelationMatrix:
 
 
 def _p_matrix(r, n):
-    k = r.shape[0]
-    p = np.ones((k, k))
+    k = len(r)
+    p = [[1.0] * k for _ in range(k)]
     for a in range(k):
         for b in range(a + 1, k):
-            p[a, b] = p[b, a] = correlation_p_value(r[a, b], n)
+            p[a][b] = p[b][a] = correlation_p_value(r[a][b], n)
     return p
 
 
 def pearson_matrix(d):
     """Sample Pearson correlations of a dataset, with two-sided p-values."""
+    from .data import _z_scores
+
     if d.k < 2:
         raise ValueError("need at least 2 variables to correlate")
-    z = standardize(d).rows
+    z = _z_scores(d)
     r = (z.T @ z) / (d.n - 1)
-    r = np.clip((r + r.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(r, 1.0)
+    r = ((r + r.T) / 2.0).clip(-1.0, 1.0).tolist()
+    for i in range(d.k):
+        r[i][i] = 1.0
     return CorrelationMatrix(d.variables, r, _p_matrix(r, d.n), d.n)
 
 
@@ -159,6 +181,8 @@ def load_correlation_csv(path, n):
     Every cell must be finite; asymmetry up to 1e-6 is repaired by
     averaging; diagonals must be 1 within 1e-9.  A matrix whose smallest
     eigenvalue is <= 0 is loaded with a DataWarning naming that eigenvalue.
+    Positive definiteness is checked by a Cholesky factor; numpy's
+    eigenvalues are computed only when that factor fails.
     """
     if n < 3:
         raise ValueError("sample size must be at least 3")
@@ -180,7 +204,7 @@ def load_correlation_csv(path, n):
         raise ParseError(f"{path}: header names must be unique and nonempty")
     if len(body) != k:
         raise NotSquare(f"{path}: {k} columns but {len(body)} rows")
-    r = np.zeros((k, k))
+    r = []
     for i, cells in enumerate(body):
         if len(cells) != k + 1:
             raise NotSquare(f"{path}: row {i + 2} has {len(cells)} cells, expected {k + 1}")
@@ -188,20 +212,25 @@ def load_correlation_csv(path, n):
         if label != names[i]:
             raise ParseError(f"{path}: row label {label!r} does not match header {names[i]!r}")
         try:
-            r[i] = [float(c) for c in cells[1:]]
+            r.append([float(c) for c in cells[1:]])
         except ValueError as exc:
             raise ParseError(f"{path}: row {i + 2}: {exc}") from None
     _check_correlations(r, f"{path}: ")
-    r = (r + r.T) / 2.0
-    np.fill_diagonal(r, 1.0)
-    lam_min = float(np.linalg.eigvalsh(r)[0])
-    if lam_min <= 0.0:
-        warnings.warn(
-            f"{path}: not positive definite, smallest eigenvalue {lam_min:.3g}; "
-            "no sample can have these correlations",
-            DataWarning,
-            stacklevel=2,
-        )
+    r = [[1.0 if i == j else (r[i][j] + r[j][i]) / 2.0 for j in range(k)]
+         for i in range(k)]
+    try:
+        numeric.cholesky(r)
+    except SingularMatrix:
+        import numpy as np
+
+        lam_min = float(np.linalg.eigvalsh(r)[0])
+        if lam_min <= 0.0:
+            warnings.warn(
+                f"{path}: not positive definite, smallest eigenvalue {lam_min:.3g}; "
+                "no sample can have these correlations",
+                DataWarning,
+                stacklevel=2,
+            )
     return CorrelationMatrix(names, r, _p_matrix(r, n), int(n))
 
 
@@ -211,4 +240,4 @@ def write_correlation_csv(corr, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([""] + list(corr.variables))
         for i, name in enumerate(corr.variables):
-            writer.writerow([name] + [repr(float(v)) for v in corr.r[i]])
+            writer.writerow([name] + [repr(v) for v in corr.r_rows[i]])

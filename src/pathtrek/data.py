@@ -11,6 +11,7 @@ import numpy as np
 from .errors import DataWarning, ParseError, TooFewRows, ZeroVariance
 
 SD_FLOOR = 1e-12
+WRITE_BLOCK_CELLS = 8192  # values write_csv formats per string
 
 
 @dataclass(frozen=True)
@@ -164,12 +165,23 @@ def _parse_listwise(body, k, path, header_lines):
 
 
 def write_csv(d, path):
-    """Write a dataset in the same CSV dialect load_csv reads."""
+    """Write a dataset in the same CSV dialect load_csv reads.
+
+    The header goes through csv.writer, which quotes names as needed.  The
+    body is the bytes csv.writer would write for the float rows: every
+    value as its repr, comma-separated, one row per line.  It is formatted
+    in blocks of whole rows, about WRITE_BLOCK_CELLS values each, as
+    repr(block.tolist()); besides its outer brackets, that list repr
+    differs from CSV only in its "], [" row breaks and ", " separators,
+    which no float repr holds.  Bounding a block by values keeps the copy
+    small whatever the number of columns.
+    """
+    step = max(1, WRITE_BLOCK_CELLS // d.k)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(d.variables)
-        # csv writes floats with repr; one row at a time keeps the copy small
-        writer.writerows(row.tolist() for row in d.rows)
+        csv.writer(fh, lineterminator="\n").writerow(d.variables)
+        for start in range(0, d.n, step):
+            block = repr(d.rows[start:start + step].tolist())
+            fh.write(block[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
 
 
 def column_sds(d):
@@ -179,12 +191,16 @@ def column_sds(d):
 
 def standardize(d):
     """Rescale every column to mean 0, sd 1 (n-1 denominator)."""
+    return Dataset(d.variables, _z_scores(d), dropped=d.dropped)
+
+
+def _z_scores(d):
+    """standardize's (n, k) block, without building a checked Dataset."""
     sds = column_sds(d)
     for name, sd in zip(d.variables, sds):
         if sd < SD_FLOOR:
             raise ZeroVariance(name)
-    z = (d.rows - d.rows.mean(axis=0)) / sds
-    return Dataset(d.variables, z, dropped=d.dropped)
+    return (d.rows - d.rows.mean(axis=0)) / sds
 
 
 def summarize(d):

@@ -5,8 +5,6 @@ and the drop/add revision loop.
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .errors import NoAdmissibleRevision, VariableMismatch
 from .estimation import FittedModel, _endogenous, _fit_equation, _infer_equation
 from .pathspec import Arrow, topological_order
@@ -76,20 +74,22 @@ def assess_fit(observed, reproduced, threshold=DEFAULT_MISFIT_THRESHOLD):
 def _misfits(observed, implied, threshold):
     """assess_fit's flagged (a, b, difference) triples and max difference.
 
-    One pass over the upper triangle of observed.r in numpy: the pairs come
-    in observed.pairs() order, and each difference is the same float64
-    subtraction and abs that assess_fit makes, so the results are equal.
+    One pass over the upper triangle of the stored cells: the pairs come in
+    observed.pairs() order, and each difference is the same subtraction and
+    abs that assess_fit makes, so the results are equal.
     """
     _check_variables(observed, implied)
-    idx = np.array([implied.index(v) for v in observed.variables])
-    iu, ju = np.triu_indices(observed.k, 1)
-    diff = np.abs(observed.r[iu, ju] - implied.r_hat[idx[iu], idx[ju]])
     names = observed.variables
-    flagged = [
-        (names[iu[i]], names[ju[i]], float(diff[i]))
-        for i in np.flatnonzero(diff > threshold)
-    ]
-    return flagged, float(diff.max(initial=0.0))
+    idx = [implied.index(v) for v in names]
+    flagged, worst = [], 0.0
+    for a, r_row in enumerate(observed.r_rows):
+        hat_row = implied.r_hat_rows[idx[a]]
+        for b in range(a + 1, len(names)):
+            diff = abs(r_row[b] - hat_row[idx[b]])
+            if diff > threshold:
+                flagged.append((names[a], names[b], diff))
+            worst = max(worst, diff)
+    return flagged, worst
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +131,14 @@ def decompose_effects(m):
     """
     implied = _implied(m)
     order = topological_order(m)
-    b = coefficient_matrix(m)
-    reach = np.eye(m.k)
+    reach = {}  # v -> row v of (I-B)⁻¹: the total effect on v of each variable
     for v in order:
-        i = m.index(v)
-        reach[i] += b[i] @ reach
+        row = [0.0] * m.k
+        row[m.index(v)] = 1.0
+        for p in m.parents(v):
+            b = m.coefficient(p, v)
+            row = [x + b * y for x, y in zip(row, reach[p])]
+        reach[v] = row
     rows = []
     for outcome in reversed(order):
         if not m.parents(outcome):
@@ -145,7 +148,7 @@ def decompose_effects(m):
                 continue
             arrow = m.arrow(det, outcome)
             direct = arrow.coefficient if arrow else 0.0
-            indirect = float(reach[m.index(outcome), m.index(det)]) - direct
+            indirect = reach[outcome][m.index(det)] - direct
             if arrow is None and indirect == 0.0:
                 continue
             rows.append(EffectRow(outcome, det, direct, indirect))
@@ -159,6 +162,8 @@ def total_effect_oracle(m):
     Returns (variables, T) where T[target, source] = sum over all directed
     paths of coefficient products, exactly (I-B)⁻¹ - I for a DAG.
     """
+    import numpy as np
+
     b = coefficient_matrix(m)
     k = m.k
     total = np.zeros((k, k))
@@ -240,7 +245,7 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
     the parent sets of the equations it touches, so a refit re-estimates an
     equation only when its (target, parents) pair is new to this call; the
     others are reused as they were, bit for bit.  Intermediate models are
-    scored in numpy; the FitAssessment is built for the final model only.
+    scored by `_misfits`; the FitAssessment is built for the final model only.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

@@ -5,9 +5,11 @@ exp and log (via math): the normal tail is erfc, the chi-squared tail a
 finite sum for its integer df, the t tail a continued fraction for the
 incomplete beta, and the Kolmogorov tail a theta series.  Every matrix
 factored is a symmetric correlation block of order <= ~20, so one Cholesky
-factor in plain floats serves every solve, inverse diagonal and quadratic
-form, and results are deterministic; clarity and reproducibility beat
-speed at that size.
+factor in plain floats serves every solve, inverse diagonal, quadratic
+form and positive-definiteness check, and results are deterministic;
+clarity and reproducibility beat speed at that size.  Such matrices are
+kept as tuples of floats; `readonly_array` gives library callers their
+ndarray view.
 """
 
 import math
@@ -30,20 +32,30 @@ def _as_rows(a):
     return rows
 
 
-def inverse_factor(a):
-    """W = L^-1 for the Cholesky factor L of a symmetric a = L L^T.
+def float_rows(a):
+    """A matrix (nested sequences or a 2-D ndarray) as a tuple of float tuples."""
+    return tuple(tuple(float(x) for x in row) for row in a)
 
-    Then a^-1 = W^T W: a solve a x = b is x = W^T (W b), [a^-1]_jj is the
-    squared norm of column j of W, and b^T a^-1 b = |W b|^2 (Golub & Van
-    Loan, Matrix Computations, 4.2).  Only the lower triangle of a is read.
-    Raises SingularMatrix when a pivot falls to PIVOT_FLOOR times its
-    diagonal entry or below, i.e. a is not (numerically) positive definite.
-    Returns W as lists of floats, zero above the diagonal.
+
+def readonly_array(rows):
+    """Square float rows as a read-only float64 ndarray; numpy loads on first use."""
+    import numpy as np
+
+    a = np.array(rows, dtype=np.float64).reshape(len(rows), len(rows))
+    a.flags.writeable = False
+    return a
+
+
+def cholesky(a):
+    """The lower Cholesky factor L of a symmetric a = L L^T, as lists of floats.
+
+    Only the lower triangle of a is read.  Raises SingularMatrix when a
+    pivot falls to PIVOT_FLOOR times its diagonal entry or below, i.e. a is
+    not (numerically) positive definite.
     """
     m = _as_rows(a)
-    order = len(m)
     low = []
-    for i in range(order):
+    for i in range(len(m)):
         row = []
         for j in range(i):
             row.append((m[i][j] - sum(x * y for x, y in zip(row, low[j]))) / low[j][j])
@@ -53,6 +65,19 @@ def inverse_factor(a):
                 f"not positive definite: pivot {pivot:.3e} in column {i}")
         row.append(math.sqrt(pivot))
         low.append(row)
+    return low
+
+
+def inverse_factor(a):
+    """W = L^-1 for the Cholesky factor L of a symmetric a = L L^T.
+
+    Then a^-1 = W^T W: a solve a x = b is x = W^T (W b), [a^-1]_jj is the
+    squared norm of column j of W, and b^T a^-1 b = |W b|^2 (Golub & Van
+    Loan, Matrix Computations, 4.2).  Raises SingularMatrix as `cholesky`
+    does.  Returns W as lists of floats, zero above the diagonal.
+    """
+    low = cholesky(a)
+    order = len(low)
     w = [[0.0] * order for _ in range(order)]
     for i in range(order):
         d = low[i][i]

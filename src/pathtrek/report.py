@@ -93,8 +93,8 @@ class Report:
             out["correlations"] = {
                 "variables": list(c.variables),
                 "n": c.n,
-                "r": [[float(v) for v in row] for row in c.r],
-                "p": [[float(v) for v in row] for row in c.p],
+                "r": [list(row) for row in c.r_rows],
+                "p": [list(row) for row in c.p_rows],
                 "strength": {
                     f"{a}:{b}": classify_strength(c.value(a, b)).value
                     for a, b in c.pairs()
@@ -122,7 +122,7 @@ class Report:
             rm = self.reproduced
             out["reproduced"] = {
                 "variables": list(rm.variables),
-                "r_hat": [[float(v) for v in row] for row in rm.r_hat],
+                "r_hat": [list(row) for row in rm.r_hat_rows],
             }
         if self.fit is not None:
             out["fit"] = {
@@ -247,7 +247,7 @@ class Report:
             cells = []
             for j in range(c.k):
                 if j < i:
-                    cells.append(f"{fmt(float(c.r[i, j])):>7}{stars(float(c.p[i, j])):<2}")
+                    cells.append(f"{fmt(c.r_rows[i][j]):>7}{stars(c.p_rows[i][j]):<2}")
                 elif j == i:
                     cells.append(f"{'1':>7}{'':<2}")
                 else:

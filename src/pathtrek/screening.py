@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numeric
 from .correlation import CorrelationMatrix, pearson_matrix
-from .data import standardize, summarize
+from .data import _z_scores, summarize
 from .estimation import fit_standardized
 from .errors import (
     SingularCovariance,
@@ -44,7 +44,7 @@ def mahalanobis(d):
     """
     if d.n <= d.k:
         raise ValueError(f"need n > k, got n={d.n}, k={d.k}")
-    z = standardize(d).rows
+    z = _z_scores(d)
     try:
         w = np.array(numeric.inverse_factor((z.T @ z) / (d.n - 1)))
     except SingularMatrix as exc:
@@ -102,13 +102,14 @@ def residual_diagnostics(fitted, d):
     for v in fitted.model.variables:
         if v not in d.variables:
             raise VariableMissing(v, where="dataset")
-    z = standardize(d)
+    z = _z_scores(d)
+    col = {name: j for j, name in enumerate(d.variables)}
     points = {}
     for y, eq in fitted.equations.items():
         predicted = np.zeros(d.n)
         for parent, b in zip(eq.parents, eq.beta):
-            predicted += b * z.column(parent)
-        resid = z.column(y) - predicted
+            predicted += b * z[:, col[parent]]
+        resid = z[:, col[y]] - predicted
         rsd = resid.std(ddof=1)
         scaled = resid / rsd if rsd > 1e-12 else np.zeros_like(resid)
         points[y] = list(zip(predicted.tolist(), scaled.tolist()))
@@ -170,7 +171,7 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     if d.k >= 2:
         corr = pearson_matrix(d)
     else:  # pearson_matrix needs two columns; a lone one correlates 1 with itself
-        corr = CorrelationMatrix(d.variables, np.ones((1, 1)), np.ones((1, 1)), d.n)
+        corr = CorrelationMatrix(d.variables, [[1.0]], [[1.0]], d.n)
     vifs = vif(corr, block)
     for name, value in vifs.items():
         if value >= VIF_FLAG:

@@ -9,7 +9,8 @@ product contributes to the model-implied correlation of the endpoint pair:
   * spurious - at least one against-arrow step (shared-cause component)
 
 Model-implied correlations are computed by the structural recursion
-Sigma = (I-B)^-1 Psi (I-B)^-T in causal order (`implied_matrix`), in O(k^3).
+Sigma = (I-B)^-1 Psi (I-B)^-T in causal order (`implied_matrix`), in O(k^3)
+over lists of floats.
 Treks are enumerated only to explain a decomposition and for the trek export:
 `reproduced_matrix` sums them exhaustively, which the trek rule makes equal
 to the recursion, and serves as its cross-check.  Enumeration grows
@@ -18,15 +19,15 @@ whatever the number of variables.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     NonPositiveResidualVariance,
     TooManyVariables,
     VariableMissing,
 )
+from .numeric import float_rows, readonly_array
 from .pathspec import topological_order
 
 # Partial treks one enumeration may visit, and treks one reproduced_matrix may
@@ -58,20 +59,34 @@ class Trek:
         return DIRECT if self.forward_steps == 1 else INDIRECT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReproducedMatrix:
-    """Model-implied correlations; trek decompositions when enumerated."""
+    """Model-implied correlations; trek decompositions when enumerated.
+
+    The cells are kept as tuples of floats, `r_hat_rows`; `.r_hat` is a
+    read-only float64 ndarray built from them on first access.
+    """
 
     variables: tuple
-    r_hat: np.ndarray
+    r_hat_rows: tuple
     treks: dict  # (earlier, later) -> tuple of Trek; empty for implied route
     psi: Optional[dict] = None  # residual variances, implied route only
+
+    def __init__(self, variables, r_hat, treks, psi=None):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "r_hat_rows", float_rows(r_hat))
+        object.__setattr__(self, "treks", treks)
+        object.__setattr__(self, "psi", psi)
+
+    @cached_property
+    def r_hat(self):
+        return readonly_array(self.r_hat_rows)
 
     def index(self, name):
         return self.variables.index(name)
 
     def value(self, a, b):
-        return float(self.r_hat[self.index(a), self.index(b)])
+        return self.r_hat_rows[self.index(a)][self.index(b)]
 
     def cell_treks(self, a, b):
         key = (a, b) if (a, b) in self.treks else (b, a)
@@ -137,7 +152,7 @@ def reproduced_matrix(m):
     order = topological_order(m)
     pos = {v: idx for idx, v in enumerate(order)}
     k = m.k
-    r_hat = np.eye(k)
+    r_hat = [[1.0 if a == b else 0.0 for b in range(k)] for a in range(k)]
     treks = {}
     count = 0
     for a in range(k):
@@ -149,7 +164,7 @@ def reproduced_matrix(m):
             key = (va, vb) if pos[va] < pos[vb] else (vb, va)
             treks[key] = tuple(ts)
             total = sum(t.product for t in ts)
-            r_hat[a, b] = r_hat[b, a] = total
+            r_hat[a][b] = r_hat[b][a] = total
     return ReproducedMatrix(m.variables, r_hat, treks)
 
 
@@ -159,7 +174,8 @@ def implied_matrix(m):
     For each endogenous y with parents P and coefficients beta, the residual
     variance is psi_y = 1 - betaᵀ Sigma_PP beta and Sigma_yj = betaᵀ Sigma_Pj
     for every earlier j; exogenous variables get unit variance.  Equivalent
-    to (I-B)⁻¹ Psi (I-B)⁻ᵀ, without forming an inverse.  Raises
+    to (I-B)⁻¹ Psi (I-B)⁻ᵀ, without forming an inverse; each sum runs over
+    the parents left to right.  Raises
     NonPositiveResidualVariance when the coefficients imply variance > 1.
     """
     implied = _implied(m)
@@ -172,30 +188,32 @@ def implied_matrix(m):
 def _implied(m):
     """implied_matrix without the residual-variance check: psi may be <= 0."""
     m.require_annotated()
-    order = topological_order(m)
     k = m.k
-    sigma = np.zeros((k, k))
-    idx = {v: m.variables.index(v) for v in m.variables}
+    idx = {v: i for i, v in enumerate(m.variables)}
+    sigma = [[0.0] * k for _ in range(k)]
     psi = {}
-    for v in order:
+    for v in topological_order(m):
         vi = idx[v]
         parents = m.parents(v)
-        if not parents:
-            sigma[vi, vi] = 1.0
-            psi[v] = 1.0
-            continue
-        p_idx = [idx[p] for p in parents]
-        beta = np.array([m.coefficient(p, v) for p in parents])
-        psi[v] = 1.0 - float(beta @ sigma[np.ix_(p_idx, p_idx)] @ beta)
-        cov_with_all = beta @ sigma[p_idx, :]
-        sigma[vi, :] = cov_with_all
-        sigma[:, vi] = cov_with_all
-        sigma[vi, vi] = 1.0
+        beta = [m.coefficient(p, v) for p in parents]
+        cov = [0.0] * k  # Sigma_vj = betaᵀ Sigma_Pj for every j
+        for p, b in zip(parents, beta):
+            cov = [c + b * s for c, s in zip(cov, sigma[idx[p]])]
+        explained = 0.0  # betaᵀ Sigma_PP beta = betaᵀ Sigma_Pv
+        for p, b in zip(parents, beta):
+            explained += cov[idx[p]] * b
+        psi[v] = 1.0 - explained
+        for j, c in enumerate(cov):
+            sigma[j][vi] = c
+        cov[vi] = 1.0
+        sigma[vi] = cov
     return ReproducedMatrix(m.variables, sigma, {}, psi=psi)
 
 
 def coefficient_matrix(m):
     """Arrow coefficients as B with B[target, source] = beta (declaration order)."""
+    import numpy as np
+
     m.require_annotated()
     k = m.k
     b = np.zeros((k, k))

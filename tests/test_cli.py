@@ -455,3 +455,65 @@ def test_trek_budget_stops_export_on_complete_dag(tmp_path, capsys):
     assert main(argv + ["--treks-csv", str(tmp_path / "treks.csv")]) == 2
     assert time.perf_counter() - start < 30.0
     assert "budget" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters: what a real process prints and imports
+
+def run_fresh(args, cwd):
+    """A new `python` process that imports the same pathtrek as this one."""
+    import os
+    import subprocess
+    import sys
+
+    import pathtrek
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pathtrek.__file__)))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_simulate_routes_load_warnings(tmp_path):
+    model = tmp_path / "implicit.pm"
+    model.write_text("path A -> B : 0.5\npath B -> C : 0.3\n", encoding="utf-8")
+    proc = run_fresh(["-m", "pathtrek.cli", "simulate", "--model", str(model),
+                      "--n", "10", "--seed", "1", "--out", str(tmp_path / "s.csv")],
+                     tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == "pathtrek: warning: implicitly declared variables: A, B, C\n"
+    assert ".py" not in proc.stderr
+    assert load_csv(tmp_path / "s.csv").variables == ("A", "B", "C")
+
+
+NUMPY_GUARD = """
+import sys
+import pathtrek
+from pathtrek.cli import main
+
+for argv in (
+    ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--out", "fit.txt"],
+    ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--format", "json",
+     "--out", "fit.json"],
+    ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--out", "revise.txt"],
+    ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--format", "json",
+     "--out", "revise.json"],
+):
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy imported"
+
+# the raw-data names still resolve, and then numpy loads
+assert callable(pathtrek.screen) and pathtrek.Dataset.__name__ == "Dataset"
+from pathtrek import *
+assert all(name in globals() for name in pathtrek.__all__)
+assert "numpy" in sys.modules
+"""
+
+
+def test_correlation_path_imports_no_numpy(tmp_path):
+    code = f"CORR, REVISED, INITIAL = {CORR!r}, {REVISED!r}, {INITIAL!r}\n" + NUMPY_GUARD
+    proc = run_fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "misfit pairs: 0/10 -> fits" in (tmp_path / "fit.txt").read_text()
+    assert "converged after 2 iteration(s)" in (tmp_path / "revise.txt").read_text()

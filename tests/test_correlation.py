@@ -1,8 +1,10 @@
 """Pearson matrices, correlation-file ingestion, and strength labels."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtrek.correlation import (
@@ -18,13 +20,14 @@ from pathtrek.correlation import (
 from pathtrek.data import Dataset
 from pathtrek.errors import (
     AsymmetryTooLarge,
+    DataWarning,
     DiagonalNotOne,
     NotSquare,
     OutOfRange,
     ZeroVariance,
 )
 
-from conftest import NAMES, N_OBS, OBSERVED_R, exact_corr_scores
+from conftest import NAMES, N_OBS, OBSERVED_R, exact_corr_scores, make_corr
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +225,61 @@ def test_classify_strength_out_of_range():
 def test_classify_strength_monotone(r1, r2):
     a, b = sorted((abs(r1), abs(r2)))
     assert classify_strength(a).rank <= classify_strength(b).rank
+
+
+# ---------------------------------------------------------------------------
+# stored floats, ndarray views and the positive-definiteness check
+
+@st.composite
+def unit_diagonal_matrices(draw):
+    """Symmetric, unit-diagonal k x k cells, k = 1..6: half are Gram matrices of
+    random unit vectors in 1..k dimensions (singular below k), half have free
+    off-diagonal cells in (-1, 1), often indefinite."""
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, k))
+        raw = np.array(draw(st.lists(st.floats(-1, 1), min_size=k * dim, max_size=k * dim)))
+        vectors = raw.reshape(k, dim)
+        vectors[np.linalg.norm(vectors, axis=1) < 1e-6] = 1.0  # no zero rows
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        r = (vectors @ vectors.T).clip(-1.0, 1.0)
+        r = (r + r.T) / 2.0
+    else:
+        r = np.eye(k)
+        for i in range(k):
+            for j in range(i + 1, k):
+                r[i, j] = r[j, i] = draw(st.floats(-0.99, 0.99))
+    np.fill_diagonal(r, 1.0)
+    return r
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_diagonal_matrices(), st.integers(3, 10_000))
+def test_views_are_readonly_arrays_of_the_stored_floats(r, n):
+    names = tuple(f"v{i}" for i in range(len(r)))
+    corr = make_corr(names, r, n)
+    assert all(type(x) is float for rows in (corr.r_rows, corr.p_rows)
+               for row in rows for x in row)
+    for view, rows in ((corr.r, corr.r_rows), (corr.p, corr.p_rows)):
+        assert view.dtype == np.float64 and view.shape == (len(r), len(r))
+        assert not view.flags.writeable
+        assert view.tolist() == [list(row) for row in rows]
+    assert corr.r is corr.r  # built once
+    assert corr.r.tolist() == r.tolist()
+    assert corr.value(names[0], names[-1]) == r[0, -1]
+    assert corr.submatrix(names[::-1]) == tuple(tuple(row) for row in r[::-1, ::-1].tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_diagonal_matrices())
+def test_loader_warns_exactly_when_not_positive_definite(tmp_path_factory, r):
+    path = tmp_path_factory.mktemp("pd") / "r.csv"
+    write_correlation_csv(make_corr([f"v{i}" for i in range(len(r))], r, 100), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        corr = load_correlation_csv(path, 100)
+    lam_min = np.linalg.eigvalsh(corr.r)[0]
+    warned = [w for w in caught if issubclass(w.category, DataWarning)]
+    assert len(warned) == (1 if lam_min <= 0.0 else 0)
+    if warned:
+        assert f"smallest eigenvalue {lam_min:.3g};" in str(warned[0].message)

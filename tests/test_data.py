@@ -4,6 +4,7 @@ listwise-deletion row loop it ran before its np.loadtxt fast path."""
 import csv
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,3 +286,52 @@ def test_header_only_file_warns_nothing_from_numpy(tmp_path):
         with pytest.raises(TooFewRows, match="only 0 usable rows after dropping 0"):
             load_csv(path)
     assert caught == []
+
+
+# ---------------------------------------------------------------------------
+# The block writer against the csv.writer pass it replaced.
+
+def reference_write_csv(d, path):
+    """write_csv as one csv.writer pass, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(d.variables)
+        writer.writerows(row.tolist() for row in d.rows)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
+               1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 1.0, 0.1, 1e16]
+
+
+@st.composite
+def datasets(draw):
+    """k = 1..4 named columns (names that need quoting included), n = 3..30 rows."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(3, 30))
+    names = draw(st.lists(st.sampled_from(["a", "b", "x y", "c,d", 'q"t', "é"]),
+                          min_size=k, max_size=k, unique=True))
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
+    cells = draw(st.lists(value, min_size=n * k, max_size=n * k))
+    return Dataset(tuple(names), np.array(cells, dtype=np.float64).reshape(n, k))
+
+
+@given(datasets(), st.integers(1, 24))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_matches_csv_writer(tmp_path_factory, d, block_cells):
+    folder = tmp_path_factory.mktemp("write")
+    with mock.patch.object(data, "WRITE_BLOCK_CELLS", block_cells):
+        write_csv(d, folder / "got.csv")
+    reference_write_csv(d, folder / "want.csv")
+    assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_write_csv_rows_past_one_block(tmp_path, k):
+    n = 2 * (data.WRITE_BLOCK_CELLS // k) + 5
+    rows = np.random.default_rng(k).normal(0.0, 1e3, (n, k))
+    rows[::97] = np.resize(np.array(EDGE_VALUES), rows[::97].shape)
+    d = Dataset(tuple(f"V{j}" for j in range(k)), rows)
+    write_csv(d, tmp_path / "got.csv")
+    reference_write_csv(d, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert np.array_equal(load_csv(tmp_path / "got.csv").rows, rows)

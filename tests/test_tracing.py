@@ -6,6 +6,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathtrek.effects import decompose_effects
 from pathtrek.errors import (
@@ -14,7 +16,7 @@ from pathtrek.errors import (
     TooManyVariables,
 )
 from pathtrek.estimation import fit_standardized
-from pathtrek.pathspec import Arrow, PathModel, parse_model
+from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
 from pathtrek.simulate import SimulationSpec, simulate_dataset
 from pathtrek.tracing import (
     _implied,
@@ -183,6 +185,45 @@ def test_trek_sum_equals_implied_on_random_models():
         rm = reproduced_matrix(model)
         im = implied_matrix(model)
         assert np.abs(rm.r_hat - im.r_hat).max() <= 1e-9
+
+
+@st.composite
+def annotated_dags(draw):
+    """A random DAG on 1..12 variables, declared and listed in shuffled order;
+    each equation's |beta| sum stays below 0.95, so every psi is positive."""
+    k = draw(st.integers(1, 12))
+    causal = [f"V{i}" for i in range(k)]
+    arrows = []
+    for j in range(1, k):
+        parents = [causal[i] for i in range(j) if draw(st.booleans())]
+        arrows += [Arrow(p, causal[j], draw(st.floats(-0.95, 0.95)) / len(parents))
+                   for p in parents]
+    return PathModel(tuple(draw(st.permutations(causal))),
+                     tuple(draw(st.permutations(arrows))), {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotated_dags())
+def test_implied_matches_closed_form(m):
+    """r_hat = (I-B)⁻¹ Psi (I-B)⁻ᵀ in numpy, with psi from unit variances."""
+    k = m.k
+    idx = {v: i for i, v in enumerate(m.variables)}
+    b = np.zeros((k, k))
+    for a in m.arrows:
+        b[idx[a.target], idx[a.source]] = a.coefficient
+    t = np.linalg.inv(np.eye(k) - b)  # unit diagonal; t[i, u] = 0 unless u precedes i
+    psi = np.zeros(k)
+    for v in topological_order(m):  # var(v) = sum_u t[v, u]² psi_u = 1
+        i = idx[v]
+        psi[i] = 1.0 - sum(t[i, u] ** 2 * psi[u] for u in range(k) if u != i)
+    sigma = t @ np.diag(psi) @ t.T
+
+    im = _implied(m)
+    assert max(abs(im.psi[v] - psi[idx[v]]) for v in m.variables) <= 1e-12
+    assert np.abs(im.r_hat - sigma).max() <= 1e-12
+    assert im.r_hat.dtype == np.float64 and not im.r_hat.flags.writeable
+    assert im.r_hat.tolist() == [list(row) for row in im.r_hat_rows]
+    assert all(type(x) is float for row in im.r_hat_rows for x in row)
 
 
 def test_implied_single_arrow():
