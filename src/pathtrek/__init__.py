@@ -28,7 +28,6 @@ from .effects import (
     assess_fit,
     decompose_effects,
     revise_model,
-    total_effect_oracle,
     write_effects_csv,
     write_revision_csv,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "standardize",
     "summarize",
     "topological_order",
-    "total_effect_oracle",
     "vif",
     "write_effects_csv",
     "write_revision_csv",

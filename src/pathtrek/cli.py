@@ -15,6 +15,7 @@ imported only by the commands that read or write rows, so `fit --corr` and
 
 import argparse
 import csv
+import math
 import sys
 import warnings as _warnings
 
@@ -39,6 +40,22 @@ EXIT_INPUT = 2
 EXIT_REVISION = 3
 
 
+def probability(text):
+    """A finite level strictly between 0 and 1 (--alpha, --outlier-p)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not between 0 and 1")
+    return value
+
+
+def threshold(text):
+    """A finite, non-negative |r - r_hat| cut-off (--misfit)."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite value >= 0")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="pathtrek",
@@ -59,14 +76,14 @@ def _build_parser():
         p.add_argument("--corr", help="correlation CSV (requires --n)")
         p.add_argument("--n", type=int, help="sample size for --corr")
         p.add_argument("--model", required=True, help=model_help)
-        p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--misfit", type=float, default=0.05)
+        p.add_argument("--alpha", type=probability, default=0.05)
+        p.add_argument("--misfit", type=threshold, default=0.05)
 
     p_screen = sub.add_parser("screen", help="run the data-screening battery")
     p_screen.add_argument("--data", required=True, help="dataset CSV")
     p_screen.add_argument("--model", help="optional model file for residuals/VIF block")
-    p_screen.add_argument("--alpha", type=float, default=0.05)
-    p_screen.add_argument("--outlier-p", type=float, default=0.001)
+    p_screen.add_argument("--alpha", type=probability, default=0.05)
+    p_screen.add_argument("--outlier-p", type=probability, default=0.001)
     p_screen.add_argument("--strict", action="store_true",
                           help="exit 1 when assumption warnings are present")
     p_screen.add_argument("--residuals-csv",
@@ -128,7 +145,7 @@ def _emit(report, args):
 
 def _cmd_screen(args, parser):
     from .data import load_csv
-    from .screening import screen
+    from .screening import VIF_WARN, screen
 
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
@@ -156,7 +173,7 @@ def _cmd_screen(args, parser):
     _emit(report, args)
     flagged = bool(result.outliers) or any(
         verdict == "non-normal" for _, _, verdict in result.normality.values()
-    ) or any(v >= 5.0 for v in result.vif.values())
+    ) or any(v >= VIF_WARN for v in result.vif.values())
     if args.strict and flagged:
         return EXIT_WARNINGS
     return EXIT_OK

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NoAdmissibleRevision, VariableMismatch
-from .estimation import FittedModel, _endogenous, _fit_equation, _infer_equation
+from .estimation import FittedModel, _endogenous, _fit_equation, coefficient_inference
 from .pathspec import Arrow, topological_order
-from .tracing import _implied, coefficient_matrix
+from .tracing import _implied
 
 DEFAULT_MISFIT_THRESHOLD = 0.05
 
@@ -156,24 +156,6 @@ def decompose_effects(m):
     return EffectsTable(tuple(rows), r2)
 
 
-def total_effect_oracle(m):
-    """Total effects via the nilpotent Neumann sum of the coefficient matrix.
-
-    Returns (variables, T) where T[target, source] = sum over all directed
-    paths of coefficient products, exactly (I-B)⁻¹ - I for a DAG.
-    """
-    import numpy as np
-
-    b = coefficient_matrix(m)
-    k = m.k
-    total = np.zeros((k, k))
-    power = np.eye(k)
-    for _ in range(k - 1):
-        power = power @ b
-        total += power
-    return m.variables, total
-
-
 # ---------------------------------------------------------------------------
 # Revision loop.
 
@@ -252,20 +234,17 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
     trace = RevisionTrace()
     model = m
     seen = {model.arrow_set()}
-    cache = {}  # (target, parents) -> EquationFit with inference
+    cache = {}  # (target, parents) -> EquationFit
 
     def refit(current):
-        fitted = []
-        for y in _endogenous(corr, current):
-            parents = current.parents(y)
-            fitted.append(cache.get((y, parents)) or _fit_equation(corr, y, parents))
         equations = {}
-        for eq in fitted:  # every equation is fitted before any is inferred
-            key = (eq.target, eq.parents)
+        for y in _endogenous(corr, current):
+            key = (y, current.parents(y))
             if key not in cache:
-                cache[key] = _infer_equation(eq, corr, corr.n, alpha)
-            equations[eq.target] = cache[key]
-        fit = FittedModel(current, equations, corr, corr.n, alpha)
+                cache[key] = _fit_equation(corr, *key)
+            equations[y] = cache[key]
+        # every equation is fitted before coefficient_inference checks df
+        fit = coefficient_inference(FittedModel(current, equations, corr, corr.n), alpha)
         # An intermediate refit may imply psi <= 0; that must not stop the search.
         implied = _implied(fit.annotated_model())
         flagged, max_difference = _misfits(corr, implied, threshold)

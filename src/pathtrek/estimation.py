@@ -5,7 +5,8 @@ the normal equations R_PP · beta = r_Py, so the whole recursive system is
 reproducible from the correlation matrix plus the sample size alone; raw
 data never enters.  With W = L⁻¹ for the Cholesky factor R_PP = L Lᵀ,
 u = W r_Py, beta = Wᵀ u, R² = |u|² and the disturbance scale is
-sqrt(1 - R²).
+sqrt(1 - R²).  The same W gives [R_PP⁻¹]_jj as the squared norm of column
+j, hence the SEs, so one factor per equation serves estimates and inference.
 """
 
 import math
@@ -34,8 +35,7 @@ class EquationFit:
     disturbance: float
     se: Optional[tuple] = None
     t: Optional[tuple] = None
-    p: Optional[tuple] = None
-    significant: Optional[tuple] = None
+    p: Optional[tuple] = None  # SE, t and p stay None when n <= |P| + 1
 
     def coefficient(self, parent):
         return self.beta[self.parents.index(parent)]
@@ -63,41 +63,31 @@ class FittedModel:
                 coeffs[(parent, eq.target)] = b
         return self.model.with_coefficients(coeffs)
 
-    @property
-    def has_inference(self):
-        return all(eq.se is not None for eq in self.equations.values())
-
 
 def fit_standardized(corr, m):
     """Fit every endogenous equation of model `m` against `corr`.
 
-    Equations are independent, estimated in causal order.  Raises
-    VariableMissing when the model names a variable absent from the matrix
-    and SingularMatrix (tagged with the equation) when a parent block is not
-    positive definite.
+    Equations are independent, estimated in causal order, each with SE / t /
+    two-sided p wherever n > |P| + 1.  Raises VariableMissing when the model
+    names a variable absent from the matrix and SingularMatrix (tagged with
+    the equation) when a parent block is not positive definite.
     """
     equations = {y: _fit_equation(corr, y, m.parents(y)) for y in _endogenous(corr, m)}
     return FittedModel(model=m, equations=equations, correlation=corr, n=corr.n)
 
 
 def coefficient_inference(fit, alpha=DEFAULT_ALPHA):
-    """Populate SE / t / two-sided p per coefficient.
+    """`fit` at significance level alpha, once every equation has inference.
 
-    SE(beta_j) = sqrt((1 - R²) [R_PP⁻¹]_jj / (n - |P| - 1)); the t statistic
-    has n - |P| - 1 degrees of freedom.  Raises DegreesOfFreedomExhausted
-    when any equation has n <= |P| + 1.
+    Raises DegreesOfFreedomExhausted for the first equation with
+    n <= |P| + 1, which fit_standardized leaves without SE / t / p.
     """
-    corr, n = fit.correlation, fit.n
-    equations = {
-        y: _infer_equation(eq, corr, n, alpha) for y, eq in fit.equations.items()
-    }
-    return FittedModel(
-        model=fit.model,
-        equations=equations,
-        correlation=corr,
-        n=n,
-        alpha=alpha,
-    )
+    for eq in fit.equations.values():
+        if eq.p is None:
+            raise DegreesOfFreedomExhausted(
+                f"equation for {eq.target!r}: n={fit.n} with {len(eq.parents)} parents"
+            )
+    return replace(fit, alpha=alpha)
 
 
 def _endogenous(corr, m):
@@ -112,7 +102,11 @@ def _endogenous(corr, m):
 
 
 def _fit_equation(corr, y, parents):
-    """beta, R² and disturbance of y regressed on `parents`, without inference."""
+    """y regressed on `parents`: beta, R², disturbance and, when df allows, inference.
+
+    SE(beta_j) = sqrt((1 - R²) [R_PP⁻¹]_jj / df) and t_j = beta_j / SE_j with
+    df = n - |P| - 1 degrees of freedom; SE, t and p are None when df < 1.
+    """
     rpy = [corr.value(p, y) for p in parents]
     try:
         w = numeric.inverse_factor(corr.submatrix(parents))
@@ -127,32 +121,20 @@ def _fit_equation(corr, y, parents):
             "correlation matrix is not positive definite"
         )
     r2 = min(1.0, r2)
+    se = t = p = None
+    df = corr.n - len(parents) - 1
+    if df >= 1:  # [R_PP⁻¹]_jj is the squared norm of column j of W
+        se = tuple(math.sqrt((1.0 - r2) * sum(row[j] * row[j] for row in w) / df)
+                   for j in range(len(beta)))
+        # SE 0 means an exact fit: t is ±inf with beta's sign, or 0 for beta 0
+        t = tuple(b / s if s > 0.0 else math.copysign(math.inf, b) if b else 0.0
+                  for b, s in zip(beta, se))
+        p = tuple(numeric.t_sf_two_sided(tj, df) if math.isfinite(tj) else 0.0 for tj in t)
     return EquationFit(
         target=y,
         parents=parents,
         beta=tuple(beta),
         r_squared=r2,
         disturbance=math.sqrt(1.0 - r2),
+        se=se, t=t, p=p,
     )
-
-
-def _infer_equation(eq, corr, n, alpha):
-    """`eq` with SE / t / two-sided p / significance at sample size n."""
-    df = n - len(eq.parents) - 1
-    if df < 1:
-        raise DegreesOfFreedomExhausted(
-            f"equation for {eq.target!r}: n={n} with {len(eq.parents)} parents"
-        )
-    w = numeric.inverse_factor(corr.submatrix(eq.parents))
-    resid_var = 1.0 - eq.r_squared
-    se, t, p, sig = [], [], [], []
-    for j, b in enumerate(eq.beta):
-        inv_jj = sum(row[j] * row[j] for row in w)  # [R_PP⁻¹]_jj
-        s = math.sqrt(resid_var * inv_jj / df)
-        se.append(s)
-        tj = b / s if s > 0.0 else math.inf
-        t.append(tj)
-        pj = numeric.t_sf_two_sided(tj, df) if math.isfinite(tj) else 0.0
-        p.append(pj)
-        sig.append(pj < alpha)
-    return replace(eq, se=tuple(se), t=tuple(t), p=tuple(p), significant=tuple(sig))

@@ -19,19 +19,6 @@ from .errors import NoConvergence, SingularMatrix
 PIVOT_FLOOR = 1e-12
 
 
-def _as_rows(a):
-    """Copy a square matrix (any nested-sequence / ndarray) to lists of floats."""
-    rows = [[float(x) for x in row] for row in a]
-    order = len(rows)
-    if order == 0 or any(len(r) != order for r in rows):
-        raise ValueError("matrix is not square")
-    for r in rows:
-        for x in r:
-            if not math.isfinite(x):
-                raise ValueError("matrix entries must be finite")
-    return rows
-
-
 def float_rows(a):
     """A matrix (nested sequences or a 2-D ndarray) as a tuple of float tuples."""
     return tuple(tuple(float(x) for x in row) for row in a)
@@ -51,9 +38,14 @@ def cholesky(a):
 
     Only the lower triangle of a is read.  Raises SingularMatrix when a
     pivot falls to PIVOT_FLOOR times its diagonal entry or below, i.e. a is
-    not (numerically) positive definite.
+    not (numerically) positive definite, and ValueError when it is not
+    square or holds a non-finite entry.
     """
-    m = _as_rows(a)
+    m = float_rows(a)
+    if not m or any(len(r) != len(m) for r in m):
+        raise ValueError("matrix is not square")
+    if not all(math.isfinite(x) for r in m for x in r):
+        raise ValueError("matrix entries must be finite")
     low = []
     for i in range(len(m)):
         row = []

@@ -2,12 +2,13 @@
 
 A Report is built once from analysis results and rendered two ways: text
 (3-decimal reals, "<.001" for tiny p-values, significance stars) and JSON
-(full precision, stable field names).  Both views read the same stored
-numbers.
+(full precision, stable field names, null for an exact fit's infinite t).
+Both views read the same stored numbers.
 """
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,7 +111,9 @@ class Report:
                         "parents": list(eq.parents),
                         "beta": list(eq.beta),
                         "se": list(eq.se) if eq.se else None,
-                        "t": list(eq.t) if eq.t else None,
+                        # an exact fit's infinite t is written as null
+                        "t": [x if math.isfinite(x) else None for x in eq.t]
+                        if eq.t else None,
                         "p": list(eq.p) if eq.p else None,
                         "r_squared": eq.r_squared,
                         "disturbance": eq.disturbance,
@@ -177,7 +180,8 @@ class Report:
         return out
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
     # -- human rendering -------------------------------------------------
 

@@ -210,18 +210,6 @@ def _implied(m):
     return ReproducedMatrix(m.variables, sigma, {}, psi=psi)
 
 
-def coefficient_matrix(m):
-    """Arrow coefficients as B with B[target, source] = beta (declaration order)."""
-    import numpy as np
-
-    m.require_annotated()
-    k = m.k
-    b = np.zeros((k, k))
-    for a in m.arrows:
-        b[m.index(a.target), m.index(a.source)] = a.coefficient
-    return b
-
-
 def write_treks_csv(reproduced, path):
     """Export every enumerated trek: pair, node sequence, class, product."""
     import csv

@@ -83,6 +83,26 @@ def make_corr(names, r, n):
     return CorrelationMatrix(tuple(names), r, p, n)
 
 
+def total_effect_oracle(m):
+    """Total effects via the nilpotent Neumann sum of the coefficient matrix.
+
+    Returns (variables, T) where T[target, source] = sum over all directed
+    paths of coefficient products, exactly (I-B)⁻¹ - I for a DAG, with
+    B[target, source] = beta in declaration order.
+    """
+    m.require_annotated()
+    k = m.k
+    b = np.zeros((k, k))
+    for a in m.arrows:
+        b[m.index(a.target), m.index(a.source)] = a.coefficient
+    total = np.zeros((k, k))
+    power = np.eye(k)
+    for _ in range(k - 1):
+        power = power @ b
+        total += power
+    return m.variables, total
+
+
 def exact_corr_scores(target_r, n, seed):
     """Scores whose SAMPLE correlation equals target_r to machine precision.
 

@@ -14,7 +14,6 @@ from pathtrek.effects import (
     assess_fit,
     decompose_effects,
     revise_model,
-    total_effect_oracle,
 )
 from pathtrek.estimation import fit_standardized
 from pathtrek.pathspec import Arrow, PathModel
@@ -22,7 +21,7 @@ from pathtrek.screening import ks_normality, mahalanobis, vif
 from pathtrek.simulate import SimulationSpec, recovery_check, simulate_dataset
 from pathtrek.tracing import implied_matrix, reproduced_matrix
 
-from conftest import make_corr
+from conftest import make_corr, total_effect_oracle
 from test_tracing import random_annotated_dag
 
 

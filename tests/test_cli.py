@@ -95,6 +95,23 @@ def test_fit_usage_error_both_inputs():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--alpha", "1.5"],
+    ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--alpha", "0"],
+    ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--alpha", "nan"],
+    ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--misfit", "-1"],
+    ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--misfit", "inf"],
+    ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--misfit", "nan"],
+    ["screen", "--data", SCORES, "--alpha", "1"],
+    ["screen", "--data", SCORES, "--outlier-p", "-0.001"],
+], ids=lambda args: f"{args[0]}{args[-2]}={args[-1]}")
+def test_out_of_range_thresholds_rejected(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"argument {args[-2]}: " in capsys.readouterr().err
+
+
 def test_fit_missing_file(capsys):
     code = main(["fit", "--corr", "no-such-file.csv", "--n", "240",
                  "--model", REVISED])
@@ -369,6 +386,26 @@ def test_fit_rejects_indefinite_parent_block(tmp_path, capsys):
                  "--model", str(model_path)]) == 2
     err = capsys.readouterr().err
     assert "'Y'" in err and "not positive definite" in err
+
+
+def test_exact_fit_json_is_strict(tmp_path):
+    corr_path = tmp_path / "c.csv"
+    corr_path.write_text(",A,B,Y\nA,1,0,0.6\nB,0,1,-0.8\nY,0.6,-0.8,1\n", encoding="utf-8")
+    model_path = tmp_path / "m.pm"
+    model_path.write_text("path A -> Y\npath B -> Y\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["fit", "--corr", str(corr_path), "--n", "100", "--model", str(model_path),
+                 "--format", "json", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    (eq,) = report["coefficients"]["equations"]
+    assert eq["se"] == [0.0, 0.0] and eq["t"] == [None, None] and eq["p"] == [0.0, 0.0]
+    assert main(["fit", "--corr", str(corr_path), "--n", "100",
+                 "--model", str(model_path), "--out", str(out)]) == 0
+    assert "B          beta =   -0.800  SE = 0.000  t = -inf" in out.read_text()
 
 
 def test_fit_reports_unconverged_t_tail(monkeypatch, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathtrek import effects, estimation
+from pathtrek import effects, estimation, numeric
 from pathtrek.effects import (
     DEFAULT_MISFIT_THRESHOLD,
     RevisionStep,
@@ -17,7 +17,6 @@ from pathtrek.effects import (
     assess_fit,
     decompose_effects,
     revise_model,
-    total_effect_oracle,
 )
 from pathtrek.errors import (
     DegreesOfFreedomExhausted,
@@ -30,7 +29,7 @@ from pathtrek.estimation import coefficient_inference, fit_standardized
 from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
 from pathtrek.tracing import _implied, implied_matrix, reproduced_matrix
 
-from conftest import make_corr
+from conftest import make_corr, total_effect_oracle
 from test_tracing import random_annotated_dag
 
 
@@ -531,9 +530,16 @@ def test_each_equation_estimated_once_per_revision(
                         _counting(calls, effects._fit_equation))
     monkeypatch.setattr(estimation, "_fit_equation",
                         _counting(reference_calls, estimation._fit_equation))
+    factors = []
+    factor = numeric.inverse_factor
+    monkeypatch.setattr(numeric, "inverse_factor",
+                        lambda a: factors.append(len(a)) or factor(a))
     revise_model(corr, start)
+    # one factor per distinct (target, parents) key, of that parent block
+    assert factors == [len(parents) for _, parents in calls]
     reference_revise(corr, start)
     assert max(calls.values()) == 1
     # the same equations as the refit-everything loop, each only once
     assert set(calls) == set(reference_calls)
     assert sum(reference_calls.values()) > 2 * sum(calls.values())
+

@@ -2,9 +2,12 @@
 inference, and the normal-equation/variance identities.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from pathtrek import numeric
 from pathtrek.errors import (
     DegreesOfFreedomExhausted,
     SingularMatrix,
@@ -64,7 +67,7 @@ def test_initial_y_equation(observed_corr, initial_model):
     assert eqy.beta == pytest.approx((0.0471, 0.1294, 0.0706, 0.7724), abs=1e-3)
     # only the first predictor is non-significant at 0.05
     assert eqy.p[0] == pytest.approx(0.211, abs=2e-3)
-    assert eqy.significant == (False, True, True, True)
+    assert tuple(p < fit.alpha for p in eqy.p) == (False, True, True, True)
     # the X4 equation reduces to the raw correlation
     assert fit.equation("X4").beta[0] == pytest.approx(0.431, abs=1e-12)
 
@@ -89,10 +92,38 @@ def test_single_predictor_significance(observed_corr):
 
 
 def test_degrees_of_freedom_exhausted(revised_model):
-    corr = make_corr(NAMES, OBSERVED_R, 4)  # n == max parents + 1
+    corr = make_corr(NAMES, OBSERVED_R, 4)  # df 2, 1, 0, 0 for X2, X3, X4, Y
     fit = fit_standardized(corr, revised_model)
-    with pytest.raises(DegreesOfFreedomExhausted):
+    # estimates without inference where n <= |P| + 1
+    assert [eq.p is None for eq in fit.equations.values()] == [False, False, True, True]
+    assert fit.equation("X4").se is None and fit.equation("X4").t is None
+    with pytest.raises(DegreesOfFreedomExhausted, match="'X4': n=4 with 3 parents"):
         coefficient_inference(fit)
+
+
+def test_exact_fit_keeps_the_sign_of_t():
+    # R² = 1, so every SE is 0: t is infinite with the sign of beta, and a
+    # beta of exactly 0 (C is uncorrelated with everything) gets t 0, p 1
+    r = [[1.0, 0.0, 0.0, 0.6], [0.0, 1.0, 0.0, -0.8],
+         [0.0, 0.0, 1.0, 0.0], [0.6, -0.8, 0.0, 1.0]]
+    corr = make_corr(("A", "B", "C", "Y"), r, 100)
+    m = parse_model("var A\nvar B\nvar C\nvar Y\n"
+                    "path A -> Y\npath B -> Y\npath C -> Y\n")
+    fit = fit_standardized(corr, m)
+    eq = fit.equation("Y")
+    assert eq.r_squared == 1.0 and eq.se == (0.0, 0.0, 0.0)
+    assert eq.beta[2] == 0.0
+    assert eq.t == (math.inf, -math.inf, 0.0)
+    assert eq.p == (0.0, 0.0, 1.0)
+
+
+def test_one_factorization_per_equation(monkeypatch, observed_corr, initial_model):
+    orders = []
+    factor = numeric.inverse_factor
+    monkeypatch.setattr(numeric, "inverse_factor",
+                        lambda a: orders.append(len(a)) or factor(a))
+    fit = coefficient_inference(fit_standardized(observed_corr, initial_model))
+    assert orders == [len(eq.parents) for eq in fit.equations.values()] == [1, 2, 1, 4]
 
 
 def test_variable_missing(observed_corr):
