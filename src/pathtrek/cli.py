@@ -116,7 +116,7 @@ def _load_inputs(args, parser):
     """Resolve the data-vs-correlation input choice shared by fit/revise."""
     if bool(args.data) == bool(args.corr):
         parser.error("exactly one of --data or --corr is required")
-    if args.corr and not args.n:
+    if args.corr and args.n is None:
         parser.error("--corr requires --n")
     inputs = {}
     with _warnings.catch_warnings(record=True) as caught:

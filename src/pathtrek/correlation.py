@@ -3,6 +3,7 @@
 import csv
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,30 +51,41 @@ def classify_strength(r):
 
 
 def correlation_p_value(r, n):
-    """Two-sided p for a correlation via t = r sqrt((n-2)/(1-r^2)), df = n-2."""
-    rr = min(1.0, abs(float(r)))
-    if n < 3:
-        return 1.0
-    denom = 1.0 - rr * rr
+    """Two-sided p for r in [-1, 1] via t = |r| sqrt((n-2)/(1-r^2)), df = n-2 >= 1."""
+    denom = 1.0 - r * r
     if denom <= 0.0:
         return 0.0
-    t = rr * math.sqrt((n - 2) / denom)
-    return numeric.t_sf_two_sided(t, n - 2)
+    return numeric.t_sf_two_sided(abs(r) * math.sqrt((n - 2) / denom), n - 2)
 
 
-def _check_correlations(r, where=""):
-    """Reject non-finite cells, asymmetry above ASYMMETRY_LIMIT and a
-    diagonal off 1 by more than DIAGONAL_LIMIT; `where` prefixes messages."""
+def _check_correlations(r):
+    """Reject non-finite cells, off-diagonal |r| > 1 + 1e-12, asymmetry above
+    ASYMMETRY_LIMIT and a diagonal off 1 by more than DIAGONAL_LIMIT; return
+    r averaged across the diagonal, clipped to [-1, 1], with a unit diagonal."""
     if not all(math.isfinite(x) for row in r for x in row):
-        raise OutOfRange(f"{where}correlations must be finite")
+        raise OutOfRange("correlations must be finite")
     k = len(r)
+    worst = max((abs(r[i][j]) for i in range(k) for j in range(k) if i != j),
+                default=0.0)
+    if worst > 1.0 + 1e-12:
+        raise OutOfRange(f"correlation {worst!r} outside [-1, 1]")
     asym = max((abs(r[i][j] - r[j][i]) for i in range(k) for j in range(i + 1, k)),
                default=0.0)
     if asym > ASYMMETRY_LIMIT:
-        raise AsymmetryTooLarge(f"{where}max asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT}")
+        raise AsymmetryTooLarge(f"max asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT}")
     diag_dev = max((abs(r[i][i] - 1.0) for i in range(k)), default=0.0)
     if diag_dev > DIAGONAL_LIMIT:
-        raise DiagonalNotOne(f"{where}diagonal deviates from 1 by {diag_dev:.3e}")
+        raise DiagonalNotOne(f"diagonal deviates from 1 by {diag_dev:.3e}")
+    return tuple(tuple(1.0 if i == j else min(1.0, max(-1.0, (r[i][j] + r[j][i]) / 2.0))
+                       for j in range(k)) for i in range(k))
+
+
+def _sample_size(n):
+    """n as an int; ValueError unless it is a whole number >= 3."""
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+            or not math.isfinite(n) or n != int(n) or n < 3):
+        raise ValueError(f"sample size must be a whole number >= 3, got {n!r}")
+    return int(n)
 
 
 def _square_rows(a, k):
@@ -91,27 +103,30 @@ def _square_rows(a, k):
 class CorrelationMatrix:
     """Symmetric unit-diagonal correlations with per-cell two-sided p-values.
 
-    Built from (variables, r, p, n) with r and p as nested sequences or
-    ndarrays.  The cells are kept as tuples of floats, `r_rows` and
-    `p_rows`; `.r` and `.p` are read-only float64 ndarrays built from them
-    on first access.  Construction rejects non-finite correlations,
-    asymmetry above ASYMMETRY_LIMIT and a diagonal off 1 by more than
-    DIAGONAL_LIMIT.
+    Built from (variables, r, n): r is a nested sequence or ndarray that
+    _check_correlations checks and repairs into `r_rows`, tuples of floats;
+    n is the sample size, a whole number >= 3.  `p_rows` follows from r and
+    n on first read; `.r` and `.p` are read-only float64 ndarrays of the two.
     """
 
     variables: tuple
     r_rows: tuple
-    p_rows: tuple
     n: int
 
-    def __init__(self, variables, r, p, n):
+    def __init__(self, variables, r, n):
         names = tuple(str(v) for v in variables)
-        r_rows, p_rows = _square_rows(r, len(names)), _square_rows(p, len(names))
-        _check_correlations(r_rows)
         object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "r_rows", r_rows)
-        object.__setattr__(self, "p_rows", p_rows)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r_rows", _check_correlations(_square_rows(r, len(names))))
+        object.__setattr__(self, "n", _sample_size(n))
+
+    @cached_property
+    def p_rows(self):
+        k, r, n = self.k, self.r_rows, self.n
+        p = [[1.0] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(a + 1, k):
+                p[a][b] = p[b][a] = correlation_p_value(r[a][b], n)
+        return tuple(map(tuple, p))
 
     @cached_property
     def r(self):
@@ -150,42 +165,28 @@ class CorrelationMatrix:
         ]
 
 
-def _p_matrix(r, n):
-    k = len(r)
-    p = [[1.0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            p[a][b] = p[b][a] = correlation_p_value(r[a][b], n)
-    return p
-
-
 def pearson_matrix(d):
-    """Sample Pearson correlations of a dataset, with two-sided p-values."""
+    """Sample Pearson correlations of a dataset; CorrelationMatrix repairs the cells."""
     from .data import _z_scores
 
     if d.k < 2:
         raise ValueError("need at least 2 variables to correlate")
     z = _z_scores(d)
-    r = (z.T @ z) / (d.n - 1)
-    r = ((r + r.T) / 2.0).clip(-1.0, 1.0).tolist()
-    for i in range(d.k):
-        r[i][i] = 1.0
-    return CorrelationMatrix(d.variables, r, _p_matrix(r, d.n), d.n)
+    return CorrelationMatrix(d.variables, (z.T @ z) / (d.n - 1), d.n)
 
 
 def load_correlation_csv(path, n):
-    """Read a labeled square correlation matrix; p-values recomputed from n.
+    """Read a labeled square correlation matrix; p-values follow from r and n.
 
     Layout: a header row of names (optionally preceded by a blank corner
     cell), then one row per variable whose first cell repeats the name.
-    Every cell must be finite; asymmetry up to 1e-6 is repaired by
-    averaging; diagonals must be 1 within 1e-9.  A matrix whose smallest
+    The cells are checked and repaired by CorrelationMatrix, and its
+    OutOfRange, AsymmetryTooLarge and DiagonalNotOne are raised again with
+    the path in front of the message.  A matrix whose smallest
     eigenvalue is <= 0 is loaded with a DataWarning naming that eigenvalue.
     Positive definiteness is checked by a Cholesky factor; numpy's
     eigenvalues are computed only when that factor fails.
     """
-    if n < 3:
-        raise ValueError("sample size must be at least 3")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -215,15 +216,16 @@ def load_correlation_csv(path, n):
             r.append([float(c) for c in cells[1:]])
         except ValueError as exc:
             raise ParseError(f"{path}: row {i + 2}: {exc}") from None
-    _check_correlations(r, f"{path}: ")
-    r = [[1.0 if i == j else (r[i][j] + r[j][i]) / 2.0 for j in range(k)]
-         for i in range(k)]
     try:
-        numeric.cholesky(r)
+        corr = CorrelationMatrix(names, r, n)
+    except (OutOfRange, AsymmetryTooLarge, DiagonalNotOne) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    try:
+        numeric.cholesky(corr.r_rows)
     except SingularMatrix:
         import numpy as np
 
-        lam_min = float(np.linalg.eigvalsh(r)[0])
+        lam_min = float(np.linalg.eigvalsh(corr.r_rows)[0])
         if lam_min <= 0.0:
             warnings.warn(
                 f"{path}: not positive definite, smallest eigenvalue {lam_min:.3g}; "
@@ -231,7 +233,7 @@ def load_correlation_csv(path, n):
                 DataWarning,
                 stacklevel=2,
             )
-    return CorrelationMatrix(names, r, _p_matrix(r, n), int(n))
+    return corr
 
 
 def write_correlation_csv(corr, path):

@@ -244,7 +244,7 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
                 cache[key] = _fit_equation(corr, *key)
             equations[y] = cache[key]
         # every equation is fitted before coefficient_inference checks df
-        fit = coefficient_inference(FittedModel(current, equations, corr, corr.n), alpha)
+        fit = coefficient_inference(FittedModel(current, equations, corr), alpha)
         # An intermediate refit may imply psi <= 0; that must not stop the search.
         implied = _implied(fit.annotated_model())
         flagged, max_difference = _misfits(corr, implied, threshold)

@@ -46,8 +46,11 @@ class FittedModel:
     model: "PathModel"
     equations: dict  # target -> EquationFit, in causal order
     correlation: "CorrelationMatrix"
-    n: int
     alpha: float = DEFAULT_ALPHA
+
+    @property
+    def n(self):
+        return self.correlation.n
 
     def equation(self, target):
         return self.equations[target]
@@ -73,7 +76,7 @@ def fit_standardized(corr, m):
     the equation) when a parent block is not positive definite.
     """
     equations = {y: _fit_equation(corr, y, m.parents(y)) for y in _endogenous(corr, m)}
-    return FittedModel(model=m, equations=equations, correlation=corr, n=corr.n)
+    return FittedModel(model=m, equations=equations, correlation=corr)
 
 
 def coefficient_inference(fit, alpha=DEFAULT_ALPHA):

@@ -171,7 +171,7 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     if d.k >= 2:
         corr = pearson_matrix(d)
     else:  # pearson_matrix needs two columns; a lone one correlates 1 with itself
-        corr = CorrelationMatrix(d.variables, [[1.0]], [[1.0]], d.n)
+        corr = CorrelationMatrix(d.variables, [[1.0]], d.n)
     vifs = vif(corr, block)
     for name, value in vifs.items():
         if value >= VIF_FLAG:

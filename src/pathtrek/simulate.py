@@ -31,6 +31,8 @@ class SimulationSpec:
             raise ValueError("sample size must be at least 3")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        if not self.model.variables:
+            raise ValueError("model declares no variables to simulate")
         self.model.require_annotated()
 
 

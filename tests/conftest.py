@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from pathtrek.correlation import CorrelationMatrix, correlation_p_value
+from pathtrek.correlation import CorrelationMatrix
 from pathtrek.pathspec import parse_model
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "data"
@@ -72,17 +72,6 @@ REVISED_PRINTED = {
 }
 
 
-def make_corr(names, r, n):
-    """CorrelationMatrix with p-values recomputed from r and n."""
-    r = np.asarray(r, dtype=np.float64)
-    k = len(names)
-    p = np.ones((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            p[i, j] = p[j, i] = correlation_p_value(r[i, j], n)
-    return CorrelationMatrix(tuple(names), r, p, n)
-
-
 def total_effect_oracle(m):
     """Total effects via the nilpotent Neumann sum of the coefficient matrix.
 
@@ -122,7 +111,7 @@ def exact_corr_scores(target_r, n, seed):
 
 @pytest.fixture(scope="session")
 def observed_corr():
-    return make_corr(NAMES, OBSERVED_R, N_OBS)
+    return CorrelationMatrix(NAMES, OBSERVED_R, N_OBS)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ reviewer notes outside the package.  Everything else passes.
 
 import numpy as np
 
+from pathtrek.correlation import CorrelationMatrix
 from pathtrek.data import Dataset
 from pathtrek.effects import (
     assess_fit,
@@ -21,7 +22,7 @@ from pathtrek.screening import ks_normality, mahalanobis, vif
 from pathtrek.simulate import SimulationSpec, recovery_check, simulate_dataset
 from pathtrek.tracing import implied_matrix, reproduced_matrix
 
-from conftest import make_corr, total_effect_oracle
+from conftest import total_effect_oracle
 from test_tracing import random_annotated_dag
 
 
@@ -215,7 +216,7 @@ def test_criterion_10_saturated_identity():
         cov = w @ w.T + np.diag(gen.uniform(0.5, 2.0, 5))
         scale = np.sqrt(np.diag(cov))
         r = cov / np.outer(scale, scale)
-        corr = make_corr(names, r, 120)
+        corr = CorrelationMatrix(names, r, 120)
         fit = fit_standardized(corr, saturated)
         rm = reproduced_matrix(fit.annotated_model())
         worst = max(worst, float(np.abs(rm.r_hat - r).max()))

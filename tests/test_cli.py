@@ -119,6 +119,23 @@ def test_fit_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_fit_rejects_correlation_past_one(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    text = (DATA_DIR / "observed_correlations.csv").read_text(encoding="utf-8")
+    path.write_text(text.replace("0.512", "1.2"), encoding="utf-8")  # X1-Y, both cells
+    assert main(["fit", "--corr", str(path), "--n", "240", "--model", REVISED]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: correlation 1.2 outside [-1, 1]" in err
+    assert "Traceback" not in err
+
+
+def test_fit_corr_with_sample_size_zero(capsys):
+    assert main(["fit", "--corr", CORR, "--n", "0", "--model", REVISED]) == 2
+    err = capsys.readouterr().err
+    assert "sample size must be a whole number >= 3, got 0" in err
+    assert "requires --n" not in err
+
+
 def test_fit_text_and_json_agree(tmp_path):
     code, report = run_json(tmp_path, [
         "fit", "--corr", CORR, "--n", "240", "--model", REVISED,
@@ -216,6 +233,16 @@ def test_simulate_rejects_bare_model(tmp_path, capsys):
                  "--seed", "1", "--out", str(out)])
     assert code == 2
     assert "coefficient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "# no variables yet\n"])
+def test_simulate_rejects_model_without_variables(tmp_path, capsys, text):
+    model_path = tmp_path / "empty.pm"
+    model_path.write_text(text, encoding="utf-8")
+    code = main(["simulate", "--model", str(model_path), "--n", "100",
+                 "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "model declares no variables to simulate" in capsys.readouterr().err
 
 
 def test_simulated_data_refits(tmp_path, revised_refit):

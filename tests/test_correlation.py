@@ -7,17 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathtrek import correlation
 from pathtrek.correlation import (
     ASYMMETRY_LIMIT,
     DIAGONAL_LIMIT,
     CorrelationMatrix,
     StrengthLabel,
     classify_strength,
+    correlation_p_value,
     load_correlation_csv,
     pearson_matrix,
     write_correlation_csv,
 )
 from pathtrek.data import Dataset
+from pathtrek.estimation import fit_standardized
+from pathtrek.screening import screen
+from pathtrek.simulate import SimulationSpec, recovery_check
 from pathtrek.errors import (
     AsymmetryTooLarge,
     DataWarning,
@@ -27,7 +32,7 @@ from pathtrek.errors import (
     ZeroVariance,
 )
 
-from conftest import NAMES, N_OBS, OBSERVED_R, exact_corr_scores, make_corr
+from conftest import NAMES, N_OBS, OBSERVED_R, exact_corr_scores
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,36 @@ def test_pearson_matches_crossproduct_of_standardized(study_dataset):
 def test_pearson_positive_semidefinite(study_dataset):
     eigs = np.linalg.eigvalsh(pearson_matrix(study_dataset).r)
     assert eigs.min() >= -1e-8
+
+
+# ---------------------------------------------------------------------------
+# p-values follow from r and n, computed once and only when read
+
+def _count_p_value_calls(monkeypatch):
+    calls = []
+    real = correlation.correlation_p_value
+    monkeypatch.setattr(correlation, "correlation_p_value",
+                        lambda r, n: calls.append((r, n)) or real(r, n))
+    return calls
+
+
+def test_p_rows_computed_on_first_read_only(monkeypatch):
+    calls = _count_p_value_calls(monkeypatch)
+    corr = CorrelationMatrix(NAMES, OBSERVED_R, N_OBS)
+    assert calls == []
+    first = corr.p_rows
+    assert len(calls) == 5 * 4 // 2
+    assert corr.p_rows is first
+    assert len(calls) == 5 * 4 // 2
+
+
+def test_estimates_compute_no_correlation_tails(monkeypatch, study_dataset, revised_refit):
+    calls = _count_p_value_calls(monkeypatch)
+    fit_standardized(pearson_matrix(study_dataset), revised_refit.model)
+    recovery_check(SimulationSpec(model=revised_refit.annotated_model(), n=500, seed=3),
+                   tolerance=1.0)
+    screen(study_dataset, model=revised_refit.model)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +194,12 @@ def test_load_correlation_non_finite(tmp_path):
 # direct construction
 
 def _direct(r):
-    r = np.asarray(r, dtype=np.float64)
-    return CorrelationMatrix(("a", "b"), r, np.ones_like(r), 100)
+    return CorrelationMatrix(("a", "b"), r, 100)
+
+
+def _assert_symmetric_unit_diagonal(corr):
+    assert corr.r_rows[0][1] == corr.r_rows[1][0]
+    assert corr.r_rows[0][0] == corr.r_rows[1][1] == 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -170,22 +209,59 @@ def test_direct_rejects_non_finite(bad):
 
 
 def test_direct_rejects_asymmetry():
-    _direct([[1.0, 0.5], [0.5 + ASYMMETRY_LIMIT / 2, 1.0]])
+    _assert_symmetric_unit_diagonal(_direct([[1.0, 0.5], [0.5 + ASYMMETRY_LIMIT / 2, 1.0]]))
     with pytest.raises(AsymmetryTooLarge):
         _direct([[1.0, 0.5], [0.5 + 2 * ASYMMETRY_LIMIT, 1.0]])
 
 
 def test_direct_rejects_diagonal_off_one():
-    _direct([[1.0 + DIAGONAL_LIMIT / 2, 0.5], [0.5, 1.0]])
+    _assert_symmetric_unit_diagonal(_direct([[1.0 + DIAGONAL_LIMIT / 2, 0.5], [0.5, 1.0]]))
     with pytest.raises(DiagonalNotOne):
         _direct([[1.0, 0.5], [0.5, 1.0 - 2 * DIAGONAL_LIMIT]])
 
 
 def test_direct_accepts_single_variable_and_indefinite():
-    CorrelationMatrix(("a",), np.ones((1, 1)), np.ones((1, 1)), 10)
+    CorrelationMatrix(("a",), np.ones((1, 1)), 10)
     # not positive definite, as a loaded table may be: built, not rejected
     r = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-    CorrelationMatrix(("a", "b", "c"), r, np.ones((3, 3)), 10)
+    CorrelationMatrix(("a", "b", "c"), r, 10)
+
+
+def test_direct_rejects_correlation_past_one():
+    _direct([[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]])  # within classify_strength's tolerance
+    with pytest.raises(OutOfRange, match=r"correlation 1\.2 outside \[-1, 1\]"):
+        _direct([[1.0, 1.2], [1.2, 1.0]])
+
+
+def test_load_correlation_past_one(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(",a,b\na,1,-1.2\nb,-1.2,1\n", encoding="utf-8")
+    with pytest.raises(OutOfRange, match=f"{path}: correlation 1.2 outside"):
+        load_correlation_csv(path, 100)
+
+
+def _build_direct(n):
+    return CorrelationMatrix(("a", "b"), [[1.0, 0.5], [0.5, 1.0]], n)
+
+
+def _build_loaded(n, tmp_path):
+    path = tmp_path / "n.csv"
+    path.write_text(",a,b\na,1,0.5\nb,0.5,1\n", encoding="utf-8")
+    return load_correlation_csv(path, n)
+
+
+@pytest.mark.parametrize("build", ["direct", "loader"])
+@pytest.mark.parametrize("n", [3, 240, 240.0, np.int64(240), np.float64(240.0)])
+def test_sample_size_stored_as_int(build, n, tmp_path):
+    corr = _build_direct(n) if build == "direct" else _build_loaded(n, tmp_path)
+    assert corr.n == n and type(corr.n) is int
+
+
+@pytest.mark.parametrize("build", ["direct", "loader"])
+@pytest.mark.parametrize("n", [2, 0, -240, 240.5, float("nan"), float("inf"), True, "240", None])
+def test_sample_size_rejected(build, n, tmp_path):
+    with pytest.raises(ValueError, match="sample size must be a whole number >= 3"):
+        _build_direct(n) if build == "direct" else _build_loaded(n, tmp_path)
 
 
 def test_correlation_csv_roundtrip(tmp_path, observed_corr):
@@ -257,7 +333,7 @@ def unit_diagonal_matrices(draw):
 @given(unit_diagonal_matrices(), st.integers(3, 10_000))
 def test_views_are_readonly_arrays_of_the_stored_floats(r, n):
     names = tuple(f"v{i}" for i in range(len(r)))
-    corr = make_corr(names, r, n)
+    corr = CorrelationMatrix(names, r, n)
     assert all(type(x) is float for rows in (corr.r_rows, corr.p_rows)
                for row in rows for x in row)
     for view, rows in ((corr.r, corr.r_rows), (corr.p, corr.p_rows)):
@@ -265,6 +341,9 @@ def test_views_are_readonly_arrays_of_the_stored_floats(r, n):
         assert not view.flags.writeable
         assert view.tolist() == [list(row) for row in rows]
     assert corr.r is corr.r  # built once
+    k = len(r)
+    assert all(corr.p_rows[i][j] == (1.0 if i == j else correlation_p_value(float(r[i, j]), n))
+               for i in range(k) for j in range(k))
     assert corr.r.tolist() == r.tolist()
     assert corr.value(names[0], names[-1]) == r[0, -1]
     assert corr.submatrix(names[::-1]) == tuple(tuple(row) for row in r[::-1, ::-1].tolist())
@@ -274,7 +353,7 @@ def test_views_are_readonly_arrays_of_the_stored_floats(r, n):
 @given(unit_diagonal_matrices())
 def test_loader_warns_exactly_when_not_positive_definite(tmp_path_factory, r):
     path = tmp_path_factory.mktemp("pd") / "r.csv"
-    write_correlation_csv(make_corr([f"v{i}" for i in range(len(r))], r, 100), path)
+    write_correlation_csv(CorrelationMatrix([f"v{i}" for i in range(len(r))], r, 100), path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         corr = load_correlation_csv(path, 100)

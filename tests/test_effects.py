@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathtrek import effects, estimation, numeric
+from pathtrek.correlation import CorrelationMatrix
 from pathtrek.effects import (
     DEFAULT_MISFIT_THRESHOLD,
     RevisionStep,
@@ -29,7 +30,7 @@ from pathtrek.estimation import coefficient_inference, fit_standardized
 from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
 from pathtrek.tracing import _implied, implied_matrix, reproduced_matrix
 
-from conftest import make_corr, total_effect_oracle
+from conftest import total_effect_oracle
 from test_tracing import random_annotated_dag
 
 
@@ -63,7 +64,7 @@ def test_identical_matrices_fit(observed_corr):
 
 
 def test_assess_fit_variable_mismatch(observed_corr):
-    other = make_corr(("A", "B"), np.eye(2), 50)
+    other = CorrelationMatrix(("A", "B"), np.eye(2), 50)
     m = parse_model("var A\nvar B\npath A -> B : 0.2\n")
     with pytest.raises(VariableMismatch):
         assess_fit(observed_corr, reproduced_matrix(m))
@@ -220,7 +221,7 @@ def test_already_fitting_model_empty_trace():
         "var A\nvar B\nvar C\n"
         "path A -> B : 0.6\npath A -> C : 0.5\npath B -> C : 0.4\n"
     )
-    corr = make_corr(("A", "B", "C"), implied_matrix(generating).r_hat, 240)
+    corr = CorrelationMatrix(("A", "B", "C"), implied_matrix(generating).r_hat, 240)
     bare = generating.with_arrows(
         [Arrow(a.source, a.target, None) for a in generating.arrows]
     )
@@ -246,7 +247,7 @@ def test_no_admissible_revision():
     # A -> C is weak enough to drop at n=50; re-adding it would revisit the
     # starting topology, so the loop has no admissible move left.
     r = np.array([[1.0, 0.0, 0.2], [0.0, 1.0, 0.6], [0.2, 0.6, 1.0]])
-    corr = make_corr(("A", "B", "C"), r, 50)
+    corr = CorrelationMatrix(("A", "B", "C"), r, 50)
     m = parse_model("var A\nvar B\nvar C\npath A -> C\npath B -> C\n")
     with pytest.raises(NoAdmissibleRevision) as exc:
         revise_model(corr, m)
@@ -278,7 +279,7 @@ def test_revised_start_is_fixed_point(observed_corr, revised_model):
 def test_dropping_every_arrow_is_inadmissible():
     # one weak arrow at small n: the drop would leave nothing to estimate
     r = np.array([[1.0, 0.1], [0.1, 1.0]])
-    corr = make_corr(("A", "B"), r, 30)
+    corr = CorrelationMatrix(("A", "B"), r, 30)
     m = parse_model("var A\nvar B\npath A -> B\n")
     with pytest.raises(NoAdmissibleRevision, match="non-significant"):
         revise_model(corr, m)
@@ -430,7 +431,7 @@ def revision_problem(seed, k, n, noise, strength):
     r = np.clip(r + upper + upper.T, -0.95, 0.95)
     np.fill_diagonal(r, 1.0)
     shown = gen.permutation(k)
-    corr = make_corr([names[i] for i in shown], r[np.ix_(shown, shown)], n)
+    corr = CorrelationMatrix([names[i] for i in shown], r[np.ix_(shown, shown)], n)
     return corr, PathModel(names, tuple(start_arrows), {})
 
 
@@ -489,7 +490,7 @@ def test_revision_fits_every_equation_before_inference():
     names = ("A", "B", "C", "D", "P", "Q", "E")
     r = np.eye(7)
     r[4, 5] = r[5, 4] = 1.0
-    corr = make_corr(names, r, 4)
+    corr = CorrelationMatrix(names, r, 4)
     m = parse_model("".join(f"var {v}\n" for v in names) +
                     "path A -> D\npath B -> D\npath C -> D\n"
                     "path P -> E\npath Q -> E\n")

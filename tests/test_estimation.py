@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pathtrek import numeric
+from pathtrek.correlation import CorrelationMatrix
 from pathtrek.errors import (
     DegreesOfFreedomExhausted,
     SingularMatrix,
@@ -16,7 +17,7 @@ from pathtrek.errors import (
 from pathtrek.estimation import coefficient_inference, fit_standardized
 from pathtrek.pathspec import parse_model
 
-from conftest import NAMES, OBSERVED_R, make_corr
+from conftest import NAMES, OBSERVED_R
 
 
 def test_single_parent_equals_raw_correlation(revised_refit, observed_corr):
@@ -92,7 +93,7 @@ def test_single_predictor_significance(observed_corr):
 
 
 def test_degrees_of_freedom_exhausted(revised_model):
-    corr = make_corr(NAMES, OBSERVED_R, 4)  # df 2, 1, 0, 0 for X2, X3, X4, Y
+    corr = CorrelationMatrix(NAMES, OBSERVED_R, 4)  # df 2, 1, 0, 0 for X2, X3, X4, Y
     fit = fit_standardized(corr, revised_model)
     # estimates without inference where n <= |P| + 1
     assert [eq.p is None for eq in fit.equations.values()] == [False, False, True, True]
@@ -106,7 +107,7 @@ def test_exact_fit_keeps_the_sign_of_t():
     # beta of exactly 0 (C is uncorrelated with everything) gets t 0, p 1
     r = [[1.0, 0.0, 0.0, 0.6], [0.0, 1.0, 0.0, -0.8],
          [0.0, 0.0, 1.0, 0.0], [0.6, -0.8, 0.0, 1.0]]
-    corr = make_corr(("A", "B", "C", "Y"), r, 100)
+    corr = CorrelationMatrix(("A", "B", "C", "Y"), r, 100)
     m = parse_model("var A\nvar B\nvar C\nvar Y\n"
                     "path A -> Y\npath B -> Y\npath C -> Y\n")
     fit = fit_standardized(corr, m)
@@ -138,7 +139,7 @@ def test_singular_parent_block():
         [1.0, 1.0, 0.5],
         [0.5, 0.5, 1.0],
     ])
-    corr = make_corr(("A", "B", "C"), r, 50)
+    corr = CorrelationMatrix(("A", "B", "C"), r, 50)
     m = parse_model("var A\nvar B\nvar C\npath A -> C\npath B -> C\n")
     with pytest.raises(SingularMatrix, match="C"):
         fit_standardized(corr, m)
@@ -164,7 +165,7 @@ def test_r_squared_in_range_random_pd_matrices(revised_model):
         cov = w @ w.T + np.diag(gen.uniform(0.5, 2.0, 5))
         d = np.sqrt(np.diag(cov))
         r = cov / np.outer(d, d)
-        corr = make_corr(NAMES, r, 200)
+        corr = CorrelationMatrix(NAMES, r, 200)
         fit = fit_standardized(corr, revised_model)
         for eq in fit.equations.values():
             assert 0.0 <= eq.r_squared <= 1.0

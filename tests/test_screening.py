@@ -7,7 +7,7 @@ from pathtrek import numeric, rng
 from pathtrek.data import Dataset, standardize
 from pathtrek.errors import SingularCovariance, VariableMissing, ZeroVariance
 from pathtrek.estimation import fit_standardized
-from pathtrek.correlation import pearson_matrix
+from pathtrek.correlation import CorrelationMatrix, pearson_matrix
 from pathtrek.pathspec import parse_model
 from pathtrek.screening import (
     ks_normality,
@@ -18,7 +18,7 @@ from pathtrek.screening import (
 )
 from pathtrek.simulate import SimulationSpec, simulate_dataset
 
-from conftest import NAMES, OBSERVED_R, exact_corr_scores, make_corr
+from conftest import NAMES, OBSERVED_R, exact_corr_scores
 
 
 def normal_ppf(q):
@@ -171,7 +171,7 @@ def test_ks_too_few_points():
 # VIF
 
 def test_vif_orthogonal_predictors():
-    corr = make_corr(("a", "b", "c"), np.eye(3), 100)
+    corr = CorrelationMatrix(("a", "b", "c"), np.eye(3), 100)
     assert vif(corr, ("a", "b", "c")) == {"a": 1.0, "b": 1.0, "c": 1.0}
 
 
@@ -186,7 +186,7 @@ def test_vif_study_block(observed_corr):
 
 def test_vif_near_collinear_pair():
     r = np.array([[1.0, 0.999], [0.999, 1.0]])
-    corr = make_corr(("a", "b"), r, 100)
+    corr = CorrelationMatrix(("a", "b"), r, 100)
     got = vif(corr, ("a", "b"))
     assert got["a"] == pytest.approx(1.0 / (1.0 - 0.999 ** 2), rel=1e-9)
     assert got["a"] > 10.0
@@ -198,7 +198,7 @@ def test_vif_at_least_one_random_blocks():
         w = gen.uniform(-1, 1, (4, 6))
         cov = w @ w.T + np.diag(gen.uniform(0.5, 2.0, 4))
         dd = np.sqrt(np.diag(cov))
-        corr = make_corr(("a", "b", "c", "d"), cov / np.outer(dd, dd), 100)
+        corr = CorrelationMatrix(("a", "b", "c", "d"), cov / np.outer(dd, dd), 100)
         for value in vif(corr, ("a", "b", "c", "d")).values():
             assert value >= 1.0 - 1e-9
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathtrek.correlation import CorrelationMatrix
 from pathtrek.effects import decompose_effects
 from pathtrek.errors import (
     MissingCoefficient,
@@ -25,7 +26,7 @@ from pathtrek.tracing import (
     reproduced_matrix,
 )
 
-from conftest import NAMES, make_corr
+from conftest import NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,7 @@ def test_saturated_model_reproduces_any_pd_matrix():
         cov = w @ w.T + np.diag(gen.uniform(0.5, 2.0, 5))
         d = np.sqrt(np.diag(cov))
         r = cov / np.outer(d, d)
-        corr = make_corr(names, r, 100)
+        corr = CorrelationMatrix(names, r, 100)
         fit = fit_standardized(corr, saturated)
         rm = reproduced_matrix(fit.annotated_model())
         assert np.abs(rm.r_hat - r).max() <= 1e-9
