@@ -20,9 +20,6 @@ from pathtrek.correlation import (
     write_correlation_csv,
 )
 from pathtrek.data import Dataset
-from pathtrek.estimation import fit_standardized
-from pathtrek.screening import screen
-from pathtrek.simulate import SimulationSpec, recovery_check
 from pathtrek.errors import (
     AsymmetryTooLarge,
     DataWarning,
@@ -31,6 +28,9 @@ from pathtrek.errors import (
     OutOfRange,
     ZeroVariance,
 )
+from pathtrek.estimation import fit_standardized
+from pathtrek.screening import screen
+from pathtrek.simulate import SimulationSpec, recovery_check
 
 from conftest import NAMES, N_OBS, OBSERVED_R, exact_corr_scores
 
@@ -228,7 +228,8 @@ def test_direct_accepts_single_variable_and_indefinite():
 
 
 def test_direct_rejects_correlation_past_one():
-    _direct([[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]])  # within classify_strength's tolerance
+    # within classify_strength's tolerance, and clipped to 1
+    assert _direct([[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]]).value("a", "b") == 1.0
     with pytest.raises(OutOfRange, match=r"correlation 1\.2 outside \[-1, 1\]"):
         _direct([[1.0, 1.2], [1.2, 1.0]])
 
