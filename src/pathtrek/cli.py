@@ -30,8 +30,9 @@ from .effects import (
 )
 from .errors import NoAdmissibleRevision, NonPositiveResidualVariance, PathtrekError
 from .estimation import coefficient_inference, fit_standardized
+from .files import file_digest, open_output
 from .pathspec import load_model, render_model
-from .report import Report, file_digest
+from .report import Report
 from .tracing import _implied, reproduced_matrix, write_treks_csv
 
 EXIT_OK = 0
@@ -137,7 +138,7 @@ def _load_inputs(args, parser):
 def _emit(report, args):
     text = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -164,7 +165,7 @@ def _cmd_screen(args, parser):
         warnings=load_warnings + result.warnings,
     )
     if args.residuals_csv:
-        with open(args.residuals_csv, "w", newline="", encoding="utf-8") as fh:
+        with open_output(args.residuals_csv) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["equation", "fitted", "std_residual"])
             for target, pts in result.residual_points.items():
@@ -261,7 +262,7 @@ def _cmd_revise(args, parser):
         warnings=load_warnings,
     )
     if args.out_model:
-        with open(args.out_model, "w", encoding="utf-8") as fh:
+        with open_output(args.out_model) as fh:
             fh.write(render_model(annotated))
     if args.trace_csv:
         write_revision_csv(trace, args.trace_csv)

@@ -18,6 +18,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
 )
+from .files import open_output
 
 ASYMMETRY_LIMIT = 1e-6
 DIAGONAL_LIMIT = 1e-9
@@ -238,7 +239,7 @@ def load_correlation_csv(path, n):
 
 def write_correlation_csv(corr, path):
     """Write a correlation matrix in the format load_correlation_csv reads."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([""] + list(corr.variables))
         for i, name in enumerate(corr.variables):

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataWarning, ParseError, TooFewRows, ZeroVariance
+from .files import open_output
 
 SD_FLOOR = 1e-12
 WRITE_BLOCK_CELLS = 8192  # values write_csv formats per string
@@ -177,7 +178,7 @@ def write_csv(d, path):
     small whatever the number of columns.
     """
     step = max(1, WRITE_BLOCK_CELLS // d.k)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         csv.writer(fh, lineterminator="\n").writerow(d.variables)
         for start in range(0, d.n, step):
             block = repr(d.rows[start:start + step].tolist())

@@ -7,6 +7,7 @@ from typing import Optional
 
 from .errors import NoAdmissibleRevision, VariableMismatch
 from .estimation import FittedModel, _endogenous, _fit_equation, coefficient_inference
+from .files import open_output
 from .pathspec import Arrow, topological_order
 from .tracing import _implied
 
@@ -184,7 +185,7 @@ def write_effects_csv(table, path):
     """Export the effects table: outcome, determinant, direct, indirect, total."""
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["outcome", "determinant", "direct", "indirect", "total"])
         for r in table.rows:
@@ -196,7 +197,7 @@ def write_revision_csv(trace, path):
     """Export the revision trace, one row per step."""
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "action", "arrows", "reason",
                          "misfit_count", "max_difference"])

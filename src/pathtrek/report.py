@@ -6,7 +6,6 @@ A Report is built once from analysis results and rendered two ways: text
 Both views read the same stored numbers.
 """
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,14 +31,6 @@ def stars(p):
     if p < 0.05:
         return "*"
     return ""
-
-
-def file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @dataclass

@@ -27,6 +27,7 @@ from .errors import (
     TooManyVariables,
     VariableMissing,
 )
+from .files import open_output
 from .numeric import float_rows, readonly_array
 from .pathspec import topological_order
 
@@ -214,7 +215,7 @@ def write_treks_csv(reproduced, path):
     """Export every enumerated trek: pair, node sequence, class, product."""
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["pair", "sequence", "classification", "product"])
         for (a, b), treks in reproduced.treks.items():
