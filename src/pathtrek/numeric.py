@@ -1,9 +1,17 @@
-"""Scalar special functions and the one dense factorization.
+"""Special functions and the one dense factorization.
 
-The tail probabilities are scalar code over the C library's lgamma, erfc,
-exp and log (via math): the normal tail is erfc, the chi-squared tail a
-finite sum for its integer df, the t tail a continued fraction for the
-incomplete beta, and the Kolmogorov tail a theta series.  Every matrix
+The tail probabilities are built on the C library's lgamma, erfc, exp and
+log (via math): the normal tail is erfc, the chi-squared tail a finite sum
+for its integer df, the t tail a continued fraction for the incomplete
+beta, and the Kolmogorov tail a theta series.  Screening evaluates the
+normal and chi-squared tails over whole columns: `normal_cdf_array` and
+`chisq_sf_array` do the correctly rounded steps (abs, division, products,
+sums, sqrt, min, sign branch) in numpy and map libm's erfc, exp and log
+from math over the elements, since numpy's SIMD kernels may differ from
+libm in the last bit.  They are the only definitions: the scalar
+`normal_cdf` and `chisq_sf` call them, and equal the scalar loops in
+tests/test_numeric.py byte for byte.  numpy loads on their first use, so
+code that needs only the t tail does not import it.  Every matrix
 factored is a symmetric correlation block of order <= ~20, so one Cholesky
 factor in plain floats serves every solve, inverse diagonal, quadratic
 form and positive-definiteness check, and results are deterministic;
@@ -153,42 +161,70 @@ def _log_gamma_ratio_half(a):
 # ---------------------------------------------------------------------------
 # Tail probabilities.
 
-def normal_cdf(z):
-    """Standard normal CDF.
+def _libm(f, a):
+    """f from math over every element of the ndarray a, as a float64 ndarray."""
+    import numpy as np
+
+    return np.fromiter(map(f, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+
+
+def normal_cdf_array(z):
+    """Standard normal CDF of every element of z, as a float64 ndarray.
 
     Built on the half tail 0.5 * erfc(|z| / sqrt(2)) so that
-    normal_cdf(z) + normal_cdf(-z) == 1 holds by construction.
+    Phi(z) + Phi(-z) == 1 holds by construction.  Raises ValueError when
+    an element is not finite.
     """
-    if not math.isfinite(z):
+    import numpy as np
+
+    z = np.asarray(z, dtype=np.float64)
+    if not np.isfinite(z).all():
         raise ValueError("normal_cdf requires finite z")
-    half_tail = 0.5 * math.erfc(abs(z) / math.sqrt(2.0))
-    return half_tail if z < 0.0 else 1.0 - half_tail
+    half_tail = 0.5 * _libm(math.erfc, np.abs(z) / math.sqrt(2.0))
+    return np.where(z < 0.0, half_tail, 1.0 - half_tail)
 
 
-def chisq_sf(x, df):
-    """Upper tail of the chi-squared distribution with df degrees of freedom.
+def normal_cdf(z):
+    """Standard normal CDF at one z (see normal_cdf_array)."""
+    return float(normal_cdf_array(z))
+
+
+def chisq_sf_array(x, df):
+    """Chi-squared upper tail with df degrees of freedom at every element of x.
 
     For integer df the tail is a finite sum (Abramowitz & Stegun 1964,
     26.4): with h = x/2, sum_{j < df/2} e^-h h^j / j! for even df, and
     erfc(sqrt(h)) + sum_{j < (df-1)/2} e^-h h^(j+1/2) / Gamma(j + 3/2) for
     odd df.  Each term is exp(a log h - h - lgamma(a + 1)), so none
-    underflows before it is added.
+    underflows before it is added.  The limits are taken where h = 0 (x = 0,
+    or a subnormal x whose half underflows) and where x = inf.  Returns a
+    float64 ndarray; raises ValueError for an element below 0 or NaN.
     """
+    import numpy as np
+
     if df < 1 or int(df) != df:
         raise ValueError("df must be a positive integer")
-    if x < 0.0:
-        raise ValueError("chisq_sf requires x >= 0")
-    if x == 0.0:
-        return 1.0
+    x = np.asarray(x, dtype=np.float64)
+    if not (x >= 0.0).all():
+        raise ValueError("chisq_sf requires x >= 0, not NaN")
     df = int(df)
     h = 0.5 * x
-    log_h = math.log(h)
+    out = np.where(h == 0.0, 1.0, 0.0)
+    inside = (h > 0.0) & (h < math.inf)
+    h = h[inside]
+    log_h = _libm(math.log, h)
     odd = df % 2
-    total = math.erfc(math.sqrt(h)) if odd else 0.0
+    total = _libm(math.erfc, np.sqrt(h)) if odd else np.zeros_like(h)
     for j in range(df // 2):
         a = j + 0.5 * odd
-        total += math.exp(a * log_h - h - math.lgamma(a + 1.0))
-    return min(1.0, total)
+        total += _libm(math.exp, a * log_h - h - math.lgamma(a + 1.0))
+    out[inside] = np.minimum(1.0, total)
+    return out
+
+
+def chisq_sf(x, df):
+    """Chi-squared upper tail at one x (see chisq_sf_array)."""
+    return float(chisq_sf_array(x, df))
 
 
 def t_sf_two_sided(t, df):
@@ -226,8 +262,8 @@ def kolmogorov_sf(d_scaled):
     exp(-(2j-1)^2 pi^2 / (8 lambda^2)) (Marsaglia, Tsang & Wang 2003).
     Either sum is cut off once terms drop below 1e-12; clamped to [0, 1].
     """
-    if d_scaled < 0.0:
-        raise ValueError("kolmogorov_sf requires d_scaled >= 0")
+    if not d_scaled >= 0.0:
+        raise ValueError("kolmogorov_sf requires d_scaled >= 0, not NaN")
     lam2 = d_scaled * d_scaled
     if lam2 < 1e-12:
         return 1.0

@@ -5,6 +5,11 @@ The Kolmogorov-Smirnov test runs with plug-in (estimated) mean and sd, as
 statistical packages conventionally do; that makes its p-values
 anti-conservative for the normality question, which every report carries as
 a caveat rather than silently correcting.
+
+The per-row tails (the chi-squared p of every Mahalanobis distance, the
+normal CDF at every sorted score of a column) are evaluated over whole
+columns by numeric's array forms, which leave the elementwise erfc, exp and
+log to libm; the results equal per-value calls bit for bit.
 """
 
 import math
@@ -38,9 +43,10 @@ def mahalanobis(d):
     D2 = z' R^-1 z = |W z|^2 over the standardized rows z and their
     correlation matrix R = L L^T, W = L^-1: the same statistic as the
     covariance form, computed on a matrix free of the data's units.
-    p is the chi-squared upper tail at df = k.  Raises ZeroVariance for a
-    constant column and SingularCovariance for collinear columns.  Returns
-    (row_index, D2, p) triples sorted by descending D2.
+    p is the chi-squared upper tail at df = k, taken over the whole D2
+    column at once.  Raises ZeroVariance for a constant column and
+    SingularCovariance for collinear columns.  Returns (row_index, D2, p)
+    triples sorted by descending D2, equal D2 in ascending row order.
     """
     if d.n <= d.k:
         raise ValueError(f"need n > k, got n={d.n}, k={d.k}")
@@ -50,9 +56,9 @@ def mahalanobis(d):
     except SingularMatrix as exc:
         raise SingularCovariance(str(exc)) from exc
     d2 = ((z @ w.T) ** 2).sum(axis=1)
-    triples = [(i, v, numeric.chisq_sf(v, d.k)) for i, v in enumerate(d2.tolist())]
-    triples.sort(key=lambda t: (-t[1], t[0]))
-    return triples
+    p = numeric.chisq_sf_array(d2, d.k)
+    order = np.argsort(-d2, kind="stable")
+    return list(zip(order.tolist(), d2[order].tolist(), p[order].tolist()))
 
 
 def ks_normality(column, alpha=0.05):
@@ -70,7 +76,7 @@ def ks_normality(column, alpha=0.05):
     if sd < 1e-12:
         raise ZeroVariance("(column)")
     z = (x - x.mean()) / sd
-    cdf = np.array(list(map(numeric.normal_cdf, z.tolist())))
+    cdf = numeric.normal_cdf_array(z)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     d_stat = float(max(upper.max(), lower.max()))

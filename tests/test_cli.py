@@ -294,6 +294,30 @@ def test_screen_residuals_export(tmp_path):
     assert len(lines) == 1 + 4 * 240
 
 
+SCREEN_SHA256 = "442d97f98a708f3ae481c366eb24216ea5454f535ac1a7abd7e20bbcc5fd406d"
+
+
+def test_screen_json_pinned(tmp_path, revised_refit):
+    # a seeded 5000-row draw of the revised model, screened with that model:
+    # the flagged rows with their D2 and p, the KS statistics and verdicts,
+    # the VIFs, summaries and warnings are pinned byte for byte (only the
+    # screening section: the inputs section holds the temporary paths)
+    import hashlib
+
+    model_path = tmp_path / "annotated.pm"
+    model_path.write_text(render_model(revised_refit.annotated_model()),
+                          encoding="utf-8")
+    data_path = tmp_path / "sim.csv"
+    assert main(["simulate", "--model", str(model_path), "--n", "5000",
+                 "--seed", "16", "--out", str(data_path)]) == 0
+    code, report = run_json(tmp_path, [
+        "screen", "--data", str(data_path), "--model", REVISED,
+    ])
+    assert code == 0
+    screening = json.dumps(report["screening"], sort_keys=True).encode()
+    assert hashlib.sha256(screening).hexdigest() == SCREEN_SHA256
+
+
 def test_screen_tiny_units(tmp_path, capsys):
     # the study scores in units of 1e-7: same screening, no singular pivot
     d = load_csv(SCORES)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathtrek import numeric
@@ -20,7 +20,7 @@ from pathtrek.errors import NoConvergence, PathtrekError, SingularMatrix
 
 # Absolute floor for the scipy comparisons, so that their rel= tolerances
 # hold for tails far below pytest's default abs=1e-12.  It is not 0: at
-# df = 1000, x = 3763.6 chisq_sf returns the subnormal 3.159e-315, as mpmath
+# df = 1000, x = 3763.6 chisq_sf returns the subnormal 3.185e-315, as mpmath
 # does, and scipy flushes it to 0.
 ABS_FLOOR = 1e-300
 
@@ -65,6 +65,31 @@ def kolmogorov_theta_dual(lam):
     for j in range(1, 200):
         total += math.exp(-((2 * j - 1) ** 2) * math.pi ** 2 / (8.0 * lam * lam))
     return 1.0 - math.sqrt(2.0 * math.pi) / lam * total
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference loops for the array tails: the same libm calls and the
+# same IEEE steps, one value at a time.  The array forms must equal them
+# bit for bit.
+
+def reference_normal_cdf(z):
+    if not math.isfinite(z):
+        raise ValueError("normal_cdf requires finite z")
+    half_tail = 0.5 * math.erfc(abs(z) / math.sqrt(2.0))
+    return half_tail if z < 0.0 else 1.0 - half_tail
+
+
+def reference_chisq_sf(x, df):
+    if x == 0.0:
+        return 1.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    odd = df % 2
+    total = math.erfc(math.sqrt(h)) if odd else 0.0
+    for j in range(df // 2):
+        a = j + 0.5 * odd
+        total += math.exp(a * log_h - h - math.lgamma(a + 1.0))
+    return min(1.0, total)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +205,22 @@ def test_normal_cdf_range():
         assert 0.0 <= numeric.normal_cdf(z) <= 1.0
 
 
+@given(st.lists(st.one_of(st.floats(-40.0, 40.0), st.sampled_from([0.0, -0.0])),
+                max_size=40))
+def test_normal_cdf_array_equals_scalar_reference(zs):
+    expected = [reference_normal_cdf(z) for z in zs]
+    assert numeric.normal_cdf_array(zs).tolist() == expected
+    assert [numeric.normal_cdf(z) for z in zs] == expected
+
+
+def test_normal_cdf_rejects_non_finite():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            numeric.normal_cdf(bad)
+        with pytest.raises(ValueError, match="finite"):
+            numeric.normal_cdf_array([0.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # t_sf_two_sided
 
@@ -273,6 +314,54 @@ def test_chisq_sf_validates():
         numeric.chisq_sf(1.0, 0)
 
 
+# x on the tail's whole domain: zeros of both signs, subnormals whose half
+# is still nonzero, tiny and large values, and the range around df
+SPECIAL_X = (0.0, -0.0, 1e-323, 2.2250738585072014e-308, 1e-300,
+             700.0, 1500.0, 3763.6)
+
+
+@st.composite
+def chisq_cases(draw):
+    df = draw(st.sampled_from(list(range(1, 31)) + [1000]))
+    xs = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_X),
+                                 st.floats(0.5 * df, 2.0 * df),
+                                 st.floats(0.0, 4000.0),
+                                 st.floats(0.0, 1e-300)), max_size=40))
+    # the reference fails where x/2 underflows to 0 (see the subnormal test)
+    return df, [x for x in xs if x == 0.0 or 0.5 * x > 0.0]
+
+
+@given(chisq_cases())
+@example((1000, [3763.6, 700.0, 1000.0, 1500.0, 0.0, 1e-300]))
+@example((7, [-0.0, 1e-323, 7.0, 700.0, 1500.0]))
+def test_chisq_sf_array_equals_scalar_reference(case):
+    df, xs = case
+    expected = [reference_chisq_sf(x, df) for x in xs]
+    assert numeric.chisq_sf_array(xs, df).tolist() == expected
+    assert [numeric.chisq_sf(x, df) for x in xs] == expected
+
+
+@pytest.mark.parametrize("df", [1, 2, 7])
+def test_chisq_sf_subnormal_x_is_one(df):
+    # x/2 underflows to 0, where the tail is 1, without taking log(0)
+    assert numeric.chisq_sf(5e-324, df) == 1.0
+    assert numeric.chisq_sf_array([5e-324, 0.0], df).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("df", [2, 3, 8])
+def test_chisq_sf_infinite_x_is_zero(df):
+    # 0 * log(inf) is NaN in the first term; the limit is 0
+    assert numeric.chisq_sf(math.inf, df) == 0.0
+    assert numeric.chisq_sf_array([math.inf, 1.0], df)[0] == 0.0
+
+
+def test_chisq_sf_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        numeric.chisq_sf(math.nan, 3)
+    with pytest.raises(ValueError, match="NaN"):
+        numeric.chisq_sf_array([1.0, math.nan], 4)
+
+
 # ---------------------------------------------------------------------------
 # kolmogorov_sf
 
@@ -300,6 +389,11 @@ def test_kolmogorov_matches_scipy():
         assert numeric.kolmogorov_sf(float(lam)) == pytest.approx(
             float(special.kolmogorov(lam)), rel=1e-12, abs=1e-15
         )
+
+
+def test_kolmogorov_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        numeric.kolmogorov_sf(math.nan)
 
 
 def test_kolmogorov_monotone_and_bounded():

@@ -1,5 +1,7 @@
 """Outlier distances, KS normality, VIF, and residual diagnostics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,24 @@ def test_mahalanobis_sorted_descending_with_p():
     assert d2 == sorted(d2, reverse=True)
     for _, dist, p in triples:
         assert p == pytest.approx(numeric.chisq_sf(dist, 2), abs=1e-15)
+
+
+def test_mahalanobis_ties_keep_row_order():
+    # rows 3, 7 and 12 repeat row 0 and row 9 repeats row 5: equal D2 keep
+    # ascending row order, in mahalanobis and in the report's distances
+    gen = np.random.default_rng(56)
+    rows = gen.normal(size=(20, 3))
+    rows[[3, 7, 12]] = rows[0]
+    rows[9] = rows[5]
+    d = Dataset(("a", "b", "c"), rows)
+    triples = mahalanobis(d)
+    order = [t[0] for t in triples]
+    for group in ([0, 3, 7, 12], [5, 9]):
+        at = order.index(group[0])
+        assert order[at:at + len(group)] == group
+        assert len({t[1] for t in triples[at:at + len(group)]}) == 1
+    assert triples == sorted(triples, key=lambda t: (-t[1], t[0]))
+    assert screen(d).distances == triples
 
 
 def test_mahalanobis_duplicated_column():
@@ -278,6 +298,18 @@ def test_screen_flags_injected_outlier():
     assert report.outliers[0][0] == 7
     assert report.distances[0][0] == 7
     assert any("outlier" in w for w in report.warnings)
+
+
+# sha256 of repr((distances, normality)) for a seeded 5000-row draw of the
+# revised model: every D2, tail probability and KS statistic, byte for byte
+SCREEN_DISTANCES_SHA256 = "c124bfaa2932ab222567b86999ac003d0f7e82f3481f685cf6e71c4986c1b27f"
+
+
+def test_screen_distances_pinned(revised_refit):
+    spec = SimulationSpec(model=revised_refit.annotated_model(), n=5000, seed=16)
+    report = screen(simulate_dataset(spec))
+    digest = repr((report.distances, report.normality)).encode()
+    assert hashlib.sha256(digest).hexdigest() == SCREEN_DISTANCES_SHA256
 
 
 def test_screen_one_column():
