@@ -22,6 +22,9 @@ from .files import open_output
 
 ASYMMETRY_LIMIT = 1e-6
 DIAGONAL_LIMIT = 1e-9
+# A Cholesky-certified lower bound on the smallest eigenvalue above this
+# is far past the rounding of numpy's eigvalsh, so it settles the sign.
+PD_MARGIN = 1e-8
 
 
 class StrengthLabel(enum.Enum):
@@ -185,8 +188,11 @@ def load_correlation_csv(path, n):
     OutOfRange, AsymmetryTooLarge and DiagonalNotOne are raised again with
     the path in front of the message.  A matrix whose smallest
     eigenvalue is <= 0 is loaded with a DataWarning naming that eigenvalue.
-    Positive definiteness is checked by a Cholesky factor; numpy's
-    eigenvalues are computed only when that factor fails.
+    Positive definiteness is first checked without numpy: the inverse
+    Cholesky factor W (R^-1 = W^T W) gives 1/|W|_F^2 as a lower bound on
+    the smallest eigenvalue.  numpy's eigenvalues decide only when the
+    factor fails or that bound is below PD_MARGIN, where a successful
+    factor does not rule out an eigenvalue that rounds to <= 0.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -222,8 +228,11 @@ def load_correlation_csv(path, n):
     except (OutOfRange, AsymmetryTooLarge, DiagonalNotOne) as exc:
         raise type(exc)(f"{path}: {exc}") from None
     try:
-        numeric.cholesky(corr.r_rows)
+        w = numeric.inverse_factor(corr.r_rows)
+        inverse_norm2 = sum(x * x for row in w for x in row)
     except SingularMatrix:
+        inverse_norm2 = math.inf
+    if inverse_norm2 * PD_MARGIN >= 1.0:
         import numpy as np
 
         lam_min = float(np.linalg.eigvalsh(corr.r_rows)[0])

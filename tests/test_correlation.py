@@ -363,3 +363,31 @@ def test_loader_warns_exactly_when_not_positive_definite(tmp_path_factory, r):
     assert len(warned) == (1 if lam_min <= 0.0 else 0)
     if warned:
         assert f"smallest eigenvalue {lam_min:.3g};" in str(warned[0].message)
+
+
+def test_loader_warns_on_rank_deficient_matrix_whose_factor_passes(tmp_path):
+    # A Gram matrix of six unit vectors in five dimensions: its last Cholesky
+    # pivot is 1.6e-12, just above the floor, while eigvalsh gives -8e-17.
+    cells = [
+        [1.0, 0.479139669900539, -0.42817857529054626, 0.2, -0.24673499275915822,
+         0.487869376909045],
+        [0.479139669900539, 1.0, 0.18590177250451573, 0.15632946856924362,
+         -0.08266894415264381, 0.0],
+        [-0.42817857529054626, 0.18590177250451573, 1.0, -0.13924059067931643,
+         -0.6375560502887369, 0.1895182592959327],
+        [0.2, 0.15632946856924362, -0.13924059067931643, 1.0, 0.052361766952104344,
+         0.4472135954999579],
+        [-0.24673499275915822, -0.08266894415264381, -0.6375560502887369,
+         0.052361766952104344, 1.0, -0.770806096318806],
+        [0.487869376909045, 0.0, 0.1895182592959327, 0.4472135954999579,
+         -0.770806096318806, 1.0],
+    ]
+    path = tmp_path / "r.csv"
+    write_correlation_csv(CorrelationMatrix([f"v{i}" for i in range(6)], cells, 100), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        corr = load_correlation_csv(path, 100)
+    lam_min = np.linalg.eigvalsh(corr.r)[0]
+    warned = [w for w in caught if issubclass(w.category, DataWarning)]
+    assert lam_min <= 0.0 and len(warned) == 1
+    assert f"smallest eigenvalue {lam_min:.3g};" in str(warned[0].message)
