@@ -22,8 +22,8 @@ import warnings as _warnings
 from . import __version__
 from .correlation import load_correlation_csv, pearson_matrix
 from .effects import (
+    _effects_table,
     assess_fit,
-    decompose_effects,
     revise_model,
     write_effects_csv,
     write_revision_csv,
@@ -119,6 +119,8 @@ def _load_inputs(args, parser):
         parser.error("exactly one of --data or --corr is required")
     if args.corr and args.n is None:
         parser.error("--corr requires --n")
+    if args.data and args.n is not None:
+        parser.error("--n applies only to --corr")
     inputs = {}
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
@@ -199,7 +201,7 @@ def _analyze(corr, model, alpha, misfit):
     traced = model if model.is_annotated else fitted.annotated_model()
     reproduced = _implied(traced)
     fit = assess_fit(corr, reproduced, misfit)
-    effects = decompose_effects(traced)
+    effects = _effects_table(traced, reproduced)
     notes = []
     if model.is_annotated:
         notes.append("traced the model file's own coefficients (fully annotated input); "
@@ -248,16 +250,15 @@ def _cmd_revise(args, parser):
         exit_code = EXIT_REVISION
     final = trace.final_fit
     annotated = final.annotated_model()
-    reproduced = _implied(annotated)
-    load_warnings.extend(_psi_warnings(reproduced))
+    load_warnings.extend(_psi_warnings(trace.final_implied))
     report = Report(
         command="revise",
         inputs=inputs,
         correlations=corr,
         fitted=final,
-        reproduced=reproduced,
+        reproduced=trace.final_implied,
         fit=trace.final_assessment,
-        effects=decompose_effects(annotated),
+        effects=_effects_table(annotated, trace.final_implied),
         revision=trace,
         warnings=load_warnings,
     )

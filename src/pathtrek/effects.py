@@ -1,5 +1,5 @@
-"""Model fit against observed correlations, causal-effect decomposition,
-and the drop/add revision loop.
+"""Model fit against observed correlations, causal effects read off the
+structural recursion in `tracing`, and the drop/add revision loop.
 """
 
 from dataclasses import dataclass, field
@@ -127,29 +127,26 @@ def decompose_effects(m):
     order; R² per outcome is the variance its equation explains under the
     model-implied correlations (1 - psi, above 1 when the coefficients imply
     psi <= 0; callers that need psi > 0 use implied_matrix).  Total effects
-    are the rows of (I-B)⁻¹, solved by forward substitution in causal order
+    are the rows of (I-B)⁻¹ from the recursion that builds r_hat and psi
     (exactly 0.0 where no directed path exists); indirect = total - direct.
     """
-    implied = _implied(m)
+    return _effects_table(m, _implied(m))
+
+
+def _effects_table(m, implied):
+    """decompose_effects of m from its already built _implied(m)."""
     order = topological_order(m)
-    reach = {}  # v -> row v of (I-B)⁻¹: the total effect on v of each variable
-    for v in order:
-        row = [0.0] * m.k
-        row[m.index(v)] = 1.0
-        for p in m.parents(v):
-            b = m.coefficient(p, v)
-            row = [x + b * y for x, y in zip(row, reach[p])]
-        reach[v] = row
     rows = []
     for outcome in reversed(order):
         if not m.parents(outcome):
             continue
+        total = implied.total[m.index(outcome)]
         for det in order:
             if det == outcome:
                 continue
             arrow = m.arrow(det, outcome)
             direct = arrow.coefficient if arrow else 0.0
-            indirect = reach[outcome][m.index(det)] - direct
+            indirect = total[m.index(det)] - direct
             if arrow is None and indirect == 0.0:
                 continue
             rows.append(EffectRow(outcome, det, direct, indirect))
@@ -177,6 +174,7 @@ class RevisionTrace:
     final_model: Optional["PathModel"] = None
     final_fit: Optional["FittedModel"] = None
     final_assessment: Optional[FitAssessment] = None
+    final_implied: Optional["ReproducedMatrix"] = None  # r_hat, psi, (I-B)⁻¹
     iterations: int = 0
     converged: bool = False
 
@@ -255,6 +253,7 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
         trace.final_model = model
         trace.final_fit = fit
         trace.final_assessment = assess_fit(corr, implied, threshold)
+        trace.final_implied = implied
         return trace
 
     fit, implied, flagged, max_difference = refit(model)

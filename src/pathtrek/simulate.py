@@ -15,7 +15,7 @@ from . import rng
 from .data import Dataset
 from .errors import VariableMissing
 from .estimation import fit_standardized
-from .correlation import pearson_matrix
+from .correlation import _sample_size, pearson_matrix
 from .pathspec import topological_order
 from .tracing import implied_matrix
 
@@ -27,10 +27,10 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("sample size must be at least 3")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "n", _sample_size(self.n))
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < 1 << 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not self.model.variables:
             raise ValueError("model declares no variables to simulate")
         self.model.require_annotated()

@@ -8,9 +8,9 @@ product contributes to the model-implied correlation of the endpoint pair:
   * indirect - two or more along-arrow steps, none against
   * spurious - at least one against-arrow step (shared-cause component)
 
-Model-implied correlations are computed by the structural recursion
-Sigma = (I-B)^-1 Psi (I-B)^-T in causal order (`implied_matrix`), in O(k^3)
-over lists of floats.
+Sigma = (I-B)^-1 Psi (I-B)^-T, Psi and the rows of (I-B)^-1 (the total
+effects) come from one structural recursion in causal order (`_implied`),
+O(k^3) over lists of floats.
 Treks are enumerated only to explain a decomposition and for the trek export:
 `reproduced_matrix` sums them exhaustively, which the trek rule makes equal
 to the recursion, and serves as its cross-check.  Enumeration grows
@@ -72,12 +72,14 @@ class ReproducedMatrix:
     r_hat_rows: tuple
     treks: dict  # (earlier, later) -> tuple of Trek; empty for implied route
     psi: Optional[dict] = None  # residual variances, implied route only
+    total: Optional[list] = None  # rows of (I-B)⁻¹ by variable, implied only
 
-    def __init__(self, variables, r_hat, treks, psi=None):
+    def __init__(self, variables, r_hat, treks, psi=None, total=None):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "r_hat_rows", float_rows(r_hat))
         object.__setattr__(self, "treks", treks)
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "total", total)
 
     @cached_property
     def r_hat(self):
@@ -118,10 +120,6 @@ def enumerate_treks(m, i, j):
     pos = {v: idx for idx, v in enumerate(order)}
     start, goal = (i, j) if pos[i] < pos[j] else (j, i)
     goal_pos = pos[goal]
-
-    parents = {v: sorted(m.parents(v), key=pos.get) for v in m.variables}
-    children = {v: sorted(m.children(v), key=pos.get) for v in m.variables}
-
     out = []
     visited = 0
 
@@ -133,13 +131,12 @@ def enumerate_treks(m, i, j):
             out.append(Trek(tuple(nodes), nback, prod))
             return
         if backward_ok:
-            for w in parents[u]:
+            for w in m.parents(u):
                 if w not in nodes:
                     walk(w, nodes + [w], nback + 1, prod * m.coefficient(w, u), True)
-        for w in children[u]:
-            if pos[w] > goal_pos:
-                break  # along-arrow steps only move later in causal order
-            if w not in nodes:
+        for w in m.children(u):
+            # along-arrow steps only move later in causal order
+            if pos[w] <= goal_pos and w not in nodes:
                 walk(w, nodes + [w], nback, prod * m.coefficient(u, w), False)
 
     walk(start, [start], 0, 1.0, True)
@@ -173,11 +170,11 @@ def implied_matrix(m):
     """Structural implied correlations, built recursively in causal order.
 
     For each endogenous y with parents P and coefficients beta, the residual
-    variance is psi_y = 1 - betaᵀ Sigma_PP beta and Sigma_yj = betaᵀ Sigma_Pj
-    for every earlier j; exogenous variables get unit variance.  Equivalent
-    to (I-B)⁻¹ Psi (I-B)⁻ᵀ, without forming an inverse; each sum runs over
-    the parents left to right.  Raises
-    NonPositiveResidualVariance when the coefficients imply variance > 1.
+    variance is psi_y = 1 - betaᵀ Sigma_PP beta, Sigma_yj = betaᵀ Sigma_Pj
+    for every earlier j, and row y of (I-B)⁻¹ (`.total`) is e_y + betaᵀ T_P;
+    exogenous variables get unit variance.  Equivalent to (I-B)⁻¹ Psi
+    (I-B)⁻ᵀ without forming an inverse; each sum runs over the parents left
+    to right.  Raises NonPositiveResidualVariance when psi <= 0.
     """
     implied = _implied(m)
     for v, resid in implied.psi.items():  # causal order
@@ -192,14 +189,19 @@ def _implied(m):
     k = m.k
     idx = {v: i for i, v in enumerate(m.variables)}
     sigma = [[0.0] * k for _ in range(k)]
+    total = [None] * k
     psi = {}
     for v in topological_order(m):
         vi = idx[v]
         parents = m.parents(v)
         beta = [m.coefficient(p, v) for p in parents]
         cov = [0.0] * k  # Sigma_vj = betaᵀ Sigma_Pj for every j
+        reach = [0.0] * k
+        reach[vi] = 1.0
         for p, b in zip(parents, beta):
             cov = [c + b * s for c, s in zip(cov, sigma[idx[p]])]
+            reach = [x + b * y for x, y in zip(reach, total[idx[p]])]
+        total[vi] = reach
         explained = 0.0  # betaᵀ Sigma_PP beta = betaᵀ Sigma_Pv
         for p, b in zip(parents, beta):
             explained += cov[idx[p]] * b
@@ -208,7 +210,7 @@ def _implied(m):
             sigma[j][vi] = c
         cov[vi] = 1.0
         sigma[vi] = cov
-    return ReproducedMatrix(m.variables, sigma, {}, psi=psi)
+    return ReproducedMatrix(m.variables, sigma, {}, psi=psi, total=total)
 
 
 def write_treks_csv(reproduced, path):

@@ -95,6 +95,14 @@ def test_fit_usage_error_both_inputs():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["fit", "revise"])
+def test_sample_size_with_raw_data_is_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", SCORES, "--n", "7", "--model", REVISED])
+    assert exc.value.code == 2
+    assert "--n applies only to --corr" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--alpha", "1.5"],
     ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--alpha", "0"],
@@ -233,6 +241,16 @@ def test_simulate_rejects_bare_model(tmp_path, capsys):
                  "--seed", "1", "--out", str(out)])
     assert code == 2
     assert "coefficient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [str(1 << 64), "-1"])
+def test_simulate_rejects_seed_outside_64_bits(tmp_path, capsys, seed):
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--model", REVISED_PUBLISHED, "--n", "100",
+                 "--seed", seed, "--out", str(out)])
+    assert code == 2
+    assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["", "# no variables yet\n"])
@@ -514,6 +532,60 @@ def test_fit_and_revise_never_enumerate_treks(tmp_path, monkeypatch):
                                        "--model", INITIAL])
     assert code == 0
     assert report["revision"]["converged"]
+
+
+def _count_structure_builds(monkeypatch):
+    """Record every _implied call, at each name cli and effects look it up by."""
+    import pathtrek.cli
+    import pathtrek.effects
+    import pathtrek.tracing
+
+    builds = []
+    build = pathtrek.tracing._implied
+
+    def counted(m):
+        builds.append(m)
+        return build(m)
+
+    for module in (pathtrek.tracing, pathtrek.effects, pathtrek.cli):
+        monkeypatch.setattr(module, "_implied", counted, raising=False)
+    return builds
+
+
+@pytest.mark.parametrize("inputs,model", [
+    (["--corr", CORR, "--n", "240"], INITIAL),
+    (["--corr", CORR, "--n", "240"], INITIAL_PUBLISHED),
+    (["--data", SCORES], REVISED),
+], ids=["corr-bare", "corr-annotated", "data-bare"])
+def test_fit_builds_the_structure_once(tmp_path, monkeypatch, inputs, model):
+    builds = _count_structure_builds(monkeypatch)
+    code = main(["fit", *inputs, "--model", model, "--out", str(tmp_path / "r.txt"),
+                 "--effects-csv", str(tmp_path / "e.csv")])
+    assert code == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("max_iter,expected_code", [("10", 0), ("1", 3)])
+def test_revise_builds_one_structure_per_refit(tmp_path, monkeypatch,
+                                               max_iter, expected_code):
+    import pathtrek.cli
+
+    builds = _count_structure_builds(monkeypatch)
+    returned = []
+    revise = pathtrek.cli.revise_model
+
+    def recorded(*args, **kwargs):
+        trace = revise(*args, **kwargs)
+        returned.append((trace, len(builds)))
+        return trace
+
+    monkeypatch.setattr(pathtrek.cli, "revise_model", recorded)
+    code = main(["revise", "--corr", CORR, "--n", "240", "--model", INITIAL,
+                 "--max-iter", max_iter, "--out", str(tmp_path / "r.txt")])
+    assert code == expected_code
+    (trace, during), = returned
+    assert during == 1 + len(trace.steps)  # the first refit, then one per step
+    assert len(builds) == during
 
 
 def test_trek_budget_stops_export_on_complete_dag(tmp_path, capsys):

@@ -31,7 +31,7 @@ from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
 from pathtrek.tracing import _implied, implied_matrix, reproduced_matrix
 
 from conftest import total_effect_oracle
-from test_tracing import random_annotated_dag
+from test_tracing import annotated_dags, random_annotated_dag
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,51 @@ def test_effects_r_squared_from_refit(revised_refit):
 def test_total_identity(revised_printed):
     for row in decompose_effects(revised_printed).rows:
         assert row.total == pytest.approx(row.direct + row.indirect, abs=1e-12)
+
+
+def reference_effects(m):
+    """decompose_effects with its own forward substitution for (I-B)⁻¹.
+
+    Row v of (I-B)⁻¹ is e_v plus beta_pv times row p, summed over the
+    parents left to right in causal order; R² is 1 - psi of _implied.
+    """
+    implied = _implied(m)
+    order = topological_order(m)
+    reach = {}  # v -> row v of (I-B)⁻¹: the total effect on v of each variable
+    for v in order:
+        row = [0.0] * m.k
+        row[m.index(v)] = 1.0
+        for p in m.parents(v):
+            b = m.coefficient(p, v)
+            row = [x + b * y for x, y in zip(row, reach[p])]
+        reach[v] = row
+    rows = []
+    for outcome in reversed(order):
+        if not m.parents(outcome):
+            continue
+        for det in order:
+            if det == outcome:
+                continue
+            arrow = m.arrow(det, outcome)
+            direct = arrow.coefficient if arrow else 0.0
+            indirect = reach[outcome][m.index(det)] - direct
+            if arrow is None and indirect == 0.0:
+                continue
+            rows.append(effects.EffectRow(outcome, det, direct, indirect))
+    r2 = {v: 1.0 - implied.psi[v] for v in order if m.parents(v)}
+    return effects.EffectsTable(tuple(rows), r2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotated_dags(bound=3.0))
+@example(parse_model("var A\nvar B\nvar C\nvar D\npath A -> B : 0.9\n"
+                     "path A -> C : 0.9\npath B -> C : 0.9\npath C -> D : 0.5\n"))
+def test_effects_equal_forward_substitution_reference(m):
+    """Bit for bit, psi <= 0 included (the example has psi_C < 0)."""
+    table, reference = decompose_effects(m), reference_effects(m)
+    assert table.rows == reference.rows
+    assert table.r_squared == reference.r_squared
+    assert list(table.r_squared) == list(reference.r_squared)
 
 
 # ---------------------------------------------------------------------------

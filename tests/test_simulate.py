@@ -101,10 +101,15 @@ def test_exploding_coefficient_rejected():
 
 
 def test_spec_validation(annotated_revised, revised_model):
-    with pytest.raises(ValueError):
-        SimulationSpec(model=annotated_revised, n=2, seed=1)
-    with pytest.raises(ValueError):
-        SimulationSpec(model=annotated_revised, n=100, seed=-1)
+    for n in (2, 100.5, True, float("nan"), "100"):
+        with pytest.raises(ValueError, match="sample size"):
+            SimulationSpec(model=annotated_revised, n=n, seed=1)
+    for seed in (-1, 1 << 64, 1.7, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            SimulationSpec(model=annotated_revised, n=100, seed=seed)
+    # the largest 64-bit seed (the RNG golden streams use it) and a whole float n
+    spec = SimulationSpec(model=annotated_revised, n=100.0, seed=(1 << 64) - 1)
+    assert (spec.n, type(spec.n)) == (100, int)
     from pathtrek.errors import MissingCoefficient
 
     with pytest.raises(MissingCoefficient):

@@ -189,15 +189,16 @@ def test_trek_sum_equals_implied_on_random_models():
 
 
 @st.composite
-def annotated_dags(draw):
+def annotated_dags(draw, bound=0.95):
     """A random DAG on 1..12 variables, declared and listed in shuffled order;
-    each equation's |beta| sum stays below 0.95, so every psi is positive."""
+    each equation's |beta| sum stays below bound, so at bound < 1 every psi
+    is positive."""
     k = draw(st.integers(1, 12))
     causal = [f"V{i}" for i in range(k)]
     arrows = []
     for j in range(1, k):
         parents = [causal[i] for i in range(j) if draw(st.booleans())]
-        arrows += [Arrow(p, causal[j], draw(st.floats(-0.95, 0.95)) / len(parents))
+        arrows += [Arrow(p, causal[j], draw(st.floats(-bound, bound)) / len(parents))
                    for p in parents]
     return PathModel(tuple(draw(st.permutations(causal))),
                      tuple(draw(st.permutations(arrows))), {})
