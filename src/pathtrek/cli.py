@@ -8,13 +8,20 @@
 Exit codes: 0 success, 1 assumption warnings under --strict, 2 input or
 usage error, 3 revision failure.
 
+fit and revise report the same procedure through one function,
+`_traced_report`: the fitted model, traced with its coefficients, gives
+r_hat, the fit verdict, the effects and a warning for each residual
+variance <= 0.  Every output file is written through `files`.
+
 The raw-data modules (data, screening, simulate), and numpy with them, are
 imported only by the commands that read or write rows, so `fit --corr` and
-`revise --corr` start without numpy.
+`revise --corr` start without numpy.  fit and revise take their defaults
+from the library's constants; screen's levels are literals here, since
+screening imports numpy.
 """
 
 import argparse
-import csv
+import itertools
 import math
 import sys
 import warnings as _warnings
@@ -22,6 +29,8 @@ import warnings as _warnings
 from . import __version__
 from .correlation import load_correlation_csv, pearson_matrix
 from .effects import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_MISFIT_THRESHOLD,
     _effects_table,
     assess_fit,
     revise_model,
@@ -29,8 +38,8 @@ from .effects import (
     write_revision_csv,
 )
 from .errors import NoAdmissibleRevision, NonPositiveResidualVariance, PathtrekError
-from .estimation import coefficient_inference, fit_standardized
-from .files import file_digest, open_output
+from .estimation import DEFAULT_ALPHA, coefficient_inference, fit_standardized
+from .files import file_digest, write_rows, write_text
 from .pathspec import load_model, render_model
 from .report import Report
 from .tracing import _implied, reproduced_matrix, write_treks_csv
@@ -77,8 +86,8 @@ def _build_parser():
         p.add_argument("--corr", help="correlation CSV (requires --n)")
         p.add_argument("--n", type=int, help="sample size for --corr")
         p.add_argument("--model", required=True, help=model_help)
-        p.add_argument("--alpha", type=probability, default=0.05)
-        p.add_argument("--misfit", type=threshold, default=0.05)
+        p.add_argument("--alpha", type=probability, default=DEFAULT_ALPHA)
+        p.add_argument("--misfit", type=threshold, default=DEFAULT_MISFIT_THRESHOLD)
 
     p_screen = sub.add_parser("screen", help="run the data-screening battery")
     p_screen.add_argument("--data", required=True, help="dataset CSV")
@@ -99,7 +108,7 @@ def _build_parser():
 
     p_rev = sub.add_parser("revise", help="drop/add revision loop")
     add_inputs(p_rev, "starting model file")
-    p_rev.add_argument("--max-iter", type=int, default=10)
+    p_rev.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_rev.add_argument("--out-model", help="write the final model DSL here")
     p_rev.add_argument("--trace-csv", help="export the revision steps here")
     add_output(p_rev)
@@ -140,8 +149,7 @@ def _load_inputs(args, parser):
 def _emit(report, args):
     text = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
-        with open_output(args.out) as fh:
-            fh.write(text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -167,12 +175,12 @@ def _cmd_screen(args, parser):
         warnings=load_warnings + result.warnings,
     )
     if args.residuals_csv:
-        with open_output(args.residuals_csv) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["equation", "fitted", "std_residual"])
-            for target, pts in result.residual_points.items():
-                for fitted_value, std_resid in pts:
-                    writer.writerow([target, repr(fitted_value), repr(std_resid)])
+        write_rows(args.residuals_csv, itertools.chain(
+            [["equation", "fitted", "std_residual"]],
+            ([target, repr(fitted_value), repr(std_resid)]
+             for target, pts in result.residual_points.items()
+             for fitted_value, std_resid in pts),
+        ))
     _emit(report, args)
     flagged = bool(result.outliers) or any(
         verdict == "non-normal" for _, _, verdict in result.normality.values()
@@ -182,60 +190,56 @@ def _cmd_screen(args, parser):
     return EXIT_OK
 
 
-def _psi_warnings(reproduced):
-    """One warning per equation whose coefficients imply residual variance <= 0."""
-    return [str(NonPositiveResidualVariance(v, psi))
-            for v, psi in reproduced.psi.items() if psi <= 0.0]
+def _traced_report(command, corr, inputs, warnings, fitted, traced, implied,
+                   assessment, revision=None):
+    """The fit or revise Report of `fitted`, traced as the model `traced`.
+
+    Coefficients that imply a residual variance <= 0 are reported as
+    warnings after the caller's own, not as errors.  The effects come from
+    the structure `implied` that gave r_hat.
+    """
+    warnings = warnings + [str(NonPositiveResidualVariance(v, psi))
+                           for v, psi in implied.psi.items() if psi <= 0.0]
+    return Report(
+        command=command,
+        inputs=inputs,
+        correlations=corr,
+        fitted=fitted,
+        reproduced=implied,
+        fit=assessment,
+        effects=_effects_table(traced, implied),
+        revision=revision,
+        warnings=warnings,
+    )
 
 
-def _analyze(corr, model, alpha, misfit):
+def _cmd_fit(args, parser):
     """Fit, then trace/assess/decompose.
 
     A fully annotated model file is taken as the hypothesis under test: its
     own coefficients drive the reproduced matrix, fit verdict, and effects,
     while the refit coefficients and inference are reported alongside.  A
-    bare topology is traced with the fitted coefficients.  Coefficients that
-    imply a residual variance <= 0 are reported as warnings, not errors.
+    bare topology is traced with the fitted coefficients.
     """
-    fitted = coefficient_inference(fit_standardized(corr, model), alpha=alpha)
+    corr, model, inputs, warnings = _load_inputs(args, parser)
+    fitted = coefficient_inference(fit_standardized(corr, model), alpha=args.alpha)
     traced = model if model.is_annotated else fitted.annotated_model()
-    reproduced = _implied(traced)
-    fit = assess_fit(corr, reproduced, misfit)
-    effects = _effects_table(traced, reproduced)
-    notes = []
     if model.is_annotated:
-        notes.append("traced the model file's own coefficients (fully annotated input); "
-                     "refit values are in the coefficients section")
-    notes += _psi_warnings(reproduced)
-    return fitted, traced, reproduced, fit, effects, notes
-
-
-def _cmd_fit(args, parser):
-    corr, model, inputs, load_warnings = _load_inputs(args, parser)
-    fitted, traced, reproduced, fit, effects, notes = _analyze(
-        corr, model, args.alpha, args.misfit
-    )
-    load_warnings.extend(notes)
+        warnings.append("traced the model file's own coefficients (fully annotated input); "
+                        "refit values are in the coefficients section")
+    implied = _implied(traced)
+    report = _traced_report("fit", corr, inputs, warnings, fitted, traced, implied,
+                            assess_fit(corr, implied, args.misfit))
     if args.treks_csv:
         write_treks_csv(reproduced_matrix(traced), args.treks_csv)
     if args.effects_csv:
-        write_effects_csv(effects, args.effects_csv)
-    report = Report(
-        command="fit",
-        inputs=inputs,
-        correlations=corr,
-        fitted=fitted,
-        reproduced=reproduced,
-        fit=fit,
-        effects=effects,
-        warnings=load_warnings,
-    )
+        write_effects_csv(report.effects, args.effects_csv)
     _emit(report, args)
     return EXIT_OK
 
 
 def _cmd_revise(args, parser):
-    corr, model, inputs, load_warnings = _load_inputs(args, parser)
+    corr, model, inputs, warnings = _load_inputs(args, parser)
     exit_code = EXIT_OK
     try:
         trace = revise_model(
@@ -244,27 +248,15 @@ def _cmd_revise(args, parser):
         )
     except NoAdmissibleRevision as exc:
         trace = exc.trace
-        load_warnings.append(f"revision failed: {exc}")
+        warnings.append(f"revision failed: {exc}")
         exit_code = EXIT_REVISION
     if not trace.converged:
         exit_code = EXIT_REVISION
-    final = trace.final_fit
-    annotated = final.annotated_model()
-    load_warnings.extend(_psi_warnings(trace.final_implied))
-    report = Report(
-        command="revise",
-        inputs=inputs,
-        correlations=corr,
-        fitted=final,
-        reproduced=trace.final_implied,
-        fit=trace.final_assessment,
-        effects=_effects_table(annotated, trace.final_implied),
-        revision=trace,
-        warnings=load_warnings,
-    )
+    annotated = trace.final_fit.annotated_model()
+    report = _traced_report("revise", corr, inputs, warnings, trace.final_fit, annotated,
+                            trace.final_implied, trace.final_assessment, revision=trace)
     if args.out_model:
-        with open_output(args.out_model) as fh:
-            fh.write(render_model(annotated))
+        write_text(args.out_model, render_model(annotated))
     if args.trace_csv:
         write_revision_csv(trace, args.trace_csv)
     _emit(report, args)

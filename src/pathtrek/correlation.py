@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
 )
-from .files import open_output
+from .files import write_rows
 
 ASYMMETRY_LIMIT = 1e-6
 DIAGONAL_LIMIT = 1e-9
@@ -248,8 +248,7 @@ def load_correlation_csv(path, n):
 
 def write_correlation_csv(corr, path):
     """Write a correlation matrix in the format load_correlation_csv reads."""
-    with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([""] + list(corr.variables))
-        for i, name in enumerate(corr.variables):
-            writer.writerow([name] + [repr(v) for v in corr.r_rows[i]])
+    write_rows(path, [
+        ["", *corr.variables],
+        *([name, *map(repr, row)] for name, row in zip(corr.variables, corr.r_rows)),
+    ])

@@ -87,6 +87,8 @@ def load_csv(path):
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
         names = [h.strip() for h in header]
+        if not names:
+            raise ParseError(f"{path}: line 1: empty header, no column names")
         if any(not n for n in names):
             raise ParseError(f"{path}: blank column name in header")
         if len(set(names)) != len(names):

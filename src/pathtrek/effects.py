@@ -6,12 +6,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import NoAdmissibleRevision, VariableMismatch
-from .estimation import FittedModel, _endogenous, _fit_equation, coefficient_inference
-from .files import open_output
+from .estimation import (DEFAULT_ALPHA, FittedModel, _endogenous, _fit_equation,
+                         coefficient_inference)
+from .files import write_rows
 from .pathspec import Arrow, topological_order
 from .tracing import _implied
 
 DEFAULT_MISFIT_THRESHOLD = 0.05
+DEFAULT_MAX_ITER = 10  # revise_model's iteration limit
 
 
 # ---------------------------------------------------------------------------
@@ -181,37 +183,25 @@ class RevisionTrace:
 
 def write_effects_csv(table, path):
     """Export the effects table: outcome, determinant, direct, indirect, total."""
-    import csv
-
-    with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["outcome", "determinant", "direct", "indirect", "total"])
-        for r in table.rows:
-            writer.writerow([r.outcome, r.determinant,
-                             repr(r.direct), repr(r.indirect), repr(r.total)])
+    write_rows(path, [
+        ["outcome", "determinant", "direct", "indirect", "total"],
+        *([r.outcome, r.determinant, repr(r.direct), repr(r.indirect), repr(r.total)]
+          for r in table.rows),
+    ])
 
 
 def write_revision_csv(trace, path):
     """Export the revision trace, one row per step."""
-    import csv
-
-    with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "action", "arrows", "reason",
-                         "misfit_count", "max_difference"])
-        for s in trace.steps:
-            writer.writerow([
-                s.iteration,
-                s.action,
-                "; ".join(f"{a}->{b}" for a, b in s.arrows),
-                s.reason,
-                s.misfit_count,
-                repr(s.max_difference),
-            ])
+    write_rows(path, [
+        ["iteration", "action", "arrows", "reason", "misfit_count", "max_difference"],
+        *([s.iteration, s.action, "; ".join(f"{a}->{b}" for a, b in s.arrows),
+           s.reason, s.misfit_count, repr(s.max_difference)]
+          for s in trace.steps),
+    ])
 
 
-def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
-                 max_iter=10):
+def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOLD,
+                 max_iter=DEFAULT_MAX_ITER):
     """Iteratively drop non-significant arrows and add arrows for misfit pairs.
 
     Per iteration: refit; drop every arrow with p >= alpha as one batch;
@@ -256,7 +246,19 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
         trace.final_implied = implied
         return trace
 
-    fit, implied, flagged, max_difference = refit(model)
+    def move(to, action, arrows, reason, candidates=()):
+        """Make `to` the current model, refit it and record the step."""
+        nonlocal model, fit, implied, flagged
+        model = to
+        seen.add(model.arrow_set())
+        fit, implied, flagged, max_difference = refit(model)
+        trace.steps.append(RevisionStep(
+            iteration=trace.iterations, action=action, arrows=arrows, reason=reason,
+            candidates=candidates, misfit_count=len(flagged),
+            max_difference=max_difference,
+        ))
+
+    fit, implied, flagged, _ = refit(model)
     for iteration in range(1, max_iter + 1):
         trace.iterations = iteration
         changed = False
@@ -278,19 +280,7 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
                     "leaves nothing to estimate",
                     trace=finish(),
                 )
-            model = reduced
-            seen.add(model.arrow_set())
-            fit, implied, flagged, max_difference = refit(model)
-            trace.steps.append(
-                RevisionStep(
-                    iteration=iteration,
-                    action="drop",
-                    arrows=tuple(sorted(drops)),
-                    reason=f"coefficient p >= {alpha}",
-                    misfit_count=len(flagged),
-                    max_difference=max_difference,
-                )
-            )
+            move(reduced, "drop", tuple(sorted(drops)), f"coefficient p >= {alpha}")
             changed = True
 
         if not flagged:
@@ -325,20 +315,9 @@ def revise_model(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
                 )
         else:
             src, dst, diff = added
-            model = model.with_arrows(model.arrows + (Arrow(src, dst, None),))
-            seen.add(model.arrow_set())
-            fit, implied, flagged, max_difference = refit(model)
-            trace.steps.append(
-                RevisionStep(
-                    iteration=iteration,
-                    action="add",
-                    arrows=((src, dst),),
-                    reason=f"misfit |r - r_hat| = {diff:.4f} > {threshold}",
-                    candidates=tuple(candidates),
-                    misfit_count=len(flagged),
-                    max_difference=max_difference,
-                )
-            )
+            move(model.with_arrows(model.arrows + (Arrow(src, dst, None),)), "add",
+                 ((src, dst),), f"misfit |r - r_hat| = {diff:.4f} > {threshold}",
+                 tuple(candidates))
             if not flagged:
                 trace.converged = True
                 break

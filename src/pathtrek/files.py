@@ -1,4 +1,5 @@
-"""File access: the writer every output goes through, and input digests.
+"""File access: the writer every output goes through, its text and CSV
+forms, and input digests.
 
 An output is rewritten in place.  open(path, "w") truncates an existing
 file to zero length on open, and ext4 then flushes the file to disk when it
@@ -9,6 +10,7 @@ nonzero length does not trigger that flush.
 """
 
 import contextlib
+import csv
 import hashlib
 import os
 import stat
@@ -42,6 +44,22 @@ def open_output(path):
                 os.ftruncate(fd, end)
     finally:
         os.close(fd)
+
+
+def write_text(path, text):
+    """Write a string to path through open_output."""
+    with open_output(path) as fh:
+        fh.write(text)
+
+
+def write_rows(path, rows):
+    """Write rows of cells to path as CSV through open_output.
+
+    The one CSV dialect of every export: csv.writer's defaults (commas,
+    minimal quoting) with each row ending in "\n".
+    """
+    with open_output(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def file_digest(path):

@@ -14,6 +14,9 @@ number generation with arbitrary strides").  log and cos come from `math`,
 not numpy, whose SIMD kernels may differ from libm in the last bit, so the
 output equals the scalar MMIX/Box-Muller loop in tests/test_rng.py byte for
 byte.  Blocks bound the memory held beside the output array.
+
+A seed is an int (not a bool) in [0, 2^64), the LCG's state space; anything
+else raises ValueError rather than being reduced to some other seed.
 """
 
 import functools
@@ -23,10 +26,16 @@ import numpy as np
 
 _A = 6364136223846793005
 _C = 1442695040888963407
-_MASK = (1 << 64) - 1
 _TWO_PI = 6.283185307179586476925287
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 BLOCK = 1 << 15  # LCG states per block; even, so a normal never spans two
+
+
+def check_seed(seed):
+    """Return seed if it is an int (not a bool) in [0, 2**64); else ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 @functools.cache
@@ -43,8 +52,8 @@ def _jump_table():
 
 def _uniform_blocks(seed, count):
     """Yield the first count uniforms after seed, at most BLOCK per array."""
+    state = np.uint64(check_seed(seed))
     mult, add = _jump_table()
-    state = np.uint64(int(seed) & _MASK)
     for start in range(0, count, BLOCK):
         size = min(BLOCK, count - start)
         states = mult[:size] * state + add[:size]

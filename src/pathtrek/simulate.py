@@ -28,9 +28,7 @@ class SimulationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _sample_size(self.n))
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
-                or not 0 <= self.seed < 1 << 64):
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        rng.check_seed(self.seed)
         if not self.model.variables:
             raise ValueError("model declares no variables to simulate")
         self.model.require_annotated()

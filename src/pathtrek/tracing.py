@@ -18,6 +18,7 @@ exponentially with the arrow count, so it stops past TREK_BUDGET treks,
 whatever the number of variables.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -27,7 +28,7 @@ from .errors import (
     TooManyVariables,
     VariableMissing,
 )
-from .files import open_output
+from .files import write_rows
 from .numeric import float_rows, readonly_array
 from .pathspec import topological_order
 
@@ -215,16 +216,8 @@ def _implied(m):
 
 def write_treks_csv(reproduced, path):
     """Export every enumerated trek: pair, node sequence, class, product."""
-    import csv
-
-    with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pair", "sequence", "classification", "product"])
-        for (a, b), treks in reproduced.treks.items():
-            for t in treks:
-                writer.writerow([
-                    f"{a}-{b}",
-                    " ".join(t.nodes),
-                    t.classification,
-                    repr(t.product),
-                ])
+    write_rows(path, itertools.chain(
+        [["pair", "sequence", "classification", "product"]],
+        ([f"{a}-{b}", " ".join(t.nodes), t.classification, repr(t.product)]
+         for (a, b), treks in reproduced.treks.items() for t in treks),
+    ))

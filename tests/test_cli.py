@@ -127,6 +127,14 @@ def test_fit_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "revise", "screen"])
+def test_data_with_empty_header_line(tmp_path, capsys, command):
+    path = tmp_path / "noheader.csv"
+    path.write_text("\n1,2\n3,4\n5,6\n7,8\n", encoding="utf-8")
+    assert main([command, "--data", str(path), "--model", REVISED]) == 2
+    assert f"{path}: line 1: empty header" in capsys.readouterr().err
+
+
 def test_fit_rejects_correlation_past_one(tmp_path, capsys):
     path = tmp_path / "big.csv"
     text = (DATA_DIR / "observed_correlations.csv").read_text(encoding="utf-8")
@@ -413,6 +421,125 @@ def test_treks_csv_bytes_pinned(tmp_path, model, sha256):
                  "--treks-csv", str(treks), "--out", str(tmp_path / "r.txt")])
     assert code == 0
     assert hashlib.sha256(treks.read_bytes()).hexdigest() == sha256
+
+
+# sha256 of every bundled-study fit and revise output: both reports and every
+# export.  The runs use relative paths from data/, so the reports' inputs
+# section names the same files on every checkout.
+STUDY_INPUTS = {
+    "corr": ["--corr", "observed_correlations.csv", "--n", "240"],
+    "data": ["--data", "sample_scores.csv"],
+}
+STUDY_EXPORTS = {
+    "fit": [("--effects-csv", "effects.csv")],
+    "revise": [("--out-model", "model.pm"), ("--trace-csv", "trace.csv")],
+}
+STUDY_OUTPUT_SHA256 = {
+    ("fit", "initial_model.pm", "corr"): {
+        "json": "ea09ee8263d8fba1d5c03ee23c3af14638543ce163fcb835960f55ee827e8a38",
+        "text": "d0f942fda63031c79918e3cc922efe101e45b4d1311f74d0c96e48826543800f",
+        "effects.csv": "0243d3f0f63e8ac78d2b2ee3731382a8d31fcddcd688c1ce05eb9e3f504913b6",
+    },
+    ("fit", "initial_model.pm", "data"): {
+        "json": "6ab96c357f3859292dc904230a50ddc6a564170fd0f3f86b8085a074cf3df943",
+        "text": "0790874a143a569236476e0eaf822319a0ed6cae0935ac972dbdc66b77ca6f4b",
+        "effects.csv": "a1a4a56a5305d2aee02973b7992b30234eac01cba8dffd201ead6a068a239614",
+    },
+    ("fit", "initial_model_published.pm", "corr"): {
+        "json": "c54b23ec3439de1963328e5a325b04c9a99748465384944b5e1331bee351da3d",
+        "text": "13aa67871bade47f174c09fa383d447f25047e57b918595aaf59dde69984c299",
+        "effects.csv": "9f4604f3762d34c534bac3c3d4a7efbb9352fd073e3f4ac42293273e7d5249f5",
+    },
+    ("fit", "initial_model_published.pm", "data"): {
+        "json": "1dfd5e8620be83fee63cc20e748c862368481fcc7f4cea5d6ec9904780781359",
+        "text": "69b85a9797c13d082e9b23373159ddfc276ba8251781bc30de8ae7c277d41066",
+        "effects.csv": "9f4604f3762d34c534bac3c3d4a7efbb9352fd073e3f4ac42293273e7d5249f5",
+    },
+    ("fit", "revised_model.pm", "corr"): {
+        "json": "5230f3fb9fe55287274d4e39ea39c8ca954c4e32334c84522d6cdc9be46a9e3b",
+        "text": "40902fbf07fb127d722ab1cde84399bca02c00d76d10a50b8f6aa6398d049992",
+        "effects.csv": "9e5c9f111ebffce7b9caf7a0b97508c320ec49728150edebbeb28b957d0b530a",
+    },
+    ("fit", "revised_model.pm", "data"): {
+        "json": "a5c28b458a0de61bda7183557833b76242c6dc63e83bc7b5f1b8d417aa9b38c9",
+        "text": "4121eab3cc637503ae7e8086437ae3e7523c85f49e40137fd6154d61e11b6692",
+        "effects.csv": "c0b7d9b7ce307b61218c523f4ff64906e7ce390f98410f3f1183fb3623744ae5",
+    },
+    ("fit", "revised_model_published.pm", "corr"): {
+        "json": "ddd2bef25e2a1b435d0384f45ed3481fb28362acd66917e87c43e0842fbdf874",
+        "text": "6a7f11050abd3f0298f5f357fec4e3e30750718ad0f6fb066a2bba422f06d4ca",
+        "effects.csv": "8f42eb5bc06b6d521148298d828450fd5b942df95f61b08d401d447a6c52d545",
+    },
+    ("fit", "revised_model_published.pm", "data"): {
+        "json": "2b754e4aa384e6b986d0bb6826ea8659d1e4526d4eb8b4568d1c87083f1d62ec",
+        "text": "b556881aa4b662139022c275a203d4c1c518b575ff89ef01a8e46634689718f0",
+        "effects.csv": "8f42eb5bc06b6d521148298d828450fd5b942df95f61b08d401d447a6c52d545",
+    },
+    ("revise", "initial_model.pm", "corr"): {
+        "json": "3b2f770b724ee18905871b34d64caecd02297e14f57c672e5c3bd6e7addad3ce",
+        "text": "26a30e2a5222bf4dffb2ebd9a8c2721d3980af3c5202bf501ef1e12dd3ff1b69",
+        "model.pm": "8704b2b331874f2d79a0b582906193dbbdd15edc2d2e67b92f517e90ab5ae57a",
+        "trace.csv": "9e732e256562c42c2a526040ce942af55e454bc9cbea42561a233e3605915bb3",
+    },
+    ("revise", "initial_model.pm", "data"): {
+        "json": "9369e3388f7b25ec885c7172d167ce4dffdb117a4587d948d276336a8e4c2503",
+        "text": "4ce445a77b7703c39b60e7239b967e557cbfbc92d07dea7c9bd180915093a3eb",
+        "model.pm": "0bb1423fb5172eef6db301dceba3b8d30aaa9965027c3a36ea0ff403aab5b5b1",
+        "trace.csv": "21825d7917a85d785e8de84bc417567a136fda0d171f79c92e3aefdf5d038a1f",
+    },
+    ("revise", "initial_model_published.pm", "corr"): {
+        "json": "f25fe96df6d5690bb73f5496a1ee7f9d80a948b4295e86ff896780a7b2bcd628",
+        "text": "27b451bfcbc5f6a29a82aa0e698c1f6ec6f733206bafe433b10764d75d4eb693",
+        "model.pm": "8704b2b331874f2d79a0b582906193dbbdd15edc2d2e67b92f517e90ab5ae57a",
+        "trace.csv": "9e732e256562c42c2a526040ce942af55e454bc9cbea42561a233e3605915bb3",
+    },
+    ("revise", "initial_model_published.pm", "data"): {
+        "json": "d6b8b513e9c6d9e0758102758d877f01d0dc167cb3592f79752c646ae7c96e9f",
+        "text": "92d252eecf93e05cd77d751b7442f4e63b16dbfcce4918a0506203de8381db97",
+        "model.pm": "0bb1423fb5172eef6db301dceba3b8d30aaa9965027c3a36ea0ff403aab5b5b1",
+        "trace.csv": "21825d7917a85d785e8de84bc417567a136fda0d171f79c92e3aefdf5d038a1f",
+    },
+    ("revise", "revised_model.pm", "corr"): {
+        "json": "872d4d3ab65b8ddd081bc53dc855a11eaa9dceaefd2913528fcc8459e96586c0",
+        "text": "3c53f6a356f4b03be2c98179da81788931f45b4dcacdb60c5597fb96528ea8c8",
+        "model.pm": "8704b2b331874f2d79a0b582906193dbbdd15edc2d2e67b92f517e90ab5ae57a",
+        "trace.csv": "d5309e74a2d6efff0fe2562c8ad209242eea901c2fad790cfd186120404071e5",
+    },
+    ("revise", "revised_model.pm", "data"): {
+        "json": "23001e8ba7731dbae3a89416ead693a9045b9d941f5c077113f167b886bedb8a",
+        "text": "12f3b5a39f782191dee186ddb4375afca30190acc6b9f9e0cdebe7c46dc356a0",
+        "model.pm": "0bb1423fb5172eef6db301dceba3b8d30aaa9965027c3a36ea0ff403aab5b5b1",
+        "trace.csv": "d5309e74a2d6efff0fe2562c8ad209242eea901c2fad790cfd186120404071e5",
+    },
+    ("revise", "revised_model_published.pm", "corr"): {
+        "json": "8daa17f8439e1ab65ce439d8cfd6f814bb2d07bdf0772b81b06dd981bea30103",
+        "text": "23966443917fe2fa94225ae8c164a0e4db22ed95bca98837e87bb12ea8e18260",
+        "model.pm": "8704b2b331874f2d79a0b582906193dbbdd15edc2d2e67b92f517e90ab5ae57a",
+        "trace.csv": "d5309e74a2d6efff0fe2562c8ad209242eea901c2fad790cfd186120404071e5",
+    },
+    ("revise", "revised_model_published.pm", "data"): {
+        "json": "cfda2273f78c3113fab1979d99dd97287e3953911fe198002322ce2b6bc1e6c8",
+        "text": "e616f288627b7826f0becf275901c999f76b5c0e297625b03d87df2ebcb56333",
+        "model.pm": "0bb1423fb5172eef6db301dceba3b8d30aaa9965027c3a36ea0ff403aab5b5b1",
+        "trace.csv": "d5309e74a2d6efff0fe2562c8ad209242eea901c2fad790cfd186120404071e5",
+    },
+}
+
+
+@pytest.mark.parametrize("command,model,source", list(STUDY_OUTPUT_SHA256))
+def test_study_outputs_pinned(tmp_path, monkeypatch, command, model, source):
+    import hashlib
+
+    monkeypatch.chdir(DATA_DIR)
+    exports = []
+    for flag, name in STUDY_EXPORTS[command]:
+        exports += [flag, str(tmp_path / name)]
+    for fmt in ("json", "text"):
+        assert main([command, *STUDY_INPUTS[source], "--model", model, "--format", fmt,
+                     "--out", str(tmp_path / fmt), *exports]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in STUDY_OUTPUT_SHA256[command, model, source]}
+    assert digests == STUDY_OUTPUT_SHA256[command, model, source]
 
 
 def test_fit_warns_when_hypothesis_implies_nonpositive_psi(tmp_path, capsys):

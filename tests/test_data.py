@@ -65,6 +65,13 @@ def test_load_blank_header_name(tmp_path):
         load_csv(path)
 
 
+def test_load_empty_header_line(tmp_path):
+    # a blank first line names no columns: a header error, not "0 usable rows"
+    path = write(tmp_path, "noheader.csv", "\n1,2\n3,4\n5,6\n7,8\n")
+    with pytest.raises(ParseError, match="line 1: empty header"):
+        load_csv(path)
+
+
 def test_load_too_few_rows(tmp_path):
     path = write(tmp_path, "tiny.csv", "a,b\n1,2\n3,4\n")
     with pytest.raises(TooFewRows):
@@ -154,6 +161,8 @@ def reference_load(path):
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         names = [h.strip() for h in header]
+        if not names:
+            raise ParseError(f"{path}: line 1: empty header, no column names")
         if any(not n for n in names):
             raise ParseError(f"{path}: blank column name in header")
         if len(set(names)) != len(names):

@@ -88,6 +88,15 @@ def test_normal_moments():
     assert abs(z.std(ddof=1) - 1.0) < 0.02
 
 
+@pytest.mark.parametrize("seed", [2 ** 64, -1, 1.7, True])
+@pytest.mark.parametrize("kind", ["uniform", "normal"])
+def test_stream_rejects_seed_outside_64_bits(kind, seed):
+    # reducing these would give another seed's stream: 0, 2**64 - 1, 1 and 1
+    stream = {"uniform": rng.uniform_stream, "normal": rng.normal_stream}[kind]
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        stream(seed, 4)
+
+
 @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
 @pytest.mark.parametrize("kind", ["uniform", "normal"])
 def test_stream_matches_reference(kind, seed):
