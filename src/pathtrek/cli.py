@@ -21,6 +21,7 @@ screening imports numpy.
 """
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -66,7 +67,15 @@ def threshold(text):
     return value
 
 
+@functools.cache
 def _build_parser():
+    """The whole argument tree, built once per process.
+
+    Nothing in it depends on the call: parse_args makes a fresh Namespace
+    each time, and errors go to the sys.stderr of that moment.  Each
+    subcommand's own parser rides on its Namespace as `command_parser`, so
+    usage errors found after parsing name the subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="pathtrek",
         description="Path analysis for recursive causal models.",
@@ -119,6 +128,8 @@ def _build_parser():
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", required=True, help="dataset CSV to write")
 
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -279,8 +290,7 @@ def _cmd_simulate(args, parser):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handler = {
         "screen": _cmd_screen,
         "fit": _cmd_fit,
@@ -288,7 +298,7 @@ def main(argv=None):
         "simulate": _cmd_simulate,
     }[args.command]
     try:
-        return handler(args, parser)
+        return handler(args, args.command_parser)
     except (PathtrekError, OSError, ValueError) as exc:
         print(f"pathtrek: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,11 +4,19 @@ A Report is built once from analysis results and rendered two ways: text
 (3-decimal reals, "<.001" for tiny p-values, significance stars) and JSON
 (full precision, stable field names, null for an exact fit's infinite t).
 Both views read the same stored numbers.
+
+The JSON text is json.dumps(..., indent=2, sort_keys=True, allow_nan=False)
+byte for byte.  Python 3.11 runs that call in the pure-Python encoder, so
+`_render` walks only the containers that hold other containers and gives
+each leaf container (a matrix row, a pair, an effect) to json's C encoder
+in one call, with the separators of its depth.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
@@ -31,6 +39,55 @@ def stars(p):
     if p < 0.05:
         return "*"
     return ""
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _leaf_encoder(depth):
+    """Encode a container that holds no container, or a scalar, at `depth`.
+
+    The items are split by the separator that indent=2 puts between them
+    at that depth; `_render` moves the brackets onto their own lines.  A
+    leaf cannot refer to itself, so no circular-reference check is needed.
+    """
+    item_separator = ",\n" + "  " * (depth + 1)
+    encoder = json.JSONEncoder(separators=(item_separator, ": "), sort_keys=True,
+                               allow_nan=False)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    encode = json.encoder.c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None,
+        ": ", item_separator, True, False, False)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+def _render(obj, depth=0):
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) at `depth`.
+
+    Every key of a dict that holds a container must be a string, as every
+    Report key is; any other raises TypeError.
+    """
+    if isinstance(obj, dict):
+        brackets, values = "{}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets, values = "[]", obj
+    else:
+        return _leaf_encoder(depth)(obj)
+    if not any(isinstance(v, _CONTAINERS) for v in values):
+        text = _leaf_encoder(depth)(obj)
+        if text == brackets:  # an empty container stays on one line
+            return text
+        inner = text[1:-1]
+    else:
+        if brackets == "{}":
+            items = [f"{encode_basestring_ascii(k)}: {_render(v, depth + 1)}"
+                     for k, v in sorted(obj.items())]
+        else:
+            items = [_render(v, depth + 1) for v in obj]
+        inner = (",\n" + "  " * (depth + 1)).join(items)
+    return f"{brackets[0]}\n{'  ' * (depth + 1)}{inner}\n{'  ' * depth}{brackets[1]}"
 
 
 @dataclass
@@ -171,8 +228,7 @@ class Report:
         return out
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+        return _render(self.to_dict()) + "\n"
 
     # -- human rendering -------------------------------------------------
 

@@ -88,11 +88,14 @@ def test_fit_from_raw_data(tmp_path):
     assert report["warnings"] == []
 
 
-def test_fit_usage_error_both_inputs():
+def test_fit_usage_error_both_inputs(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--data", SCORES, "--corr", CORR, "--n", "240",
               "--model", REVISED])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "pathtrek fit: error: exactly one of --data or --corr is required" in err
+    assert err.startswith("usage: pathtrek fit ")
 
 
 @pytest.mark.parametrize("command", ["fit", "revise"])
@@ -100,7 +103,17 @@ def test_sample_size_with_raw_data_is_usage_error(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--data", SCORES, "--n", "7", "--model", REVISED])
     assert exc.value.code == 2
-    assert "--n applies only to --corr" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"pathtrek {command}: error: --n applies only to --corr" in err
+    assert err.startswith(f"usage: pathtrek {command} ")
+
+
+@pytest.mark.parametrize("command", ["fit", "revise"])
+def test_corr_without_sample_size_is_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--corr", CORR, "--model", REVISED])
+    assert exc.value.code == 2
+    assert f"pathtrek {command}: error: --corr requires --n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -540,6 +553,65 @@ def test_study_outputs_pinned(tmp_path, monkeypatch, command, model, source):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in STUDY_OUTPUT_SHA256[command, model, source]}
     assert digests == STUDY_OUTPUT_SHA256[command, model, source]
+
+
+# one process, one parser: a usage error and --version first, then every
+# command on the bundled study; revise and screen run without --format after
+# a json fit, so a leaked default would show in their bytes
+REUSE_SEQUENCE = [
+    ("usage", ["fit", "--data", "sample_scores.csv", "--corr", "observed_correlations.csv",
+               "--n", "240", "--model", "revised_model.pm"], 2),
+    ("version", ["--version"], 0),
+    ("fit", ["fit", *STUDY_INPUTS["corr"], "--model", "revised_model.pm",
+             "--format", "json", "--out", "{tmp}/fit"], 0),
+    ("revise", ["revise", *STUDY_INPUTS["corr"], "--model", "initial_model.pm",
+                "--out", "{tmp}/revise"], 0),
+    ("screen", ["screen", "--data", "sample_scores.csv", "--model", "revised_model.pm",
+                "--out", "{tmp}/screen"], 0),
+    ("simulate", ["simulate", "--model", "revised_model_published.pm", "--n", "50",
+                  "--seed", "7", "--out", "{tmp}/simulate"], 0),
+]
+
+
+def _run_reused(name, argv, tmp_path, capsys):
+    """(exit code, stdout, stderr, output file bytes) of one main call."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = tmp_path / name
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
+    import hashlib
+
+    from pathtrek import __version__
+    from pathtrek.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    monkeypatch.chdir(DATA_DIR)
+    fresh = {}
+    for name, argv, _ in REUSE_SEQUENCE:
+        _build_parser.cache_clear()
+        fresh[name] = _run_reused(name, argv, tmp_path, capsys)
+    _build_parser.cache_clear()
+    parser = _build_parser()
+    for name, argv, code in REUSE_SEQUENCE:
+        result = _run_reused(name, argv, tmp_path, capsys)
+        assert result == fresh[name], name
+        assert result[0] == code, name
+    assert _build_parser() is parser
+    assert fresh["usage"][2].endswith(
+        "pathtrek fit: error: exactly one of --data or --corr is required\n")
+    assert fresh["version"][1] == f"{__version__}\n"
+    digests = {name: hashlib.sha256(fresh[name][3]).hexdigest() for name in ("fit", "revise")}
+    assert digests == {
+        "fit": STUDY_OUTPUT_SHA256["fit", "revised_model.pm", "corr"]["json"],
+        "revise": STUDY_OUTPUT_SHA256["revise", "initial_model.pm", "corr"]["text"],
+    }
 
 
 def test_fit_warns_when_hypothesis_implies_nonpositive_psi(tmp_path, capsys):
