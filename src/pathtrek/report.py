@@ -51,15 +51,19 @@ def _leaf_encoder(depth):
     The items are split by the separator that indent=2 puts between them
     at that depth; `_render` moves the brackets onto their own lines.  A
     leaf cannot refer to itself, so no circular-reference check is needed.
+    JSONEncoder.encode would build a new C encoder for every leaf; it is
+    built here once per depth, with the arguments JSONEncoder.iterencode
+    passes it.
     """
-    item_separator = ",\n" + "  " * (depth + 1)
-    encoder = json.JSONEncoder(separators=(item_separator, ": "), sort_keys=True,
-                               allow_nan=False)
-    if json.encoder.c_make_encoder is None:
+    encoder = json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "),
+                               sort_keys=True, allow_nan=False, check_circular=False)
+    if json.encoder.c_make_encoder is None:  # an interpreter without json's C encoder
         return encoder.encode
     encode = json.encoder.c_make_encoder(
-        None, encoder.default, encode_basestring_ascii, None,
-        ": ", item_separator, True, False, False)
+        markers=None, default=encoder.default, encoder=encode_basestring_ascii,
+        indent=None, key_separator=encoder.key_separator,
+        item_separator=encoder.item_separator, sort_keys=True, skipkeys=False,
+        allow_nan=False)
     return lambda obj: "".join(encode(obj, 0))
 
 
