@@ -147,8 +147,9 @@ def _load_inputs(args, parser):
         if args.data:
             from .data import load_csv
 
-            corr = pearson_matrix(load_csv(args.data))
-            inputs[args.data] = file_digest(args.data)
+            dataset = load_csv(args.data)
+            corr = pearson_matrix(dataset)
+            inputs[args.data] = dataset.digest
         else:
             corr = load_correlation_csv(args.corr, args.n)
             inputs[args.corr] = file_digest(args.corr)
@@ -176,7 +177,7 @@ def _cmd_screen(args, parser):
         load_warnings = [str(w.message) for w in caught]
     result = screen(dataset, model=model, alpha=args.alpha,
                     outlier_p=args.outlier_p)
-    inputs = {args.data: file_digest(args.data)}
+    inputs = {args.data: dataset.digest}
     if args.model:
         inputs[args.model] = file_digest(args.model)
     report = Report(

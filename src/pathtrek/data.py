@@ -1,8 +1,11 @@
 """Rectangular numeric datasets: CSV ingestion, standardization, summaries."""
 
 import csv
+import hashlib
 import io
+import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -13,6 +16,7 @@ from .files import open_output
 
 SD_FLOOR = 1e-12
 WRITE_BLOCK_CELLS = 8192  # values write_csv formats per string
+_LINE_END = re.compile(r"\r\n|\r|\n")  # where a file opened with newline="" ends a line
 
 
 @dataclass(frozen=True)
@@ -27,11 +31,17 @@ class VariableSummary:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable named-column numeric data, one row per observation."""
+    """Immutable named-column numeric data, one row per observation.
+
+    `dropped` counts the rows load_csv dropped and `digest` is the sha256 of
+    the file it parsed (None for data built in memory); equality reads
+    neither.
+    """
 
     variables: tuple
     rows: np.ndarray  # (n, k) float64
     dropped: int = field(default=0, compare=False)
+    digest: str = field(default=None, compare=False)  # sha256 of the parsed file
 
     def __post_init__(self):
         names = tuple(str(v) for v in self.variables)
@@ -68,37 +78,40 @@ class Dataset:
 def load_csv(path):
     """Read a dataset from a header-first CSV file.
 
-    The header is read with the csv module.  A clean body (k finite
-    numbers on every non-blank line, no quotes) is parsed in C by one
-    np.loadtxt call; its values equal those of float() on each cell.  That result is kept only
-    if np.loadtxt raised nothing, returned k columns of finite values, and
-    returned one row per non-blank line.  Any other body goes through the
-    per-row loop, because only it knows which rows to drop: rows with
-    missing, unparseable or non-finite cells are dropped (listwise
-    deletion), and the count is attached to the result and reported as a
-    DataWarning.
+    The file is read once, as bytes: their sha256 becomes the Dataset's
+    `digest`, and they are decoded as UTF-8 in one call (a decoding error
+    names its byte offset in the file).  The header is
+    read with the csv module from the text's first lines, split as in a
+    file opened with newline="" (line endings untranslated).  A clean
+    body (k finite numbers on every non-blank line, no quotes) is parsed in
+    C by one np.loadtxt call; its values equal those of float() on each
+    cell.  That result is kept only if np.loadtxt raised nothing, returned
+    k columns of finite values, and returned one row per non-blank line.
+    Any other body goes through the per-row loop, because only it knows
+    which rows to drop: rows with missing, unparseable or non-finite cells
+    are dropped (listwise deletion), and the count is attached to the
+    result and reported as a DataWarning.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-        names = [h.strip() for h in header]
-        if not names:
-            raise ParseError(f"{path}: line 1: empty header, no column names")
-        if any(not n for n in names):
-            raise ParseError(f"{path}: blank column name in header")
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ParseError(f"{path}: duplicate column names {dupes}")
-        body = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    text = raw.decode("utf-8")
+    del raw
+    header, start, header_lines = _read_header(text, path)
+    names = [h.strip() for h in header]
+    if not names:
+        raise ParseError(f"{path}: line 1: empty header, no column names")
+    if any(not n for n in names):
+        raise ParseError(f"{path}: blank column name in header")
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise ParseError(f"{path}: duplicate column names {dupes}")
+    body = text[start:]
+    del text  # the parse below runs measurably slower with a second copy alive
     kept = _parse_clean(body, len(names))
     dropped = 0
     if kept is None:
-        kept, dropped = _parse_listwise(body, len(names), path, reader.line_num)
+        kept, dropped = _parse_listwise(body, len(names), path, header_lines)
     if len(kept) < 3:
         raise TooFewRows(
             f"{path}: only {len(kept)} usable rows after dropping {dropped}"
@@ -109,7 +122,35 @@ def load_csv(path):
             DataWarning,
             stacklevel=2,
         )
-    return Dataset(tuple(names), np.asarray(kept, dtype=np.float64), dropped=dropped)
+    return Dataset(tuple(names), np.asarray(kept, dtype=np.float64), dropped=dropped,
+                   digest=digest)
+
+
+def _read_header(text, path):
+    """(cells, body offset, lines read) of the first CSV record in text.
+
+    The csv module gets text's lines with their ends, split at CR LF, CR or
+    LF as a file opened with newline="" gives them, and only as many as
+    the record takes.
+    """
+    end = 0
+
+    def lines():
+        nonlocal end
+        stops = itertools.chain((m.end() for m in _LINE_END.finditer(text)), [len(text)])
+        for stop in stops:
+            if stop > end:
+                line, end = text[end:stop], stop
+                yield line
+
+    reader = csv.reader(lines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    return header, end, reader.line_num
 
 
 def _parse_clean(body, k):

@@ -271,10 +271,9 @@ class Report:
         lines.append(f"outliers flagged at p < {s.outlier_cutoff}: {len(s.outliers)}")
         for row, d2, p in s.outliers[:10]:
             lines.append(f"  row {row}: D² = {fmt(d2)}, p = {p_display(p)}")
-        top = s.distances[:3]
         lines.append(
             "largest D²: "
-            + ", ".join(f"row {r} ({fmt(d2)})" for r, d2, _ in top)
+            + ", ".join(f"row {r} ({fmt(d2)})" for r, d2, _ in s.largest(3))
         )
         lines.append(f"normality (KS, alpha = {s.alpha}):")
         for name, (d, p, verdict) in s.normality.items():
@@ -284,12 +283,10 @@ class Report:
         lines.append("VIF (predictor block):")
         for name, value in s.vif.items():
             lines.append(f"  {name:<10} {fmt(value)}")
-        if s.residual_points:
+        if s.residual_counts:
             lines.append(
                 "residual points per equation: "
-                + ", ".join(
-                    f"{t} ({len(pts)})" for t, pts in s.residual_points.items()
-                )
+                + ", ".join(f"{t} ({n})" for t, n in s.residual_counts.items())
             )
         return lines
 

@@ -14,11 +14,12 @@ log to libm; the results equal per-value calls bit for bit.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import numeric
-from .correlation import CorrelationMatrix, pearson_matrix
+from .correlation import CorrelationMatrix
 from .data import _z_scores, summarize
 from .estimation import fit_standardized
 from .errors import (
@@ -48,17 +49,34 @@ def mahalanobis(d):
     SingularCovariance for collinear columns.  Returns (row_index, D2, p)
     triples sorted by descending D2, equal D2 in ascending row order.
     """
+    _check_rows(d)
+    z = _z_scores(d)
+    return _triples(_ranked(z, (z.T @ z) / (d.n - 1)))
+
+
+def _check_rows(d):
     if d.n <= d.k:
         raise ValueError(f"need n > k, got n={d.n}, k={d.k}")
-    z = _z_scores(d)
+
+
+def _ranked(z, r):
+    """mahalanobis's row indices, D2 and p as arrays, in its order.
+
+    z is the standardized (n, k) block and r = z'z / (n - 1).
+    """
     try:
-        w = np.array(numeric.inverse_factor((z.T @ z) / (d.n - 1)))
+        w = np.array(numeric.inverse_factor(r))
     except SingularMatrix as exc:
         raise SingularCovariance(str(exc)) from exc
     d2 = ((z @ w.T) ** 2).sum(axis=1)
-    p = numeric.chisq_sf_array(d2, d.k)
+    p = numeric.chisq_sf_array(d2, z.shape[1])
     order = np.argsort(-d2, kind="stable")
-    return list(zip(order.tolist(), d2[order].tolist(), p[order].tolist()))
+    return order, d2[order], p[order]
+
+
+def _triples(ranked):
+    """(row_index, D2, p) triples of parallel index, D2 and p arrays."""
+    return list(zip(*(a.tolist() for a in ranked)))
 
 
 def ks_normality(column, alpha=0.05):
@@ -122,17 +140,63 @@ def residual_diagnostics(fitted, d):
     return points
 
 
-@dataclass
+# ScreeningReport's attributes, in the order its repr lists them.
+_ATTRIBUTES = ("summaries", "outliers", "distances", "normality", "vif",
+               "residual_points", "outlier_cutoff", "alpha", "warnings")
+
+
+@dataclass(eq=False, repr=False)
 class ScreeningReport:
+    """What the battery found.
+
+    `distances` (every row's (row, D2, p), descending D2) is built on first
+    read from the ranked arrays `_ranked`, and `residual_points` (equation
+    target -> [(fitted, std_residual)], {} without a model) by
+    residual_diagnostics over `_fitted` and `_data`.  Equality and repr read
+    them as they read the other attributes.
+    """
+
     summaries: list
     outliers: list  # flagged (row, D2, p), descending D2
-    distances: list  # all rows, descending D2
     normality: dict  # name -> (D, p, verdict)
     vif: dict  # name -> VIF over the predictor block
-    residual_points: dict  # equation target -> [(fitted, std_residual)]
     outlier_cutoff: float
     alpha: float
     warnings: list = field(default_factory=list)
+    _ranked: tuple = ()  # row index, D2 and p arrays in distances' order
+    _fitted: object = None  # the model residual_points is computed from
+    _data: object = None  # the screened Dataset
+
+    @cached_property
+    def distances(self):
+        return _triples(self._ranked)
+
+    @cached_property
+    def residual_points(self):
+        if self._fitted is None:
+            return {}
+        return residual_diagnostics(self._fitted, self._data)
+
+    @property
+    def residual_counts(self):
+        """Equation target -> number of residual points, without the points."""
+        if self._fitted is None:
+            return {}
+        return {y: self._data.n for y in self._fitted.equations}
+
+    def largest(self, count):
+        """The first `count` triples of distances, without the others."""
+        return _triples(a[:count] for a in self._ranked)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (tuple(getattr(self, a) for a in _ATTRIBUTES)
+                == tuple(getattr(other, a) for a in _ATTRIBUTES))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{a}={getattr(self, a)!r}" for a in _ATTRIBUTES) + ")")
 
 
 def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
@@ -141,6 +205,10 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     With a model, residual diagnostics are emitted per equation and the VIF
     block is the set of variables serving as a parent anywhere in it;
     without one, the VIF block is every column and residuals are skipped.
+    The standardized block z and R = z'z / (n - 1) are computed once, for
+    the distances and the VIF matrix alike.  Every check that can raise
+    runs here; the report builds only its full distance list and the
+    residual points later, when they are first read.
     """
     warnings_list = []
     if d.dropped:
@@ -152,11 +220,15 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
         if s.flag_zero_variance:
             warnings_list.append(f"variable {s.name} has zero variance")
 
-    distances = mahalanobis(d)
-    flagged = [t for t in distances if t[2] < outlier_p]
-    if flagged:
+    _check_rows(d)
+    z = _z_scores(d)
+    r = (z.T @ z) / (d.n - 1)
+    ranked = _ranked(z, r)
+    flagged = ranked[2] < outlier_p
+    outliers = _triples(a[flagged] for a in ranked)
+    if outliers:
         warnings_list.append(
-            f"{len(flagged)} outlier rows at Mahalanobis p < {outlier_p}"
+            f"{len(outliers)} outlier rows at Mahalanobis p < {outlier_p}"
         )
 
     normality = {}
@@ -174,10 +246,9 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
         block = parent_vars if len(parent_vars) >= 2 else list(d.variables)
     else:
         block = list(d.variables)
-    if d.k >= 2:
-        corr = pearson_matrix(d)
-    else:  # pearson_matrix needs two columns; a lone one correlates 1 with itself
-        corr = CorrelationMatrix(d.variables, [[1.0]], d.n)
+    # pearson_matrix(d), from the block already computed; a lone column
+    # correlates 1 with itself
+    corr = CorrelationMatrix(d.variables, r if d.k >= 2 else [[1.0]], d.n)
     vifs = vif(corr, block)
     for name, value in vifs.items():
         if value >= VIF_FLAG:
@@ -185,20 +256,21 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
         elif value >= VIF_WARN:
             warnings_list.append(f"VIF {name} = {value:.2f} >= {VIF_WARN} (warn)")
 
-    residual_points = {}
+    fitted = None
     if model is not None and model.endogenous:
+        # checks every model variable against corr, whose variables are the
+        # dataset's, so residual_diagnostics cannot raise on a later read
         fitted = fit_standardized(corr, model)
-        residual_points = residual_diagnostics(fitted, d)
 
     return ScreeningReport(
         summaries=summaries,
-        outliers=flagged,
-        distances=distances,
+        outliers=outliers,
         normality=normality,
         vif=vifs,
-        residual_points=residual_points,
         outlier_cutoff=outlier_p,
         alpha=alpha,
         warnings=warnings_list,
+        _ranked=ranked,
+        _fitted=fitted,
+        _data=d,
     )
-

@@ -333,6 +333,44 @@ def test_screen_residuals_export(tmp_path):
     assert len(lines) == 1 + 4 * 240
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("export", [False, True])
+def test_screen_builds_points_only_for_the_export(tmp_path, monkeypatch, fmt, export):
+    # the reports read neither the residual points nor the full distance list
+    from pathtrek import screening
+
+    points, reads = [], []
+    diagnostics = screening.residual_diagnostics
+    distances = screening.ScreeningReport.distances
+    monkeypatch.setattr(screening, "residual_diagnostics",
+                        lambda *args: points.append(args) or diagnostics(*args))
+    monkeypatch.setattr(screening.ScreeningReport, "distances",
+                        property(lambda self: reads.append(self) or distances.func(self)))
+    args = ["screen", "--data", SCORES, "--model", REVISED, "--format", fmt,
+            "--out", str(tmp_path / "report")]
+    if export:
+        args += ["--residuals-csv", str(tmp_path / "resid.csv")]
+    assert main(args) == 0
+    assert len(points) == export
+    assert reads == []
+
+
+@pytest.mark.parametrize("command", ["fit", "revise", "screen"])
+def test_data_digest_comes_from_the_parsed_bytes(tmp_path, monkeypatch, command):
+    import hashlib
+
+    from pathtrek import cli, files
+
+    digested = []
+    monkeypatch.setattr(cli, "file_digest",
+                        lambda path: digested.append(path) or files.file_digest(path))
+    code, report = run_json(tmp_path, [command, "--data", SCORES, "--model", REVISED])
+    assert code == 0
+    with open(SCORES, "rb") as fh:
+        assert report["inputs"][SCORES] == hashlib.sha256(fh.read()).hexdigest()
+    assert digested == [REVISED]
+
+
 SCREEN_SHA256 = "442d97f98a708f3ae481c366eb24216ea5454f535ac1a7abd7e20bbcc5fd406d"
 
 
@@ -553,6 +591,43 @@ def test_study_outputs_pinned(tmp_path, monkeypatch, command, model, source):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in STUDY_OUTPUT_SHA256[command, model, source]}
     assert digests == STUDY_OUTPUT_SHA256[command, model, source]
+
+
+# sha256 of every bundled-study screen output: both reports and the
+# --residuals-csv export, screened with each model and with none (its export
+# is the header alone); run from data/ with relative paths like the pins above
+STUDY_SCREEN_SHA256 = {
+    "revised_model.pm": {
+        "json": "9a89643ff67b23758f647daa7dd9945cb57adede5b11b0ed5df0bb3a9aaf3c50",
+        "text": "c7d24720b141048300522b63bda5eb9af8c6390eb2987152cf447e345c8f8ce5",
+        "residuals.csv": "ea1034eacae12087d85563128bf1dd1c5fe28efe34265bc81240482bef9ab074",
+    },
+    "initial_model.pm": {
+        "json": "a8ef9d7afab05c439f951d879a498cb07a06961519efc7a12f6e8c84371c8c6f",
+        "text": "922085cdb554e950753c789a48750228c47c28ff5a8df8460a7edf60686aa746",
+        "residuals.csv": "4e722d375382da451f68cbd4647b2ff52c45994fb188a3676cd8fdc3ab5c04fb",
+    },
+    None: {
+        "json": "a2cebfb09623d0e1f1ce7947f64d4addead83f4f315ab3020745567739ba55c6",
+        "text": "58c7ba21fb01cb38fae9f3936180280605aa8f7a83411ebf4691478766f2793e",
+        "residuals.csv": "a0d03ceaf9139cd9c095ac07694469369b3bdde39b64e0694ebe57fbb30c1f4b",
+    },
+}
+
+
+@pytest.mark.parametrize("model", list(STUDY_SCREEN_SHA256))
+def test_study_screen_outputs_pinned(tmp_path, monkeypatch, model):
+    import hashlib
+
+    monkeypatch.chdir(DATA_DIR)
+    model_args = ["--model", model] if model else []
+    for fmt in ("json", "text"):
+        assert main(["screen", "--data", "sample_scores.csv", *model_args, "--format", fmt,
+                     "--out", str(tmp_path / fmt),
+                     "--residuals-csv", str(tmp_path / "residuals.csv")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in STUDY_SCREEN_SHA256[model]}
+    assert digests == STUDY_SCREEN_SHA256[model]
 
 
 # one process, one parser: a usage error and --version first, then every

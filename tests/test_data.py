@@ -2,6 +2,8 @@
 listwise-deletion row loop it ran before its np.loadtxt fast path."""
 
 import csv
+import dataclasses
+import hashlib
 import math
 import warnings
 from unittest import mock
@@ -81,6 +83,25 @@ def test_load_too_few_rows(tmp_path):
 def test_load_crlf(tmp_path):
     path = write(tmp_path, "crlf.csv", "a,b\r\n1,2\r\n3,4\r\n5,6\r\n")
     assert load_csv(path).n == 3
+
+
+def test_load_names_the_file_offset_of_invalid_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    head = b"a,b\n" + b"1.5,2.5\n" * 3000
+    path.write_bytes(head + b"3,\xff\n")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        load_csv(path)
+    assert exc.value.start == len(head) + 2
+
+
+def test_load_digest_is_the_sha256_of_the_parsed_bytes(tmp_path):
+    path = write(tmp_path, "digest.csv", "a,b\r\n1,2\r\n3,4\r\n5,6\r\n")
+    d = load_csv(path)
+    assert d.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert Dataset(d.variables, d.rows).digest is None
+    # like dropped, the digest takes no part in equality
+    assert {f.name for f in dataclasses.fields(Dataset) if not f.compare} == {
+        "dropped", "digest"}
 
 
 def test_dataset_immutable():
@@ -257,6 +278,8 @@ def csv_texts(draw):
 @example("v0,v1\n1,2,3\n4,5,6\n7,8,9\n")  # every row long: np.loadtxt reads 3 columns
 @example("v0\n1\n2\n3\x1c\n4\n")  # float() rejects "3\x1c"
 @example("v0\n1\n \n2\r\n\r\n3\r4")
+@example('"v\r\n0",v1\r1,2\n3,4\r\n5,6')  # a header record over two lines
+@example('v0,"v\r1"\r\n1,2\r3,4\r5,6\r')  # a lone CR inside a quoted name
 @settings(max_examples=400, deadline=None)
 def test_load_matches_reference_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("diff") / "body.csv"
@@ -268,6 +291,7 @@ def test_load_matches_reference_loop(tmp_path_factory, text):
         assert got == want
         return
     names, rows, dropped = want
+    assert got.digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert got.variables == names
     assert got.rows.tobytes() == rows.tobytes()
     assert got.dropped == dropped

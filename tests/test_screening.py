@@ -1,5 +1,6 @@
 """Outlier distances, KS normality, VIF, and residual diagnostics."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -324,3 +325,72 @@ def test_screen_without_model_uses_all_columns():
     report = screen(d)
     assert set(report.vif) == set(NAMES)
     assert report.residual_points == {}
+
+
+# ---------------------------------------------------------------------------
+# the report's lazy fields
+
+def test_lazy_fields_equal_their_sources(revised_model):
+    d = Dataset(NAMES, exact_corr_scores(OBSERVED_R, 240, seed=913))
+    report = screen(d, model=revised_model, outlier_p=0.2)
+    distances = mahalanobis(d)
+    assert report.outliers == [t for t in distances if t[2] < 0.2]
+    assert report.outliers
+    assert report.largest(3) == distances[:3]
+    assert report.distances == distances
+    points = residual_diagnostics(fit_standardized(pearson_matrix(d), revised_model), d)
+    assert report.residual_counts == {y: len(pts) for y, pts in points.items()}
+    assert report.residual_points == points
+    assert list(report.residual_points) == list(report.residual_counts)
+
+
+@dataclasses.dataclass
+class EagerReport:
+    """ScreeningReport as a plain dataclass of its nine attributes."""
+
+    summaries: list
+    outliers: list
+    distances: list
+    normality: dict
+    vif: dict
+    residual_points: dict
+    outlier_cutoff: float
+    alpha: float
+    warnings: list
+
+
+def eager(report):
+    return EagerReport(**{f.name: getattr(report, f.name)
+                          for f in dataclasses.fields(EagerReport)})
+
+
+def test_report_equality_and_repr_read_every_attribute(revised_model):
+    d = Dataset(NAMES, exact_corr_scores(OBSERVED_R, 60, seed=914))
+    report = screen(d, model=revised_model)
+    # a fresh report still holds its numpy arrays: == must not compare them
+    assert screen(d, model=revised_model) == report
+    assert repr(screen(d, model=revised_model)) == repr(eager(report)).replace(
+        "EagerReport", "ScreeningReport", 1)
+    for other in (screen(d), screen(d, model=revised_model, outlier_p=0.2),
+                  screen(d, model=revised_model, alpha=0.2)):
+        assert eager(other) != eager(report)
+        assert other != report
+    assert report != "report"
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+@pytest.mark.parametrize("names,rows,model_text,error", [
+    (("a", "b", "c"), np.eye(3), None, ValueError),  # n <= k
+    (("a", "b"), np.column_stack([np.arange(20.0), np.full(20, 3.0)]), None, ZeroVariance),
+    (("a", "b"), np.column_stack([np.arange(20.0), 2.0 * np.arange(20.0)]), None,
+     SingularCovariance),
+    (("a", "b"), np.random.default_rng(915).normal(size=(20, 2)),
+     "var a\nvar b\nvar z\npath a -> z\n", VariableMissing),  # z has an equation
+    (("a", "b"), np.random.default_rng(916).normal(size=(20, 2)),
+     "var a\nvar b\nvar z\npath a -> b\n", VariableMissing),  # z is in no equation
+])
+def test_screen_raises_every_error_itself(names, rows, model_text, error):
+    model = parse_model(model_text) if model_text else None
+    with pytest.raises(error):
+        screen(Dataset(names, rows), model=model)
