@@ -5,7 +5,6 @@ import enum
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import numeric
@@ -19,6 +18,7 @@ from .errors import (
     SingularMatrix,
 )
 from .files import write_rows
+from .record import FrozenRecord
 
 ASYMMETRY_LIMIT = 1e-6
 DIAGONAL_LIMIT = 1e-9
@@ -103,8 +103,7 @@ def _square_rows(a, k):
     return rows
 
 
-@dataclass(frozen=True, init=False)
-class CorrelationMatrix:
+class CorrelationMatrix(FrozenRecord):
     """Symmetric unit-diagonal correlations with per-cell two-sided p-values.
 
     Built from (variables, r, n): r is a nested sequence or ndarray that
@@ -113,9 +112,7 @@ class CorrelationMatrix:
     n on first read; `.r` and `.p` are read-only float64 ndarrays of the two.
     """
 
-    variables: tuple
-    r_rows: tuple
-    n: int
+    _fields = ("variables", "r_rows", "n")
 
     def __init__(self, variables, r, n):
         names = tuple(str(v) for v in variables)

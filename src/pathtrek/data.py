@@ -7,20 +7,20 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataWarning, ParseError, TooFewRows, ZeroVariance
 from .files import open_output
+from .record import FrozenRecord
 
 SD_FLOOR = 1e-12
 WRITE_BLOCK_CELLS = 8192  # values write_csv formats per string
 _LINE_END = re.compile(r"\r\n|\r|\n")  # where a file opened with newline="" ends a line
 
 
-@dataclass(frozen=True)
-class VariableSummary:
+class VariableSummary(NamedTuple):
     name: str
     mean: float
     sd: float
@@ -29,26 +29,21 @@ class VariableSummary:
     flag_zero_variance: bool
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(FrozenRecord):
     """Immutable named-column numeric data, one row per observation.
 
     `dropped` counts the rows load_csv dropped and `digest` is the sha256 of
     the file it parsed (None for data built in memory); equality reads
-    neither.
+    neither, and compares the rows by value.
     """
 
-    variables: tuple
-    rows: np.ndarray  # (n, k) float64
-    dropped: int = field(default=0, compare=False)
-    digest: str = field(default=None, compare=False)  # sha256 of the parsed file
+    _fields = ("variables", "rows", "dropped", "digest")
 
-    def __post_init__(self):
-        names = tuple(str(v) for v in self.variables)
-        object.__setattr__(self, "variables", names)
+    def __init__(self, variables, rows, dropped=0, digest=None):
+        names = tuple(str(v) for v in variables)
         if len(set(names)) != len(names) or any(not v for v in names):
             raise ParseError("variable names must be unique and nonempty")
-        rows = np.asarray(self.rows, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != len(names):
             raise ParseError("rows must be a 2-D block with one column per variable")
         if not np.all(np.isfinite(rows)):
@@ -57,7 +52,15 @@ class Dataset:
             raise TooFewRows(f"need at least 3 rows, got {rows.shape[0]}")
         rows = rows.copy()
         rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "variables", names)
+        object.__setattr__(self, "rows", rows)  # (n, k) float64
+        object.__setattr__(self, "dropped", dropped)
+        object.__setattr__(self, "digest", digest)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.variables == other.variables and np.array_equal(self.rows, other.rows)
 
     @property
     def n(self):

@@ -2,14 +2,14 @@
 structural recursion in `tracing`, and the drop/add revision loop.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple
 
 from .errors import NoAdmissibleRevision, VariableMismatch
 from .estimation import (DEFAULT_ALPHA, FittedModel, _endogenous, _fit_equation,
                          coefficient_inference)
 from .files import write_rows
 from .pathspec import Arrow, topological_order
+from .record import FrozenRecord, Record
 from .tracing import _implied
 
 DEFAULT_MISFIT_THRESHOLD = 0.05
@@ -19,8 +19,7 @@ DEFAULT_MAX_ITER = 10  # revise_model's iteration limit
 # ---------------------------------------------------------------------------
 # Fit assessment.
 
-@dataclass(frozen=True)
-class PairFit:
+class PairFit(NamedTuple):
     a: str
     b: str
     observed: float
@@ -29,8 +28,7 @@ class PairFit:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class FitAssessment:
+class FitAssessment(NamedTuple):
     pairs: tuple
     threshold: float
 
@@ -98,8 +96,7 @@ def _misfits(observed, implied, threshold):
 # ---------------------------------------------------------------------------
 # Effect decomposition.
 
-@dataclass(frozen=True)
-class EffectRow:
+class EffectRow(NamedTuple):
     outcome: str
     determinant: str
     direct: float
@@ -110,10 +107,13 @@ class EffectRow:
         return self.direct + self.indirect
 
 
-@dataclass(frozen=True)
-class EffectsTable:
-    rows: tuple
-    r_squared: dict  # outcome -> R² implied by the coefficients
+class EffectsTable(FrozenRecord):
+    _fields = ("rows", "r_squared")
+
+    def __init__(self, rows, r_squared):
+        object.__setattr__(self, "rows", rows)
+        # outcome -> R² implied by the coefficients
+        object.__setattr__(self, "r_squared", r_squared)
 
     def row(self, determinant, outcome):
         for r in self.rows:
@@ -159,8 +159,7 @@ def _effects_table(m, implied):
 # ---------------------------------------------------------------------------
 # Revision loop.
 
-@dataclass(frozen=True)
-class RevisionStep:
+class RevisionStep(NamedTuple):
     iteration: int
     action: str  # "drop" or "add"
     arrows: tuple  # (source, target) pairs involved
@@ -170,15 +169,19 @@ class RevisionStep:
     max_difference: float = 0.0
 
 
-@dataclass
-class RevisionTrace:
-    steps: list = field(default_factory=list)
-    final_model: Optional["PathModel"] = None
-    final_fit: Optional["FittedModel"] = None
-    final_assessment: Optional[FitAssessment] = None
-    final_implied: Optional["ReproducedMatrix"] = None  # r_hat, psi, (I-B)⁻¹
-    iterations: int = 0
-    converged: bool = False
+class RevisionTrace(Record):
+    _fields = ("steps", "final_model", "final_fit", "final_assessment", "final_implied",
+               "iterations", "converged")
+
+    def __init__(self, steps=None, final_model=None, final_fit=None, final_assessment=None,
+                 final_implied=None, iterations=0, converged=False):
+        self.steps = [] if steps is None else steps
+        self.final_model = final_model
+        self.final_fit = final_fit
+        self.final_assessment = final_assessment
+        self.final_implied = final_implied  # r_hat, psi, (I-B)⁻¹
+        self.iterations = iterations
+        self.converged = converged
 
 
 def write_effects_csv(table, path):

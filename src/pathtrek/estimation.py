@@ -10,8 +10,7 @@ j, hence the SEs, so one factor per equation serves estimates and inference.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import numeric
 from .errors import (
@@ -20,12 +19,12 @@ from .errors import (
     VariableMissing,
 )
 from .pathspec import topological_order
+from .record import FrozenRecord
 
 DEFAULT_ALPHA = 0.05
 
 
-@dataclass(frozen=True)
-class EquationFit:
+class EquationFit(NamedTuple):
     """One endogenous equation: standardized coefficients and inference."""
 
     target: str
@@ -41,12 +40,14 @@ class EquationFit:
         return self.beta[self.parents.index(parent)]
 
 
-@dataclass(frozen=True)
-class FittedModel:
-    model: "PathModel"
-    equations: dict  # target -> EquationFit, in causal order
-    correlation: "CorrelationMatrix"
-    alpha: float = DEFAULT_ALPHA
+class FittedModel(FrozenRecord):
+    _fields = ("model", "equations", "correlation", "alpha")
+
+    def __init__(self, model, equations, correlation, alpha=DEFAULT_ALPHA):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "equations", equations)  # target -> EquationFit, in causal order
+        object.__setattr__(self, "correlation", correlation)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n(self):
@@ -90,7 +91,7 @@ def coefficient_inference(fit, alpha=DEFAULT_ALPHA):
             raise DegreesOfFreedomExhausted(
                 f"equation for {eq.target!r}: n={fit.n} with {len(eq.parents)} parents"
             )
-    return replace(fit, alpha=alpha)
+    return FittedModel(fit.model, fit.equations, fit.correlation, alpha)
 
 
 def _endogenous(corr, m):

@@ -19,8 +19,7 @@ after that, `topological_order` included, reads the stored tables.
 import heapq
 import re
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     CycleDetected,
@@ -31,6 +30,7 @@ from .errors import (
     ParseError,
     UnknownVariable,
 )
+from .record import FrozenRecord
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 # A line up to its first `#` outside double quotes (labels may contain `#`).
@@ -40,15 +40,13 @@ _CODE_RE = re.compile(r'(?:[^"#]|"[^"]*(?:"|$))*')
 _LABEL_BAD_RE = re.compile(r'["\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]')
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: str
     target: str
     coefficient: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class PathModel:
+class PathModel(FrozenRecord):
     """A validated DAG of named variables with optional arrow coefficients.
 
     Construction works out the causal structure once (the order, each
@@ -56,12 +54,11 @@ class PathModel:
     pair); the structural queries below read those tables.
     """
 
-    variables: tuple
-    arrows: tuple
-    labels: dict
+    _fields = ("variables", "arrows", "labels")
 
-    def __post_init__(self):
-        names = tuple(self.variables)
+    def __init__(self, variables, arrows, labels):
+        names = tuple(variables)
+        arrows = tuple(arrows)
         seen = set()
         for nm in names:
             if not _NAME_RE.match(nm):
@@ -70,22 +67,23 @@ class PathModel:
                 raise UnknownVariable(f"variable {nm!r} declared twice")
             seen.add(nm)
         arrow_of = {}
-        for a in self.arrows:
-            if a.source not in seen:
-                raise UnknownVariable(f"arrow source {a.source!r} undeclared")
-            if a.target not in seen:
-                raise UnknownVariable(f"arrow target {a.target!r} undeclared")
-            if (a.source, a.target) in arrow_of:
-                raise DuplicateArrow(a.source, a.target)
-            arrow_of[(a.source, a.target)] = a
+        for a in arrows:
+            source, target = a.source, a.target
+            if source not in seen:
+                raise UnknownVariable(f"arrow source {source!r} undeclared")
+            if target not in seen:
+                raise UnknownVariable(f"arrow target {target!r} undeclared")
+            if (source, target) in arrow_of:
+                raise DuplicateArrow(source, target)
+            arrow_of[(source, target)] = a
         order, parents, children = _causal_structure(names, arrow_of)
-        for nm, label in self.labels.items():
+        for nm, label in labels.items():
             if _LABEL_BAD_RE.search(label):
                 raise ParseError(
                     f"label {label!r} of {nm!r} holds a double quote or a line break")
         object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        object.__setattr__(self, "labels", dict(self.labels))
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "labels", dict(labels))
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_parents", parents)
         object.__setattr__(self, "_children", children)

@@ -15,12 +15,11 @@ in one call, with the separators of its depth.
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 from . import __version__
 from .correlation import classify_strength
+from .record import Record
 
 P_DISPLAY_FLOOR = 5e-4
 
@@ -94,18 +93,22 @@ def _render(obj, depth=0):
     return f"{brackets[0]}\n{'  ' * (depth + 1)}{inner}\n{'  ' * depth}{brackets[1]}"
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict = field(default_factory=dict)  # name -> sha256
-    screening: Optional["ScreeningReport"] = None
-    correlations: Optional["CorrelationMatrix"] = None
-    fitted: Optional["FittedModel"] = None
-    reproduced: Optional["ReproducedMatrix"] = None
-    fit: Optional["FitAssessment"] = None
-    effects: Optional["EffectsTable"] = None
-    revision: Optional["RevisionTrace"] = None
-    warnings: list = field(default_factory=list)
+class Report(Record):
+    _fields = ("command", "inputs", "screening", "correlations", "fitted", "reproduced",
+               "fit", "effects", "revision", "warnings")
+
+    def __init__(self, command, inputs=None, screening=None, correlations=None, fitted=None,
+                 reproduced=None, fit=None, effects=None, revision=None, warnings=None):
+        self.command = command
+        self.inputs = {} if inputs is None else inputs  # name -> sha256
+        self.screening = screening
+        self.correlations = correlations
+        self.fitted = fitted
+        self.reproduced = reproduced
+        self.fit = fit
+        self.effects = effects
+        self.revision = revision
+        self.warnings = [] if warnings is None else warnings
 
     # -- machine rendering ---------------------------------------------
 

@@ -13,7 +13,6 @@ log to libm; the results equal per-value calls bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
     VariableMissing,
     ZeroVariance,
 )
+from .record import Record
 
 DEFAULT_OUTLIER_P = 0.001
 VIF_WARN = 5.0
@@ -140,13 +140,7 @@ def residual_diagnostics(fitted, d):
     return points
 
 
-# ScreeningReport's attributes, in the order its repr lists them.
-_ATTRIBUTES = ("summaries", "outliers", "distances", "normality", "vif",
-               "residual_points", "outlier_cutoff", "alpha", "warnings")
-
-
-@dataclass(eq=False, repr=False)
-class ScreeningReport:
+class ScreeningReport(Record):
     """What the battery found.
 
     `distances` (every row's (row, D2, p), descending D2) is built on first
@@ -156,16 +150,21 @@ class ScreeningReport:
     them as they read the other attributes.
     """
 
-    summaries: list
-    outliers: list  # flagged (row, D2, p), descending D2
-    normality: dict  # name -> (D, p, verdict)
-    vif: dict  # name -> VIF over the predictor block
-    outlier_cutoff: float
-    alpha: float
-    warnings: list = field(default_factory=list)
-    _ranked: tuple = ()  # row index, D2 and p arrays in distances' order
-    _fitted: object = None  # the model residual_points is computed from
-    _data: object = None  # the screened Dataset
+    _fields = ("summaries", "outliers", "distances", "normality", "vif",
+               "residual_points", "outlier_cutoff", "alpha", "warnings")
+
+    def __init__(self, summaries, outliers, normality, vif, outlier_cutoff, alpha,
+                 warnings=None, _ranked=(), _fitted=None, _data=None):
+        self.summaries = summaries
+        self.outliers = outliers  # flagged (row, D2, p), descending D2
+        self.normality = normality  # name -> (D, p, verdict)
+        self.vif = vif  # name -> VIF over the predictor block
+        self.outlier_cutoff = outlier_cutoff
+        self.alpha = alpha
+        self.warnings = [] if warnings is None else warnings
+        self._ranked = _ranked  # row index, D2 and p arrays in distances' order
+        self._fitted = _fitted  # the model residual_points is computed from
+        self._data = _data  # the screened Dataset
 
     @cached_property
     def distances(self):
@@ -187,16 +186,6 @@ class ScreeningReport:
     def largest(self, count):
         """The first `count` triples of distances, without the others."""
         return _triples(a[:count] for a in self._ranked)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (tuple(getattr(self, a) for a in _ATTRIBUTES)
-                == tuple(getattr(other, a) for a in _ATTRIBUTES))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}("
-                + ", ".join(f"{a}={getattr(self, a)!r}" for a in _ATTRIBUTES) + ")")
 
 
 def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):

@@ -7,7 +7,7 @@ first variable in causal order, then the next), so output depends only on
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,21 +17,22 @@ from .errors import VariableMissing
 from .estimation import fit_standardized
 from .correlation import _sample_size, pearson_matrix
 from .pathspec import topological_order
+from .record import FrozenRecord
 from .tracing import implied_matrix
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
-    model: "PathModel"
-    n: int
-    seed: int
+class SimulationSpec(FrozenRecord):
+    _fields = ("model", "n", "seed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _sample_size(self.n))
-        rng.check_seed(self.seed)
-        if not self.model.variables:
+    def __init__(self, model, n, seed):
+        n = _sample_size(n)
+        rng.check_seed(seed)
+        if not model.variables:
             raise ValueError("model declares no variables to simulate")
-        self.model.require_annotated()
+        model.require_annotated()
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
 
 
 def simulate_dataset(spec):
@@ -61,8 +62,7 @@ def simulate_dataset(spec):
     return Dataset(m.variables, rows)
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(NamedTuple):
     spec: SimulationSpec
     tolerance: float
     max_abs_error: float

@@ -19,9 +19,8 @@ whatever the number of variables.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple
 
 from .errors import (
     NonPositiveResidualVariance,
@@ -31,6 +30,7 @@ from .errors import (
 from .files import write_rows
 from .numeric import float_rows, readonly_array
 from .pathspec import topological_order
+from .record import FrozenRecord
 
 # Partial treks one enumeration may visit, and treks one reproduced_matrix may
 # sum.  A complete DAG over 12 variables implies ~1.3e5 treks (~1 s); each
@@ -42,8 +42,7 @@ INDIRECT = "indirect"
 SPURIOUS = "spurious"
 
 
-@dataclass(frozen=True)
-class Trek:
+class Trek(NamedTuple):
     """One backward-then-forward walk with its coefficient product."""
 
     nodes: tuple
@@ -61,26 +60,22 @@ class Trek:
         return DIRECT if self.forward_steps == 1 else INDIRECT
 
 
-@dataclass(frozen=True, init=False)
-class ReproducedMatrix:
+class ReproducedMatrix(FrozenRecord):
     """Model-implied correlations; trek decompositions when enumerated.
 
     The cells are kept as tuples of floats, `r_hat_rows`; `.r_hat` is a
     read-only float64 ndarray built from them on first access.
     """
 
-    variables: tuple
-    r_hat_rows: tuple
-    treks: dict  # (earlier, later) -> tuple of Trek; empty for implied route
-    psi: Optional[dict] = None  # residual variances, implied route only
-    total: Optional[list] = None  # rows of (I-B)⁻¹ by variable, implied only
+    _fields = ("variables", "r_hat_rows", "treks", "psi", "total")
 
     def __init__(self, variables, r_hat, treks, psi=None, total=None):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "r_hat_rows", float_rows(r_hat))
+        # (earlier, later) -> tuple of Trek; empty for implied route
         object.__setattr__(self, "treks", treks)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "psi", psi)  # residual variances, implied route only
+        object.__setattr__(self, "total", total)  # rows of (I-B)⁻¹ by variable, implied only
 
     @cached_property
     def r_hat(self):

@@ -936,6 +936,10 @@ for argv in (
 ):
     assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy imported"
+# no record loads dataclasses, nor with it inspect (unless the bare
+# interpreter loads inspect itself)
+assert "dataclasses" not in sys.modules, "dataclasses imported"
+assert "inspect" not in sys.modules or "inspect" in BARE, "inspect imported"
 
 # the raw-data names still resolve, and then numpy loads
 assert callable(pathtrek.screen) and pathtrek.Dataset.__name__ == "Dataset"
@@ -946,7 +950,10 @@ assert "numpy" in sys.modules
 
 
 def test_correlation_path_imports_no_numpy(tmp_path):
-    code = f"CORR, REVISED, INITIAL = {CORR!r}, {REVISED!r}, {INITIAL!r}\n" + NUMPY_GUARD
+    bare = run_fresh(["-c", "import sys; print(sorted(sys.modules))"], tmp_path)
+    assert bare.returncode == 0, bare.stderr
+    code = (f"CORR, REVISED, INITIAL = {CORR!r}, {REVISED!r}, {INITIAL!r}\n"
+            f"BARE = {bare.stdout.strip()}\n" + NUMPY_GUARD)
     proc = run_fresh(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "misfit pairs: 0/10 -> fits" in (tmp_path / "fit.txt").read_text()

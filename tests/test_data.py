@@ -2,7 +2,6 @@
 listwise-deletion row loop it ran before its np.loadtxt fast path."""
 
 import csv
-import dataclasses
 import hashlib
 import math
 import warnings
@@ -100,8 +99,21 @@ def test_load_digest_is_the_sha256_of_the_parsed_bytes(tmp_path):
     assert d.digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert Dataset(d.variables, d.rows).digest is None
     # like dropped, the digest takes no part in equality
-    assert {f.name for f in dataclasses.fields(Dataset) if not f.compare} == {
-        "dropped", "digest"}
+    assert d == Dataset(d.variables, d.rows, dropped=2, digest="other")
+    assert d != Dataset(d.variables, d.rows[::-1])
+    assert d != Dataset(("a", "c"), d.rows)
+
+
+def test_dataset_equality_compares_variables_and_rows():
+    rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+    d = Dataset(("a", "b"), rows)
+    assert d == Dataset(["a", "b"], rows.tolist())
+    assert not d != Dataset(("a", "b"), rows)
+    assert d != Dataset(("a", "b"), rows + np.eye(3, 2) * 1e-12)
+    assert d != Dataset(("a", "b"), np.vstack([rows, rows]))  # other shape
+    assert d != "d"
+    with pytest.raises(TypeError):
+        hash(d)
 
 
 def test_dataset_immutable():

@@ -321,3 +321,8 @@ def test_with_coefficients(revised_model):
     assert annotated.is_annotated
     assert annotated.coefficient("X4", "Y") == 0.1
     assert not revised_model.is_annotated
+
+
+def test_model_from_arrow_iterators(revised_model):
+    m = revised_model
+    assert PathModel(iter(m.variables), iter(m.arrows), m.labels) == m

@@ -1,0 +1,189 @@
+"""The record contract: every pathtrek record, built from the bundled study,
+keeps its repr text, its hashability, its frozen fields and its equality
+across pickle, copy and deepcopy.
+
+The expected repr of each record is pinned by the sha256 of its text; a
+mismatch prints the text's head.  On a record that is hashable, hash() is
+that of the tuple of its compared fields, the rule of a frozen dataclass,
+which value records that are NamedTuples follow too.
+"""
+
+import copy
+import hashlib
+import pickle
+
+import pytest
+
+from conftest import DATA_DIR
+from pathtrek.correlation import load_correlation_csv
+from pathtrek.data import load_csv, summarize
+from pathtrek.effects import assess_fit, decompose_effects, revise_model
+from pathtrek.estimation import coefficient_inference, fit_standardized
+from pathtrek.files import file_digest
+from pathtrek.pathspec import load_model
+from pathtrek.report import Report
+from pathtrek.screening import screen
+from pathtrek.simulate import SimulationSpec, recovery_check
+from pathtrek.tracing import implied_matrix, reproduced_matrix
+
+
+def build_records():
+    """One record of each class, by class name, from the bundled study."""
+    corr = load_correlation_csv(DATA_DIR / "observed_correlations.csv", 240)
+    initial = load_model(DATA_DIR / "initial_model.pm")
+    revised = load_model(DATA_DIR / "revised_model.pm")
+    fitted = coefficient_inference(fit_standardized(corr, revised))
+    annotated = fitted.annotated_model()
+    implied = implied_matrix(annotated)
+    assessment = assess_fit(corr, implied)
+    effects = decompose_effects(annotated)
+    trace = revise_model(corr, initial)
+    d = load_csv(DATA_DIR / "sample_scores.csv")
+    spec = SimulationSpec(model=annotated, n=60, seed=7)
+    return {
+        "Arrow": revised.arrows[0],
+        "PathModel": revised,
+        "CorrelationMatrix": corr,
+        "EquationFit": fitted.equation("Y"),
+        "FittedModel": fitted,
+        "Trek": reproduced_matrix(annotated).cell_treks("X1", "Y")[1],
+        "ReproducedMatrix": implied,
+        "PairFit": assessment.pairs[0],
+        "FitAssessment": assessment,
+        "EffectRow": effects.rows[0],
+        "EffectsTable": effects,
+        "RevisionStep": trace.steps[0],
+        "RevisionTrace": trace,
+        "VariableSummary": summarize(d)[0],
+        "Dataset": d,
+        "ScreeningReport": screen(d, model=revised),
+        "SimulationSpec": spec,
+        "RecoveryReport": recovery_check(spec, 0.2),
+        "Report": Report(
+            command="revise",
+            inputs={"observed_correlations.csv":
+                    file_digest(DATA_DIR / "observed_correlations.csv")},
+            correlations=corr,
+            fitted=trace.final_fit,
+            reproduced=trace.final_implied,
+            fit=trace.final_assessment,
+            effects=effects,
+            revision=trace,
+            warnings=["a warning"],
+        ),
+    }
+
+
+# class name -> (compared fields, frozen, hashable, sha256 of the repr text)
+CONTRACT = {
+    "Arrow": (("source", "target", "coefficient"), True, True,
+              "36cdd1fe0ea13a8e6ac454d2772d91b422c64623f9779b81dd0921586ae1cf73"),
+    "PathModel": (("variables", "arrows", "labels"), True, False,
+                  "bb8f989e42f8183d7d5e90227e109bd57bcc277312d70fb7c0fede100975d9b0"),
+    "CorrelationMatrix": (("variables", "r_rows", "n"), True, True,
+                          "657547a79f3705fefd05a501720d72e04506a866a5b33c3f73fd642c80b6ec90"),
+    "EquationFit": (("target", "parents", "beta", "r_squared", "disturbance", "se", "t", "p"),
+                    True, True,
+                    "68c303b0b65036960a4f2cdaad7c4a7a862b53318029b014b8dc18a48ca2b919"),
+    "FittedModel": (("model", "equations", "correlation", "alpha"), True, False,
+                    "770030d42521dc39839ed6c8d2435044af66d2ddf7bbd448bc84e4da1cd9daa8"),
+    "Trek": (("nodes", "backward_steps", "product"), True, True,
+             "9533b61b92cd310609450d51df97a19d526a98d1ab52d5f3986bc0309daa04bf"),
+    "ReproducedMatrix": (("variables", "r_hat_rows", "treks", "psi", "total"), True, False,
+                         "40a3fbe3b810b8a4e544fe3d9239ccbd7ccd28540a1d4fa21c363121a5f03694"),
+    "PairFit": (("a", "b", "observed", "reproduced", "difference", "flagged"), True, True,
+                "d6711c4e4d1461749f63702a02f236b38394f8939f44d937f94802f78b083271"),
+    "FitAssessment": (("pairs", "threshold"), True, True,
+                      "05840274fcd947e6d41a470d27c44ffbbfd8f02149016f9765595a86b7e933e6"),
+    "EffectRow": (("outcome", "determinant", "direct", "indirect"), True, True,
+                  "f7bfeede269220c2068a0254b1ca4657266e59b9d6acade9705a079801e29a81"),
+    "EffectsTable": (("rows", "r_squared"), True, False,
+                     "8121085254948ceeff67d4a9688b530949c7540266cf85a219417bc622c08ab0"),
+    "RevisionStep": (("iteration", "action", "arrows", "reason", "candidates", "misfit_count",
+                      "max_difference"), True, True,
+                     "af040b5a5a21d0ad0c1ac128ac3031125811c6beb2a2ea7fc4c0303948697c50"),
+    "RevisionTrace": (("steps", "final_model", "final_fit", "final_assessment",
+                       "final_implied", "iterations", "converged"), False, False,
+                      "474ea92a8929490fd9f3785ae39ac0ca7c8c47c5e1977ae3d0c886d6bc0e3458"),
+    "VariableSummary": (("name", "mean", "sd", "minimum", "maximum", "flag_zero_variance"),
+                        True, True,
+                        "06f6bf45e01aa671bdd2f4a44a26d05b2bd0d3dc570f8024ba871a4bb1bc70c9"),
+    "Dataset": (("variables", "rows"), True, False,
+                "6fcbe745da9a71365a97af5f0262956bcf22a3d60fc62bcd3c58878a8430d826"),
+    "ScreeningReport": (("summaries", "outliers", "distances", "normality", "vif",
+                         "residual_points", "outlier_cutoff", "alpha", "warnings"), False, False,
+                        "4821dcbf80c2d09cb1c80555c5fdac72f66db9f505be319f0f9ce51ec317ac5c"),
+    "SimulationSpec": (("model", "n", "seed"), True, False,
+                       "c7102b0ef9dd29e161c471d67990b255c41cd13948e68a0482dbfbee270a6936"),
+    "RecoveryReport": (("spec", "tolerance", "max_abs_error", "errors"), True, False,
+                       "0173cd5050e0901ed23c165a7ed051194c586c114ce28373b987f92a8f121e5a"),
+    "Report": (("command", "inputs", "screening", "correlations", "fitted", "reproduced", "fit",
+                "effects", "revision", "warnings"), False, False,
+               "8c5580292534effe9e3a1c76b6b1f0d8ae04920461aa29b9c2794922357927b6"),
+}
+
+
+@pytest.fixture(scope="module")
+def records():
+    return build_records()
+
+
+def test_every_record_class_is_covered(records):
+    assert set(records) == set(CONTRACT)
+    assert all(type(obj).__name__ == name for name, obj in records.items())
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_repr_text(records, name):
+    text = repr(records[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == CONTRACT[name][3], text[:300]
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_hashability(records, name):
+    obj = records[name]
+    fields, _, hashable, _ = CONTRACT[name]
+    if hashable:
+        assert hash(obj) == hash(tuple(getattr(obj, f) for f in fields))
+        assert hash(obj) == hash(copy.deepcopy(obj))
+    else:
+        with pytest.raises(TypeError):
+            hash(obj)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_pickle_and_copies_are_equal(records, name):
+    obj = records[name]
+    for other in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(other) is type(obj)
+        assert other == obj
+        assert not other != obj
+        assert repr(other) == repr(obj)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_frozen_fields(records, name):
+    (field, *_), frozen = CONTRACT[name][:2]
+    obj = copy.copy(records[name])
+    value = getattr(obj, field)
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    else:
+        setattr(obj, field, None)
+        assert getattr(obj, field) is None
+
+
+VALUE_RECORDS = ("Arrow", "Trek", "PairFit", "FitAssessment", "EffectRow", "RevisionStep",
+                 "EquationFit", "VariableSummary", "RecoveryReport")
+
+
+@pytest.mark.parametrize("name", VALUE_RECORDS)
+def test_value_records_are_tuples_of_their_fields(records, name):
+    obj = records[name]
+    values = tuple(getattr(obj, f) for f in CONTRACT[name][0])
+    assert tuple(obj) == values
+    assert obj == values
+    assert obj[-1] is values[-1]
