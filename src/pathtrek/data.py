@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataWarning, ParseError, TooFewRows, ZeroVariance
+from .errors import DataWarning, OutOfRange, ParseError, TooFewRows, ZeroVariance
 from .files import open_output
 from .record import FrozenRecord
 
@@ -168,7 +168,9 @@ def _parse_clean(body, k):
     """
     if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
         return None
-    lines = body.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in body:  # a scan is far cheaper than a replace that finds nothing
+        body = body.replace("\r\n", "\n").replace("\r", "\n")
+    lines = body.split("\n")
     nonblank = len(lines) - lines.count("")
     try:
         with warnings.catch_warnings():
@@ -242,12 +244,20 @@ def standardize(d):
 
 
 def _z_scores(d):
-    """standardize's (n, k) block, without building a checked Dataset."""
-    sds = column_sds(d)
-    for name, sd in zip(d.variables, sds):
+    """standardize's (n, k) block, without building a checked Dataset.
+
+    Raises ZeroVariance for a constant column and OutOfRange for one whose
+    mean or sd overflows float64; numpy's overflow warnings stay silent.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = d.rows.mean(axis=0)
+        sds = column_sds(d)
+    for name, mean, sd in zip(d.variables, means, sds):
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise OutOfRange(f"variable {name!r}: mean or sd overflows float64")
         if sd < SD_FLOOR:
             raise ZeroVariance(name)
-    return (d.rows - d.rows.mean(axis=0)) / sds
+    return (d.rows - means) / sds
 
 
 def summarize(d):

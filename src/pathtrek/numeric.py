@@ -4,13 +4,14 @@ The tail probabilities are built on the C library's lgamma, erfc, exp and
 log (via math): the normal tail is erfc, the chi-squared tail a finite sum
 for its integer df, the t tail a continued fraction for the incomplete
 beta, and the Kolmogorov tail a theta series.  Screening evaluates the
-normal and chi-squared tails over whole columns: `normal_cdf_array` and
+normal and chi-squared tails over arrays: `normal_cdf_array` and
 `chisq_sf_array` do the correctly rounded steps (abs, division, products,
 sums, sqrt, min, sign branch) in numpy and map libm's erfc, exp and log
 from math over the elements, since numpy's SIMD kernels may differ from
 libm in the last bit.  They are the only definitions: the scalar
 `normal_cdf` and `chisq_sf` call them, and equal the scalar loops in
-tests/test_numeric.py byte for byte.  numpy loads on their first use, so
+tests/test_numeric.py byte for byte.  `normal_cdf_approx`, a closed form
+with a bounded error, only tells screening where the exact CDF is needed.  numpy loads on their first use, so
 code that needs only the t tail does not import it.  Every matrix
 factored is a symmetric correlation block of order <= ~20, so one Cholesky
 factor in plain floats serves every solve, inverse diagonal, quadratic
@@ -168,6 +169,16 @@ def _libm(f, a):
     return np.fromiter(map(f, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
 
 
+def _finite(z):
+    """z as a float64 ndarray; ValueError when an element is not finite."""
+    import numpy as np
+
+    z = np.asarray(z, dtype=np.float64)
+    if not np.isfinite(z).all():
+        raise ValueError("normal_cdf requires finite z")
+    return z
+
+
 def normal_cdf_array(z):
     """Standard normal CDF of every element of z, as a float64 ndarray.
 
@@ -177,10 +188,39 @@ def normal_cdf_array(z):
     """
     import numpy as np
 
-    z = np.asarray(z, dtype=np.float64)
-    if not np.isfinite(z).all():
-        raise ValueError("normal_cdf requires finite z")
+    z = _finite(z)
     half_tail = 0.5 * _libm(math.erfc, np.abs(z) / math.sqrt(2.0))
+    return np.where(z < 0.0, half_tail, 1.0 - half_tail)
+
+
+NORMAL_CDF_APPROX_ERROR = 7.5e-8  # bound on |normal_cdf_approx - normal_cdf_array|
+_AS_7_1_26 = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+
+
+def normal_cdf_approx(z):
+    """Standard normal CDF of every element of z within NORMAL_CDF_APPROX_ERROR.
+
+    Abramowitz & Stegun (1964) 7.1.26 give erfc(x) = t(a1 + t(a2 + t(a3 +
+    t(a4 + t a5)))) e^(-x^2) + e, t = 1/(1 + 0.3275911 x), |e| <= 1.5e-7 for
+    x >= 0, and the half tail halves that error.  All of it runs in numpy,
+    in place where it can, with |z| clipped at 40, where the tail is 0 in
+    float64 anyway.  It locates where the exact normal_cdf_array can
+    matter (screening's KS statistic) and is never itself a result.
+    Raises ValueError as normal_cdf_array does.
+    """
+    import numpy as np
+
+    z = _finite(z)
+    x = np.minimum(np.abs(z), 40.0)
+    x /= math.sqrt(2.0)
+    t = 1.0 / (1.0 + 0.3275911 * x)
+    half_tail = _AS_7_1_26[-1] * t
+    for a in reversed(_AS_7_1_26[:-1]):
+        half_tail += a
+        half_tail *= t
+    x *= -x
+    half_tail *= np.exp(x, out=x)
+    half_tail *= 0.5
     return np.where(z < 0.0, half_tail, 1.0 - half_tail)
 
 

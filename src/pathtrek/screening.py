@@ -6,10 +6,16 @@ statistical packages conventionally do; that makes its p-values
 anti-conservative for the normality question, which every report carries as
 a caveat rather than silently correcting.
 
-The per-row tails (the chi-squared p of every Mahalanobis distance, the
-normal CDF at every sorted score of a column) are evaluated over whole
-columns by numeric's array forms, which leave the elementwise erfc, exp and
-log to libm; the results equal per-value calls bit for bit.
+Every tail the battery reports comes from numeric's array forms, which leave
+the elementwise erfc, exp and log to libm, but only where an output can read
+it.  KS takes the exact normal CDF only at the sorted scores whose
+discrepancy under numpy's closed-form normal_cdf_approx is within KS_MARGIN
+of the largest; the point that attains D is always among them.  The
+outliers take the chi-squared p only over a head of the rows by descending
+D2, grown until its last p is past the cutoff; `distances` and `largest`
+compute the p of the other rows when read.  The tails are elementwise and D
+is a max of elementwise differences, so every reported value has the bits
+a whole-column evaluation gives.
 """
 
 import math
@@ -30,6 +36,12 @@ from .errors import (
 from .record import Record
 
 DEFAULT_OUTLIER_P = 0.001
+# At least 2 * numeric.NORMAL_CDF_APPROX_ERROR: the approximate KS discrepancy
+# at a point attaining D, and the approximate maximum, are each within that
+# error of the exact ones.
+KS_MARGIN = 1e-6
+P_BLOCK = 64  # rows in the first chi-squared block of the outlier search
+P_MARGIN = 1e-6  # relative margin over chisq_sf_array's rounding
 VIF_WARN = 5.0
 VIF_FLAG = 10.0
 KS_CAVEAT = (
@@ -51,7 +63,7 @@ def mahalanobis(d):
     """
     _check_rows(d)
     z = _z_scores(d)
-    return _triples(_ranked(z, (z.T @ z) / (d.n - 1)))
+    return _triples(_ranked(z, (z.T @ z) / (d.n - 1)).head())
 
 
 def _check_rows(d):
@@ -60,18 +72,63 @@ def _check_rows(d):
 
 
 def _ranked(z, r):
-    """mahalanobis's row indices, D2 and p as arrays, in its order.
+    """mahalanobis's rows in its order, as a _Ranking.
 
-    z is the standardized (n, k) block and r = z'z / (n - 1).
+    z is the standardized (n, k) block and r = z'z / (n - 1).  A NaN or
+    negative D2 raises here, as chisq_sf_array raises for it.
     """
     try:
         w = np.array(numeric.inverse_factor(r))
     except SingularMatrix as exc:
         raise SingularCovariance(str(exc)) from exc
     d2 = ((z @ w.T) ** 2).sum(axis=1)
-    p = numeric.chisq_sf_array(d2, z.shape[1])
+    if not (d2 >= 0.0).all():
+        numeric.chisq_sf_array(d2, z.shape[1])  # raises its ValueError
     order = np.argsort(-d2, kind="stable")
-    return order, d2[order], p[order]
+    return _Ranking(order, d2[order], z.shape[1])
+
+
+class _Ranking:
+    """Row indices and D2 by descending D2, and the chi-squared p of a
+    leading run of them.
+
+    p is computed by chisq_sf_array over only as many rows as have been
+    read; it is elementwise, so each p has the bits it would have in a
+    whole-column call.
+    """
+
+    def __init__(self, rows, d2, df):
+        self.rows = rows
+        self.d2 = d2
+        self.df = df
+        self.p = d2[:0]
+
+    def head(self, count=None):
+        """(row, D2, p) arrays of the first `count` rows, or of every row."""
+        stop = len(self.d2) if count is None else min(count, len(self.d2))
+        done = len(self.p)
+        if stop > done:
+            self.p = np.concatenate(
+                [self.p, numeric.chisq_sf_array(self.d2[done:stop], self.df)])
+        return self.rows[:stop], self.d2[:stop], self.p[:stop]
+
+    def below(self, cutoff):
+        """head's arrays at the rows whose p < cutoff.
+
+        p is taken over a growing head (64 rows, then twice as many each
+        time) until its last p exceeds cutoff * (1 + P_MARGIN).  The
+        chi-squared tail cannot rise as D2 falls, and chisq_sf_array's sum
+        of positive terms is good to ~1e-14 relative, so no later row can
+        come below cutoff.
+        """
+        count = P_BLOCK
+        while True:
+            rows, d2, p = self.head(count)
+            if count >= len(self.d2) or p[-1] > cutoff * (1.0 + P_MARGIN):
+                break
+            count *= 2
+        flagged = p < cutoff
+        return rows[flagged], d2[flagged], p[flagged]
 
 
 def _triples(ranked):
@@ -84,7 +141,11 @@ def ks_normality(column, alpha=0.05):
 
     D is the two-sided sup discrepancy at the sample points; p comes from
     the asymptotic Kolmogorov tail at sqrt(n)*D.  Verdict is "non-normal"
-    when p < alpha, else "normal".
+    when p < alpha, else "normal".  The exact normal_cdf_array is taken
+    only at the points whose discrepancy under normal_cdf_approx is within
+    KS_MARGIN of the largest: any point attaining D is among them, and D
+    is a max of elementwise differences, so it has the bits a
+    whole-column evaluation gives.
     """
     x = np.sort(np.asarray(column, dtype=np.float64))
     n = len(x)
@@ -94,10 +155,13 @@ def ks_normality(column, alpha=0.05):
     if sd < 1e-12:
         raise ZeroVariance("(column)")
     z = (x - x.mean()) / sd
-    cdf = numeric.normal_cdf_array(z)
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
-    d_stat = float(max(upper.max(), lower.max()))
+    approx = numeric.normal_cdf_approx(z)
+    above = np.arange(1, n + 1) / n
+    below = np.arange(0, n) / n
+    gap = np.maximum(above - approx, approx - below)
+    near = np.flatnonzero(gap >= gap.max() - KS_MARGIN)
+    cdf = numeric.normal_cdf_array(z[near])
+    d_stat = float(max((above[near] - cdf).max(), (cdf - below[near]).max()))
     p = numeric.kolmogorov_sf(math.sqrt(n) * d_stat)
     verdict = "non-normal" if p < alpha else "normal"
     return d_stat, p, verdict
@@ -144,7 +208,8 @@ class ScreeningReport(Record):
     """What the battery found.
 
     `distances` (every row's (row, D2, p), descending D2) is built on first
-    read from the ranked arrays `_ranked`, and `residual_points` (equation
+    read from the _Ranking `_ranked`, which computes the p the outlier
+    search left out, and `residual_points` (equation
     target -> [(fitted, std_residual)], {} without a model) by
     residual_diagnostics over `_fitted` and `_data`.  Equality and repr read
     them as they read the other attributes.
@@ -154,7 +219,7 @@ class ScreeningReport(Record):
                "residual_points", "outlier_cutoff", "alpha", "warnings")
 
     def __init__(self, summaries, outliers, normality, vif, outlier_cutoff, alpha,
-                 warnings=None, _ranked=(), _fitted=None, _data=None):
+                 warnings=None, _ranked=None, _fitted=None, _data=None):
         self.summaries = summaries
         self.outliers = outliers  # flagged (row, D2, p), descending D2
         self.normality = normality  # name -> (D, p, verdict)
@@ -162,13 +227,13 @@ class ScreeningReport(Record):
         self.outlier_cutoff = outlier_cutoff
         self.alpha = alpha
         self.warnings = [] if warnings is None else warnings
-        self._ranked = _ranked  # row index, D2 and p arrays in distances' order
+        self._ranked = _ranked  # the _Ranking of distances' rows
         self._fitted = _fitted  # the model residual_points is computed from
         self._data = _data  # the screened Dataset
 
     @cached_property
     def distances(self):
-        return _triples(self._ranked)
+        return _triples(self._ranked.head())
 
     @cached_property
     def residual_points(self):
@@ -185,7 +250,7 @@ class ScreeningReport(Record):
 
     def largest(self, count):
         """The first `count` triples of distances, without the others."""
-        return _triples(a[:count] for a in self._ranked)
+        return _triples(self._ranked.head(count))
 
 
 def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
@@ -196,25 +261,23 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     without one, the VIF block is every column and residuals are skipped.
     The standardized block z and R = z'z / (n - 1) are computed once, for
     the distances and the VIF matrix alike.  Every check that can raise
-    runs here; the report builds only its full distance list and the
-    residual points later, when they are first read.
+    runs here; the report builds only its full distance list (with the p
+    the outlier search did not need) and the residual points later, when
+    they are first read.
     """
     warnings_list = []
     if d.dropped:
         warnings_list.append(
             f"{d.dropped} rows dropped during load (listwise deletion)"
         )
-    summaries = summarize(d)
-    for s in summaries:
-        if s.flag_zero_variance:
-            warnings_list.append(f"variable {s.name} has zero variance")
-
     _check_rows(d)
+    # raises for a constant or overflowing column, so no summary below flags
+    # zero variance and summarize meets no overflow
     z = _z_scores(d)
+    summaries = summarize(d)
     r = (z.T @ z) / (d.n - 1)
     ranked = _ranked(z, r)
-    flagged = ranked[2] < outlier_p
-    outliers = _triples(a[flagged] for a in ranked)
+    outliers = _triples(ranked.below(outlier_p))
     if outliers:
         warnings_list.append(
             f"{len(outliers)} outlier rows at Mahalanobis p < {outlier_p}"

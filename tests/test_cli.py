@@ -355,6 +355,39 @@ def test_screen_builds_points_only_for_the_export(tmp_path, monkeypatch, fmt, ex
     assert reads == []
 
 
+def test_screen_takes_exact_tails_only_where_the_report_reads_them(tmp_path, monkeypatch):
+    # a JSON screen reads one KS D per column and the p of the flagged rows
+    from pathtrek import numeric
+
+    counted = []
+    for name in ("normal_cdf_array", "chisq_sf_array"):
+        tail = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name, lambda x, *args, tail=tail:
+                            counted.append(len(x)) or tail(x, *args))
+    n, k = 2000, len(NAMES)
+    data = tmp_path / "scores.csv"
+    write_csv(Dataset(NAMES, exact_corr_scores(OBSERVED_R, n, seed=919)), data)
+    code, report = run_json(tmp_path, ["screen", "--data", str(data), "--model", REVISED])
+    assert code == 0
+    assert len(report["screening"]["normality"]) == k
+    assert 0 < sum(counted) < (n * k + n) // 100
+
+
+def test_overflowing_column_is_an_input_error(tmp_path, capsys, recwarn):
+    data = tmp_path / "huge.csv"
+    rows = [f"{1e308 if i % 2 else -1e308!r},{i % 7},{i % 5 * 0.5}" for i in range(30)]
+    data.write_text("X1,X2,X3\n" + "\n".join(rows) + "\n")
+    model = tmp_path / "m.pm"
+    model.write_text("var X1\nvar X2\nvar X3\npath X1 -> X3\npath X2 -> X3\n")
+    for args in (["screen", "--data", str(data)],
+                 ["fit", "--data", str(data), "--model", str(model)]):
+        assert main(args + ["--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert "variable 'X1': mean or sd overflows float64" in err
+        assert "Warning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("command", ["fit", "revise", "screen"])
 def test_data_digest_comes_from_the_parsed_bytes(tmp_path, monkeypatch, command):
     import hashlib

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pathtrek import data
 from pathtrek.data import Dataset, load_csv, standardize, summarize, write_csv
-from pathtrek.errors import DataWarning, ParseError, TooFewRows, ZeroVariance
+from pathtrek.errors import DataWarning, OutOfRange, ParseError, TooFewRows, ZeroVariance
 
 from conftest import OBSERVED_R, exact_corr_scores
 
@@ -133,6 +133,18 @@ def test_standardize_zero_variance():
     with pytest.raises(ZeroVariance) as exc:
         standardize(d)
     assert exc.value.name == "b"
+
+
+@pytest.mark.parametrize("column", [
+    [1e308, -1e308] * 5,  # finite mean, sd overflows
+    [1.7e308, 1.6e308, 1.5e308, 1.7e308, 1.6e308],  # the sum behind the mean overflows
+])
+def test_standardize_overflowing_column(column):
+    rows = np.column_stack([np.arange(len(column), dtype=float), column])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings stay silent
+        with pytest.raises(OutOfRange, match="variable 'b': mean or sd overflows"):
+            standardize(Dataset(("a", "b"), rows))
 
 
 def test_standardize_moments_and_idempotence():

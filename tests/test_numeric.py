@@ -221,6 +221,23 @@ def test_normal_cdf_rejects_non_finite():
             numeric.normal_cdf_array([0.0, bad])
 
 
+def test_normal_cdf_approx_within_its_bound():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    z = np.concatenate([np.linspace(-40.0, 40.0, 800_001),
+                        [-1e3, 1e3, 0.0, -0.0, tiny, -tiny, 1e-310, -1e-310]])
+    error = np.abs(numeric.normal_cdf_approx(z) - numeric.normal_cdf_array(z)).max()
+    assert error <= numeric.NORMAL_CDF_APPROX_ERROR
+    # screening's KS search keeps every point within twice the bound
+    from pathtrek.screening import KS_MARGIN
+    assert KS_MARGIN >= 2.0 * numeric.NORMAL_CDF_APPROX_ERROR
+
+
+def test_normal_cdf_approx_rejects_non_finite():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            numeric.normal_cdf_approx([0.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # t_sf_two_sided
 

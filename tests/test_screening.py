@@ -2,13 +2,16 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathtrek import numeric, rng
-from pathtrek.data import Dataset, standardize
-from pathtrek.errors import SingularCovariance, VariableMissing, ZeroVariance
+from pathtrek import numeric, rng, screening
+from pathtrek.data import Dataset, _z_scores, standardize
+from pathtrek.errors import SingularCovariance, SingularMatrix, VariableMissing, ZeroVariance
 from pathtrek.estimation import fit_standardized
 from pathtrek.correlation import CorrelationMatrix, pearson_matrix
 from pathtrek.pathspec import parse_model
@@ -186,6 +189,163 @@ def test_ks_zero_variance():
 def test_ks_too_few_points():
     with pytest.raises(ValueError):
         ks_normality([1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# Whole-column references for the pruned tails: ks_normality and _ranked as
+# they were before the exact tails were limited to the points that decide an
+# output.  The pruned results must equal them bit for bit.
+
+def reference_ks_normality(column, alpha=0.05):
+    x = np.sort(np.asarray(column, dtype=np.float64))
+    n = len(x)
+    if n < 3:
+        raise ValueError(f"need at least 3 observations, got {n}")
+    sd = x.std(ddof=1)
+    if sd < 1e-12:
+        raise ZeroVariance("(column)")
+    z = (x - x.mean()) / sd
+    cdf = numeric.normal_cdf_array(z)
+    upper = np.arange(1, n + 1) / n - cdf
+    lower = cdf - np.arange(0, n) / n
+    d_stat = float(max(upper.max(), lower.max()))
+    p = numeric.kolmogorov_sf(math.sqrt(n) * d_stat)
+    verdict = "non-normal" if p < alpha else "normal"
+    return d_stat, p, verdict
+
+
+def reference_ranked(z, r):
+    try:
+        w = np.array(numeric.inverse_factor(r))
+    except SingularMatrix as exc:
+        raise SingularCovariance(str(exc)) from exc
+    d2 = ((z @ w.T) ** 2).sum(axis=1)
+    p = numeric.chisq_sf_array(d2, z.shape[1])
+    order = np.argsort(-d2, kind="stable")
+    return order, d2[order], p[order]
+
+
+def outcome(f, *args):
+    """f's result, or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def draw_block(seed, n, k, kind):
+    """An (n, k) block of one shape: normal, skewed, exp-transformed or rounded."""
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n, k))
+    if kind == "skewed":
+        x = x ** 2 + 0.1 * x
+    elif kind == "exp":
+        x = np.exp(2.0 * x)
+    elif kind == "rounded":
+        x = np.round(x * 1.5)  # heavily tied
+    return x
+
+
+KINDS = st.sampled_from(["normal", "skewed", "exp", "rounded"])
+CUTOFFS = st.sampled_from([0.0, 1e-300, 0.001, 0.5, 1.0])
+
+
+def bits(values):
+    return repr([float(v) for v in values])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 600), KINDS)
+@settings(max_examples=150, deadline=None)
+def test_ks_equals_whole_column_reference(seed, n, kind):
+    column = draw_block(seed, n, 1, kind)[:, 0]
+    want = outcome(reference_ks_normality, column)
+    got = outcome(ks_normality, column)
+    assert repr(got) == repr(want)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 600), st.integers(1, 5), KINDS,
+       CUTOFFS)
+@settings(max_examples=150, deadline=None)
+def test_ranked_equals_whole_column_reference(seed, n, k, kind, cutoff):
+    x = draw_block(seed, n, k, kind)
+    if n <= k or (x.std(axis=0, ddof=1) < 1e-12).any():
+        return
+    z = _z_scores(Dataset(tuple(f"v{j}" for j in range(k)), x))
+    r = (z.T @ z) / (n - 1)
+    want = outcome(reference_ranked, z, r)
+    if not isinstance(want[0], np.ndarray):
+        assert outcome(screening._ranked, z, r) == want
+        return
+    flagged = want[2] < cutoff
+    got = screening._ranked(z, r).below(cutoff)
+    for a, b in zip(got, want):
+        assert bits(a) == bits(b[flagged])
+    ranking = screening._ranked(z, r)
+    for count in (1, k, n // 2, n + 1):
+        for a, b in zip(ranking.head(count), want):
+            assert bits(a) == bits(b[:count])
+    for a, b in zip(ranking.head(), want):
+        assert bits(a) == bits(b)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 1e-300, 0.001, 0.5, 1.0])
+def test_report_distances_and_largest_equal_the_full_triples(cutoff):
+    x = draw_block(917, 700, 4, "exp")
+    x[:5] *= 40.0  # a few far rows
+    d = Dataset(("a", "b", "c", "d"), x)
+    z = _z_scores(d)
+    order, d2, p = reference_ranked(z, (z.T @ z) / (d.n - 1))
+    full = list(zip(order.tolist(), d2.tolist(), p.tolist()))
+    report = screen(d, outlier_p=cutoff)
+    assert report.outliers == [t for t in full if t[2] < cutoff]
+    for count in (0, 3, 64, 65, 700, 701):
+        assert report.largest(count) == full[:count]
+    assert report.distances == full
+    assert mahalanobis(d) == full
+
+
+def worst_approx(z):
+    """The exact CDF moved by 0.99 of the approximation bound, against each
+    point's KS discrepancy at its largest and for it everywhere else."""
+    n = len(z)
+    cdf = numeric.normal_cdf_array(z)
+    upper = np.arange(1, n + 1) / n - cdf
+    lower = cdf - np.arange(0, n) / n
+    gap = np.maximum(upper, lower)
+    toward = np.where(upper >= lower, -1.0, 1.0)  # moving cdf this way widens the gap
+    sign = np.where(gap == gap.max(), -toward, toward)
+    return cdf + sign * 0.99 * numeric.NORMAL_CDF_APPROX_ERROR
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-12, 1e-9, 1e-8])
+def test_ks_exact_under_the_worst_approximation(monkeypatch, tilt):
+    # a mirrored sample has two near-equal largest discrepancies; an
+    # approximation within its bound can swap their order
+    half = np.sort(np.random.default_rng(920).normal(size=60))
+    column = np.concatenate([half, -half * (1.0 + tilt)])
+    want = reference_ks_normality(column)
+    monkeypatch.setattr(numeric, "normal_cdf_approx", worst_approx)
+    assert repr(ks_normality(column)) == repr(want)
+    for seed in range(5):
+        column = draw_block(seed, 300, 1, "rounded")[:, 0]
+        assert repr(ks_normality(column)) == repr(reference_ks_normality(column))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_ks_non_finite_z_raises_as_the_reference():
+    for column in ([1.0, 2.0, math.inf], [1.0, math.nan, 3.0, 4.0]):
+        want = outcome(reference_ks_normality, column)
+        assert want[0] is ValueError
+        assert outcome(ks_normality, column) == want
+
+
+def test_ranked_nan_distance_raises_as_the_reference():
+    z = _z_scores(Dataset(("a", "b"), draw_block(918, 40, 2, "normal")))
+    r = (z.T @ z) / 39
+    z[7, 1] = math.nan
+    want = outcome(reference_ranked, z, r)
+    assert want[0] is ValueError
+    assert outcome(screening._ranked, z, r) == want
 
 
 # ---------------------------------------------------------------------------
