@@ -6,6 +6,9 @@ standardized 240x5 dataset whose SAMPLE correlation matrix equals
 data/observed_correlations.csv to machine precision: draw seed noise from
 the package stream, whiten it against its own sample covariance, then color
 with the Cholesky factor of the target matrix.
+
+The committed file is canonical, and the tests pin screen outputs on its
+bytes: a rerun on another host may differ in the last bit of some cells.
 """
 
 import pathlib

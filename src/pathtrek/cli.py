@@ -95,7 +95,6 @@ def _build_parser():
         p.add_argument("--corr", help="correlation CSV (requires --n)")
         p.add_argument("--n", type=int, help="sample size for --corr")
         p.add_argument("--model", required=True, help=model_help)
-        p.add_argument("--alpha", type=probability, default=DEFAULT_ALPHA)
         p.add_argument("--misfit", type=threshold, default=DEFAULT_MISFIT_THRESHOLD)
 
     p_screen = sub.add_parser("screen", help="run the data-screening battery")
@@ -117,6 +116,7 @@ def _build_parser():
 
     p_rev = sub.add_parser("revise", help="drop/add revision loop")
     add_inputs(p_rev, "starting model file")
+    p_rev.add_argument("--alpha", type=probability, default=DEFAULT_ALPHA)
     p_rev.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_rev.add_argument("--out-model", help="write the final model DSL here")
     p_rev.add_argument("--trace-csv", help="export the revision steps here")
@@ -234,7 +234,7 @@ def _cmd_fit(args, parser):
     bare topology is traced with the fitted coefficients.
     """
     corr, model, inputs, warnings = _load_inputs(args, parser)
-    fitted = coefficient_inference(fit_standardized(corr, model), alpha=args.alpha)
+    fitted = coefficient_inference(fit_standardized(corr, model))
     traced = model if model.is_annotated else fitted.annotated_model()
     if model.is_annotated:
         warnings.append("traced the model file's own coefficients (fully annotated input); "

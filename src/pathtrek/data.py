@@ -38,6 +38,8 @@ class Dataset(FrozenRecord):
     """
 
     _fields = ("variables", "rows", "dropped", "digest")
+    # numpy defers to __eq__/__ne__ below, so comparing with an array is a bool
+    __array_ufunc__ = None
 
     def __init__(self, variables, rows, dropped=0, digest=None):
         names = tuple(str(v) for v in variables)

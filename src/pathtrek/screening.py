@@ -12,10 +12,10 @@ it.  KS takes the exact normal CDF only at the sorted scores whose
 discrepancy under numpy's closed-form normal_cdf_approx is within KS_MARGIN
 of the largest; the point that attains D is always among them.  The
 outliers take the chi-squared p only over a head of the rows by descending
-D2, grown until its last p is past the cutoff; `distances` and `largest`
-compute the p of the other rows when read.  The tails are elementwise and D
-is a max of elementwise differences, so every reported value has the bits
-a whole-column evaluation gives.
+D2, grown until its last p is past the cutoff, and `distances` and
+`largest` take it over the rows they return.  The tails are elementwise and
+D is a max of elementwise differences, so every reported value has the
+bits a whole-column evaluation gives.
 """
 
 import math
@@ -63,7 +63,7 @@ def mahalanobis(d):
     """
     _check_rows(d)
     z = _z_scores(d)
-    return _triples(_ranked(z, (z.T @ z) / (d.n - 1)).head())
+    return _triples(*_ranked(z, (z.T @ z) / (d.n - 1)), d.k)
 
 
 def _check_rows(d):
@@ -72,7 +72,7 @@ def _check_rows(d):
 
 
 def _ranked(z, r):
-    """mahalanobis's rows in its order, as a _Ranking.
+    """mahalanobis's row indices and D2, by descending D2.
 
     z is the standardized (n, k) block and r = z'z / (n - 1).  A NaN or
     negative D2 raises here, as chisq_sf_array raises for it.
@@ -85,55 +85,37 @@ def _ranked(z, r):
     if not (d2 >= 0.0).all():
         numeric.chisq_sf_array(d2, z.shape[1])  # raises its ValueError
     order = np.argsort(-d2, kind="stable")
-    return _Ranking(order, d2[order], z.shape[1])
+    return order, d2[order]
 
 
-class _Ranking:
-    """Row indices and D2 by descending D2, and the chi-squared p of a
-    leading run of them.
+def _triples(rows, d2, df):
+    """(row_index, D2, p) triples of parallel row and D2 arrays.
 
-    p is computed by chisq_sf_array over only as many rows as have been
-    read; it is elementwise, so each p has the bits it would have in a
-    whole-column call.
+    p is chisq_sf_array over exactly these D2; it is elementwise, so each p
+    has the bits it would have in a whole-column call.
     """
-
-    def __init__(self, rows, d2, df):
-        self.rows = rows
-        self.d2 = d2
-        self.df = df
-        self.p = d2[:0]
-
-    def head(self, count=None):
-        """(row, D2, p) arrays of the first `count` rows, or of every row."""
-        stop = len(self.d2) if count is None else min(count, len(self.d2))
-        done = len(self.p)
-        if stop > done:
-            self.p = np.concatenate(
-                [self.p, numeric.chisq_sf_array(self.d2[done:stop], self.df)])
-        return self.rows[:stop], self.d2[:stop], self.p[:stop]
-
-    def below(self, cutoff):
-        """head's arrays at the rows whose p < cutoff.
-
-        p is taken over a growing head (64 rows, then twice as many each
-        time) until its last p exceeds cutoff * (1 + P_MARGIN).  The
-        chi-squared tail cannot rise as D2 falls, and chisq_sf_array's sum
-        of positive terms is good to ~1e-14 relative, so no later row can
-        come below cutoff.
-        """
-        count = P_BLOCK
-        while True:
-            rows, d2, p = self.head(count)
-            if count >= len(self.d2) or p[-1] > cutoff * (1.0 + P_MARGIN):
-                break
-            count *= 2
-        flagged = p < cutoff
-        return rows[flagged], d2[flagged], p[flagged]
+    p = numeric.chisq_sf_array(d2, df)
+    return list(zip(rows.tolist(), d2.tolist(), p.tolist()))
 
 
-def _triples(ranked):
-    """(row_index, D2, p) triples of parallel index, D2 and p arrays."""
-    return list(zip(*(a.tolist() for a in ranked)))
+def _outliers(rows, d2, df, cutoff):
+    """(row_index, D2, p) triples of the ranked rows whose p < cutoff.
+
+    p is taken over a growing head (P_BLOCK rows, then twice as many each
+    time, each new block's rows evaluated once) until its last p exceeds
+    cutoff * (1 + P_MARGIN).  The chi-squared tail cannot rise as D2 falls,
+    and chisq_sf_array's sum of positive terms is good to ~1e-14 relative,
+    so no later row can come below cutoff.
+    """
+    p = d2[:0]
+    count = P_BLOCK
+    while True:
+        p = np.concatenate([p, numeric.chisq_sf_array(d2[len(p):count], df)])
+        if count >= len(d2) or p[-1] > cutoff * (1.0 + P_MARGIN):
+            break
+        count *= 2
+    i = np.flatnonzero(p < cutoff)
+    return list(zip(rows[i].tolist(), d2[i].tolist(), p[i].tolist()))
 
 
 def ks_normality(column, alpha=0.05):
@@ -208,11 +190,11 @@ class ScreeningReport(Record):
     """What the battery found.
 
     `distances` (every row's (row, D2, p), descending D2) is built on first
-    read from the _Ranking `_ranked`, which computes the p the outlier
-    search left out, and `residual_points` (equation
-    target -> [(fitted, std_residual)], {} without a model) by
-    residual_diagnostics over `_fitted` and `_data`.  Equality and repr read
-    them as they read the other attributes.
+    read from the `_ranked` (rows, D2) arrays, with df the dataset's column
+    count, and `residual_points` (equation target -> [(fitted,
+    std_residual)], {} without a model) by residual_diagnostics over
+    `_fitted` and `_data`.  Equality and repr read them as they read the
+    other attributes.
     """
 
     _fields = ("summaries", "outliers", "distances", "normality", "vif",
@@ -227,13 +209,13 @@ class ScreeningReport(Record):
         self.outlier_cutoff = outlier_cutoff
         self.alpha = alpha
         self.warnings = [] if warnings is None else warnings
-        self._ranked = _ranked  # the _Ranking of distances' rows
+        self._ranked = _ranked  # distances' (rows, D2) arrays
         self._fitted = _fitted  # the model residual_points is computed from
         self._data = _data  # the screened Dataset
 
     @cached_property
     def distances(self):
-        return _triples(self._ranked.head())
+        return _triples(*self._ranked, self._data.k)
 
     @cached_property
     def residual_points(self):
@@ -250,7 +232,8 @@ class ScreeningReport(Record):
 
     def largest(self, count):
         """The first `count` triples of distances, without the others."""
-        return _triples(self._ranked.head(count))
+        rows, d2 = self._ranked
+        return _triples(rows[:count], d2[:count], self._data.k)
 
 
 def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
@@ -261,9 +244,8 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     without one, the VIF block is every column and residuals are skipped.
     The standardized block z and R = z'z / (n - 1) are computed once, for
     the distances and the VIF matrix alike.  Every check that can raise
-    runs here; the report builds only its full distance list (with the p
-    the outlier search did not need) and the residual points later, when
-    they are first read.
+    runs here; the report builds its full distance list and the residual
+    points later, when they are first read.
     """
     warnings_list = []
     if d.dropped:
@@ -277,7 +259,7 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     summaries = summarize(d)
     r = (z.T @ z) / (d.n - 1)
     ranked = _ranked(z, r)
-    outliers = _triples(ranked.below(outlier_p))
+    outliers = _outliers(*ranked, d.k, outlier_p)
     if outliers:
         warnings_list.append(
             f"{len(outliers)} outlier rows at Mahalanobis p < {outlier_p}"

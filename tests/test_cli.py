@@ -117,8 +117,8 @@ def test_corr_without_sample_size_is_usage_error(command, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--alpha", "1.5"],
-    ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--alpha", "0"],
+    ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--alpha", "1.5"],
+    ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--alpha", "0"],
     ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--alpha", "nan"],
     ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--misfit", "-1"],
     ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--misfit", "inf"],
@@ -131,6 +131,14 @@ def test_out_of_range_thresholds_rejected(args, capsys):
         main(args)
     assert exc.value.code == 2
     assert f"argument {args[-2]}: " in capsys.readouterr().err
+
+
+def test_fit_takes_no_alpha(capsys):
+    # only revise reads a significance level; fit's report is the same at any
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--alpha", "0.05"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha 0.05" in capsys.readouterr().err
 
 
 def test_fit_missing_file(capsys):

@@ -116,6 +116,15 @@ def test_dataset_equality_compares_variables_and_rows():
         hash(d)
 
 
+def test_dataset_compared_with_an_array_is_a_bool():
+    # unequal, since an array is not a Dataset; numpy must not broadcast
+    d = Dataset(("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]))
+    assert (d != d.rows) is True
+    assert (d == d.rows) is False
+    assert (d.rows != d) is True
+    assert (d.rows == d) is False
+
+
 def test_dataset_immutable():
     d = Dataset(("a",), np.array([[1.0], [2.0], [3.0]]))
     with pytest.raises(ValueError):

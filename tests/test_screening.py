@@ -192,9 +192,10 @@ def test_ks_too_few_points():
 
 
 # ---------------------------------------------------------------------------
-# Whole-column references for the pruned tails: ks_normality and _ranked as
-# they were before the exact tails were limited to the points that decide an
-# output.  The pruned results must equal them bit for bit.
+# Whole-column references for the pruned tails: ks_normality and the
+# Mahalanobis ranking as they were before the exact tails were limited to
+# the points that decide an output.  The pruned results must equal them bit
+# for bit.
 
 def reference_ks_normality(column, alpha=0.05):
     x = np.sort(np.asarray(column, dtype=np.float64))
@@ -276,16 +277,29 @@ def test_ranked_equals_whole_column_reference(seed, n, k, kind, cutoff):
     if not isinstance(want[0], np.ndarray):
         assert outcome(screening._ranked, z, r) == want
         return
-    flagged = want[2] < cutoff
-    got = screening._ranked(z, r).below(cutoff)
-    for a, b in zip(got, want):
-        assert bits(a) == bits(b[flagged])
-    ranking = screening._ranked(z, r)
+    rows, d2 = screening._ranked(z, r)
+    assert bits(rows) == bits(want[0])
+    assert bits(d2) == bits(want[1])
+    full = list(zip(*(a.tolist() for a in want)))
+    flagged = [t for t in full if t[2] < cutoff]
+    assert repr(screening._outliers(rows, d2, k, cutoff)) == repr(flagged)
     for count in (1, k, n // 2, n + 1):
-        for a, b in zip(ranking.head(count), want):
-            assert bits(a) == bits(b[:count])
-    for a, b in zip(ranking.head(), want):
-        assert bits(a) == bits(b)
+        assert repr(screening._triples(rows[:count], d2[:count], k)) == repr(full[:count])
+    assert repr(screening._triples(rows, d2, k)) == repr(full)
+
+
+def test_outliers_evaluate_each_row_once(monkeypatch):
+    # at cutoff 1 the search grows its head over every row; a head
+    # recomputed on each growth would pass more than n rows to the tail
+    n, k = 700, 4
+    z = _z_scores(Dataset(("a", "b", "c", "d"), draw_block(921, n, k, "normal")))
+    rows, d2 = screening._ranked(z, (z.T @ z) / (n - 1))
+    counted = []
+    tail = numeric.chisq_sf_array
+    monkeypatch.setattr(numeric, "chisq_sf_array",
+                        lambda x, df: counted.append(len(x)) or tail(x, df))
+    assert len(screening._outliers(rows, d2, k, 1.0)) == n
+    assert sum(counted) == n
 
 
 @pytest.mark.parametrize("cutoff", [0.0, 1e-300, 0.001, 0.5, 1.0])
