@@ -30,6 +30,7 @@ import warnings as _warnings
 from . import __version__
 from .correlation import load_correlation_csv, pearson_matrix
 from .effects import (
+    DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
     DEFAULT_MISFIT_THRESHOLD,
     _effects_table,
@@ -39,7 +40,7 @@ from .effects import (
     write_revision_csv,
 )
 from .errors import NoAdmissibleRevision, NonPositiveResidualVariance, PathtrekError
-from .estimation import DEFAULT_ALPHA, coefficient_inference, fit_standardized
+from .estimation import coefficient_inference, fit_standardized
 from .files import file_digest, write_rows, write_text
 from .pathspec import load_model, render_model
 from .report import Report
@@ -100,7 +101,8 @@ def _build_parser():
     p_screen = sub.add_parser("screen", help="run the data-screening battery")
     p_screen.add_argument("--data", required=True, help="dataset CSV")
     p_screen.add_argument("--model", help="optional model file for residuals/VIF block")
-    p_screen.add_argument("--alpha", type=probability, default=0.05)
+    p_screen.add_argument("--alpha", type=probability, default=0.05,
+                          help="KS level (default %(default)s)")
     p_screen.add_argument("--outlier-p", type=probability, default=0.001)
     p_screen.add_argument("--strict", action="store_true",
                           help="exit 1 when assumption warnings are present")
@@ -116,7 +118,8 @@ def _build_parser():
 
     p_rev = sub.add_parser("revise", help="drop/add revision loop")
     add_inputs(p_rev, "starting model file")
-    p_rev.add_argument("--alpha", type=probability, default=DEFAULT_ALPHA)
+    p_rev.add_argument("--alpha", type=probability, default=DEFAULT_ALPHA,
+                       help="drop level for coefficient p (default %(default)s)")
     p_rev.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_rev.add_argument("--out-model", help="write the final model DSL here")
     p_rev.add_argument("--trace-csv", help="export the revision steps here")

@@ -5,13 +5,13 @@ structural recursion in `tracing`, and the drop/add revision loop.
 from typing import NamedTuple
 
 from .errors import NoAdmissibleRevision, VariableMismatch
-from .estimation import (DEFAULT_ALPHA, FittedModel, _endogenous, _fit_equation,
-                         coefficient_inference)
+from .estimation import FittedModel, _endogenous, _fit_equation, coefficient_inference
 from .files import write_rows
 from .pathspec import Arrow, topological_order
 from .record import FrozenRecord, Record
 from .tracing import _implied
 
+DEFAULT_ALPHA = 0.05  # revise_model's drop level for coefficient p
 DEFAULT_MISFIT_THRESHOLD = 0.05
 DEFAULT_MAX_ITER = 10  # revise_model's iteration limit
 
@@ -236,7 +236,7 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
                 cache[key] = _fit_equation(corr, *key)
             equations[y] = cache[key]
         # every equation is fitted before coefficient_inference checks df
-        fit = coefficient_inference(FittedModel(current, equations, corr), alpha)
+        fit = coefficient_inference(FittedModel(current, equations, corr))
         # An intermediate refit may imply psi <= 0; that must not stop the search.
         implied = _implied(fit.annotated_model())
         flagged, max_difference = _misfits(corr, implied, threshold)

@@ -21,8 +21,6 @@ from .errors import (
 from .pathspec import topological_order
 from .record import FrozenRecord
 
-DEFAULT_ALPHA = 0.05
-
 
 class EquationFit(NamedTuple):
     """One endogenous equation: standardized coefficients and inference."""
@@ -36,18 +34,14 @@ class EquationFit(NamedTuple):
     t: Optional[tuple] = None
     p: Optional[tuple] = None  # SE, t and p stay None when n <= |P| + 1
 
-    def coefficient(self, parent):
-        return self.beta[self.parents.index(parent)]
-
 
 class FittedModel(FrozenRecord):
-    _fields = ("model", "equations", "correlation", "alpha")
+    _fields = ("model", "equations", "correlation")
 
-    def __init__(self, model, equations, correlation, alpha=DEFAULT_ALPHA):
+    def __init__(self, model, equations, correlation):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "equations", equations)  # target -> EquationFit, in causal order
         object.__setattr__(self, "correlation", correlation)
-        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n(self):
@@ -80,8 +74,8 @@ def fit_standardized(corr, m):
     return FittedModel(model=m, equations=equations, correlation=corr)
 
 
-def coefficient_inference(fit, alpha=DEFAULT_ALPHA):
-    """`fit` at significance level alpha, once every equation has inference.
+def coefficient_inference(fit):
+    """`fit` itself, once every equation has inference.
 
     Raises DegreesOfFreedomExhausted for the first equation with
     n <= |P| + 1, which fit_standardized leaves without SE / t / p.
@@ -91,7 +85,7 @@ def coefficient_inference(fit, alpha=DEFAULT_ALPHA):
             raise DegreesOfFreedomExhausted(
                 f"equation for {eq.target!r}: n={fit.n} with {len(eq.parents)} parents"
             )
-    return FittedModel(fit.model, fit.equations, fit.correlation, alpha)
+    return fit
 
 
 def _endogenous(corr, m):

@@ -103,7 +103,7 @@ class Report(Record):
         self.inputs = {} if inputs is None else inputs  # name -> sha256
         self.screening = screening
         self.correlations = correlations
-        self.fitted = fitted
+        self.fitted = fitted  # passed coefficient_inference, so every equation has SE / t / p
         self.reproduced = reproduced
         self.fit = fit
         self.effects = effects
@@ -165,11 +165,10 @@ class Report(Record):
                         "target": y,
                         "parents": list(eq.parents),
                         "beta": list(eq.beta),
-                        "se": list(eq.se) if eq.se else None,
+                        "se": list(eq.se),
                         # an exact fit's infinite t is written as null
-                        "t": [x if math.isfinite(x) else None for x in eq.t]
-                        if eq.t else None,
-                        "p": list(eq.p) if eq.p else None,
+                        "t": [x if math.isfinite(x) else None for x in eq.t],
+                        "p": list(eq.p),
                         "r_squared": eq.r_squared,
                         "disturbance": eq.disturbance,
                     }
@@ -324,14 +323,11 @@ class Report(Record):
                 f"R² = {fmt(eq.r_squared)}  e = {fmt(eq.disturbance)}"
             )
             for j, parent in enumerate(eq.parents):
-                if eq.se is not None:
-                    lines.append(
-                        f"  {parent:<10} beta = {fmt(eq.beta[j]):>8}  "
-                        f"SE = {fmt(eq.se[j])}  t = {fmt(eq.t[j])}  "
-                        f"p = {p_display(eq.p[j])}{stars(eq.p[j])}"
-                    )
-                else:
-                    lines.append(f"  {parent:<10} beta = {fmt(eq.beta[j]):>8}")
+                lines.append(
+                    f"  {parent:<10} beta = {fmt(eq.beta[j]):>8}  "
+                    f"SE = {fmt(eq.se[j])}  t = {fmt(eq.t[j])}  "
+                    f"p = {p_display(eq.p[j])}{stars(eq.p[j])}"
+                )
         return lines
 
     def _fit_text(self):

@@ -248,10 +248,6 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     points later, when they are first read.
     """
     warnings_list = []
-    if d.dropped:
-        warnings_list.append(
-            f"{d.dropped} rows dropped during load (listwise deletion)"
-        )
     _check_rows(d)
     # raises for a constant or overflowing column, so no summary below flags
     # zero variance and summarize meets no overflow

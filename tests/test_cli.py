@@ -133,6 +133,36 @@ def test_out_of_range_thresholds_rejected(args, capsys):
     assert f"argument {args[-2]}: " in capsys.readouterr().err
 
 
+def test_revise_alpha_is_the_drop_level(tmp_path):
+    # X1 -> Y has p = 0.211, so at 0.25 it stays and only additions follow
+    code, report = run_json(tmp_path, [
+        "revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--alpha", "0.25",
+    ])
+    assert code == 0
+    steps = report["revision"]["steps"]
+    assert [s["action"] for s in steps] == ["add", "add"]
+    assert report["revision"]["converged"] and report["revision"]["iterations"] == 2
+    y_eq = next(eq for eq in report["coefficients"]["equations"] if eq["target"] == "Y")
+    assert "X1" in y_eq["parents"]
+
+
+@pytest.mark.parametrize("misfit,count", [("0.3", 2), ("0.05", 9)])
+def test_fit_misfit_is_the_flag_threshold(tmp_path, misfit, count):
+    code, report = run_json(tmp_path, [
+        "fit", "--corr", CORR, "--n", "240", "--model", INITIAL_PUBLISHED, "--misfit", misfit,
+    ])
+    assert code == 0
+    assert report["fit"]["threshold"] == float(misfit)
+    assert report["fit"]["misfit_count"] == count
+
+
+@pytest.mark.parametrize("outlier_p,count", [("0.2", 41), ("0.001", 0)])
+def test_screen_outlier_p_is_the_cutoff_level(tmp_path, outlier_p, count):
+    code, report = run_json(tmp_path, ["screen", "--data", SCORES, "--outlier-p", outlier_p])
+    assert code == 0
+    assert len(report["screening"]["outliers"]) == count
+
+
 def test_fit_takes_no_alpha(capsys):
     # only revise reads a significance level; fit's report is the same at any
     with pytest.raises(SystemExit) as exc:
@@ -447,6 +477,16 @@ def test_screen_tiny_units(tmp_path, capsys):
 
 def test_screen_missing_file(capsys):
     assert main(["screen", "--data", "nope.csv"]) == 2
+
+
+def test_screen_reports_listwise_deletion_once(tmp_path, capsys):
+    path = tmp_path / "drop.csv"
+    path.write_text("a,b,c\n1,2,3\n2,1,5\n3,4,2\n4,3,6\n5,,1\n6,5,4\n7,7,8\n",
+                    encoding="utf-8")
+    assert main(["screen", "--data", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"{path}: dropped 1 rows with missing or unparseable cells" in out
+    assert out.count("dropped") == 1
 
 
 def test_screen_rejects_cell_past_csv_field_limit(tmp_path, capsys):
@@ -770,6 +810,21 @@ def test_fit_rejects_indefinite_parent_block(tmp_path, capsys):
                  "--model", str(model_path)]) == 2
     err = capsys.readouterr().err
     assert "'Y'" in err and "not positive definite" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "revise"])
+def test_indefinite_table_with_definite_parent_block_is_an_input_error(
+        tmp_path, capsys, command):
+    # A and B are uncorrelated, yet each correlates 0.8 with Y: R² would be 1.28
+    corr_path = tmp_path / "c.csv"
+    corr_path.write_text(",A,B,Y\nA,1,0,0.8\nB,0,1,0.8\nY,0.8,0.8,1\n", encoding="utf-8")
+    model_path = tmp_path / "m.pm"
+    model_path.write_text("eq Y <- A B\n", encoding="utf-8")
+    assert main([command, "--corr", str(corr_path), "--n", "100",
+                 "--model", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert "equation for 'Y': R² = 1.28 exceeds 1" in err
+    assert "Traceback" not in err
 
 
 def test_exact_fit_json_is_strict(tmp_path):

@@ -26,6 +26,7 @@ from pathtrek.errors import (
     DiagonalNotOne,
     NotSquare,
     OutOfRange,
+    ParseError,
     ZeroVariance,
 )
 from pathtrek.estimation import fit_standardized
@@ -188,6 +189,22 @@ def test_load_correlation_non_finite(tmp_path):
     path.write_text(",a,b\na,1,nan\nb,nan,1\n", encoding="utf-8")
     with pytest.raises(OutOfRange, match=f"{path}: correlations must be finite"):
         load_correlation_csv(path, 100)
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("", ParseError, "empty file"),
+    (",a,a\na,1,0\na,0,1\n", ParseError, "header names must be unique and nonempty"),
+    (",a,\na,1,0\n,0,1\n", ParseError, "header names must be unique and nonempty"),
+    (",a,b\na,1,0\nb,0\n", NotSquare, "row 3 has 2 cells, expected 3"),
+    (",a,b\na,1,0\nc,0,1\n", ParseError, "row label 'c' does not match header 'b'"),
+    (",a,b\na,1,x\nb,x,1\n", ParseError, "row 2: could not convert string to float: 'x'"),
+], ids=["empty", "duplicate-name", "blank-name", "short-row", "wrong-label", "bad-cell"])
+def test_load_correlation_rejects_malformed_table(tmp_path, text, error, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as exc:
+        load_correlation_csv(path, 100)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 # ---------------------------------------------------------------------------

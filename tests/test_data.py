@@ -73,6 +73,17 @@ def test_load_empty_header_line(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty file"),
+    ("x" * 200_000 + ",b\n1,2\n3,4\n5,6\n", "line 1: field larger than field limit (131072)"),
+], ids=["empty-file", "header-past-field-limit"])
+def test_load_rejects_unreadable_header(tmp_path, text, message):
+    path = write(tmp_path, "bad.csv", text)
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_load_too_few_rows(tmp_path):
     path = write(tmp_path, "tiny.csv", "a,b\n1,2\n3,4\n")
     with pytest.raises(TooFewRows):
@@ -123,6 +134,21 @@ def test_dataset_compared_with_an_array_is_a_bool():
     assert (d == d.rows) is False
     assert (d.rows != d) is True
     assert (d.rows == d) is False
+
+
+@pytest.mark.parametrize("variables,rows,error,message", [
+    (("a", "a"), np.ones((3, 2)), ParseError, "variable names must be unique and nonempty"),
+    (("a", ""), np.ones((3, 2)), ParseError, "variable names must be unique and nonempty"),
+    (("a", "b"), np.ones((3, 3)), ParseError, "rows must be a 2-D block"),
+    (("a",), np.ones(3), ParseError, "rows must be a 2-D block"),
+    (("a", "b"), [[1.0, 2.0], [3.0, math.inf], [5.0, 6.0]], ParseError,
+     "all observations must be finite"),
+    (("a", "b"), np.ones((2, 2)), TooFewRows, "need at least 3 rows, got 2"),
+], ids=["duplicate-name", "blank-name", "wrong-width", "one-dimensional", "non-finite",
+        "two-rows"])
+def test_dataset_rejects(variables, rows, error, message):
+    with pytest.raises(error, match=message):
+        Dataset(variables, rows)
 
 
 def test_dataset_immutable():

@@ -344,7 +344,7 @@ def reference_revise(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
     seen = {model.arrow_set()}
 
     def refit(current):
-        fit = coefficient_inference(fit_standardized(corr, current), alpha=alpha)
+        fit = coefficient_inference(fit_standardized(corr, current))
         # An intermediate refit may imply psi <= 0; that must not stop the search.
         assessment = assess_fit(corr, _implied(fit.annotated_model()), threshold)
         return fit, assessment
@@ -492,7 +492,7 @@ def _outcome(revise, corr, start, max_iter):
     fit = trace.final_fit
     return repr((
         trace.steps, trace.converged, trace.iterations, trace.final_model,
-        fit.model, fit.equations, fit.n, fit.alpha, trace.final_assessment,
+        fit.model, fit.equations, fit.n, trace.final_assessment,
     )), raised
 
 

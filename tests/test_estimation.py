@@ -14,6 +14,7 @@ from pathtrek.errors import (
     SingularMatrix,
     VariableMissing,
 )
+from pathtrek.effects import DEFAULT_ALPHA
 from pathtrek.estimation import coefficient_inference, fit_standardized
 from pathtrek.pathspec import parse_model
 
@@ -68,7 +69,7 @@ def test_initial_y_equation(observed_corr, initial_model):
     assert eqy.beta == pytest.approx((0.0471, 0.1294, 0.0706, 0.7724), abs=1e-3)
     # only the first predictor is non-significant at 0.05
     assert eqy.p[0] == pytest.approx(0.211, abs=2e-3)
-    assert tuple(p < fit.alpha for p in eqy.p) == (False, True, True, True)
+    assert tuple(p < DEFAULT_ALPHA for p in eqy.p) == (False, True, True, True)
     # the X4 equation reduces to the raw correlation
     assert fit.equation("X4").beta[0] == pytest.approx(0.431, abs=1e-12)
 

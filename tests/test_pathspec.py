@@ -63,6 +63,15 @@ def test_parse_implicit_declaration_warns():
     assert m.variables == ("A", "B")
 
 
+def test_parse_var_after_implicit_use():
+    # the later declaration keeps A's place and label, and only B stays implicit
+    with pytest.warns(ModelWarning) as caught:
+        m = parse_model('path A -> B\nvar A "Score"\n')
+    assert [str(w.message) for w in caught] == ["implicitly declared variables: B"]
+    assert m.variables == ("A", "B")
+    assert m.labels == {"A": "Score"}
+
+
 def test_parse_coefficient():
     m = parse_model("var A\nvar B\npath A -> B : 0.209\n")
     assert m.coefficient("A", "B") == 0.209
@@ -87,6 +96,8 @@ def test_parse_hash_inside_quoted_label():
     ("var A\nvar B\npath A -> B : twelve\n", 3),
     ("var A label-no-quotes\n", 1),
     ("var A\nvar B\neq A <-\n", 3),
+    ("var A\nvar 2B\n", 2),
+    ("var A\nvar\n", 2),
 ])
 def test_parse_syntax_errors(text, line):
     with pytest.raises(ModelSyntaxError) as exc:

@@ -85,8 +85,8 @@ CONTRACT = {
     "EquationFit": (("target", "parents", "beta", "r_squared", "disturbance", "se", "t", "p"),
                     True, True,
                     "68c303b0b65036960a4f2cdaad7c4a7a862b53318029b014b8dc18a48ca2b919"),
-    "FittedModel": (("model", "equations", "correlation", "alpha"), True, False,
-                    "770030d42521dc39839ed6c8d2435044af66d2ddf7bbd448bc84e4da1cd9daa8"),
+    "FittedModel": (("model", "equations", "correlation"), True, False,
+                    "9bcfbfa64543ecfcd13c151ea3b241ff6bb9ee41e5c3f38a402eb84a3d641d78"),
     "Trek": (("nodes", "backward_steps", "product"), True, True,
              "9533b61b92cd310609450d51df97a19d526a98d1ab52d5f3986bc0309daa04bf"),
     "ReproducedMatrix": (("variables", "r_hat_rows", "treks", "psi", "total"), True, False,
@@ -104,7 +104,7 @@ CONTRACT = {
                      "af040b5a5a21d0ad0c1ac128ac3031125811c6beb2a2ea7fc4c0303948697c50"),
     "RevisionTrace": (("steps", "final_model", "final_fit", "final_assessment",
                        "final_implied", "iterations", "converged"), False, False,
-                      "474ea92a8929490fd9f3785ae39ac0ca7c8c47c5e1977ae3d0c886d6bc0e3458"),
+                      "57713e5c9106d15635358247dec8adbbee133516652e43cdb95959d5a6fd3fee"),
     "VariableSummary": (("name", "mean", "sd", "minimum", "maximum", "flag_zero_variance"),
                         True, True,
                         "06f6bf45e01aa671bdd2f4a44a26d05b2bd0d3dc570f8024ba871a4bb1bc70c9"),
@@ -119,7 +119,7 @@ CONTRACT = {
                        "0173cd5050e0901ed23c165a7ed051194c586c114ce28373b987f92a8f121e5a"),
     "Report": (("command", "inputs", "screening", "correlations", "fitted", "reproduced", "fit",
                 "effects", "revision", "warnings"), False, False,
-               "8c5580292534effe9e3a1c76b6b1f0d8ae04920461aa29b9c2794922357927b6"),
+               "88b65f7a90aa5a0e25313a54615f507c201c6eda3c838237fb2eccdbede6eb74"),
 }
 
 

@@ -494,6 +494,19 @@ def test_screen_one_column():
     assert len(report.distances) == 30
 
 
+def test_screen_warns_and_flags_large_vif():
+    # VIF = 1 / (1 - r²) in a block of two uncorrelated pairs
+    r = np.eye(4)
+    r[0, 1] = r[1, 0] = 0.97
+    r[2, 3] = r[3, 2] = 0.92
+    report = screen(Dataset(("a", "b", "c", "d"), exact_corr_scores(r, 200, seed=5)))
+    vif_warnings = [w for w in report.warnings if w.startswith("VIF")]
+    assert vif_warnings == [
+        "VIF a = 16.92 >= 10.0 (flag)", "VIF b = 16.92 >= 10.0 (flag)",
+        "VIF c = 6.51 >= 5.0 (warn)", "VIF d = 6.51 >= 5.0 (warn)",
+    ]
+
+
 def test_screen_without_model_uses_all_columns():
     d = Dataset(NAMES, exact_corr_scores(OBSERVED_R, 240, seed=911))
     report = screen(d)

@@ -13,6 +13,7 @@ from pathtrek.correlation import CorrelationMatrix
 from pathtrek.effects import decompose_effects
 from pathtrek.errors import (
     MissingCoefficient,
+    VariableMissing,
     NonPositiveResidualVariance,
     TooManyVariables,
 )
@@ -110,6 +111,11 @@ def test_endpoint_order_irrelevant(initial_printed):
     fwd = enumerate_treks(initial_printed, "X1", "X3")
     rev = enumerate_treks(initial_printed, "X3", "X1")
     assert [(t.nodes, t.product) for t in fwd] == [(t.nodes, t.product) for t in rev]
+
+
+def test_enumeration_rejects_unknown_variable(initial_printed):
+    with pytest.raises(VariableMissing, match="NOPE"):
+        enumerate_treks(initial_printed, "X1", "NOPE")
 
 
 def test_enumeration_deterministic_and_sorted(initial_printed):
