@@ -279,8 +279,8 @@ def _cmd_revise(args, parser):
 
 
 def _cmd_simulate(args, parser):
-    from .data import write_csv
-    from .simulate import SimulationSpec, simulate_dataset
+    from .data import write_csv_blocks
+    from .simulate import SimulationSpec, simulate_blocks
 
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
@@ -288,8 +288,8 @@ def _cmd_simulate(args, parser):
     for w in caught:
         print(f"pathtrek: warning: {w.message}", file=sys.stderr)
     spec = SimulationSpec(model=model, n=args.n, seed=args.seed)
-    dataset = simulate_dataset(spec)
-    write_csv(dataset, args.out)
+    # simulate_blocks raises for a bad model before --out is opened
+    write_csv_blocks(model.variables, simulate_blocks(spec), args.out)
     return EXIT_OK
 
 

@@ -216,23 +216,31 @@ def _parse_listwise(body, k, path, header_lines):
 
 
 def write_csv(d, path):
-    """Write a dataset in the same CSV dialect load_csv reads.
+    """Write a dataset in the same CSV dialect load_csv reads."""
+    write_csv_blocks(d.variables, [d.rows], path)
+
+
+def write_csv_blocks(variables, blocks, path):
+    """Write a header and the rows of each (rows, k) block, in write_csv's dialect.
 
     The header goes through csv.writer, which quotes names as needed.  The
     body is the bytes csv.writer would write for the float rows: every
-    value as its repr, comma-separated, one row per line.  It is formatted
-    in blocks of whole rows, about WRITE_BLOCK_CELLS values each, as
-    repr(block.tolist()); besides its outer brackets, that list repr
+    value as its repr, comma-separated, one row per line, so the bytes do
+    not depend on how the rows are split into blocks.  Each block is
+    formatted in runs of whole rows, about WRITE_BLOCK_CELLS values each,
+    as repr(run.tolist()); besides its outer brackets, that list repr
     differs from CSV only in its "], [" row breaks and ", " separators,
-    which no float repr holds.  Bounding a block by values keeps the copy
-    small whatever the number of columns.
+    which no float repr holds.  Bounding a run by values keeps the copy
+    small whatever the number of columns.  `blocks` may be a generator:
+    only one block is held at a time.
     """
-    step = max(1, WRITE_BLOCK_CELLS // d.k)
+    step = max(1, WRITE_BLOCK_CELLS // len(variables))
     with open_output(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(d.variables)
-        for start in range(0, d.n, step):
-            block = repr(d.rows[start:start + step].tolist())
-            fh.write(block[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(variables)
+        for rows in blocks:
+            for start in range(0, len(rows), step):
+                run = repr(rows[start:start + step].tolist())
+                fh.write(run[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
 
 
 def column_sds(d):
@@ -246,7 +254,12 @@ def standardize(d):
 
 
 def _z_scores(d):
-    """standardize's (n, k) block, without building a checked Dataset.
+    """standardize's (n, k) block, without building a checked Dataset."""
+    return _z_scores_and_sds(d)[0]
+
+
+def _z_scores_and_sds(d):
+    """_z_scores' block and the column sds it divides by.
 
     Raises ZeroVariance for a constant column and OutOfRange for one whose
     mean or sd overflows float64; numpy's overflow warnings stay silent.
@@ -259,12 +272,16 @@ def _z_scores(d):
             raise OutOfRange(f"variable {name!r}: mean or sd overflows float64")
         if sd < SD_FLOOR:
             raise ZeroVariance(name)
-    return (d.rows - means) / sds
+    return (d.rows - means) / sds, sds
 
 
-def summarize(d):
-    """One VariableSummary per column, in declaration order."""
-    sds = column_sds(d)
+def summarize(d, sds=None):
+    """One VariableSummary per column, in declaration order.
+
+    `sds` is column_sds(d), for a caller that has computed it already.
+    """
+    if sds is None:
+        sds = column_sds(d)
     out = []
     for j, name in enumerate(d.variables):
         col = d.rows[:, j]

@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .correlation import classify_strength
+from .estimation import coefficient_inference
 from .record import Record
 
 P_DISPLAY_FLOOR = 5e-4
@@ -103,7 +104,8 @@ class Report(Record):
         self.inputs = {} if inputs is None else inputs  # name -> sha256
         self.screening = screening
         self.correlations = correlations
-        self.fitted = fitted  # passed coefficient_inference, so every equation has SE / t / p
+        # every equation of a fitted model has SE / t / p, or this raises
+        self.fitted = None if fitted is None else coefficient_inference(fitted)
         self.reproduced = reproduced
         self.fit = fit
         self.effects = effects

@@ -13,7 +13,10 @@ doubling in wrapping uint64 arithmetic (jump-ahead; Brown 1994, "Random
 number generation with arbitrary strides").  log and cos come from `math`,
 not numpy, whose SIMD kernels may differ from libm in the last bit, so the
 output equals the scalar MMIX/Box-Muller loop in tests/test_rng.py byte for
-byte.  Blocks bound the memory held beside the output array.
+byte.  Blocks bound the memory held beside the output array.  A stream
+can start anywhere: `_jump` moves the seed ahead by binary powering of the
+step map mod 2^64, so normal_stream(seed, count, first) is the slice
+[first, first + count) of the one stream without drawing what precedes it.
 
 A seed is an int (not a bool) in [0, 2^64), the LCG's state space; anything
 else raises ValueError rather than being reduced to some other seed.
@@ -28,6 +31,7 @@ _A = 6364136223846793005
 _C = 1442695040888963407
 _TWO_PI = 6.283185307179586476925287
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
+_MASK = (1 << 64) - 1
 BLOCK = 1 << 15  # LCG states per block; even, so a normal never spans two
 
 
@@ -50,9 +54,25 @@ def _jump_table():
     return mult, add
 
 
-def _uniform_blocks(seed, count):
-    """Yield the first count uniforms after seed, at most BLOCK per array."""
-    state = np.uint64(check_seed(seed))
+def _jump(state, steps):
+    """The LCG state `steps` steps after `state`, in exact integer arithmetic.
+
+    Squares the one-step map x -> A x + C once per bit of steps and
+    composes the squares whose bit is set.
+    """
+    mult, add = 1, 0  # the map of the steps taken so far
+    sq_mult, sq_add = _A, _C  # the map of 2^j steps
+    while steps:
+        if steps & 1:
+            mult, add = (sq_mult * mult) & _MASK, (sq_mult * add + sq_add) & _MASK
+        sq_mult, sq_add = (sq_mult * sq_mult) & _MASK, (sq_mult * sq_add + sq_add) & _MASK
+        steps >>= 1
+    return (mult * state + add) & _MASK
+
+
+def _uniform_blocks(seed, count, first=0):
+    """Yield uniforms first .. first+count-1 after seed, at most BLOCK per array."""
+    state = np.uint64(_jump(check_seed(seed), first))
     mult, add = _jump_table()
     for start in range(0, count, BLOCK):
         size = min(BLOCK, count - start)
@@ -71,11 +91,17 @@ def uniform_stream(seed, count):
     return out
 
 
-def normal_stream(seed, count):
-    """Standard normal draws as a float64 array; identical seed, identical bytes."""
+def normal_stream(seed, count, first=0):
+    """Standard normal draws first .. first+count-1 of seed's stream, as float64.
+
+    Identical arguments, identical bytes; the draws equal those at the same
+    places of normal_stream(seed, first + count).
+    """
+    if isinstance(first, bool) or not isinstance(first, int) or first < 0:
+        raise ValueError(f"first must be an integer >= 0, got {first!r}")
     out = np.empty(int(count), dtype=np.float64)
     start = 0
-    for u in _uniform_blocks(seed, 2 * len(out)):
+    for u in _uniform_blocks(seed, 2 * len(out), 2 * first):
         log_u1 = np.fromiter(map(math.log, u[0::2].tolist()), np.float64)
         cos_u2 = np.fromiter(map(math.cos, (_TWO_PI * u[1::2]).tolist()), np.float64)
         out[start:start + len(log_u1)] = np.sqrt(-2.0 * log_u1) * cos_u2

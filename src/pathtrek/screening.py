@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numeric
 from .correlation import CorrelationMatrix
-from .data import _z_scores, summarize
+from .data import _z_scores, _z_scores_and_sds, summarize
 from .estimation import fit_standardized
 from .errors import (
     SingularCovariance,
@@ -251,8 +251,8 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     _check_rows(d)
     # raises for a constant or overflowing column, so no summary below flags
     # zero variance and summarize meets no overflow
-    z = _z_scores(d)
-    summaries = summarize(d)
+    z, sds = _z_scores_and_sds(d)
+    summaries = summarize(d, sds)
     r = (z.T @ z) / (d.n - 1)
     ranked = _ranked(z, r)
     outliers = _outliers(*ranked, d.k, outlier_p)

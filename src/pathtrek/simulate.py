@@ -3,7 +3,8 @@
 Used as the Monte Carlo oracle for estimation-recovery checks.  One variate
 stream is consumed in a fixed variable-major order (all n draws for the
 first variable in causal order, then the next), so output depends only on
-(model, n, seed).
+(model, n, seed).  Rows are drawn in blocks, each from its own slices of
+that stream, so memory stays bounded whatever n is.
 """
 
 import math
@@ -13,12 +14,14 @@ import numpy as np
 
 from . import rng
 from .data import Dataset
-from .errors import VariableMissing
+from .errors import ParseError, VariableMissing
 from .estimation import fit_standardized
 from .correlation import _sample_size, pearson_matrix
 from .pathspec import topological_order
 from .record import FrozenRecord
 from .tracing import implied_matrix
+
+ROWS_PER_BLOCK = rng.BLOCK // 2  # one stream block of draws per variable
 
 
 class SimulationSpec(FrozenRecord):
@@ -35,31 +38,53 @@ class SimulationSpec(FrozenRecord):
         object.__setattr__(self, "seed", seed)
 
 
-def simulate_dataset(spec):
-    """Draw a standardized dataset of spec.n rows from the annotated model.
+def simulate_blocks(spec):
+    """The rows of spec's dataset, as (rows, k) float64 blocks of ROWS_PER_BLOCK rows.
 
     Exogenous columns are standard normal; each endogenous column is
     sum(beta * parent) + sqrt(psi) * z.  Residual variances psi come from
     the implied-correlation recursion, which also rejects coefficient sets
-    implying non-positive variance.  Identical spec, identical bytes.
+    implying non-positive variance; that check and the causal order run
+    before this returns, so a caller has nothing to undo.  The variable at
+    causal position pos takes draws pos*n .. pos*n + n-1 of the stream, so
+    each block draws only its own slice of those; when one block holds every
+    row, all k*n draws come from one call.  Identical spec, identical bytes,
+    whatever the block size.
     """
     m = spec.model
     psi = implied_matrix(m).psi
-    order = topological_order(m)
-    n, k = spec.n, m.k
-    z = rng.normal_stream(spec.seed, n * k).reshape(k, n)
-    columns = {}
-    for pos, v in enumerate(order):
-        parents = m.parents(v)
-        if not parents:
-            columns[v] = z[pos]
+    equations = [(v, math.sqrt(psi[v]), [(p, m.coefficient(p, v)) for p in m.parents(v)])
+             for v in topological_order(m)]
+    return _blocks(spec, equations)
+
+
+def _blocks(spec, equations):
+    n, k = spec.n, spec.model.k
+    for start in range(0, n, ROWS_PER_BLOCK):
+        size = min(ROWS_PER_BLOCK, n - start)
+        if size == n:  # one block holds every row: one call for all k*n draws
+            z = rng.normal_stream(spec.seed, k * n).reshape(k, n)
         else:
-            col = math.sqrt(psi[v]) * z[pos]
-            for p in parents:
-                col = col + m.coefficient(p, v) * columns[p]
-            columns[v] = col
-    rows = np.column_stack([columns[v] for v in m.variables])
-    return Dataset(m.variables, rows)
+            z = np.stack([rng.normal_stream(spec.seed, size, pos * n + start)
+                          for pos in range(k)])
+        columns = {}
+        for pos, (v, scale, parents) in enumerate(equations):
+            if not parents:
+                columns[v] = z[pos]
+            else:
+                col = scale * z[pos]
+                for p, beta in parents:
+                    col = col + beta * columns[p]
+                columns[v] = col
+        rows = np.column_stack([columns[v] for v in spec.model.variables])
+        if not np.isfinite(rows).all():
+            raise ParseError("all observations must be finite")
+        yield rows
+
+
+def simulate_dataset(spec):
+    """Draw a standardized dataset of spec.n rows from the annotated model."""
+    return Dataset(spec.model.variables, np.concatenate(list(simulate_blocks(spec))))
 
 
 class RecoveryReport(NamedTuple):

@@ -322,6 +322,19 @@ def test_simulate_rejects_model_without_variables(tmp_path, capsys, text):
     assert "model declares no variables to simulate" in capsys.readouterr().err
 
 
+def test_simulate_failure_keeps_existing_out(tmp_path, capsys):
+    # a coefficient that implies psi <= 0 is refused before --out is opened
+    model_path = tmp_path / "exploding.pm"
+    model_path.write_text("var A\nvar B\npath A -> B : 1.2\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"A,B\n1.0,2.0\n")
+    code = main(["simulate", "--model", str(model_path), "--n", "100",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "pathtrek: error:" in capsys.readouterr().err
+    assert out.read_bytes() == b"A,B\n1.0,2.0\n"
+
+
 def test_simulated_data_refits(tmp_path, revised_refit):
     model_path = tmp_path / "annotated.pm"
     model_path.write_text(render_model(revised_refit.annotated_model()),

@@ -103,6 +103,14 @@ def test_degrees_of_freedom_exhausted(revised_model):
         coefficient_inference(fit)
 
 
+def test_report_refuses_a_fit_without_inference(revised_model):
+    from pathtrek.report import Report
+
+    fit = fit_standardized(CorrelationMatrix(NAMES, OBSERVED_R, 4), revised_model)
+    with pytest.raises(DegreesOfFreedomExhausted, match="'X4': n=4 with 3 parents"):
+        Report(command="fit", fitted=fit)
+
+
 def test_exact_fit_keeps_the_sign_of_t():
     # R² = 1, so every SE is 0: t is infinite with the sign of beta, and a
     # beta of exactly 0 (C is uncorrelated with everything) gets t 0, p 1

@@ -106,3 +106,53 @@ def test_stream_matches_reference(kind, seed):
         got = stream(seed, count)
         assert got.dtype == np.float64
         assert got.tobytes() == expected[:8 * count], count
+
+
+def reference_state(seed, steps):
+    state = seed
+    for _ in range(steps):
+        state = (_A * state + _C) & _MASK
+    return state
+
+
+@pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+def test_jump_matches_reference_loop(seed):
+    for steps in (0, 1, 2, 3, 7, 1000, 32767, 32768, 32769, 65537):
+        assert rng._jump(seed, steps) == reference_state(seed, steps), steps
+
+
+@pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+def test_far_jumps_compose(seed):
+    a, b = (1 << 40) + 12345, (1 << 40) - 6789
+    assert rng._jump(rng._jump(seed, a), b) == rng._jump(seed, a + b)
+    assert rng._jump(rng._jump(seed, b), a) == rng._jump(seed, a + b)
+    # c odd and A - 1 divisible by 4: the LCG's period is the full 2**64
+    assert rng._jump(seed, 1 << 64) == seed
+    assert rng._jump(seed, (1 << 64) + 5) == rng._jump(seed, 5)
+
+
+# Draw offsets and counts straddling the block edges (BLOCK states, BLOCK / 2 normals).
+OFFSET_FIRSTS = (0, 1, 16383, 16384, 16385, 32767, 32768, 40000)
+OFFSET_COUNTS = (0, 1, 2, 16383, 16384, 16385, 32769)
+
+
+@pytest.mark.parametrize("seed", (0, 42, 2 ** 64 - 1))
+def test_normal_stream_from_an_offset_is_a_slice(seed):
+    full = rng.normal_stream(seed, max(OFFSET_FIRSTS) + max(OFFSET_COUNTS))
+    for first in OFFSET_FIRSTS:
+        for count in OFFSET_COUNTS:
+            got = rng.normal_stream(seed, count, first)
+            assert got.tobytes() == full[first:first + count].tobytes(), (first, count)
+
+
+def test_normal_stream_far_offset_matches_jumped_seed():
+    # normal i takes states 2i+1 and 2i+2 after the seed
+    first = 1 << 40
+    jumped = rng._jump(7, 2 * first)
+    assert rng.normal_stream(7, 5, first).tobytes() == rng.normal_stream(jumped, 5).tobytes()
+
+
+@pytest.mark.parametrize("first", [-1, 1.0, True, "3", None])
+def test_normal_stream_rejects_bad_offset(first):
+    with pytest.raises(ValueError, match="first must be an integer >= 0"):
+        rng.normal_stream(1, 4, first)

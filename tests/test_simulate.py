@@ -2,13 +2,26 @@
 implied correlations, and estimation recovery.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pathtrek import rng, simulate
+from pathtrek.cli import main
 from pathtrek.correlation import pearson_matrix
+from pathtrek.data import write_csv
 from pathtrek.errors import NonPositiveResidualVariance
-from pathtrek.pathspec import parse_model
-from pathtrek.simulate import RecoveryReport, SimulationSpec, recovery_check, simulate_dataset
+from pathtrek.pathspec import parse_model, render_model, topological_order
+from pathtrek.simulate import (
+    ROWS_PER_BLOCK,
+    RecoveryReport,
+    SimulationSpec,
+    recovery_check,
+    simulate_blocks,
+    simulate_dataset,
+)
 from pathtrek.tracing import implied_matrix
 
 
@@ -118,9 +131,80 @@ def test_spec_validation(annotated_revised, revised_model):
 
 def test_variable_major_stream_consumption(annotated_revised):
     # the first causal variable's column must equal the stream head exactly
-    from pathtrek import rng
+    from pathtrek import rng, simulate
 
     spec = SimulationSpec(model=annotated_revised, n=50, seed=99)
     d = simulate_dataset(spec)
     head = rng.normal_stream(99, 50)
     assert np.array_equal(d.column("X1"), head)
+
+
+def reference_rows(spec):
+    """The whole (n, k) block from one draw of all k*n normals, no blocking."""
+    m, n = spec.model, spec.n
+    psi = implied_matrix(m).psi
+    z = rng.normal_stream(spec.seed, n * m.k).reshape(m.k, n)
+    columns = {}
+    for pos, v in enumerate(topological_order(m)):
+        col = z[pos]
+        if m.parents(v):
+            col = math.sqrt(psi[v]) * col
+            for p in m.parents(v):
+                col = col + m.coefficient(p, v) * columns[p]
+        columns[v] = col
+    return np.column_stack([columns[v] for v in m.variables])
+
+
+def chain_model(k):
+    """k variables declared last-to-first, each caused by up to two earlier ones."""
+    lines = [f"var V{i}" for i in reversed(range(k))]
+    for j in range(1, k):
+        for p in {j - 1, j // 2}:
+            lines.append(f"path V{p} -> V{j} : {0.3 if p == j - 1 else -0.2}")
+    return parse_model("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module", params=[1, 5, 20], ids=lambda k: f"k{k}")
+def block_model(request, annotated_revised):
+    return annotated_revised if request.param == 5 else chain_model(request.param)
+
+
+@pytest.mark.parametrize("n", [ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
+                               2 * ROWS_PER_BLOCK + 3])
+def test_blocks_equal_the_unblocked_draw(block_model, n, tmp_path):
+    spec = SimulationSpec(model=block_model, n=n, seed=31)
+    blocks = list(simulate_blocks(spec))
+    assert [len(b) for b in blocks] == [min(ROWS_PER_BLOCK, n - s)
+                                        for s in range(0, n, ROWS_PER_BLOCK)]
+    d = simulate_dataset(spec)
+    assert d.rows.tobytes() == reference_rows(spec).tobytes()
+    # the CLI streams the blocks to the file; the bytes equal write_csv's
+    model_path = tmp_path / "model.pm"
+    model_path.write_text(render_model(block_model), encoding="utf-8")
+    streamed, whole = tmp_path / "streamed.csv", tmp_path / "whole.csv"
+    assert main(["simulate", "--model", str(model_path), "--n", str(n),
+                 "--seed", "31", "--out", str(streamed)]) == 0
+    write_csv(d, whole)
+    assert streamed.read_bytes() == whole.read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    # a small block keeps the traced run short; the bound is the same
+    # whatever the block size
+    rows_per_block = 1024
+    monkeypatch.setattr(simulate, "ROWS_PER_BLOCK", rows_per_block)
+    model_path = tmp_path / "model.pm"
+    model_path.write_text(render_model(chain_model(3)), encoding="utf-8")
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--model", str(model_path), "--n", str(n),
+                         "--seed", "5", "--out", str(tmp_path / "sim.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4 * rows_per_block)  # first use builds the stream's jump table
+    # holding every row would make the second peak about twice the first
+    assert peak(16 * rows_per_block) < 1.2 * peak(4 * rows_per_block)
