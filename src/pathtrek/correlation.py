@@ -180,18 +180,20 @@ def load_correlation_csv(path, n):
     """Read a labeled square correlation matrix; p-values follow from r and n.
 
     Layout: a header row of names (optionally preceded by a blank corner
-    cell), then one row per variable whose first cell repeats the name.
-    The cells are checked and repaired by CorrelationMatrix, and its
-    OutOfRange, AsymmetryTooLarge and DiagonalNotOne are raised again with
-    the path in front of the message.  A matrix whose smallest
-    eigenvalue is <= 0 is loaded with a DataWarning naming that eigenvalue.
-    Positive definiteness is first checked without numpy: the inverse
-    Cholesky factor W (R^-1 = W^T W) gives 1/|W|_F^2 as a lower bound on
-    the smallest eigenvalue.  numpy's eigenvalues decide only when the
-    factor fails or that bound is below PD_MARGIN, where a successful
-    factor does not rule out an eigenvalue that rounds to <= 0.
+    cell), then one row per variable whose first cell repeats the name; one
+    leading byte-order mark is skipped.  The cells are checked and repaired
+    by CorrelationMatrix, and its OutOfRange, AsymmetryTooLarge and
+    DiagonalNotOne are raised again with the path in front of the message.
+    A matrix whose smallest eigenvalue is <= 0 is loaded with a DataWarning
+    naming that eigenvalue.  Positive definiteness is first checked without
+    numpy: the inverse Cholesky factor W (R^-1 = W^T W) gives 1/|W|_F^2 as a
+    lower bound on the smallest eigenvalue.  numpy's eigenvalues decide only
+    when the factor fails or that bound is below PD_MARGIN, where a
+    successful factor does not rule out an eigenvalue that rounds to <= 0.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        if fh.read(1) != "\ufeff":
+            fh.seek(0)
         reader = csv.reader(fh)
         try:
             rows = [cells for cells in reader if cells]

@@ -85,22 +85,22 @@ def load_csv(path):
 
     The file is read once, as bytes: their sha256 becomes the Dataset's
     `digest`, and they are decoded as UTF-8 in one call (a decoding error
-    names its byte offset in the file).  The header is
-    read with the csv module from the text's first lines, split as in a
-    file opened with newline="" (line endings untranslated).  A clean
-    body (k finite numbers on every non-blank line, no quotes) is parsed in
-    C by one np.loadtxt call; its values equal those of float() on each
-    cell.  That result is kept only if np.loadtxt raised nothing, returned
-    k columns of finite values, and returned one row per non-blank line.
-    Any other body goes through the per-row loop, because only it knows
-    which rows to drop: rows with missing, unparseable or non-finite cells
-    are dropped (listwise deletion), and the count is attached to the
-    result and reported as a DataWarning.
+    names its byte offset in the file); one leading byte-order mark is
+    skipped.  The header is read with the csv module from the text's first
+    lines, split as in a file opened with newline="" (line endings
+    untranslated).  A clean body (k finite numbers on every non-blank line,
+    no quotes) is parsed in C by one np.loadtxt call; its values equal those
+    of float() on each cell.  That result is kept only if np.loadtxt raised
+    nothing, returned k columns of finite values, and returned one row per
+    non-blank line.  Any other body goes through the per-row loop, because
+    only it knows which rows to drop: rows with missing, unparseable or
+    non-finite cells are dropped (listwise deletion), and the count is
+    attached to the result and reported as a DataWarning.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    text = raw.decode("utf-8")
+    text = raw.decode("utf-8").removeprefix("\ufeff")
     del raw
     header, start, header_lines = _read_header(text, path)
     names = [h.strip() for h in header]

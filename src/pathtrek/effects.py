@@ -9,7 +9,7 @@ from .estimation import FittedModel, _endogenous, _fit_equation, coefficient_inf
 from .files import write_rows
 from .pathspec import Arrow, topological_order
 from .record import FrozenRecord, Record
-from .tracing import _implied
+from .tracing import _implied, _trace
 
 DEFAULT_ALPHA = 0.05  # revise_model's drop level for coefficient p
 DEFAULT_MISFIT_THRESHOLD = 0.05
@@ -218,8 +218,12 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
     Equations are fitted independently, and a drop or an add changes only
     the parent sets of the equations it touches, so a refit re-estimates an
     equation only when its (target, parents) pair is new to this call; the
-    others are reused as they were, bit for bit.  Intermediate models are
-    scored by `_misfits`; the FitAssessment is built for the final model only.
+    others are reused as they were, bit for bit.  The fitted beta go straight
+    to the structural recursion, which resumes the previous refit's: it
+    re-traces the causal order from the first position whose variable or
+    equation changed (`tracing._trace`), so no annotated model is built per
+    refit.  Intermediate models are scored by `_misfits`; the FitAssessment
+    is built for the final model only.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -227,8 +231,10 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
     model = m
     seen = {model.arrow_set()}
     cache = {}  # (target, parents) -> EquationFit
+    state = None  # the last refit's structural recursion
 
     def refit(current):
+        nonlocal state
         equations = {}
         for y in _endogenous(corr, current):
             key = (y, current.parents(y))
@@ -237,8 +243,12 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
             equations[y] = cache[key]
         # every equation is fitted before coefficient_inference checks df
         fit = coefficient_inference(FittedModel(current, equations, corr))
+        steps = []
+        for v in topological_order(current):
+            eq = equations.get(v)
+            steps.append((v, eq.parents, eq.beta) if eq else (v, (), ()))
         # An intermediate refit may imply psi <= 0; that must not stop the search.
-        implied = _implied(fit.annotated_model())
+        implied, state = _trace(current.variables, steps, state)
         flagged, max_difference = _misfits(corr, implied, threshold)
         return fit, implied, flagged, max_difference
 
@@ -267,10 +277,10 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
         changed = False
 
         drops = [
-            (eq.parents[j], y)
+            (parent, y)
             for y, eq in fit.equations.items()
-            for j in range(len(eq.parents))
-            if eq.p[j] >= alpha
+            for parent, p in zip(eq.parents, eq.p)
+            if p >= alpha
         ]
         if drops:
             dropped = set(drops)

@@ -141,12 +141,11 @@ class PathModel(FrozenRecord):
 
     def with_coefficients(self, mapping):
         """Copy of the model with coefficients from {(source, target): value}."""
-        arrows = tuple(
-            Arrow(a.source, a.target, float(mapping[(a.source, a.target)]))
-            if (a.source, a.target) in mapping
-            else a
-            for a in self.arrows
-        )
+        arrows = []
+        for a in self.arrows:
+            source, target, _ = a
+            key = (source, target)
+            arrows.append(Arrow(source, target, float(mapping[key])) if key in mapping else a)
         return PathModel(self.variables, arrows, self.labels)
 
     def with_arrows(self, arrows):
@@ -315,6 +314,7 @@ def render_model(m):
 
 
 def load_model(path):
-    """Read and parse a model file."""
+    """Read and parse a model file; one leading byte-order mark is skipped."""
     with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        text = fh.read()
+    return parse_model(text.removeprefix("\ufeff"))

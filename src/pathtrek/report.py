@@ -191,14 +191,14 @@ class Report(Record):
                 "max_difference": self.fit.max_difference,
                 "pairs": [
                     {
-                        "a": p.a,
-                        "b": p.b,
-                        "observed": p.observed,
-                        "reproduced": p.reproduced,
-                        "difference": p.difference,
-                        "flagged": p.flagged,
+                        "a": a,
+                        "b": b,
+                        "observed": observed,
+                        "reproduced": reproduced,
+                        "difference": difference,
+                        "flagged": flagged,
                     }
-                    for p in self.fit.pairs
+                    for a, b, observed, reproduced, difference, flagged in self.fit.pairs
                 ],
             }
         if self.effects is not None:

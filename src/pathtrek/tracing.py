@@ -9,8 +9,12 @@ product contributes to the model-implied correlation of the endpoint pair:
   * spurious - at least one against-arrow step (shared-cause component)
 
 Sigma = (I-B)^-1 Psi (I-B)^-T, Psi and the rows of (I-B)^-1 (the total
-effects) come from one structural recursion in causal order (`_implied`),
-O(k^3) over lists of floats.
+effects) come from one structural recursion in causal order (`_trace`),
+O(k^3) over lists of floats.  A revision refit resumes the previous refit's
+recursion: it keeps the longest prefix of the causal order whose variables
+and equations are unchanged and runs the loop from the first changed
+position, since a variable's Sigma entries with earlier variables, its
+(I-B)^-1 row and its Psi depend on that prefix alone.
 Treks are enumerated only to explain a decomposition and for the trek export:
 `reproduced_matrix` sums them exhaustively, which the trek rule makes equal
 to the recursion, and serves as its cross-check.  Enumeration grows
@@ -76,6 +80,14 @@ class ReproducedMatrix(FrozenRecord):
         object.__setattr__(self, "treks", treks)
         object.__setattr__(self, "psi", psi)  # residual variances, implied route only
         object.__setattr__(self, "total", total)  # rows of (I-B)⁻¹ by variable, implied only
+
+    @classmethod
+    def _of_rows(cls, variables, rows, psi, total):
+        """The implied route's record from rows that are tuples of floats already."""
+        self = cls.__new__(cls)
+        for name, value in zip(cls._fields, (variables, rows, {}, psi, total)):
+            object.__setattr__(self, name, value)
+        return self
 
     @cached_property
     def r_hat(self):
@@ -182,15 +194,53 @@ def implied_matrix(m):
 def _implied(m):
     """implied_matrix without the residual-variance check: psi may be <= 0."""
     m.require_annotated()
-    k = m.k
-    idx = {v: i for i, v in enumerate(m.variables)}
-    sigma = [[0.0] * k for _ in range(k)]
-    total = [None] * k
-    psi = {}
+    steps = []
     for v in topological_order(m):
-        vi = idx[v]
         parents = m.parents(v)
-        beta = [m.coefficient(p, v) for p in parents]
+        steps.append((v, parents, tuple([m.coefficient(p, v) for p in parents])))
+    return _trace(m.variables, steps)[0]
+
+
+def _trace(variables, steps, resume=None):
+    """The structural recursion: r_hat, psi and (I-B)⁻¹ of one annotated DAG.
+
+    `steps` lists (variable, parents, beta) in causal order, parents in
+    declaration order and beta in the parents' order; an exogenous
+    variable's parents and beta are empty.  Returns the ReproducedMatrix and
+    the recursion's state.  Passed back as `resume` with the same
+    `variables`, that state lets the next call skip the longest prefix of
+    `steps` equal, position by position, to the steps it was built from: it
+    resets Sigma, the (I-B)⁻¹ rows and psi to what a fresh run holds at the
+    first changed position (the prefix's block, zeros elsewhere; Sigma's
+    entry (i, j) is written only when the later of i and j is processed)
+    and runs the same loop from there.  The result is bit for bit that of a
+    fresh call.  `resume` is consumed: its Sigma rows are rewritten.
+    """
+    k = len(variables)
+    idx = {v: i for i, v in enumerate(variables)}
+    start = 0
+    if resume is None:
+        sigma = [[0.0] * k for _ in range(k)]
+        total = [None] * k
+        psi = []
+    else:
+        done, sigma, total, psi = resume
+        for step, old in zip(steps, done):
+            if step != old:
+                break
+            start += 1
+        redo = [idx[v] for v, _, _ in steps[start:]]
+        for v, _, _ in steps[:start]:
+            row = sigma[idx[v]]
+            for j in redo:
+                row[j] = 0.0
+        total = total[:]  # the previous result keeps its list
+        for j in redo:
+            sigma[j] = [0.0] * k
+            total[j] = None
+        psi = psi[:start]
+    for v, parents, beta in steps[start:]:
+        vi = idx[v]
         cov = [0.0] * k  # Sigma_vj = betaᵀ Sigma_Pj for every j
         reach = [0.0] * k
         reach[vi] = 1.0
@@ -201,12 +251,15 @@ def _implied(m):
         explained = 0.0  # betaᵀ Sigma_PP beta = betaᵀ Sigma_Pv
         for p, b in zip(parents, beta):
             explained += cov[idx[p]] * b
-        psi[v] = 1.0 - explained
+        psi.append(1.0 - explained)
         for j, c in enumerate(cov):
             sigma[j][vi] = c
         cov[vi] = 1.0
         sigma[vi] = cov
-    return ReproducedMatrix(m.variables, sigma, {}, psi=psi, total=total)
+    implied = ReproducedMatrix._of_rows(
+        variables, tuple(map(tuple, sigma)),
+        dict(zip([v for v, _, _ in steps], psi)), total)
+    return implied, (steps, sigma, total, psi)
 
 
 def write_treks_csv(reproduced, path):

@@ -278,6 +278,79 @@ def test_revise_no_admissible_move(tmp_path):
     assert any("revision failed" in w for w in report["warnings"])
 
 
+def _k16_problem(seed, n):
+    """A seeded 16-variable DAG's population correlation table and a start model.
+
+    The table is the true annotated DAG's r_hat from `_implied`.  The start
+    model lacks a quarter of the true arrows and carries four spurious ones;
+    variables are declared in shuffled order, so dropping a spurious arrow
+    can change the causal order.
+    """
+    import numpy as np
+
+    from pathtrek.correlation import CorrelationMatrix
+    from pathtrek.pathspec import Arrow, PathModel
+    from pathtrek.tracing import _implied
+
+    rng = np.random.default_rng(seed)
+    k = 16
+    causal = [f"V{i:02d}" for i in range(k)]
+    declared = tuple(causal[i] for i in rng.permutation(k))
+    true = []
+    for j in range(1, k):
+        parents = [causal[i] for i in range(j) if rng.random() < 0.25]
+        true += [Arrow(p, causal[j], float(rng.uniform(-0.9, 0.9)) / len(parents))
+                 for p in parents]
+    corr = CorrelationMatrix(declared, _implied(PathModel(declared, true, {})).r_hat_rows, n)
+    kept = [true[i] for i in sorted(rng.permutation(len(true))[len(true) // 4:])]
+    have = {(a.source, a.target) for a in true}
+    free = [(causal[i], causal[j]) for j in range(k) for i in range(j)
+            if (causal[i], causal[j]) not in have]
+    spurious = [free[i] for i in sorted(rng.permutation(len(free))[:4])]
+    arrows = [Arrow(a.source, a.target) for a in kept] + [Arrow(s, t) for s, t in spurious]
+    return corr, PathModel(declared, arrows, {})
+
+
+# sha256 of the JSON revise report on _k16_problem(13, 400), run from the
+# directory that holds its two input files
+K16_REVISE_SHA256 = "1376960ef3ea76c2f41182860ac9bc14a7d50c3883693caf6cd5b1d210771dec"
+
+
+def test_revise_report_pinned_at_k16(tmp_path, monkeypatch):
+    """Adds and an order-changing drop at k = 16, where a refit's unchanged
+    causal-order prefix can be long; the report keeps its bytes."""
+    import hashlib
+
+    from pathtrek.correlation import write_correlation_csv
+    from pathtrek.effects import revise_model
+    from pathtrek.pathspec import Arrow, topological_order
+
+    corr, start = _k16_problem(13, 400)
+    trace = revise_model(corr, start)
+    model, reordered = start, 0
+    for step in trace.steps:
+        if step.action == "drop":
+            gone = set(step.arrows)
+            after = model.with_arrows([a for a in model.arrows
+                                       if (a.source, a.target) not in gone])
+            reordered += topological_order(after) != topological_order(model)
+        else:
+            after = model.with_arrows(model.arrows + (Arrow(*step.arrows[0]),))
+        model = after
+    assert model.arrow_set() == trace.final_model.arrow_set()
+    assert trace.converged
+    assert sum(s.action == "add" for s in trace.steps) >= 5
+    assert reordered >= 1
+
+    monkeypatch.chdir(tmp_path)
+    write_correlation_csv(corr, "corr.csv")
+    (tmp_path / "start.pm").write_text(render_model(start), encoding="utf-8")
+    assert main(["revise", "--corr", "corr.csv", "--n", "400", "--model", "start.pm",
+                 "--format", "json", "--out", "report.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == K16_REVISE_SHA256
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -918,20 +991,24 @@ def test_fit_and_revise_never_enumerate_treks(tmp_path, monkeypatch):
 
 
 def _count_structure_builds(monkeypatch):
-    """Record every _implied call, at each name cli and effects look it up by."""
-    import pathtrek.cli
+    """Record every run of the structural recursion, fresh or resumed.
+
+    `tracing._trace` is the one recursion: `_implied` (fit, effects, cli)
+    calls it by its module-level name and a revise refit resumes it, so it
+    is wrapped at each name a module looks it up by.
+    """
     import pathtrek.effects
     import pathtrek.tracing
 
     builds = []
-    build = pathtrek.tracing._implied
+    build = pathtrek.tracing._trace
 
-    def counted(m):
-        builds.append(m)
-        return build(m)
+    def counted(variables, steps, resume=None):
+        builds.append(steps)
+        return build(variables, steps, resume)
 
-    for module in (pathtrek.tracing, pathtrek.effects, pathtrek.cli):
-        monkeypatch.setattr(module, "_implied", counted, raising=False)
+    for module in (pathtrek.tracing, pathtrek.effects):
+        monkeypatch.setattr(module, "_trace", counted)
     return builds
 
 

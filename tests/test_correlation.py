@@ -33,7 +33,7 @@ from pathtrek.estimation import fit_standardized
 from pathtrek.screening import screen
 from pathtrek.simulate import SimulationSpec, recovery_check
 
-from conftest import NAMES, N_OBS, OBSERVED_R, exact_corr_scores
+from conftest import DATA_DIR, NAMES, N_OBS, OBSERVED_R, exact_corr_scores
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +143,15 @@ def test_load_study_correlation_file():
     }
     assert corr.p_value("X1", "X2") < 0.001
     assert np.linalg.eigvalsh(corr.r).min() >= -1e-8
+
+
+def test_load_correlation_skips_a_byte_order_mark(tmp_path):
+    plain = DATA_DIR / "observed_correlations.csv"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    with_bom, without = load_correlation_csv(path, 240), load_correlation_csv(plain, 240)
+    assert with_bom.variables == without.variables == NAMES
+    assert with_bom.r_rows == without.r_rows
 
 
 def test_load_correlation_asymmetric(tmp_path):

@@ -16,7 +16,7 @@ from pathtrek import data
 from pathtrek.data import Dataset, load_csv, standardize, summarize, write_csv
 from pathtrek.errors import DataWarning, OutOfRange, ParseError, TooFewRows, ZeroVariance
 
-from conftest import OBSERVED_R, exact_corr_scores
+from conftest import DATA_DIR, OBSERVED_R, exact_corr_scores
 
 
 def write(tmp_path, name, text):
@@ -102,6 +102,24 @@ def test_load_names_the_file_offset_of_invalid_utf8(tmp_path):
     with pytest.raises(UnicodeDecodeError) as exc:
         load_csv(path)
     assert exc.value.start == len(head) + 2
+
+
+def test_load_skips_a_byte_order_mark(tmp_path):
+    plain = DATA_DIR / "sample_scores.csv"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    with_bom, without = load_csv(path), load_csv(plain)
+    assert with_bom.variables == without.variables == ("X1", "X2", "X3", "X4", "Y")
+    assert np.array_equal(with_bom.rows, without.rows)
+    assert with_bom.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_load_names_the_file_offset_of_invalid_utf8_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfab\xff")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        load_csv(path)
+    assert exc.value.start == 5
 
 
 def test_load_digest_is_the_sha256_of_the_parsed_bytes(tmp_path):

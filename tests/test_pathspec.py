@@ -17,10 +17,14 @@ from pathtrek.errors import (
 from pathtrek.pathspec import (
     Arrow,
     PathModel,
+    load_model,
     parse_model,
     render_model,
     topological_order,
 )
+
+from conftest import DATA_DIR
+
 
 def test_parse_initial_model(initial_model):
     m = initial_model
@@ -250,6 +254,16 @@ def test_cycle_detected_names_a_cycle(graph):
     assert len(cycle) >= 2 and cycle[0] == cycle[-1]
     assert len(set(cycle)) == len(cycle) - 1
     assert all(step in pairs for step in zip(cycle, cycle[1:]))
+
+
+def test_load_model_skips_a_byte_order_mark(tmp_path):
+    plain = DATA_DIR / "initial_model.pm"
+    path = tmp_path / "bom.pm"
+    path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    with_bom, without = load_model(path), load_model(plain)
+    assert with_bom == without
+    assert with_bom.variables == ("X1", "X2", "X3", "X4", "Y")
+    assert with_bom.labels["X1"] == "Motivation"
 
 
 def test_render_coefficient_line():

@@ -22,6 +22,7 @@ from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
 from pathtrek.simulate import SimulationSpec, simulate_dataset
 from pathtrek.tracing import (
     _implied,
+    _trace,
     enumerate_treks,
     implied_matrix,
     reproduced_matrix,
@@ -232,6 +233,73 @@ def test_implied_matches_closed_form(m):
     assert im.r_hat.dtype == np.float64 and not im.r_hat.flags.writeable
     assert im.r_hat.tolist() == [list(row) for row in im.r_hat_rows]
     assert all(type(x) is float for row in im.r_hat_rows for x in row)
+
+
+def _bits(values):
+    return [x.hex() for x in values]
+
+
+def _assert_same_trace(retraced, fresh):
+    """r_hat rows, (I-B)⁻¹ rows and psi (items in causal order), bit for bit."""
+    assert retraced.variables == fresh.variables
+    assert [_bits(row) for row in retraced.r_hat_rows] == [_bits(row) for row in fresh.r_hat_rows]
+    assert [_bits(row) for row in retraced.total] == [_bits(row) for row in fresh.total]
+    assert list(retraced.psi) == list(fresh.psi)
+    assert _bits(retraced.psi.values()) == _bits(fresh.psi.values())
+
+
+def _steps(m, beta):
+    """The recursion's steps of model m with beta[(source, target)]."""
+    return [(v, m.parents(v), tuple(beta[(p, v)] for p in m.parents(v)))
+            for v in topological_order(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_retrace_after_each_move_equals_a_fresh_trace(data):
+    """A resumed recursion gives a fresh _implied's bits after adds and drops.
+
+    As in a revise refit, an add refits its target's equation and a drop
+    refits every equation that lost a parent; the others keep their beta.
+    Variables are declared in shuffled order, so a drop can reorder the
+    causal order.
+    """
+    k = data.draw(st.integers(1, 12))
+    causal = [f"V{i}" for i in range(k)]
+    declared = tuple(data.draw(st.permutations(causal)))
+    pairs = [(causal[i], causal[j]) for j in range(k) for i in range(j)]
+    coefficient = st.floats(-1.0, 1.0)
+    beta = {pair: data.draw(coefficient) for pair in pairs if data.draw(st.booleans())}
+    state = None
+    for _ in range(data.draw(st.integers(1, 8))):
+        m = PathModel(declared, [Arrow(s, t, b) for (s, t), b in beta.items()], {})
+        retraced, state = _trace(declared, _steps(m, beta), state)
+        _assert_same_trace(retraced, _implied(m))
+        free = [pair for pair in pairs if pair not in beta]
+        if free and data.draw(st.booleans()):
+            src, dst = data.draw(st.sampled_from(free))
+            beta[(src, dst)] = 0.0
+            refit = {dst}
+        else:
+            dropped = data.draw(st.sets(st.sampled_from(sorted(beta)))) if beta else set()
+            for pair in dropped:
+                del beta[pair]
+            refit = {t for _, t in dropped}
+        for pair in beta:
+            if pair[1] in refit:
+                beta[pair] = data.draw(coefficient)
+
+
+def test_retrace_after_a_drop_that_reorders_the_causal_order():
+    m = parse_model("var X\nvar B\nvar A\nvar C\npath X -> A : 0.5\n"
+                    "path A -> B : 0.4\npath X -> C : 0.3\npath B -> C : 0.2\n")
+    assert topological_order(m) == ("X", "A", "B", "C")
+    dropped = m.with_arrows([a for a in m.arrows if (a.source, a.target) != ("A", "B")])
+    assert topological_order(dropped) == ("X", "B", "A", "C")
+    beta = {(a.source, a.target): a.coefficient for a in m.arrows}
+    _, state = _trace(m.variables, _steps(m, beta))
+    retraced, _ = _trace(m.variables, _steps(dropped, beta), state)
+    _assert_same_trace(retraced, _implied(dropped))
 
 
 def test_implied_single_arrow():
