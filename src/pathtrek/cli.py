@@ -9,9 +9,12 @@ Exit codes: 0 success, 1 assumption warnings under --strict, 2 input or
 usage error, 3 revision failure.
 
 fit and revise report the same procedure through one function,
-`_traced_report`: the fitted model, traced with its coefficients, gives
-r_hat, the fit verdict, the effects and a warning for each residual
-variance <= 0.  Every output file is written through `files`.
+`_traced_report`: the (variable, parents, beta) steps that were traced,
+and the structure the trace gave, yield r_hat, the fit verdict, the
+effects and a warning for each residual variance <= 0.  A fit is traced
+from its own steps; an annotated model is built from it only to export
+treks or write the final model.  Every output file is written through
+`files`.
 
 The raw-data modules (data, screening, simulate), and numpy with them, are
 imported only by the commands that read or write rows, so `fit --corr` and
@@ -27,7 +30,7 @@ import math
 import sys
 import warnings as _warnings
 
-from . import __version__
+from . import __version__, tracing
 from .correlation import load_correlation_csv, pearson_matrix
 from .effects import (
     DEFAULT_ALPHA,
@@ -40,11 +43,11 @@ from .effects import (
     write_revision_csv,
 )
 from .errors import NoAdmissibleRevision, NonPositiveResidualVariance, PathtrekError
-from .estimation import coefficient_inference, fit_standardized
+from .estimation import fit_standardized
 from .files import file_digest, write_rows, write_text
 from .pathspec import load_model, render_model
 from .report import Report
-from .tracing import _implied, reproduced_matrix, write_treks_csv
+from .tracing import reproduced_matrix, write_treks_csv
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -205,13 +208,14 @@ def _cmd_screen(args, parser):
     return EXIT_OK
 
 
-def _traced_report(command, corr, inputs, warnings, fitted, traced, implied,
+def _traced_report(command, corr, inputs, warnings, fitted, steps, implied,
                    assessment, revision=None):
-    """The fit or revise Report of `fitted`, traced as the model `traced`.
+    """The fit or revise Report of `fitted`, traced as the (variable, parents,
+    beta) `steps` that gave the structure `implied`.
 
     Coefficients that imply a residual variance <= 0 are reported as
     warnings after the caller's own, not as errors.  The effects come from
-    the structure `implied` that gave r_hat.
+    the same steps and structure as r_hat.
     """
     warnings = warnings + [str(NonPositiveResidualVariance(v, psi))
                            for v, psi in implied.psi.items() if psi <= 0.0]
@@ -222,7 +226,7 @@ def _traced_report(command, corr, inputs, warnings, fitted, traced, implied,
         fitted=fitted,
         reproduced=implied,
         fit=assessment,
-        effects=_effects_table(traced, implied),
+        effects=_effects_table(steps, implied),
         revision=revision,
         warnings=warnings,
     )
@@ -237,15 +241,16 @@ def _cmd_fit(args, parser):
     bare topology is traced with the fitted coefficients.
     """
     corr, model, inputs, warnings = _load_inputs(args, parser)
-    fitted = coefficient_inference(fit_standardized(corr, model))
-    traced = model if model.is_annotated else fitted.annotated_model()
+    fitted = fit_standardized(corr, model)
     if model.is_annotated:
         warnings.append("traced the model file's own coefficients (fully annotated input); "
                         "refit values are in the coefficients section")
-    implied = _implied(traced)
-    report = _traced_report("fit", corr, inputs, warnings, fitted, traced, implied,
+    steps = tracing._steps(model) if model.is_annotated else fitted._steps()
+    implied = tracing._trace(model.variables, steps)[0]
+    report = _traced_report("fit", corr, inputs, warnings, fitted, steps, implied,
                             assess_fit(corr, implied, args.misfit))
     if args.treks_csv:
+        traced = model if model.is_annotated else fitted.annotated_model()
         write_treks_csv(reproduced_matrix(traced), args.treks_csv)
     if args.effects_csv:
         write_effects_csv(report.effects, args.effects_csv)
@@ -267,11 +272,11 @@ def _cmd_revise(args, parser):
         exit_code = EXIT_REVISION
     if not trace.converged:
         exit_code = EXIT_REVISION
-    annotated = trace.final_fit.annotated_model()
-    report = _traced_report("revise", corr, inputs, warnings, trace.final_fit, annotated,
-                            trace.final_implied, trace.final_assessment, revision=trace)
+    report = _traced_report("revise", corr, inputs, warnings, trace.final_fit,
+                            trace.final_fit._steps(), trace.final_implied,
+                            trace.final_assessment, revision=trace)
     if args.out_model:
-        write_text(args.out_model, render_model(annotated))
+        write_text(args.out_model, render_model(trace.final_fit.annotated_model()))
     if args.trace_csv:
         write_revision_csv(trace, args.trace_csv)
     _emit(report, args)

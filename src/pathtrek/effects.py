@@ -5,11 +5,11 @@ structural recursion in `tracing`, and the drop/add revision loop.
 from typing import NamedTuple
 
 from .errors import NoAdmissibleRevision, VariableMismatch
-from .estimation import FittedModel, _endogenous, _fit_equation, coefficient_inference
+from .estimation import _fit_model, coefficient_inference
 from .files import write_rows
 from .pathspec import Arrow, topological_order
 from .record import FrozenRecord, Record
-from .tracing import _implied, _trace
+from .tracing import _steps, _trace
 
 DEFAULT_ALPHA = 0.05  # revise_model's drop level for coefficient p
 DEFAULT_MISFIT_THRESHOLD = 0.05
@@ -132,27 +132,29 @@ def decompose_effects(m):
     are the rows of (I-B)⁻¹ from the recursion that builds r_hat and psi
     (exactly 0.0 where no directed path exists); indirect = total - direct.
     """
-    return _effects_table(m, _implied(m))
+    steps = _steps(m)
+    return _effects_table(steps, _trace(m.variables, steps)[0])
 
 
-def _effects_table(m, implied):
-    """decompose_effects of m from its already built _implied(m)."""
-    order = topological_order(m)
+def _effects_table(steps, implied):
+    """decompose_effects of the (variable, parents, beta) steps that traced `implied`."""
+    pos = {v: i for i, v in enumerate(implied.variables)}
+    order = [v for v, _, _ in steps]
     rows = []
-    for outcome in reversed(order):
-        if not m.parents(outcome):
+    for outcome, parents, beta in reversed(steps):
+        if not parents:
             continue
-        total = implied.total[m.index(outcome)]
+        total = implied.total[pos[outcome]]
+        direct_of = dict(zip(parents, beta))
         for det in order:
             if det == outcome:
                 continue
-            arrow = m.arrow(det, outcome)
-            direct = arrow.coefficient if arrow else 0.0
-            indirect = total[m.index(det)] - direct
-            if arrow is None and indirect == 0.0:
+            direct = direct_of.get(det, 0.0)
+            indirect = total[pos[det]] - direct
+            if det not in direct_of and indirect == 0.0:
                 continue
             rows.append(EffectRow(outcome, det, direct, indirect))
-    r2 = {v: 1.0 - implied.psi[v] for v in order if m.parents(v)}
+    r2 = {v: 1.0 - implied.psi[v] for v, parents, _ in steps if parents}
     return EffectsTable(tuple(rows), r2)
 
 
@@ -215,15 +217,17 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
     change (NoAdmissibleRevision, partial trace attached), or after
     max_iter iterations (non-converged trace returned).
 
+    A refit is fit_standardized's own equation loop (`estimation._fit_model`)
+    over one (target, parents) -> EquationFit dict kept for the whole call.
     Equations are fitted independently, and a drop or an add changes only
-    the parent sets of the equations it touches, so a refit re-estimates an
-    equation only when its (target, parents) pair is new to this call; the
-    others are reused as they were, bit for bit.  The fitted beta go straight
-    to the structural recursion, which resumes the previous refit's: it
-    re-traces the causal order from the first position whose variable or
-    equation changed (`tracing._trace`), so no annotated model is built per
-    refit.  Intermediate models are scored by `_misfits`; the FitAssessment
-    is built for the final model only.
+    the parent sets of the equations it touches, so a refit estimates an
+    equation only when its pair is new to this call; the others are reused
+    as they were, bit for bit.  The fit's own (variable, parents, beta)
+    steps go to the structural recursion, which resumes the previous
+    refit's: it re-traces the causal order from the first position whose
+    variable or equation changed (`tracing._trace`), so no annotated model
+    is built per refit.  Intermediate models are scored by `_misfits`; the
+    FitAssessment is built for the final model only.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -235,20 +239,10 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
 
     def refit(current):
         nonlocal state
-        equations = {}
-        for y in _endogenous(corr, current):
-            key = (y, current.parents(y))
-            if key not in cache:
-                cache[key] = _fit_equation(corr, *key)
-            equations[y] = cache[key]
         # every equation is fitted before coefficient_inference checks df
-        fit = coefficient_inference(FittedModel(current, equations, corr))
-        steps = []
-        for v in topological_order(current):
-            eq = equations.get(v)
-            steps.append((v, eq.parents, eq.beta) if eq else (v, (), ()))
+        fit = coefficient_inference(_fit_model(corr, current, cache))
         # An intermediate refit may imply psi <= 0; that must not stop the search.
-        implied, state = _trace(current.variables, steps, state)
+        implied, state = _trace(current.variables, fit._steps(), state)
         flagged, max_difference = _misfits(corr, implied, threshold)
         return fit, implied, flagged, max_difference
 

@@ -53,6 +53,12 @@ class FittedModel(FrozenRecord):
     def r_squared(self):
         return {t: eq.r_squared for t, eq in self.equations.items()}
 
+    def _steps(self):
+        """The fit's (variable, parents, beta) steps for `tracing._trace`, in causal order."""
+        equations = self.equations
+        return [(v, eq.parents, eq.beta) if (eq := equations.get(v)) else (v, (), ())
+                for v in topological_order(self.model)]
+
     def annotated_model(self):
         """The model with every arrow carrying its fitted coefficient."""
         coeffs = {}
@@ -70,8 +76,23 @@ def fit_standardized(corr, m):
     names a variable absent from the matrix and SingularMatrix (tagged with
     the equation) when a parent block is not positive definite.
     """
-    equations = {y: _fit_equation(corr, y, m.parents(y)) for y in _endogenous(corr, m)}
-    return FittedModel(model=m, equations=equations, correlation=corr)
+    return _fit_model(corr, m, {})
+
+
+def _fit_model(corr, m, fits):
+    """fit_standardized of `m`, each equation taken from or stored in `fits`.
+
+    `fits` maps (target, parents) to its EquationFit.  Equations are
+    independent, so one estimated for another model of the same variables
+    is reused as it was, bit for bit; `revise_model` keeps one such dict.
+    """
+    equations = {}
+    for y in _endogenous(corr, m):
+        key = (y, m.parents(y))
+        if key not in fits:
+            fits[key] = _fit_equation(corr, *key)
+        equations[y] = fits[key]
+    return FittedModel(m, equations, corr)
 
 
 def coefficient_inference(fit):

@@ -17,9 +17,8 @@ from .data import Dataset
 from .errors import ParseError, VariableMissing
 from .estimation import fit_standardized
 from .correlation import _sample_size, pearson_matrix
-from .pathspec import topological_order
 from .record import FrozenRecord
-from .tracing import implied_matrix
+from .tracing import _steps, implied_matrix
 
 ROWS_PER_BLOCK = rng.BLOCK // 2  # one stream block of draws per variable
 
@@ -51,10 +50,9 @@ def simulate_blocks(spec):
     row, all k*n draws come from one call.  Identical spec, identical bytes,
     whatever the block size.
     """
-    m = spec.model
-    psi = implied_matrix(m).psi
-    equations = [(v, math.sqrt(psi[v]), [(p, m.coefficient(p, v)) for p in m.parents(v)])
-             for v in topological_order(m)]
+    psi = implied_matrix(spec.model).psi
+    equations = [(v, math.sqrt(psi[v]), list(zip(parents, beta)))
+                 for v, parents, beta in _steps(spec.model)]
     return _blocks(spec, equations)
 
 

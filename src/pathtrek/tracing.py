@@ -10,11 +10,15 @@ product contributes to the model-implied correlation of the endpoint pair:
 
 Sigma = (I-B)^-1 Psi (I-B)^-T, Psi and the rows of (I-B)^-1 (the total
 effects) come from one structural recursion in causal order (`_trace`),
-O(k^3) over lists of floats.  A revision refit resumes the previous refit's
-recursion: it keeps the longest prefix of the causal order whose variables
-and equations are unchanged and runs the loop from the first changed
-position, since a variable's Sigma entries with earlier variables, its
-(I-B)^-1 row and its Psi depend on that prefix alone.
+O(k^3) over lists of floats.  It reads the coefficients as one
+(variable, parents, beta) step per variable in causal order: `_steps(m)`
+builds them from an annotated model and `FittedModel._steps()` from a fit,
+so a fit is traced, and its effects read, without building its annotated
+model.  A revision refit resumes the previous refit's recursion: it keeps
+the longest prefix of the causal order whose variables and equations are
+unchanged and runs the loop from the first changed position, since a
+variable's Sigma entries with earlier variables, its (I-B)^-1 row and its
+Psi depend on that prefix alone.
 Treks are enumerated only to explain a decomposition and for the trek export:
 `reproduced_matrix` sums them exhaustively, which the trek rule makes equal
 to the recursion, and serves as its cross-check.  Enumeration grows
@@ -32,7 +36,7 @@ from .errors import (
     VariableMissing,
 )
 from .files import write_rows
-from .numeric import float_rows, readonly_array
+from .numeric import readonly_array
 from .pathspec import topological_order
 from .record import FrozenRecord
 
@@ -73,21 +77,13 @@ class ReproducedMatrix(FrozenRecord):
 
     _fields = ("variables", "r_hat_rows", "treks", "psi", "total")
 
-    def __init__(self, variables, r_hat, treks, psi=None, total=None):
+    def __init__(self, variables, r_hat_rows, treks, psi=None, total=None):
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "r_hat_rows", float_rows(r_hat))
+        object.__setattr__(self, "r_hat_rows", r_hat_rows)  # tuples of floats, as given
         # (earlier, later) -> tuple of Trek; empty for implied route
         object.__setattr__(self, "treks", treks)
         object.__setattr__(self, "psi", psi)  # residual variances, implied route only
         object.__setattr__(self, "total", total)  # rows of (I-B)⁻¹ by variable, implied only
-
-    @classmethod
-    def _of_rows(cls, variables, rows, psi, total):
-        """The implied route's record from rows that are tuples of floats already."""
-        self = cls.__new__(cls)
-        for name, value in zip(cls._fields, (variables, rows, {}, psi, total)):
-            object.__setattr__(self, name, value)
-        return self
 
     @cached_property
     def r_hat(self):
@@ -169,9 +165,9 @@ def reproduced_matrix(m):
             _over_budget(count)
             key = (va, vb) if pos[va] < pos[vb] else (vb, va)
             treks[key] = tuple(ts)
-            total = sum(t.product for t in ts)
+            total = sum((t.product for t in ts), 0.0)
             r_hat[a][b] = r_hat[b][a] = total
-    return ReproducedMatrix(m.variables, r_hat, treks)
+    return ReproducedMatrix(m.variables, tuple(map(tuple, r_hat)), treks)
 
 
 def implied_matrix(m):
@@ -193,12 +189,17 @@ def implied_matrix(m):
 
 def _implied(m):
     """implied_matrix without the residual-variance check: psi may be <= 0."""
+    return _trace(m.variables, _steps(m))[0]
+
+
+def _steps(m):
+    """The (variable, parents, beta) steps of annotated `m` for `_trace`."""
     m.require_annotated()
     steps = []
     for v in topological_order(m):
         parents = m.parents(v)
         steps.append((v, parents, tuple([m.coefficient(p, v) for p in parents])))
-    return _trace(m.variables, steps)[0]
+    return steps
 
 
 def _trace(variables, steps, resume=None):
@@ -256,9 +257,8 @@ def _trace(variables, steps, resume=None):
             sigma[j][vi] = c
         cov[vi] = 1.0
         sigma[vi] = cov
-    implied = ReproducedMatrix._of_rows(
-        variables, tuple(map(tuple, sigma)),
-        dict(zip([v for v, _, _ in steps], psi)), total)
+    implied = ReproducedMatrix(variables, tuple(map(tuple, sigma)), {},
+                               dict(zip([v for v, _, _ in steps], psi)), total)
     return implied, (steps, sigma, total, psi)
 
 

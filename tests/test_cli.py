@@ -203,6 +203,19 @@ def test_fit_corr_with_sample_size_zero(capsys):
     assert "requires --n" not in err
 
 
+@pytest.mark.parametrize("command,exports", [
+    ("fit", ["--effects-csv", "e.csv", "--treks-csv", "t.csv"]),
+    ("revise", ["--trace-csv", "t.csv", "--out-model", "m.pm"]),
+])
+def test_no_degrees_of_freedom_is_an_input_error(tmp_path, monkeypatch, capsys,
+                                                  command, exports):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--corr", CORR, "--n", "4", "--model", INITIAL,
+                 "--out", "r.txt", *exports]) == 2
+    assert "equation for 'Y': n=4 with 4 parents" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_text_and_json_agree(tmp_path):
     code, report = run_json(tmp_path, [
         "fit", "--corr", CORR, "--n", "240", "--model", REVISED,
@@ -993,9 +1006,9 @@ def test_fit_and_revise_never_enumerate_treks(tmp_path, monkeypatch):
 def _count_structure_builds(monkeypatch):
     """Record every run of the structural recursion, fresh or resumed.
 
-    `tracing._trace` is the one recursion: `_implied` (fit, effects, cli)
-    calls it by its module-level name and a revise refit resumes it, so it
-    is wrapped at each name a module looks it up by.
+    `tracing._trace` is the one recursion: `_implied` and `cli` call it as
+    `tracing._trace`, and `decompose_effects` and a revise refit, which
+    resumes it, as `effects._trace`, so it is wrapped at both names.
     """
     import pathtrek.effects
     import pathtrek.tracing
@@ -1046,6 +1059,53 @@ def test_revise_builds_one_structure_per_refit(tmp_path, monkeypatch,
     (trace, during), = returned
     assert during == 1 + len(trace.steps)  # the first refit, then one per step
     assert len(builds) == during
+
+
+def _record_calls(monkeypatch, owner, name):
+    """The positional arguments of every call of `owner.name`, self first."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("model,treks,annotations", [
+    (INITIAL, False, 0),
+    (INITIAL, True, 1),
+    (INITIAL_PUBLISHED, True, 0),
+], ids=["bare", "bare-treks", "annotated-treks"])
+def test_fit_builds_an_annotated_model_only_to_export_treks(tmp_path, monkeypatch,
+                                                             model, treks, annotations):
+    from pathtrek.estimation import FittedModel
+    from pathtrek.pathspec import PathModel
+
+    built = _record_calls(monkeypatch, PathModel, "__init__")
+    annotated = _record_calls(monkeypatch, FittedModel, "annotated_model")
+    exports = ["--treks-csv", str(tmp_path / "t.csv")] if treks else []
+    assert main(["fit", "--corr", CORR, "--n", "240", "--model", model,
+                 "--out", str(tmp_path / "r.txt"),
+                 "--effects-csv", str(tmp_path / "e.csv"), *exports]) == 0
+    assert len(annotated) == annotations
+    # the loaded model, then the one annotated_model builds for the export
+    assert len(built) == 1 + annotations
+    assert built[0][0] == load_model(model)
+
+
+@pytest.mark.parametrize("out_model", [False, True])
+def test_revise_builds_an_annotated_model_only_to_write_it(tmp_path, monkeypatch,
+                                                          out_model):
+    from pathtrek.estimation import FittedModel
+
+    annotated = _record_calls(monkeypatch, FittedModel, "annotated_model")
+    exports = ["--out-model", str(tmp_path / "m.pm")] if out_model else []
+    assert main(["revise", "--corr", CORR, "--n", "240", "--model", INITIAL,
+                 "--out", str(tmp_path / "r.txt"), *exports]) == 0
+    assert len(annotated) == out_model
 
 
 def test_trek_budget_stops_export_on_complete_dag(tmp_path, capsys):

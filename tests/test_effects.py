@@ -166,8 +166,14 @@ def reference_effects(m):
 @given(annotated_dags(bound=3.0))
 @example(parse_model("var A\nvar B\nvar C\nvar D\npath A -> B : 0.9\n"
                      "path A -> C : 0.9\npath B -> C : 0.9\npath C -> D : 0.5\n"))
+@example(parse_model("var A\nvar B\nvar C\npath A -> B : 0.0\npath B -> C : 0.5\n"))
 def test_effects_equal_forward_substitution_reference(m):
-    """Bit for bit, psi <= 0 included (the example has psi_C < 0)."""
+    """Bit for bit, psi <= 0 included (the first example has psi_C < 0).
+
+    An arrow of coefficient 0.0 keeps its row (A -> B in the second
+    example), and a pair with neither an arrow nor an indirect effect has
+    none (A on C there).
+    """
     table, reference = decompose_effects(m), reference_effects(m)
     assert table.rows == reference.rows
     assert table.r_squared == reference.r_squared
@@ -572,10 +578,8 @@ def test_each_equation_estimated_once_per_revision(
     else:  # 14 steps, five of them drops, ending on max_iter
         corr, start = revision_problem(6, 12, 1000, 0.02, 1.0)
     calls, reference_calls = collections.Counter(), collections.Counter()
-    monkeypatch.setattr(effects, "_fit_equation",
-                        _counting(calls, effects._fit_equation))
-    monkeypatch.setattr(estimation, "_fit_equation",
-                        _counting(reference_calls, estimation._fit_equation))
+    fit_equation = estimation._fit_equation
+    monkeypatch.setattr(estimation, "_fit_equation", _counting(calls, fit_equation))
     factors = []
     factor = numeric.inverse_factor
     monkeypatch.setattr(numeric, "inverse_factor",
@@ -583,6 +587,8 @@ def test_each_equation_estimated_once_per_revision(
     revise_model(corr, start)
     # one factor per distinct (target, parents) key, of that parent block
     assert factors == [len(parents) for _, parents in calls]
+    monkeypatch.setattr(estimation, "_fit_equation",
+                        _counting(reference_calls, fit_equation))
     reference_revise(corr, start)
     assert max(calls.values()) == 1
     # the same equations as the refit-everything loop, each only once
