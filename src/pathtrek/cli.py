@@ -47,7 +47,7 @@ from .estimation import fit_standardized
 from .files import file_digest, write_rows, write_text
 from .pathspec import load_model, render_model
 from .report import Report
-from .tracing import reproduced_matrix, write_treks_csv
+from .tracing import write_treks_csv
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -250,8 +250,8 @@ def _cmd_fit(args, parser):
     report = _traced_report("fit", corr, inputs, warnings, fitted, steps, implied,
                             assess_fit(corr, implied, args.misfit))
     if args.treks_csv:
-        traced = model if model.is_annotated else fitted.annotated_model()
-        write_treks_csv(reproduced_matrix(traced), args.treks_csv)
+        write_treks_csv(model if model.is_annotated else fitted.annotated_model(),
+                        args.treks_csv)
     if args.effects_csv:
         write_effects_csv(report.effects, args.effects_csv)
     _emit(report, args)

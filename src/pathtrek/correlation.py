@@ -35,10 +35,6 @@ class StrengthLabel(enum.Enum):
     MEDIUM = "medium"
     LARGE = "large"
 
-    @property
-    def rank(self):
-        return ("negligible", "small", "medium", "large").index(self.value)
-
 
 def classify_strength(r):
     """Bucket a correlation by magnitude: <0.1, [0.1,0.3), [0.3,0.5), >=0.5."""
@@ -149,9 +145,6 @@ class CorrelationMatrix(FrozenRecord):
 
     def value(self, a, b):
         return self.r_rows[self.index(a)][self.index(b)]
-
-    def p_value(self, a, b):
-        return self.p_rows[self.index(a)][self.index(b)]
 
     def submatrix(self, names):
         idx = [self.index(nm) for nm in names]

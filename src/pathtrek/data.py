@@ -26,22 +26,20 @@ class VariableSummary(NamedTuple):
     sd: float
     minimum: float
     maximum: float
-    flag_zero_variance: bool
 
 
 class Dataset(FrozenRecord):
     """Immutable named-column numeric data, one row per observation.
 
-    `dropped` counts the rows load_csv dropped and `digest` is the sha256 of
-    the file it parsed (None for data built in memory); equality reads
-    neither, and compares the rows by value.
+    `digest` is the sha256 of the file load_csv parsed (None for data built
+    in memory); equality does not read it, and compares the rows by value.
     """
 
-    _fields = ("variables", "rows", "dropped", "digest")
+    _fields = ("variables", "rows", "digest")
     # numpy defers to __eq__/__ne__ below, so comparing with an array is a bool
     __array_ufunc__ = None
 
-    def __init__(self, variables, rows, dropped=0, digest=None):
+    def __init__(self, variables, rows, digest=None):
         names = tuple(str(v) for v in variables)
         if len(set(names)) != len(names) or any(not v for v in names):
             raise ParseError("variable names must be unique and nonempty")
@@ -56,7 +54,6 @@ class Dataset(FrozenRecord):
         rows.flags.writeable = False
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "rows", rows)  # (n, k) float64
-        object.__setattr__(self, "dropped", dropped)
         object.__setattr__(self, "digest", digest)
 
     def __eq__(self, other):
@@ -95,7 +92,7 @@ def load_csv(path):
     non-blank line.  Any other body goes through the per-row loop, because
     only it knows which rows to drop: rows with missing, unparseable or
     non-finite cells are dropped (listwise deletion), and the count is
-    attached to the result and reported as a DataWarning.
+    reported as a DataWarning.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -127,8 +124,7 @@ def load_csv(path):
             DataWarning,
             stacklevel=2,
         )
-    return Dataset(tuple(names), np.asarray(kept, dtype=np.float64), dropped=dropped,
-                   digest=digest)
+    return Dataset(tuple(names), np.asarray(kept, dtype=np.float64), digest=digest)
 
 
 def _read_header(text, path):
@@ -250,7 +246,7 @@ def column_sds(d):
 
 def standardize(d):
     """Rescale every column to mean 0, sd 1 (n-1 denominator)."""
-    return Dataset(d.variables, _z_scores(d), dropped=d.dropped)
+    return Dataset(d.variables, _z_scores(d))
 
 
 def _z_scores(d):
@@ -292,7 +288,6 @@ def summarize(d, sds=None):
                 sd=float(sds[j]),
                 minimum=float(col.min()),
                 maximum=float(col.max()),
-                flag_zero_variance=bool(sds[j] < SD_FLOOR),
             )
         )
     return out

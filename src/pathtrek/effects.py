@@ -48,9 +48,6 @@ class FitAssessment(NamedTuple):
     def max_difference(self):
         return max((p.difference for p in self.pairs), default=0.0)
 
-    def flagged_pairs(self):
-        return [p for p in self.pairs if p.flagged]
-
 
 def _check_variables(observed, reproduced):
     if set(observed.variables) != set(reproduced.variables):

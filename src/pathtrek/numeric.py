@@ -8,11 +8,11 @@ normal and chi-squared tails over arrays: `normal_cdf_array` and
 `chisq_sf_array` do the correctly rounded steps (abs, division, products,
 sums, sqrt, min, sign branch) in numpy and map libm's erfc, exp and log
 from math over the elements, since numpy's SIMD kernels may differ from
-libm in the last bit.  They are the only definitions: the scalar
-`normal_cdf` and `chisq_sf` call them, and equal the scalar loops in
-tests/test_numeric.py byte for byte.  `normal_cdf_approx`, a closed form
-with a bounded error, only tells screening where the exact CDF is needed.  numpy loads on their first use, so
-code that needs only the t tail does not import it.  Every matrix
+libm in the last bit.  They are the only definitions of those tails (one
+value is a 0-d array), and equal the scalar loops in tests/test_numeric.py
+byte for byte.  `normal_cdf_approx`, a closed form with a bounded error,
+only tells screening where the exact CDF is needed.  numpy loads on their
+first use, so code that needs only the t tail does not import it.  Every matrix
 factored is a symmetric correlation block of order <= ~20, so one Cholesky
 factor in plain floats serves every solve, inverse diagonal, quadratic
 form and positive-definiteness check, and results are deterministic;
@@ -175,7 +175,7 @@ def _finite(z):
 
     z = np.asarray(z, dtype=np.float64)
     if not np.isfinite(z).all():
-        raise ValueError("normal_cdf requires finite z")
+        raise ValueError("normal_cdf_array requires finite z")
     return z
 
 
@@ -224,11 +224,6 @@ def normal_cdf_approx(z):
     return np.where(z < 0.0, half_tail, 1.0 - half_tail)
 
 
-def normal_cdf(z):
-    """Standard normal CDF at one z (see normal_cdf_array)."""
-    return float(normal_cdf_array(z))
-
-
 def chisq_sf_array(x, df):
     """Chi-squared upper tail with df degrees of freedom at every element of x.
 
@@ -246,7 +241,7 @@ def chisq_sf_array(x, df):
         raise ValueError("df must be a positive integer")
     x = np.asarray(x, dtype=np.float64)
     if not (x >= 0.0).all():
-        raise ValueError("chisq_sf requires x >= 0, not NaN")
+        raise ValueError("chisq_sf_array requires x >= 0, not NaN")
     df = int(df)
     h = 0.5 * x
     out = np.where(h == 0.0, 1.0, 0.0)
@@ -260,11 +255,6 @@ def chisq_sf_array(x, df):
         total += _libm(math.exp, a * log_h - h - math.lgamma(a + 1.0))
     out[inside] = np.minimum(1.0, total)
     return out
-
-
-def chisq_sf(x, df):
-    """Chi-squared upper tail at one x (see chisq_sf_array)."""
-    return float(chisq_sf_array(x, df))
 
 
 def t_sf_two_sided(t, df):

@@ -131,7 +131,6 @@ class Report(Record):
                         "sd": v.sd,
                         "min": v.minimum,
                         "max": v.maximum,
-                        "zero_variance": v.flag_zero_variance,
                     }
                     for v in s.summaries
                 ],
@@ -267,10 +266,9 @@ class Report(Record):
         lines = ["", "== screening =="]
         lines.append(f"{'variable':<12}{'mean':>10}{'sd':>10}{'min':>10}{'max':>10}")
         for v in s.summaries:
-            flag = "  ZERO-VARIANCE" if v.flag_zero_variance else ""
             lines.append(
                 f"{v.name:<12}{fmt(v.mean):>10}{fmt(v.sd):>10}"
-                f"{fmt(v.minimum):>10}{fmt(v.maximum):>10}{flag}"
+                f"{fmt(v.minimum):>10}{fmt(v.maximum):>10}"
             )
         lines.append(f"outliers flagged at p < {s.outlier_cutoff}: {len(s.outliers)}")
         for row, d2, p in s.outliers[:10]:

@@ -244,13 +244,18 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     without one, the VIF block is every column and residuals are skipped.
     The standardized block z and R = z'z / (n - 1) are computed once, for
     the distances and the VIF matrix alike.  Every check that can raise
-    runs here; the report builds its full distance list and the residual
-    points later, when they are first read.
+    runs here, first that every model variable is a column of `d` (raising
+    VariableMissing); the report builds its full distance list and the
+    residual points later, when they are first read.
     """
+    if model is not None:
+        for v in model.variables:
+            if v not in d.variables:
+                raise VariableMissing(v, where="dataset")
     warnings_list = []
     _check_rows(d)
-    # raises for a constant or overflowing column, so no summary below flags
-    # zero variance and summarize meets no overflow
+    # raises ZeroVariance for a constant column and OutOfRange for an
+    # overflowing one, so summarize meets neither
     z, sds = _z_scores_and_sds(d)
     summaries = summarize(d, sds)
     r = (z.T @ z) / (d.n - 1)
@@ -288,8 +293,6 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
 
     fitted = None
     if model is not None and model.endogenous:
-        # checks every model variable against corr, whose variables are the
-        # dataset's, so residual_diagnostics cannot raise on a later read
         fitted = fit_standardized(corr, model)
 
     return ScreeningReport(

@@ -20,10 +20,11 @@ unchanged and runs the loop from the first changed position, since a
 variable's Sigma entries with earlier variables, its (I-B)^-1 row and its
 Psi depend on that prefix alone.
 Treks are enumerated only to explain a decomposition and for the trek export:
-`reproduced_matrix` sums them exhaustively, which the trek rule makes equal
-to the recursion, and serves as its cross-check.  Enumeration grows
-exponentially with the arrow count, so it stops past TREK_BUDGET treks,
-whatever the number of variables.
+`_treks_by_pair` lists every pair's treks once, `write_treks_csv` writes
+them and `reproduced_matrix` sums them, which the trek rule makes equal to
+the recursion, so it serves as the recursion's cross-check.  Enumeration
+grows exponentially with the arrow count, so it stops past TREK_BUDGET
+treks, whatever the number of variables.
 """
 
 import itertools
@@ -40,8 +41,8 @@ from .numeric import readonly_array
 from .pathspec import topological_order
 from .record import FrozenRecord
 
-# Partial treks one enumeration may visit, and treks one reproduced_matrix may
-# sum.  A complete DAG over 12 variables implies ~1.3e5 treks (~1 s); each
+# Partial treks one enumeration may visit, and treks one _treks_by_pair may
+# list.  A complete DAG over 12 variables implies ~1.3e5 treks (~1 s); each
 # further variable triples that.
 TREK_BUDGET = 200_000
 
@@ -69,19 +70,17 @@ class Trek(NamedTuple):
 
 
 class ReproducedMatrix(FrozenRecord):
-    """Model-implied correlations; trek decompositions when enumerated.
+    """Model-implied correlations.
 
     The cells are kept as tuples of floats, `r_hat_rows`; `.r_hat` is a
     read-only float64 ndarray built from them on first access.
     """
 
-    _fields = ("variables", "r_hat_rows", "treks", "psi", "total")
+    _fields = ("variables", "r_hat_rows", "psi", "total")
 
-    def __init__(self, variables, r_hat_rows, treks, psi=None, total=None):
+    def __init__(self, variables, r_hat_rows, psi=None, total=None):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "r_hat_rows", r_hat_rows)  # tuples of floats, as given
-        # (earlier, later) -> tuple of Trek; empty for implied route
-        object.__setattr__(self, "treks", treks)
         object.__setattr__(self, "psi", psi)  # residual variances, implied route only
         object.__setattr__(self, "total", total)  # rows of (I-B)⁻¹ by variable, implied only
 
@@ -94,10 +93,6 @@ class ReproducedMatrix(FrozenRecord):
 
     def value(self, a, b):
         return self.r_hat_rows[self.index(a)][self.index(b)]
-
-    def cell_treks(self, a, b):
-        key = (a, b) if (a, b) in self.treks else (b, a)
-        return self.treks.get(key, ())
 
 
 def _over_budget(count):
@@ -148,26 +143,31 @@ def enumerate_treks(m, i, j):
     return out
 
 
-def reproduced_matrix(m):
-    """Exhaustive trek-sum correlations for every variable pair."""
-    m.require_annotated()
-    order = topological_order(m)
-    pos = {v: idx for idx, v in enumerate(order)}
-    k = m.k
-    r_hat = [[1.0 if a == b else 0.0 for b in range(k)] for a in range(k)]
+def _treks_by_pair(m):
+    """Every pair's treks: (earlier, later) in causal order -> tuple of Trek.
+
+    Pairs come in declaration order, each pair's treks in enumerate_treks'
+    order.  Raises TooManyVariables past TREK_BUDGET treks in all.
+    """
+    pos = {v: idx for idx, v in enumerate(topological_order(m))}
     treks = {}
     count = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            va, vb = m.variables[a], m.variables[b]
-            ts = enumerate_treks(m, va, vb)
-            count += len(ts)
-            _over_budget(count)
-            key = (va, vb) if pos[va] < pos[vb] else (vb, va)
-            treks[key] = tuple(ts)
-            total = sum((t.product for t in ts), 0.0)
-            r_hat[a][b] = r_hat[b][a] = total
-    return ReproducedMatrix(m.variables, tuple(map(tuple, r_hat)), treks)
+    for va, vb in itertools.combinations(m.variables, 2):
+        ts = enumerate_treks(m, va, vb)
+        count += len(ts)
+        _over_budget(count)
+        treks[(va, vb) if pos[va] < pos[vb] else (vb, va)] = tuple(ts)
+    return treks
+
+
+def reproduced_matrix(m):
+    """Exhaustive trek-sum correlations for every variable pair."""
+    idx = {v: i for i, v in enumerate(m.variables)}
+    r_hat = [[1.0 if a == b else 0.0 for b in range(m.k)] for a in range(m.k)]
+    for (va, vb), treks in _treks_by_pair(m).items():
+        a, b = idx[va], idx[vb]
+        r_hat[a][b] = r_hat[b][a] = sum((t.product for t in treks), 0.0)
+    return ReproducedMatrix(m.variables, tuple(map(tuple, r_hat)))
 
 
 def implied_matrix(m):
@@ -257,15 +257,20 @@ def _trace(variables, steps, resume=None):
             sigma[j][vi] = c
         cov[vi] = 1.0
         sigma[vi] = cov
-    implied = ReproducedMatrix(variables, tuple(map(tuple, sigma)), {},
+    implied = ReproducedMatrix(variables, tuple(map(tuple, sigma)),
                                dict(zip([v for v, _, _ in steps], psi)), total)
     return implied, (steps, sigma, total, psi)
 
 
-def write_treks_csv(reproduced, path):
-    """Export every enumerated trek: pair, node sequence, class, product."""
+def write_treks_csv(m, path):
+    """Export the treks of annotated `m`: pair, node sequence, class, product.
+
+    The treks are listed before `path` is opened, so a model past
+    TREK_BUDGET raises TooManyVariables and leaves no file.
+    """
+    treks = _treks_by_pair(m)
     write_rows(path, itertools.chain(
         [["pair", "sequence", "classification", "product"]],
         ([f"{a}-{b}", " ".join(t.nodes), t.classification, repr(t.product)]
-         for (a, b), treks in reproduced.treks.items() for t in treks),
+         for (a, b), ts in treks.items() for t in ts),
     ))

@@ -541,7 +541,7 @@ def test_data_digest_comes_from_the_parsed_bytes(tmp_path, monkeypatch, command)
     assert digested == [REVISED]
 
 
-SCREEN_SHA256 = "442d97f98a708f3ae481c366eb24216ea5454f535ac1a7abd7e20bbcc5fd406d"
+SCREEN_SHA256 = "d4a4d83d8c78c61045cc0095d9a8413a9f09c1eda5d073dcf69929f96a10fc76"
 
 
 def test_screen_json_pinned(tmp_path, revised_refit):
@@ -576,6 +576,18 @@ def test_screen_tiny_units(tmp_path, capsys):
 
 def test_screen_missing_file(capsys):
     assert main(["screen", "--data", "nope.csv"]) == 2
+
+
+@pytest.mark.parametrize("model_text", ["var Q\n", "var Q\npath X1 -> Q\n"],
+                         ids=["no-arrow", "arrow"])
+def test_screen_model_variable_missing_from_data_exits_2(tmp_path, capsys, model_text):
+    # every model variable is checked against the data, whatever the arrows
+    model = tmp_path / "q.pm"
+    model.write_text(model_text, encoding="utf-8")
+    out = tmp_path / "r.txt"
+    assert main(["screen", "--data", SCORES, "--model", str(model), "--out", str(out)]) == 2
+    assert "variable 'Q' not found in dataset" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_screen_reports_listwise_deletion_once(tmp_path, capsys):
@@ -778,17 +790,17 @@ def test_study_outputs_pinned(tmp_path, monkeypatch, command, model, source):
 # is the header alone); run from data/ with relative paths like the pins above
 STUDY_SCREEN_SHA256 = {
     "revised_model.pm": {
-        "json": "9a89643ff67b23758f647daa7dd9945cb57adede5b11b0ed5df0bb3a9aaf3c50",
+        "json": "d5d908be74deea2a894b2fc9e73335f8005d7403f2947e745d410ad408767e8d",
         "text": "c7d24720b141048300522b63bda5eb9af8c6390eb2987152cf447e345c8f8ce5",
         "residuals.csv": "ea1034eacae12087d85563128bf1dd1c5fe28efe34265bc81240482bef9ab074",
     },
     "initial_model.pm": {
-        "json": "a8ef9d7afab05c439f951d879a498cb07a06961519efc7a12f6e8c84371c8c6f",
+        "json": "0807e685204ec0e41d98e9a43a5a0fabedc6f7d352231bd272f857415b41b8fe",
         "text": "922085cdb554e950753c789a48750228c47c28ff5a8df8460a7edf60686aa746",
         "residuals.csv": "4e722d375382da451f68cbd4647b2ff52c45994fb188a3676cd8fdc3ab5c04fb",
     },
     None: {
-        "json": "a2cebfb09623d0e1f1ce7947f64d4addead83f4f315ab3020745567739ba55c6",
+        "json": "db5feb50be4970caf82d44426e58e7c69c2da1fa2dcba160e5eddadfcc00de0f",
         "text": "58c7ba21fb01cb38fae9f3936180280605aa8f7a83411ebf4691478766f2793e",
         "residuals.csv": "a0d03ceaf9139cd9c095ac07694469369b3bdde39b64e0694ebe57fbb30c1f4b",
     },
@@ -985,6 +997,23 @@ def test_revise_trace_export(tmp_path):
     assert "X1->Y" in lines[1]
 
 
+@pytest.mark.parametrize("model", [INITIAL, INITIAL_PUBLISHED], ids=["bare", "annotated"])
+def test_trek_export_sums_no_reproduced_matrix(tmp_path, monkeypatch, model):
+    # the export writes the listed treks; r_hat comes from the recursion alone
+    import pathtrek.cli
+    import pathtrek.tracing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit --treks-csv called reproduced_matrix")
+
+    for module in (pathtrek.tracing, pathtrek.cli):  # either may bind the name
+        monkeypatch.setattr(module, "reproduced_matrix", refuse, raising=False)
+    treks = tmp_path / "treks.csv"
+    assert main(["fit", "--corr", CORR, "--n", "240", "--model", model,
+                 "--treks-csv", str(treks), "--out", str(tmp_path / "r.txt")]) == 0
+    assert treks.read_text().startswith("pair,sequence,classification,product\n")
+
+
 def test_fit_and_revise_never_enumerate_treks(tmp_path, monkeypatch):
     import pathtrek.tracing
 
@@ -1135,6 +1164,7 @@ def test_trek_budget_stops_export_on_complete_dag(tmp_path, capsys):
     assert main(argv + ["--treks-csv", str(tmp_path / "treks.csv")]) == 2
     assert time.perf_counter() - start < 30.0
     assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "treks.csv").exists()
 
 
 # ---------------------------------------------------------------------------

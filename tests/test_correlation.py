@@ -45,7 +45,7 @@ def test_pearson_reproduces_study_values(study_dataset):
     corr = pearson_matrix(study_dataset)
     assert corr.n == 240
     assert corr.value("X1", "X2") == pytest.approx(0.531, abs=1e-9)
-    assert corr.p_value("X1", "X2") < 0.001
+    assert corr.p_rows[0][1] < 0.001
     assert np.abs(corr.r - OBSERVED_R).max() < 1e-9
 
 
@@ -141,7 +141,7 @@ def test_load_study_correlation_file():
     assert off_diagonal == {
         0.531, 0.514, 0.466, 0.512, 0.420, 0.435, 0.520, 0.431, 0.482, 0.881,
     }
-    assert corr.p_value("X1", "X2") < 0.001
+    assert corr.p_rows[0][1] < 0.001
     assert np.linalg.eigvalsh(corr.r).min() >= -1e-8
 
 
@@ -166,7 +166,7 @@ def test_load_correlation_identity(tmp_path):
     path.write_text(",a,b\na,1,0\nb,0,1\n", encoding="utf-8")
     corr = load_correlation_csv(path, 100)
     assert corr.value("a", "b") == 0.0
-    assert corr.p_value("a", "b") == 1.0
+    assert corr.p_rows[0][1] == 1.0
 
 
 def test_load_correlation_bad_diagonal(tmp_path):
@@ -327,7 +327,8 @@ def test_classify_strength_out_of_range():
 @given(st.floats(-1, 1), st.floats(-1, 1))
 def test_classify_strength_monotone(r1, r2):
     a, b = sorted((abs(r1), abs(r2)))
-    assert classify_strength(a).rank <= classify_strength(b).rank
+    order = list(StrengthLabel)
+    assert order.index(classify_strength(a)) <= order.index(classify_strength(b))
 
 
 # ---------------------------------------------------------------------------

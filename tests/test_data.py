@@ -31,7 +31,6 @@ def test_load_clean_file(tmp_path):
     assert d.variables == ("a", "b")
     assert d.n == 10
     assert d.k == 2
-    assert d.dropped == 0
 
 
 def test_load_full_sized_file(tmp_path):
@@ -51,7 +50,6 @@ def test_load_drops_bad_rows_with_warning(tmp_path):
     with pytest.warns(DataWarning, match="dropped 2 rows"):
         d = load_csv(path)
     assert d.n == 8
-    assert d.dropped == 2
 
 
 def test_load_duplicate_header(tmp_path):
@@ -127,8 +125,8 @@ def test_load_digest_is_the_sha256_of_the_parsed_bytes(tmp_path):
     d = load_csv(path)
     assert d.digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert Dataset(d.variables, d.rows).digest is None
-    # like dropped, the digest takes no part in equality
-    assert d == Dataset(d.variables, d.rows, dropped=2, digest="other")
+    # the digest takes no part in equality
+    assert d == Dataset(d.variables, d.rows, digest="other")
     assert d != Dataset(d.variables, d.rows[::-1])
     assert d != Dataset(("a", "c"), d.rows)
 
@@ -225,8 +223,7 @@ def test_summarize_basic():
     assert s[0].mean == 2.0
     assert s[0].sd == pytest.approx(1.0)
     assert (s[0].minimum, s[0].maximum) == (1.0, 3.0)
-    assert not s[0].flag_zero_variance
-    assert s[1].flag_zero_variance
+    assert s[1].sd == 0.0
 
 
 def test_summary_consistent_with_load(tmp_path):
@@ -291,7 +288,7 @@ def reference_load(path):
             f"{path}: dropped {dropped} rows with missing or unparseable cells",
             DataWarning,
         )
-    return tuple(names), np.array(kept, dtype=np.float64), dropped
+    return tuple(names), np.array(kept, dtype=np.float64)
 
 
 def outcome(load, path):
@@ -367,11 +364,10 @@ def test_load_matches_reference_loop(tmp_path_factory, text):
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
         return
-    names, rows, dropped = want
+    names, rows = want
     assert got.digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert got.variables == names
     assert got.rows.tobytes() == rows.tobytes()
-    assert got.dropped == dropped
 
 
 def test_clean_file_never_reaches_row_loop(tmp_path, monkeypatch):
@@ -385,7 +381,6 @@ def test_clean_file_never_reaches_row_loop(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data, "_parse_listwise", no_loop)
     back = load_csv(path)
-    assert back.dropped == 0
     assert np.array_equal(back.rows, d.rows)
 
 

@@ -402,7 +402,7 @@ def reference_revise(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
         order = topological_order(model)
         pos = {v: i for i, v in enumerate(order)}
         candidates = []
-        for pair in assessment.flagged_pairs():
+        for pair in [p for p in assessment.pairs if p.flagged]:
             if model.has_arrow_between(pair.a, pair.b):
                 continue
             src, dst = sorted((pair.a, pair.b), key=pos.get)

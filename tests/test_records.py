@@ -24,7 +24,7 @@ from pathtrek.pathspec import load_model
 from pathtrek.report import Report
 from pathtrek.screening import screen
 from pathtrek.simulate import SimulationSpec, recovery_check
-from pathtrek.tracing import implied_matrix, reproduced_matrix
+from pathtrek.tracing import enumerate_treks, implied_matrix
 
 
 def build_records():
@@ -46,7 +46,7 @@ def build_records():
         "CorrelationMatrix": corr,
         "EquationFit": fitted.equation("Y"),
         "FittedModel": fitted,
-        "Trek": reproduced_matrix(annotated).cell_treks("X1", "Y")[1],
+        "Trek": enumerate_treks(annotated, "X1", "Y")[1],
         "ReproducedMatrix": implied,
         "PairFit": assessment.pairs[0],
         "FitAssessment": assessment,
@@ -89,8 +89,8 @@ CONTRACT = {
                     "9bcfbfa64543ecfcd13c151ea3b241ff6bb9ee41e5c3f38a402eb84a3d641d78"),
     "Trek": (("nodes", "backward_steps", "product"), True, True,
              "9533b61b92cd310609450d51df97a19d526a98d1ab52d5f3986bc0309daa04bf"),
-    "ReproducedMatrix": (("variables", "r_hat_rows", "treks", "psi", "total"), True, False,
-                         "40a3fbe3b810b8a4e544fe3d9239ccbd7ccd28540a1d4fa21c363121a5f03694"),
+    "ReproducedMatrix": (("variables", "r_hat_rows", "psi", "total"), True, False,
+                         "f108a8f2943ed19196d4632a361eacfd37afe4bca160f71553dd123da20f0701"),
     "PairFit": (("a", "b", "observed", "reproduced", "difference", "flagged"), True, True,
                 "d6711c4e4d1461749f63702a02f236b38394f8939f44d937f94802f78b083271"),
     "FitAssessment": (("pairs", "threshold"), True, True,
@@ -104,22 +104,21 @@ CONTRACT = {
                      "af040b5a5a21d0ad0c1ac128ac3031125811c6beb2a2ea7fc4c0303948697c50"),
     "RevisionTrace": (("steps", "final_model", "final_fit", "final_assessment",
                        "final_implied", "iterations", "converged"), False, False,
-                      "57713e5c9106d15635358247dec8adbbee133516652e43cdb95959d5a6fd3fee"),
-    "VariableSummary": (("name", "mean", "sd", "minimum", "maximum", "flag_zero_variance"),
-                        True, True,
-                        "06f6bf45e01aa671bdd2f4a44a26d05b2bd0d3dc570f8024ba871a4bb1bc70c9"),
+                      "3caa7182d9e56d8849912cd0176c44c46fd5195205e7b41c8452e9418ee615ae"),
+    "VariableSummary": (("name", "mean", "sd", "minimum", "maximum"), True, True,
+                        "39c9e54c1eef4d70a1da107b01252e308476b73a19765e8f2bdaf41d2ee19af0"),
     "Dataset": (("variables", "rows"), True, False,
-                "6fcbe745da9a71365a97af5f0262956bcf22a3d60fc62bcd3c58878a8430d826"),
+                "924fe27de98c4555ed39bc51901dcb66387d3d18268993fef4f7073b7ba288db"),
     "ScreeningReport": (("summaries", "outliers", "distances", "normality", "vif",
                          "residual_points", "outlier_cutoff", "alpha", "warnings"), False, False,
-                        "4821dcbf80c2d09cb1c80555c5fdac72f66db9f505be319f0f9ce51ec317ac5c"),
+                        "0d95ee43c0cb8df429538f5a2a6ca43c67dd2aeb802d8bf77444ad2117be10fc"),
     "SimulationSpec": (("model", "n", "seed"), True, False,
                        "c7102b0ef9dd29e161c471d67990b255c41cd13948e68a0482dbfbee270a6936"),
     "RecoveryReport": (("spec", "tolerance", "max_abs_error", "errors"), True, False,
                        "0173cd5050e0901ed23c165a7ed051194c586c114ce28373b987f92a8f121e5a"),
     "Report": (("command", "inputs", "screening", "correlations", "fitted", "reproduced", "fit",
                 "effects", "revision", "warnings"), False, False,
-               "88b65f7a90aa5a0e25313a54615f507c201c6eda3c838237fb2eccdbede6eb74"),
+               "ff809f47564350be75e521ff7aed3b46439781a74a65c3a9ed8812fd3d023e4d"),
 }
 
 

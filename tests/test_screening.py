@@ -32,7 +32,7 @@ def normal_ppf(q):
     lo, hi = -10.0, 10.0
     for _ in range(100):
         mid = (lo + hi) / 2.0
-        if numeric.normal_cdf(mid) < q:
+        if float(numeric.normal_cdf_array(mid)) < q:
             lo = mid
         else:
             hi = mid
@@ -93,7 +93,7 @@ def test_mahalanobis_sorted_descending_with_p():
     d2 = [t[1] for t in triples]
     assert d2 == sorted(d2, reverse=True)
     for _, dist, p in triples:
-        assert p == pytest.approx(numeric.chisq_sf(dist, 2), abs=1e-15)
+        assert p == pytest.approx(float(numeric.chisq_sf_array(dist, 2)), abs=1e-15)
 
 
 def test_mahalanobis_ties_keep_row_order():
@@ -140,7 +140,7 @@ def test_ks_three_point_column():
 def test_ks_three_point_hand_oracle():
     # hand evaluation: z = (-1, 0, 1); ECDF steps 1/3, 2/3, 1
     z = [-1.0, 0.0, 1.0]
-    cdf = [numeric.normal_cdf(v) for v in z]
+    cdf = [float(numeric.normal_cdf_array(v)) for v in z]
     expected = max(
         max(abs((i + 1) / 3 - c), abs(i / 3 - c)) for i, c in enumerate(cdf)
     )
@@ -576,6 +576,8 @@ def test_report_equality_and_repr_read_every_attribute(revised_model):
      "var a\nvar b\nvar z\npath a -> z\n", VariableMissing),  # z has an equation
     (("a", "b"), np.random.default_rng(916).normal(size=(20, 2)),
      "var a\nvar b\nvar z\npath a -> b\n", VariableMissing),  # z is in no equation
+    (("a", "b"), np.random.default_rng(917).normal(size=(20, 2)),
+     "var z\n", VariableMissing),  # the model has no arrow at all
 ])
 def test_screen_raises_every_error_itself(names, rows, model_text, error):
     model = parse_model(model_text) if model_text else None

@@ -19,6 +19,7 @@ from pathtrek.errors import (
 )
 from pathtrek.estimation import fit_standardized
 from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
+from pathtrek import tracing
 from pathtrek.simulate import SimulationSpec, simulate_dataset
 from pathtrek.tracing import (
     _implied,
@@ -26,6 +27,7 @@ from pathtrek.tracing import (
     enumerate_treks,
     implied_matrix,
     reproduced_matrix,
+    write_treks_csv,
 )
 
 from conftest import NAMES
@@ -150,7 +152,7 @@ def test_reproduced_golden_cells_revised_refit(revised_refit):
 
 def test_trek_lists_attached_per_cell(initial_printed):
     rm = reproduced_matrix(initial_printed)
-    cell = rm.cell_treks("X1", "X3")
+    cell = enumerate_treks(initial_printed, "X1", "X3")
     assert len(cell) == 2
     assert sum(t.product for t in cell) == pytest.approx(rm.value("X1", "X3"))
     assert np.array_equal(rm.r_hat, rm.r_hat.T)
@@ -387,8 +389,9 @@ def test_too_many_variables_guard():
     # has one trek per pair, while the complete DAG on 21 variables has ~3e9.
     names = tuple(f"V{i}" for i in range(21))
     arrows = tuple(Arrow(names[i], names[i + 1], 0.1) for i in range(20))
-    chain = reproduced_matrix(PathModel(names, arrows, {}))
-    (trek,) = chain.cell_treks("V0", "V20")
+    chain_model = PathModel(names, arrows, {})
+    chain = reproduced_matrix(chain_model)
+    (trek,) = enumerate_treks(chain_model, "V0", "V20")
     assert trek.nodes == names
     assert trek.product == pytest.approx(1e-20, rel=1e-12)
     assert chain.value("V0", "V20") == pytest.approx(1e-20, rel=1e-12)
@@ -405,3 +408,13 @@ def test_recursion_has_no_variable_limit():
     assert implied_matrix(big).value("V0", "V24") == pytest.approx(0.5 ** 24)
     assert decompose_effects(big).row("V0", "V24").total == pytest.approx(0.5 ** 24)
     assert simulate_dataset(SimulationSpec(big, 10, 1)).rows.shape == (10, 25)
+
+
+def test_write_treks_csv_over_budget_leaves_no_file(tmp_path, monkeypatch, initial_printed):
+    # a budget of 5 lets the study's first three pairs through (5 treks) and
+    # stops the fourth: no file is made, not even a partial one
+    monkeypatch.setattr(tracing, "TREK_BUDGET", 5)
+    path = tmp_path / "treks.csv"
+    with pytest.raises(TooManyVariables):
+        write_treks_csv(initial_printed, path)
+    assert not path.exists()
