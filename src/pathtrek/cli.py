@@ -71,6 +71,14 @@ def threshold(text):
     return value
 
 
+def iterations(text):
+    """A whole number of at least 1 (--max-iter)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not at least 1")
+    return value
+
+
 @functools.cache
 def _build_parser():
     """The whole argument tree, built once per process.
@@ -123,7 +131,7 @@ def _build_parser():
     add_inputs(p_rev, "starting model file")
     p_rev.add_argument("--alpha", type=probability, default=DEFAULT_ALPHA,
                        help="drop level for coefficient p (default %(default)s)")
-    p_rev.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p_rev.add_argument("--max-iter", type=iterations, default=DEFAULT_MAX_ITER)
     p_rev.add_argument("--out-model", help="write the final model DSL here")
     p_rev.add_argument("--trace-csv", help="export the revision steps here")
     add_output(p_rev)

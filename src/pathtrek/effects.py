@@ -1,5 +1,7 @@
 """Model fit against observed correlations, causal effects read off the
 structural recursion in `tracing`, and the drop/add revision loop.
+
+`assess_fit` is the only pair scorer: `fit` and every revise refit call it.
 """
 
 from typing import NamedTuple
@@ -49,45 +51,29 @@ class FitAssessment(NamedTuple):
         return max((p.difference for p in self.pairs), default=0.0)
 
 
-def _check_variables(observed, reproduced):
-    if set(observed.variables) != set(reproduced.variables):
+def assess_fit(observed, reproduced, threshold=DEFAULT_MISFIT_THRESHOLD):
+    """Compare every unordered pair: |r - r_hat| > threshold flags a misfit.
+
+    `reproduced` is a ReproducedMatrix over the same variables as
+    `observed`, in any order.  One pass over the upper triangle of the
+    stored cells gives one PairFit per pair, in observed.pairs() order.
+    """
+    names = observed.variables
+    if set(names) != set(reproduced.variables):
         raise VariableMismatch(
-            f"observed variables {sorted(observed.variables)} != "
+            f"observed variables {sorted(names)} != "
             f"reproduced {sorted(reproduced.variables)}"
         )
-
-
-def assess_fit(observed, reproduced, threshold=DEFAULT_MISFIT_THRESHOLD):
-    """Compare every unordered pair: |r - r_hat| > threshold flags a misfit."""
-    _check_variables(observed, reproduced)
+    idx = [reproduced.index(v) for v in names]
     pairs = []
-    for a, b in observed.pairs():
-        r = observed.value(a, b)
-        r_hat = reproduced.value(a, b)
-        diff = abs(r - r_hat)
-        pairs.append(PairFit(a, b, r, r_hat, diff, diff > threshold))
-    return FitAssessment(tuple(pairs), threshold)
-
-
-def _misfits(observed, implied, threshold):
-    """assess_fit's flagged (a, b, difference) triples and max difference.
-
-    One pass over the upper triangle of the stored cells: the pairs come in
-    observed.pairs() order, and each difference is the same subtraction and
-    abs that assess_fit makes, so the results are equal.
-    """
-    _check_variables(observed, implied)
-    names = observed.variables
-    idx = [implied.index(v) for v in names]
-    flagged, worst = [], 0.0
+    new = tuple.__new__  # as PairFit._make builds it, with no Python call per pair
     for a, r_row in enumerate(observed.r_rows):
-        hat_row = implied.r_hat_rows[idx[a]]
+        hat_row = reproduced.r_hat_rows[idx[a]]
         for b in range(a + 1, len(names)):
-            diff = abs(r_row[b] - hat_row[idx[b]])
-            if diff > threshold:
-                flagged.append((names[a], names[b], diff))
-            worst = max(worst, diff)
-    return flagged, worst
+            r, r_hat = r_row[b], hat_row[idx[b]]
+            diff = abs(r - r_hat)
+            pairs.append(new(PairFit, (names[a], names[b], r, r_hat, diff, diff > threshold)))
+    return FitAssessment(tuple(pairs), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -214,78 +200,69 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
     change (NoAdmissibleRevision, partial trace attached), or after
     max_iter iterations (non-converged trace returned).
 
-    A refit is fit_standardized's own equation loop (`estimation._fit_model`)
-    over one (target, parents) -> EquationFit dict kept for the whole call.
-    Equations are fitted independently, and a drop or an add changes only
-    the parent sets of the equations it touches, so a refit estimates an
-    equation only when its pair is new to this call; the others are reused
-    as they were, bit for bit.  The fit's own (variable, parents, beta)
-    steps go to the structural recursion, which resumes the previous
-    refit's: it re-traces the causal order from the first position whose
-    variable or equation changed (`tracing._trace`), so no annotated model
-    is built per refit.  Intermediate models are scored by `_misfits`; the
-    FitAssessment is built for the final model only.
+    The returned RevisionTrace holds the loop's state: its final_model,
+    final_fit, final_implied and final_assessment are always those of the
+    last refit.  A refit is fit_standardized's own equation loop
+    (`estimation._fit_model`) over one (target, parents) -> EquationFit dict
+    kept for the whole call.  Equations are fitted independently, and a drop
+    or an add changes only the parent sets of the equations it touches, so
+    a refit estimates an equation only when its pair is new to this call;
+    the others are reused as they were, bit for bit.  The fit's own
+    (variable, parents, beta) steps go to the structural recursion, which
+    resumes the previous refit's: it re-traces the causal order from the
+    first position whose variable or equation changed (`tracing._trace`),
+    so no annotated model is built per refit.  Every refit is scored by
+    assess_fit.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     trace = RevisionTrace()
-    model = m
-    seen = {model.arrow_set()}
+    seen = set()
     cache = {}  # (target, parents) -> EquationFit
     state = None  # the last refit's structural recursion
 
-    def refit(current):
+    def visit(model, *step):
+        """Refit `model` into the trace, append `step` if given; the flagged PairFits."""
         nonlocal state
-        # every equation is fitted before coefficient_inference checks df
-        fit = coefficient_inference(_fit_model(corr, current, cache))
-        # An intermediate refit may imply psi <= 0; that must not stop the search.
-        implied, state = _trace(current.variables, fit._steps(), state)
-        flagged, max_difference = _misfits(corr, implied, threshold)
-        return fit, implied, flagged, max_difference
-
-    def finish():
-        trace.final_model = model
-        trace.final_fit = fit
-        trace.final_assessment = assess_fit(corr, implied, threshold)
-        trace.final_implied = implied
-        return trace
-
-    def move(to, action, arrows, reason, candidates=()):
-        """Make `to` the current model, refit it and record the step."""
-        nonlocal model, fit, implied, flagged
-        model = to
         seen.add(model.arrow_set())
-        fit, implied, flagged, max_difference = refit(model)
-        trace.steps.append(RevisionStep(
-            iteration=trace.iterations, action=action, arrows=arrows, reason=reason,
-            candidates=candidates, misfit_count=len(flagged),
-            max_difference=max_difference,
-        ))
+        # every equation is fitted before coefficient_inference checks df
+        fit = coefficient_inference(_fit_model(corr, model, cache))
+        # An intermediate refit may imply psi <= 0; that must not stop the search.
+        implied, state = _trace(model.variables, fit._steps(), state)
+        assessment = assess_fit(corr, implied, threshold)
+        trace.final_model, trace.final_fit = model, fit
+        trace.final_implied, trace.final_assessment = implied, assessment
+        flagged = [p for p in assessment.pairs if p.flagged]
+        if step:
+            trace.steps.append(RevisionStep(
+                trace.iterations, *step, misfit_count=len(flagged),
+                max_difference=assessment.max_difference,
+            ))
+        return flagged
 
-    fit, implied, flagged, _ = refit(model)
+    flagged = visit(m)
     for iteration in range(1, max_iter + 1):
         trace.iterations = iteration
-        changed = False
+        model = trace.final_model
 
         drops = [
             (parent, y)
-            for y, eq in fit.equations.items()
+            for y, eq in trace.final_fit.equations.items()
             for parent, p in zip(eq.parents, eq.p)
             if p >= alpha
         ]
         if drops:
             dropped = set(drops)
-            reduced = model.with_arrows(
+            model = model.with_arrows(
                 [a for a in model.arrows if (a.source, a.target) not in dropped]
             )
-            if not reduced.endogenous:
+            if not model.endogenous:
                 raise NoAdmissibleRevision(
                     "every arrow is non-significant; dropping all of them "
                     "leaves nothing to estimate",
-                    trace=finish(),
+                    trace=trace,
                 )
-            move(reduced, "drop", tuple(sorted(drops)), f"coefficient p >= {alpha}")
-            changed = True
+            flagged = visit(model, "drop", tuple(sorted(drops)), f"coefficient p >= {alpha}")
 
         if not flagged:
             trace.converged = True
@@ -294,36 +271,29 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
         order = topological_order(model)
         pos = {v: i for i, v in enumerate(order)}
         candidates = []
-        for a, b, difference in flagged:
-            if model.has_arrow_between(a, b):
+        for pair in flagged:
+            if model.has_arrow_between(pair.a, pair.b):
                 continue
-            src, dst = sorted((a, b), key=pos.get)
-            candidates.append((src, dst, difference))
+            src, dst = sorted((pair.a, pair.b), key=pos.get)
+            candidates.append((src, dst, pair.difference))
         candidates.sort(key=lambda c: (-c[2], pos[c[0]], pos[c[1]]))
 
-        added = None
         arrows = model.arrow_set()
-        for src, dst, diff in candidates:
-            proposal = arrows | {(src, dst)}
-            if proposal in seen:
-                continue
-            added = (src, dst, diff)
-            break
-
+        added = next((c for c in candidates if arrows | {c[:2]} not in seen), None)
         if added is None:
-            if not changed:
+            if not drops:
                 raise NoAdmissibleRevision(
                     f"misfit persists ({len(flagged)} pairs) but no "
                     "arrow can be added",
-                    trace=finish(),
+                    trace=trace,
                 )
         else:
             src, dst, diff = added
-            move(model.with_arrows(model.arrows + (Arrow(src, dst, None),)), "add",
-                 ((src, dst),), f"misfit |r - r_hat| = {diff:.4f} > {threshold}",
-                 tuple(candidates))
+            flagged = visit(model.with_arrows(model.arrows + (Arrow(src, dst, None),)), "add",
+                            ((src, dst),), f"misfit |r - r_hat| = {diff:.4f} > {threshold}",
+                            tuple(candidates))
             if not flagged:
                 trace.converged = True
                 break
 
-    return finish()
+    return trace

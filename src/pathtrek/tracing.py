@@ -214,32 +214,29 @@ def _trace(variables, steps, resume=None):
     resets Sigma, the (I-B)⁻¹ rows and psi to what a fresh run holds at the
     first changed position (the prefix's block, zeros elsewhere; Sigma's
     entry (i, j) is written only when the later of i and j is processed)
-    and runs the same loop from there.  The result is bit for bit that of a
-    fresh call.  `resume` is consumed: its Sigma rows are rewritten.
+    and runs the same loop from there, so the result is bit for bit that of
+    a fresh call.  A fresh call (`resume` None) resumes the empty state: it
+    keeps no prefix and runs the loop over every step.  `resume` is
+    consumed: its Sigma rows are rewritten.
     """
     k = len(variables)
     idx = {v: i for i, v in enumerate(variables)}
+    done, sigma, total, psi = resume or ((), [None] * k, [None] * k, [])
     start = 0
-    if resume is None:
-        sigma = [[0.0] * k for _ in range(k)]
-        total = [None] * k
-        psi = []
-    else:
-        done, sigma, total, psi = resume
-        for step, old in zip(steps, done):
-            if step != old:
-                break
-            start += 1
-        redo = [idx[v] for v, _, _ in steps[start:]]
-        for v, _, _ in steps[:start]:
-            row = sigma[idx[v]]
-            for j in redo:
-                row[j] = 0.0
-        total = total[:]  # the previous result keeps its list
+    for step, old in zip(steps, done):
+        if step != old:
+            break
+        start += 1
+    redo = [idx[v] for v, _, _ in steps[start:]]
+    for v, _, _ in steps[:start]:
+        row = sigma[idx[v]]
         for j in redo:
-            sigma[j] = [0.0] * k
-            total[j] = None
-        psi = psi[:start]
+            row[j] = 0.0
+    total = total[:]  # the previous result keeps its list
+    for j in redo:
+        sigma[j] = [0.0] * k
+        total[j] = None
+    psi = psi[:start]
     for v, parents, beta in steps[start:]:
         vi = idx[v]
         cov = [0.0] * k  # Sigma_vj = betaᵀ Sigma_Pj for every j

@@ -122,6 +122,8 @@ def test_corr_without_sample_size_is_usage_error(command, capsys):
     ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--alpha", "nan"],
     ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--misfit", "-1"],
     ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--misfit", "inf"],
+    ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--max-iter", "0"],
+    ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL, "--max-iter", "-3"],
     ["fit", "--corr", CORR, "--n", "240", "--model", REVISED, "--misfit", "nan"],
     ["screen", "--data", SCORES, "--alpha", "1"],
     ["screen", "--data", SCORES, "--outlier-p", "-0.001"],

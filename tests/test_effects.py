@@ -28,7 +28,7 @@ from pathtrek.errors import (
 )
 from pathtrek.estimation import coefficient_inference, fit_standardized
 from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
-from pathtrek.tracing import _implied, implied_matrix, reproduced_matrix
+from pathtrek.tracing import ReproducedMatrix, _implied, implied_matrix, reproduced_matrix
 
 from conftest import total_effect_oracle
 from test_tracing import annotated_dags, random_annotated_dag
@@ -54,11 +54,8 @@ def test_revised_model_fits(observed_corr, revised_refit):
 
 
 def test_identical_matrices_fit(observed_corr):
-    class EchoReproduced:
-        variables = observed_corr.variables
-        def value(self, a, b):
-            return observed_corr.value(a, b)
-    fa = assess_fit(observed_corr, EchoReproduced())
+    fa = assess_fit(observed_corr,
+                    ReproducedMatrix(observed_corr.variables, observed_corr.r_rows))
     assert fa.misfit_count == 0
     assert fa.max_difference == 0.0
 
@@ -77,6 +74,48 @@ def test_assess_fit_variable_mismatch(observed_corr):
 def test_pair_ordering_deterministic(observed_corr, revised_refit):
     fa = assess_fit(observed_corr, reproduced_matrix(revised_refit.annotated_model()))
     assert [(p.a, p.b) for p in fa.pairs] == observed_corr.pairs()
+
+
+def reference_assess_fit(observed, reproduced, threshold):
+    """assess_fit as a lookup per cell: every r and r_hat read by name."""
+    if set(observed.variables) != set(reproduced.variables):
+        raise VariableMismatch("variables differ")
+    pairs = []
+    for a, b in observed.pairs():
+        r = observed.value(a, b)
+        r_hat = reproduced.value(a, b)
+        diff = abs(r - r_hat)
+        pairs.append(effects.PairFit(a, b, r, r_hat, diff, diff > threshold))
+    return effects.FitAssessment(tuple(pairs), threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_assess_fit_equals_lookup_per_cell(data):
+    """The one-pass scorer reads the same cells as a lookup by name.
+
+    The reproduced matrix lists the variables in a drawn permutation of the
+    observed order, and its cells are the permuted observed cells plus
+    noise that is not symmetric, so a swapped index or a transposed read
+    changes some pair.
+    """
+    k = data.draw(st.integers(2, 12), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    perm = data.draw(st.permutations(range(k)), label="perm")
+    threshold = data.draw(st.sampled_from([0.0, 0.02, DEFAULT_MISFIT_THRESHOLD, 0.5]),
+                          label="threshold")
+    names = tuple(f"V{i}" for i in range(k))
+    x = rng.standard_normal((k, k + 5))
+    cov = x @ x.T
+    sd = np.sqrt(np.diag(cov))
+    observed = CorrelationMatrix(names, cov / np.outer(sd, sd), 100)
+    r = np.array(observed.r_rows)[np.ix_(perm, perm)]
+    r_hat = r + rng.uniform(-0.1, 0.1, (k, k))
+    reproduced = ReproducedMatrix(tuple(names[i] for i in perm),
+                                  tuple(map(tuple, r_hat.tolist())))
+    got = assess_fit(observed, reproduced, threshold)
+    want = reference_assess_fit(observed, reproduced, threshold)
+    assert repr(got) == repr(want)  # same classes, fields and float bits
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +364,25 @@ def test_revised_start_is_fixed_point(observed_corr, revised_model):
     assert trace.converged
     assert trace.steps == []
     assert trace.final_model.arrow_set() == revised_model.arrow_set()
+
+
+@pytest.mark.parametrize("max_iter", [1, 10])
+def test_revise_scores_each_refit_once(monkeypatch, observed_corr, initial_model, max_iter):
+    """assess_fit scores the start and every step's refit, and nothing else."""
+    scored = []
+
+    def counted(*args, **kwargs):
+        scored.append(assess_fit(*args, **kwargs))
+        return scored[-1]
+
+    monkeypatch.setattr(effects, "assess_fit", counted)
+    trace = revise_model(observed_corr, initial_model, max_iter=max_iter)
+    assert trace.steps
+    assert len(scored) == len(trace.steps) + 1
+    assert trace.final_assessment is scored[-1]  # the last step's, not a new one
+    for step, assessment in zip(trace.steps, scored[1:]):
+        assert step.misfit_count == assessment.misfit_count
+        assert step.max_difference == assessment.max_difference
 
 
 def test_dropping_every_arrow_is_inadmissible():
