@@ -111,9 +111,10 @@ def coefficient_inference(fit):
 
 def _endogenous(corr, m):
     """The endogenous variables of `m` in causal order, checked against `corr`."""
-    for v in m.variables:
-        if v not in corr.variables:
-            raise VariableMissing(v, where="correlation matrix")
+    present = set(corr.variables)
+    if not present.issuperset(m.variables):
+        missing = next(v for v in m.variables if v not in present)
+        raise VariableMissing(missing, where="correlation matrix")
     endo = [v for v in topological_order(m) if m.parents(v)]
     if not endo:
         raise ValueError("model has no endogenous variable to estimate")

@@ -1224,6 +1224,21 @@ assert callable(pathtrek.screen) and pathtrek.Dataset.__name__ == "Dataset"
 from pathtrek import *
 assert all(name in globals() for name in pathtrek.__all__)
 assert "numpy" in sys.modules
+
+# `fit --data` and `screen --data` load data.py but write no rows: its CSV
+# formatter builds no tables and pulls in no exact-arithmetic module
+from pathtrek import data
+for argv in (
+    ["fit", "--data", SCORES, "--model", REVISED, "--out", "fit-data.txt"],
+    ["screen", "--data", SCORES, "--model", REVISED, "--out", "screen.txt"],
+):
+    assert main(argv) == 0, argv
+for name in ("fractions", "decimal"):
+    assert name not in sys.modules or name in BARE, name + " imported"
+assert data._format_tables.cache_info().currsize == 0, "formatter tables built"
+assert main(["simulate", "--model", REVISED_PUBLISHED, "--n", "5", "--seed", "1",
+             "--out", "sim.csv"]) == 0
+assert data._format_tables.cache_info().currsize == 1
 """
 
 
@@ -1231,8 +1246,11 @@ def test_correlation_path_imports_no_numpy(tmp_path):
     bare = run_fresh(["-c", "import sys; print(sorted(sys.modules))"], tmp_path)
     assert bare.returncode == 0, bare.stderr
     code = (f"CORR, REVISED, INITIAL = {CORR!r}, {REVISED!r}, {INITIAL!r}\n"
+            f"SCORES, REVISED_PUBLISHED = {SCORES!r}, {REVISED_PUBLISHED!r}\n"
             f"BARE = {bare.stdout.strip()}\n" + NUMPY_GUARD)
     proc = run_fresh(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "misfit pairs: 0/10 -> fits" in (tmp_path / "fit.txt").read_text()
     assert "converged after 2 iteration(s)" in (tmp_path / "revise.txt").read_text()
+    assert "misfit pairs:" in (tmp_path / "fit-data.txt").read_text()
+    assert len((tmp_path / "sim.csv").read_text().splitlines()) == 6

@@ -440,3 +440,55 @@ def test_write_csv_rows_past_one_block(tmp_path, k):
     reference_write_csv(d, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert np.array_equal(load_csv(tmp_path / "got.csv").rows, rows)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized formatter against repr, on seeded hard cases.
+
+def decimal_ties(rng, digits, count):
+    """Doubles a / 2^j whose exact decimal expansion has `digits` significant
+    digits, the last a 5: each lies halfway between two (digits-1)-digit strings."""
+    out = []
+    for j in range(4, 24):
+        low, high = -(-10 ** (digits - 1) // 5 ** j), min(10 ** digits // 5 ** j, 1 << 53)
+        if low < high:
+            a = rng.integers(low, high, count) | 1
+            out.append(np.ldexp(a.astype(np.float64), -j))
+    return np.concatenate(out)
+
+
+def formatter_cases():
+    """Over 10^6 seeded doubles that stress the shortest-digits formatter."""
+    rng = np.random.default_rng(20261019)
+    tens = np.array([float(f"1e{e}") for e in range(-5, 17)])
+    near_tens = (tens.view(np.int64)[:, None] + np.arange(-40, 41)).view(np.float64)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    subnormals = np.ldexp(rng.uniform(0.0, 1.0, 2000), -1022)
+    return np.concatenate([
+        rng.normal(0.0, 1.0, 320_000),
+        rng.normal(0.0, 1.0, 200_000) * 10.0 ** rng.integers(-4, 14, 200_000),
+        rng.choice([-1.0, 1.0], 300_000)
+        * np.exp(rng.uniform(np.log(1e-6), np.log(1e17), 300_000)),
+        *(np.round(rng.normal(0.0, 1e3, 10_000), places) for places in range(16)),
+        near_tens.ravel(), powers, -powers,
+        decimal_ties(rng, 16, 300), decimal_ties(rng, 17, 300), decimal_ties(rng, 18, 300),
+        [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+        subnormals, -subnormals,
+    ])
+
+
+def test_write_csv_is_repr_on_a_million_values(tmp_path):
+    values = formatter_cases()
+    assert len(values) >= 10 ** 6 and np.isfinite(values).all()
+    values = np.concatenate([values, np.zeros(-len(values) % 7)]).reshape(-1, 7)
+    d = Dataset(tuple(f"V{j}" for j in range(7)), values)
+    write_csv(d, tmp_path / "got.csv")
+    reference_write_csv(d, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_few_normal_draws_fall_back_to_repr():
+    # a formatter that sent every value through repr would pass the test above
+    values = np.random.default_rng(7).normal(0.0, 1.0, 100_000)
+    slow = data._shortest_digits(values)[2]
+    assert slow.mean() < 0.02

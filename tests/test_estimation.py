@@ -142,6 +142,12 @@ def test_variable_missing(observed_corr):
         fit_standardized(observed_corr, m)
 
 
+def test_variable_missing_names_the_first_declared(observed_corr):
+    m = parse_model("var R\nvar X1\nvar Q\npath X1 -> Q\npath X1 -> R\n")
+    with pytest.raises(VariableMissing, match="^variable 'R' not found in correlation matrix$"):
+        fit_standardized(observed_corr, m)
+
+
 def test_singular_parent_block():
     r = np.array([
         [1.0, 1.0, 0.5],
