@@ -11,19 +11,25 @@ imported into this process.
 
 PLAN is a `plan.json` that `perfbench/run.py` wrote under
 `.perfbench/WORKLOAD/`; its input paths are relative to the checkout it ran
-in, so run this script from there.  KIND is one of fit, revise, screen and
-simulate.  One untimed round runs every op of that kind on both sides and
-compares their output files byte for byte.  Then each round times every op
-of the kind on both sides through `cli.main`, the side that goes first
-alternating from round to round.  It prints each side's median over rounds
-of the mean op time, and in how many rounds the change was faster.
+in, so run this script from there.  KIND is one of fit, revise, screen,
+simulate and recovery.  The first four run every op of that kind in the
+plan through `cli.main`.  recovery runs `recovery_check` on the plan's
+recovery model and n for RECOVERY_SEEDS seeds, the ones perfbench's first
+replications take.  One untimed round runs every op on both sides and
+compares their outputs: the files written, byte for byte, or each
+`RecoveryReport`'s errors and the bytes of the rows it drew (the errors
+alone can hide a last-bit change in a few draws).  Then each round times
+every op on both sides, the side that goes first alternating from round to
+round.  It prints each side's median over rounds of the mean op time, and
+in how many rounds the change was faster.
 
 No speed probe scales these times.  Both sides run interleaved in the same
 process, so a drift of the machine's speed reaches both alike.  The exit
-status is 1 when the two sides wrote different bytes.
+status is 1 when the two sides' outputs differ.
 """
 
 import argparse
+import functools
 import gc
 import hashlib
 import importlib
@@ -35,15 +41,29 @@ import sys
 import tempfile
 import time
 
-KINDS = ("fit", "revise", "screen", "simulate")
+KINDS = ("fit", "revise", "screen", "simulate", "recovery")
 SIDES = ("parent", "change")
+RECOVERY_SEEDS = 10
 
 
 def load_side(src, name, into):
     """Import the `pathtrek` package under `src` as module `name`."""
     shutil.copytree(os.path.join(src, "pathtrek"), os.path.join(into, name),
                     ignore=shutil.ignore_patterns("__pycache__"))
-    return importlib.import_module(f"{name}.cli")
+    return importlib.import_module(name)
+
+
+def side_ops(package, plan, kind, out):
+    """One zero-argument call per op of `kind`, writing under `out`."""
+    if kind != "recovery":
+        cli = importlib.import_module(f"{package.__name__}.cli")
+        return [functools.partial(cli.main, argv) for argv in op_argvs(plan, kind, out)]
+    op = plan["ops"]["recovery"]
+    model = package.load_model(op["model"])
+    seeds = [(op["first_seed"] + rep) % (1 << 31) for rep in range(RECOVERY_SEEDS)]
+    return [functools.partial(package.recovery_check,
+                              package.SimulationSpec(model, op["n"], seed), op["tolerance"])
+            for seed in seeds]
 
 
 def op_argvs(plan, kind, out):
@@ -66,16 +86,22 @@ def op_argvs(plan, kind, out):
     return argvs
 
 
-def run_round(cli, argvs):
+def run_round(ops):
     """Seconds per op, averaged over one run of every op."""
     gc.collect()
     start = time.perf_counter()
-    for argv in argvs:
-        cli.main(argv)
-    return (time.perf_counter() - start) / len(argvs)
+    for op in ops:
+        op()
+    return (time.perf_counter() - start) / len(ops)
 
 
-def digests(out):
+def outputs(package, kind, ops, out):
+    """Run every op once: the sha256 of each file written, or each recovery's errors and rows."""
+    results = [op() for op in ops]
+    if kind == "recovery":
+        return {f"seed {report.spec.seed}":
+                (report.errors, package.simulate_dataset(report.spec).rows.tobytes())
+                for report in results}
     found = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
@@ -96,34 +122,33 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        clis, argvs = {}, {}
+        ops, written = {}, {}
         for side, src in zip(SIDES, (args.parent_src, args.change_src)):
-            clis[side] = load_side(src, f"pathtrek_{side}", tmp)
+            package = load_side(src, f"pathtrek_{side}", tmp)
             out = os.path.join(tmp, f"out-{side}")
             os.makedirs(out)
-            argvs[side] = op_argvs(plan, args.kind, out)
-        for side in SIDES:
-            run_round(clis[side], argvs[side])
-        written = {side: digests(os.path.join(tmp, f"out-{side}")) for side in SIDES}
+            ops[side] = side_ops(package, plan, args.kind, out)
+            written[side] = outputs(package, args.kind, ops[side], out)
         differ = sorted(name for name in written["parent"].keys() | written["change"].keys()
                         if written["parent"].get(name) != written["change"].get(name))
 
         times = {side: [] for side in SIDES}
         for round_no in range(args.rounds):
             for side in SIDES if round_no % 2 == 0 else SIDES[::-1]:
-                times[side].append(run_round(clis[side], argvs[side]))
+                times[side].append(run_round(ops[side]))
 
     medians = {side: 1000.0 * statistics.median(times[side]) for side in SIDES}
     won = sum(c < p for p, c in zip(times["parent"], times["change"]))
     change = 100.0 * (medians["change"] / medians["parent"] - 1.0)
-    print(f"{args.kind}: {len(argvs['parent'])} ops x {args.rounds} rounds")
+    print(f"{args.kind}: {len(ops['parent'])} ops x {args.rounds} rounds")
     print(f"parent  median {medians['parent']:.3f} ms/op")
     print(f"change  median {medians['change']:.3f} ms/op ({change:+.1f}%)")
     print(f"change faster in {won}/{args.rounds} rounds")
     if differ:
         print(f"outputs differ: {', '.join(differ)}")
         return 1
-    print(f"outputs identical on both sides ({len(written['parent'])} files)")
+    noun = "recovery reports" if args.kind == "recovery" else "files"
+    print(f"outputs identical on both sides ({len(written['parent'])} {noun})")
     return 0
 
 

@@ -10,10 +10,27 @@ The stream is drawn with numpy, BLOCK states at a time.  State i of a block
 is A^i * s + c_i mod 2^64, where s is the last state of the previous block
 (the seed for the first) and the table of (A^i, c_i) is built on first use by
 doubling in wrapping uint64 arithmetic (jump-ahead; Brown 1994, "Random
-number generation with arbitrary strides").  log and cos come from `math`,
-not numpy, whose SIMD kernels may differ from libm in the last bit, so the
-output equals the scalar MMIX/Box-Muller loop in tests/test_rng.py byte for
-byte.  Blocks bound the memory held beside the output array.  A stream
+number generation with arbitrary strides").  Every log and cos carries
+libm's exact bits, so the output equals the scalar MMIX/Box-Muller loop over
+`math.log` and `math.cos` in tests/test_rng.py byte for byte:
+
+- cos is numpy's float64 `np.cos`.  On x86-64 glibc (numpy 2.4 measured)
+  that loop calls libm's own `cos` once per value, with no SIMD kernel;
+  tests/test_rng.py checks it against `math.cos` on 10^6 stream angles, so
+  a numpy whose cos differs fails there.
+- log is not numpy's float64 `np.log`, whose SIMD kernel differs from libm
+  in the last bit on ~0.35% of draws.  Each block takes L = logl(u1) in long
+  double, rounds it to h = float64(L), and keeps h only where
+  `_log_accepted` proves it equals glibc's log(u1): glibc's log misses the
+  true value t by at most (1/2 + 4.13/128) ulp (e_log.c), so it returns
+  RN(t) wherever t lies within (1/2 - _LOG_MARGIN) ulp of RN(t), and L is
+  within _LOGL_ULPS long double ulps of t.  The other logs (~10% with x87's
+  64-bit mantissa) go through `math.log` one value at a time.  Where long
+  double is binary128 the proof holds as it stands (its speed is
+  unmeasured); where it is plain double the bound is negative, so every log
+  goes through `math.log` and the bytes stay the same.
+
+Blocks bound the memory held beside the output array.  A stream
 can start anywhere: `_jump` moves the seed ahead by binary powering of the
 step map mod 2^64, so normal_stream(seed, count, first) is the slice
 [first, first + count) of the one stream without drawing what precedes it.
@@ -33,6 +50,9 @@ _TWO_PI = 6.283185307179586476925287
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 _MASK = (1 << 64) - 1
 BLOCK = 1 << 15  # LCG states per block; even, so a normal never spans two
+_LOG_MARGIN = 0.05  # ulp; glibc's log errs by at most 0.5 + 4.13/128 ulp (e_log.c)
+_LOGL_ULPS = 4  # long double ulps allowed to logl's own error
+_LONG_EPS = float(np.finfo(np.longdouble).eps)
 
 
 def check_seed(seed):
@@ -40,6 +60,13 @@ def check_seed(seed):
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return seed
+
+
+def _nonnegative_int(name, value):
+    """Return value if it is an int (not a bool) >= 0; else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
 
 
 @functools.cache
@@ -83,7 +110,7 @@ def _uniform_blocks(seed, count, first=0):
 
 def uniform_stream(seed, count):
     """Uniform (0,1) draws as a float64 array; identical seed, identical bytes."""
-    out = np.empty(int(count), dtype=np.float64)
+    out = np.empty(_nonnegative_int("count", count), dtype=np.float64)
     start = 0
     for u in _uniform_blocks(seed, len(out)):
         out[start:start + len(u)] = u
@@ -97,13 +124,37 @@ def normal_stream(seed, count, first=0):
     Identical arguments, identical bytes; the draws equal those at the same
     places of normal_stream(seed, first + count).
     """
-    if isinstance(first, bool) or not isinstance(first, int) or first < 0:
-        raise ValueError(f"first must be an integer >= 0, got {first!r}")
-    out = np.empty(int(count), dtype=np.float64)
+    _nonnegative_int("first", first)
+    out = np.empty(_nonnegative_int("count", count), dtype=np.float64)
     start = 0
     for u in _uniform_blocks(seed, 2 * len(out), 2 * first):
-        log_u1 = np.fromiter(map(math.log, u[0::2].tolist()), np.float64)
-        cos_u2 = np.fromiter(map(math.cos, (_TWO_PI * u[1::2]).tolist()), np.float64)
-        out[start:start + len(log_u1)] = np.sqrt(-2.0 * log_u1) * cos_u2
-        start += len(log_u1)
+        z = np.sqrt(-2.0 * _log(u[0::2])) * np.cos(_TWO_PI * u[1::2])
+        out[start:start + len(z)] = z
+        start += len(z)
     return out
+
+
+def _log(u):
+    """libm's log of each u > 0, bit for bit: logl where proven, else math.log."""
+    wide = np.log(u, dtype=np.longdouble)
+    out = wide.astype(np.float64)
+    slow = np.flatnonzero(~_log_accepted(wide, out, _LONG_EPS))
+    out[slow] = np.fromiter(map(math.log, u[slow].tolist()), np.float64, len(slow))
+    return out
+
+
+def _log_accepted(wide, narrow, eps):
+    """Where narrow = float64(wide) is provably glibc's log, wide being logl's.
+
+    wide misses the true log t by at most _LOGL_ULPS * eps * |narrow| (eps:
+    the epsilon of wide's type), so |wide - narrow| within (1/2 - _LOG_MARGIN)
+    ulp less that error puts t within (1/2 - _LOG_MARGIN) ulp of narrow,
+    where glibc's log must round to it.  ulp is the spacing toward zero, the
+    smaller one at a power of two.  The test's own rounding is a few 2^-53
+    ulp, far inside the margin.  With float64's eps the bound is negative.
+    """
+    # the next double toward zero has narrow's bit pattern less one (at ±0 a
+    # NaN, which accepts nothing)
+    ulp = np.abs(narrow - (narrow.view(np.int64) - 1).view(np.float64))
+    bound = (0.5 - _LOG_MARGIN) * ulp - _LOGL_ULPS * eps * np.abs(narrow)
+    return np.abs((wide - narrow).astype(np.float64)) <= bound

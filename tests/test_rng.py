@@ -156,3 +156,77 @@ def test_normal_stream_far_offset_matches_jumped_seed():
 def test_normal_stream_rejects_bad_offset(first):
     with pytest.raises(ValueError, match="first must be an integer >= 0"):
         rng.normal_stream(1, 4, first)
+
+
+@pytest.mark.parametrize("count", [2.7, 2.0, True, -1, "3", None])
+@pytest.mark.parametrize("kind", ["uniform", "normal"])
+def test_stream_rejects_bad_count(kind, count):
+    # int() would turn 2.7 into 2 draws and True into 1
+    stream = {"uniform": rng.uniform_stream, "normal": rng.normal_stream}[kind]
+    with pytest.raises(ValueError, match="count must be an integer >= 0"):
+        stream(1, count)
+
+
+# Oracles for the vectorized log and cos: libm's bits through `math`, one
+# value at a time, on a million draws.
+wide_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+    reason="long double is double: every log goes through math.log")
+
+
+@functools.cache
+def stream_uniforms():
+    """Two million uniforms of one seed's stream, and their libm logs."""
+    u = rng.uniform_stream(20240531, 2_000_000)
+    return u, np.array(list(map(math.log, u.tolist())))
+
+
+def test_normal_stream_matches_reference_on_a_million_draws():
+    # the scalar loop starts from the LCG state 2 * first steps after the seed
+    first, count = 12345, 250_000
+    for seed in (3, 99, 2 ** 63 + 1, 2 ** 64 - 1):
+        start = reference_state(seed, 2 * first)
+        expected = np.array(reference_normals(start, count)).tobytes()
+        assert rng.normal_stream(seed, count, first).tobytes() == expected, seed
+
+
+@wide_long_double
+def test_log_gives_libm_bits_where_rounding_logl_does_not():
+    u, libm = stream_uniforms()
+    rounded = np.log(u.astype(np.longdouble)).astype(np.float64)
+    hard = np.flatnonzero(rounded != libm)
+    assert len(hard) > 1000  # x87 logl: ~1,750 of 2e6
+    assert rng._log(u[hard]).tobytes() == libm[hard].tobytes()
+    assert rng._log(u).tobytes() == libm.tobytes()
+
+
+@wide_long_double
+def test_log_fallback_share():
+    # a kernel that falls back everywhere, or almost never, fails here
+    u = stream_uniforms()[0]
+    wide = np.log(u.astype(np.longdouble))
+    share = 1.0 - rng._log_accepted(wide, wide.astype(np.float64), rng._LONG_EPS).mean()
+    assert 0.01 < share < 0.25, share
+
+
+@wide_long_double
+@pytest.mark.parametrize("power", [-1.0, -0.5, -4.0, -32.0])
+def test_log_bound_at_a_power_of_two_takes_the_spacing_toward_zero(power):
+    # the step toward zero is half the outward one: 0.47 of it toward zero
+    # may leave the true log past the midpoint, 0.4 of it either way may not
+    step = np.longdouble(np.nextafter(power, 0.0) - power)
+    narrow = np.array([power, power, power])
+    wide = np.array([power + 0.47 * step, power + 0.4 * step, power - 0.4 * step])
+    assert rng._log_accepted(wide, narrow, rng._LONG_EPS).tolist() == [False, True, True]
+
+
+def test_log_bound_accepts_nothing_where_long_double_is_double():
+    u, libm = stream_uniforms()
+    eps = float(np.finfo(np.float64).eps)
+    assert not rng._log_accepted(libm, libm, eps).any()
+
+
+def test_numpy_cos_is_libm_cos():
+    angles = _TWO_PI * stream_uniforms()[0][:1_000_000]
+    expected = np.array(list(map(math.cos, angles.tolist())))
+    assert np.cos(angles).tobytes() == expected.tobytes()
