@@ -19,16 +19,25 @@ libm's exact bits, so the output equals the scalar MMIX/Box-Muller loop over
   tests/test_rng.py checks it against `math.cos` on 10^6 stream angles, so
   a numpy whose cos differs fails there.
 - log is not numpy's float64 `np.log`, whose SIMD kernel differs from libm
-  in the last bit on ~0.35% of draws.  Each block takes L = logl(u1) in long
-  double, rounds it to h = float64(L), and keeps h only where
-  `_log_accepted` proves it equals glibc's log(u1): glibc's log misses the
-  true value t by at most (1/2 + 4.13/128) ulp (e_log.c), so it returns
-  RN(t) wherever t lies within (1/2 - _LOG_MARGIN) ulp of RN(t), and L is
-  within _LOGL_ULPS long double ulps of t.  The other logs (~10% with x87's
-  64-bit mantissa) go through `math.log` one value at a time.  Where long
-  double is binary128 the proof holds as it stands (its speed is
-  unmeasured); where it is plain double the bound is negative, so every log
-  goes through `math.log` and the bytes stay the same.
+  in the last bit on ~0.35% of draws.  Where long double is x87 extended
+  precision (`_X87`: a 64-bit significand with an explicit integer bit),
+  each block takes wide = logl(u1), rounds it to h = float64(wide), and
+  keeps h where the 11 significand bits that the rounding drops, r (the
+  significand mod 2^11), decide it (`_log_accepted`).  The proof is the
+  bound glibc's log gives: it misses the true log t by at most
+  (1/2 + 4.13/128) ulp (e_log.c), so it returns h wherever t lies within
+  (1/2 - 0.05) ulp of h.  In units of 2^(E-63), wide's own ulp at exponent
+  E, a double ulp of h is 2048, |wide - h| is min(r, 2048 - r), and logl's
+  error, at most 4 long double ulps of |h| <= 2^(E+1), is at most 8.  So
+  |r - 1024| >= _LOG_K = 111, i.e. min(r, 2048 - r) <= 913, puts t within
+  921 < 0.45 * 2048 = 921.6 units of h.  A round up that carries into the
+  next binade makes h a power of two whose spacing toward zero is still
+  2048 units; a round down onto a power of two halves that spacing, so
+  significands below 2^63 + 2^11 (those, and wide = 0 from u = 1.0, whose
+  integer bit is 0) are not accepted.  The other ~10.8% of logs go through
+  `math.log` one value at a time.  Where long double is not x87 extended
+  (binary128, or plain double) every log goes through `math.log`, with the
+  same bytes; that speed is unmeasured.
 
 Blocks bound the memory held beside the output array.  A stream
 can start anywhere: `_jump` moves the seed ahead by binary powering of the
@@ -50,9 +59,10 @@ _TWO_PI = 6.283185307179586476925287
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 _MASK = (1 << 64) - 1
 BLOCK = 1 << 15  # LCG states per block; even, so a normal never spans two
-_LOG_MARGIN = 0.05  # ulp; glibc's log errs by at most 0.5 + 4.13/128 ulp (e_log.c)
-_LOGL_ULPS = 4  # long double ulps allowed to logl's own error
-_LONG_EPS = float(np.finfo(np.longdouble).eps)
+# long double is x87 extended precision in 16 little-endian bytes: the
+# significand in the first 8, sign and exponent in the next 2
+_X87 = np.finfo(np.longdouble).nmant == 63 and np.longdouble().itemsize == 16 and np.little_endian
+_LOG_K = 111  # accept rounded logl where |r - 1024| >= _LOG_K (module docstring)
 
 
 def check_seed(seed):
@@ -111,10 +121,8 @@ def _uniform_blocks(seed, count, first=0):
 def uniform_stream(seed, count):
     """Uniform (0,1) draws as a float64 array; identical seed, identical bytes."""
     out = np.empty(_nonnegative_int("count", count), dtype=np.float64)
-    start = 0
-    for u in _uniform_blocks(seed, len(out)):
-        out[start:start + len(u)] = u
-        start += len(u)
+    for start, u in zip(range(0, len(out), BLOCK), _uniform_blocks(seed, len(out))):
+        out[start:start + BLOCK] = u
     return out
 
 
@@ -126,35 +134,35 @@ def normal_stream(seed, count, first=0):
     """
     _nonnegative_int("first", first)
     out = np.empty(_nonnegative_int("count", count), dtype=np.float64)
-    start = 0
-    for u in _uniform_blocks(seed, 2 * len(out), 2 * first):
-        z = np.sqrt(-2.0 * _log(u[0::2])) * np.cos(_TWO_PI * u[1::2])
-        out[start:start + len(z)] = z
-        start += len(z)
+    blocks = _uniform_blocks(seed, 2 * len(out), 2 * first)
+    for start, u in zip(range(0, len(out), BLOCK // 2), blocks):
+        z = out[start:start + BLOCK // 2]  # in place: 2 pi u2, its cos, times sqrt(-2 log u1)
+        np.cos(np.multiply(_TWO_PI, u[1::2], out=z), out=z)
+        radius = _log(u[0::2])
+        z *= np.sqrt(np.multiply(radius, -2.0, out=radius), out=radius)
     return out
 
 
 def _log(u):
-    """libm's log of each u > 0, bit for bit: logl where proven, else math.log."""
+    """libm's log of each u > 0, bit for bit: rounded logl where decided, else math.log."""
+    if not _X87:
+        return np.fromiter(map(math.log, u.tolist()), np.float64, len(u))
     wide = np.log(u, dtype=np.longdouble)
     out = wide.astype(np.float64)
-    slow = np.flatnonzero(~_log_accepted(wide, out, _LONG_EPS))
+    slow = np.flatnonzero(~_log_accepted(wide))
     out[slow] = np.fromiter(map(math.log, u[slow].tolist()), np.float64, len(slow))
     return out
 
 
-def _log_accepted(wide, narrow, eps):
-    """Where narrow = float64(wide) is provably glibc's log, wide being logl's.
+def _log_accepted(wide):
+    """Where float64(wide), wide being x87 logl's, is provably glibc's log.
 
-    wide misses the true log t by at most _LOGL_ULPS * eps * |narrow| (eps:
-    the epsilon of wide's type), so |wide - narrow| within (1/2 - _LOG_MARGIN)
-    ulp less that error puts t within (1/2 - _LOG_MARGIN) ulp of narrow,
-    where glibc's log must round to it.  ulp is the spacing toward zero, the
-    smaller one at a power of two.  The test's own rounding is a few 2^-53
-    ulp, far inside the margin.  With float64's eps the bound is negative.
+    Reads each significand: the 11 bits that rounding to double drops must
+    lie at least _LOG_K from the tie at 2^10, and the significand must be at
+    least 2^63 + 2^11: below it wide is 0 or may round down onto a power of
+    two (see the module docstring for the proof).
     """
-    # the next double toward zero has narrow's bit pattern less one (at ±0 a
-    # NaN, which accepts nothing)
-    ulp = np.abs(narrow - (narrow.view(np.int64) - 1).view(np.float64))
-    bound = (0.5 - _LOG_MARGIN) * ulp - _LOGL_ULPS * eps * np.abs(narrow)
-    return np.abs((wide - narrow).astype(np.float64)) <= bound
+    significand = wide.view(np.uint64)[0::2]
+    # r outside 1024 ± (_LOG_K - 1): (r - (1025 - _LOG_K)) mod 2^11 > 2 _LOG_K - 2
+    dropped = (significand - np.uint64(1025 - _LOG_K)) & np.uint64(2047)
+    return (dropped > np.uint64(2 * _LOG_K - 2)) & (significand >= np.uint64(2**63 + 2**11))

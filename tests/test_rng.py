@@ -170,8 +170,7 @@ def test_stream_rejects_bad_count(kind, count):
 # Oracles for the vectorized log and cos: libm's bits through `math`, one
 # value at a time, on a million draws.
 wide_long_double = pytest.mark.skipif(
-    np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
-    reason="long double is double: every log goes through math.log")
+    not rng._X87, reason="long double is not x87 extended: every log goes through math.log")
 
 
 @functools.cache
@@ -200,30 +199,111 @@ def test_log_gives_libm_bits_where_rounding_logl_does_not():
     assert rng._log(u).tobytes() == libm.tobytes()
 
 
+# The reference acceptance: narrow = float64(wide) is glibc's log where
+# |wide - narrow| <= (1/2 - 0.05) ulp - 4 eps |narrow|, ulp the spacing toward
+# zero (glibc's log errs by at most 0.5 + 4.13/128 ulp, logl by 4 of its
+# own ulps).  rng._log_accepted must accept a subset of it.
+def reference_accepted(wide, narrow):
+    eps = float(np.finfo(np.longdouble).eps)
+    ulp = np.abs(narrow - (narrow.view(np.int64) - 1).view(np.float64))
+    bound = (0.5 - 0.05) * ulp - 4 * eps * np.abs(narrow)
+    return np.abs((wide - narrow).astype(np.float64)) <= bound
+
+
+def x87(significand, exponent=0x3FFF):
+    """A negative x87 long double from its 64-bit significand and exponent field."""
+    return np.array([significand, 0x8000 | exponent], dtype=np.uint64).view(np.longdouble)
+
+
+def dropped_bits(wide):
+    return wide.view(np.uint64)[0::2] & np.uint64(2047)
+
+
 @wide_long_double
 def test_log_fallback_share():
     # a kernel that falls back everywhere, or almost never, fails here
     u = stream_uniforms()[0]
-    wide = np.log(u.astype(np.longdouble))
-    share = 1.0 - rng._log_accepted(wide, wide.astype(np.float64), rng._LONG_EPS).mean()
+    share = 1.0 - rng._log_accepted(np.log(u.astype(np.longdouble))).mean()
     assert 0.01 < share < 0.25, share
+
+
+@wide_long_double
+def test_log_acceptance_is_a_subset_of_the_bound():
+    u = stream_uniforms()[0]
+    wide = np.log(u.astype(np.longdouble))
+    accepted = rng._log_accepted(wide)
+    reference = reference_accepted(wide, wide.astype(np.float64))
+    assert not (accepted & ~reference).any()
+    assert accepted.sum() >= 0.99 * reference.sum()  # 10.79% fall back, against 10.56%
 
 
 @wide_long_double
 @pytest.mark.parametrize("power", [-1.0, -0.5, -4.0, -32.0])
 def test_log_bound_at_a_power_of_two_takes_the_spacing_toward_zero(power):
     # the step toward zero is half the outward one: 0.47 of it toward zero
-    # may leave the true log past the midpoint, 0.4 of it either way may not
+    # may leave the true log past the midpoint, 0.4 of it either way may not;
+    # the bit test accepts a carry up onto the power (0.4 toward zero) and no
+    # round down onto it
     step = np.longdouble(np.nextafter(power, 0.0) - power)
     narrow = np.array([power, power, power])
     wide = np.array([power + 0.47 * step, power + 0.4 * step, power - 0.4 * step])
-    assert rng._log_accepted(wide, narrow, rng._LONG_EPS).tolist() == [False, True, True]
+    assert (wide.astype(np.float64) == narrow).all()
+    assert reference_accepted(wide, narrow).tolist() == [False, True, True]
+    assert rng._log_accepted(wide).tolist() == [False, True, False]
 
 
-def test_log_bound_accepts_nothing_where_long_double_is_double():
+@wide_long_double
+@pytest.mark.parametrize("significand, exponent, accepted", [
+    ((1 << 63) + 5 * 2048 + 1024 - 110, 0x3FFF, False),
+    ((1 << 63) + 5 * 2048 + 1024 + 110, 0x3FFF, False),
+    ((1 << 63) + 5 * 2048 + 1024 - 111, 0x3FFF, True),
+    ((1 << 63) + 5 * 2048 + 1024 + 111, 0x3FFF, True),
+    ((1 << 63) + 100, 0x3FFE, False),  # rounds down onto -0.5
+    ((1 << 64) - 2048 + 1024 + 111, 0x3FFF, True),  # carries up to -2.0
+    (0, 0, False),  # wide = 0: logl(1.0) (the sign is not read)
+])
+def test_log_acceptance_on_hand_built_long_doubles(significand, exponent, accepted):
+    wide = x87(significand, exponent)
+    assert rng._log_accepted(wide).tolist() == [accepted]
+    if accepted:
+        assert reference_accepted(wide, wide.astype(np.float64)).tolist() == [True]
+
+
+@wide_long_double
+@pytest.mark.parametrize("distance", [110, 111])
+def test_log_at_the_threshold_is_libm_log(distance):
     u, libm = stream_uniforms()
-    eps = float(np.finfo(np.float64).eps)
-    assert not rng._log_accepted(libm, libm, eps).any()
+    wide = np.log(u.astype(np.longdouble))
+    near = np.flatnonzero(np.abs(dropped_bits(wide).astype(np.int64) - 1024) == distance)
+    assert len(near) > 100  # ~1,000 of 2e6 at each of the two bit patterns
+    assert (rng._log_accepted(wide[near]) == (distance == 111)).all()
+    assert rng._log(u[near]).tobytes() == libm[near].tobytes()
+
+
+@wide_long_double
+def test_log_next_to_a_power_of_two_and_at_one_is_libm_log():
+    # the doubles within 64 steps of exp(-2^j): their logls round down onto
+    # -2^j, carry up to it, or neither; u = 1.0 can be drawn, its logl is 0
+    center = np.exp(-np.ldexp(1.0, np.arange(-2, 6)))
+    u = (center.view(np.int64)[:, None] + np.arange(-64, 65)).ravel().view(np.float64)
+    u = np.append(u, 1.0)
+    wide = np.log(u.astype(np.longdouble))
+    top = wide.view(np.uint64)[0::2] >> np.uint64(11)
+    down = (top == 1 << 52) & (dropped_bits(wide) < 1024)
+    carry = (top == (1 << 53) - 1) & (dropped_bits(wide) >= 1024 + rng._LOG_K)
+    assert down.sum() > 10 and carry.sum() > 10
+    accepted = rng._log_accepted(wide)
+    assert not accepted[down].any() and accepted[carry].all() and not accepted[-1]
+    libm = np.array(list(map(math.log, u.tolist())))
+    assert rng._log(u).tobytes() == libm.tobytes()
+
+
+def test_log_off_x87_is_math_log(monkeypatch):
+    # the branch taken where long double is binary128 or double, run here
+    u, libm = stream_uniforms()
+    monkeypatch.setattr(rng, "_X87", False)
+    assert rng._log(u[:100_000]).tobytes() == libm[:100_000].tobytes()
+    assert rng.normal_stream(12345, 4).tolist() == GOLDEN_NORMALS_SEED_12345
 
 
 def test_numpy_cos_is_libm_cos():
