@@ -20,8 +20,9 @@ compares their outputs: the files written, byte for byte, or each
 `RecoveryReport`'s errors and the bytes of the rows it drew (the errors
 alone can hide a last-bit change in a few draws).  Then each round times
 every op on both sides, the side that goes first alternating from round to
-round.  It prints each side's median over rounds of the mean op time, and
-in how many rounds the change was faster.
+round.  It prints each side's median over rounds of the mean op time with
+its first and third quartiles, and in how many rounds the change was
+faster.
 
 No speed probe scales these times.  Both sides run interleaved in the same
 process, so a drift of the machine's speed reaches both alike.  The exit
@@ -117,6 +118,8 @@ def main(argv=None):
     parser.add_argument("kind", choices=KINDS)
     parser.add_argument("--rounds", type=int, default=40)
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2, for the quartiles")
     with open(args.plan, encoding="utf-8") as fh:
         plan = json.load(fh)
 
@@ -141,8 +144,10 @@ def main(argv=None):
     won = sum(c < p for p, c in zip(times["parent"], times["change"]))
     change = 100.0 * (medians["change"] / medians["parent"] - 1.0)
     print(f"{args.kind}: {len(ops['parent'])} ops x {args.rounds} rounds")
-    print(f"parent  median {medians['parent']:.3f} ms/op")
-    print(f"change  median {medians['change']:.3f} ms/op ({change:+.1f}%)")
+    for side in SIDES:
+        q1, _, q3 = (1000.0 * q for q in statistics.quantiles(times[side], n=4))
+        note = f" ({change:+.1f}%)" if side == "change" else ""
+        print(f"{side:<7} median {medians[side]:.3f} ms/op{note}, quartiles {q1:.3f}-{q3:.3f}")
     print(f"change faster in {won}/{args.rounds} rounds")
     if differ:
         print(f"outputs differ: {', '.join(differ)}")

@@ -3,7 +3,11 @@
 The tail probabilities are built on the C library's lgamma, erfc, exp and
 log (via math): the normal tail is erfc, the chi-squared tail a finite sum
 for its integer df, the t tail a continued fraction for the incomplete
-beta, and the Kolmogorov tail a theta series.  Screening evaluates the
+beta, and the Kolmogorov tail a theta series.  The t tail is the one
+evaluated per correlation pair and per arrow, so its log-gamma terms are
+cached per df and its continued fraction calls no builtin per term; both
+keep every bit of the plain form that tests/test_numeric.py keeps as its
+reference.  Screening evaluates the
 normal and chi-squared tails over arrays: `normal_cdf_array` and
 `chisq_sf_array` do the correctly rounded steps (abs, division, products,
 sums, sqrt, min, sign branch) in numpy and map libm's erfc, exp and log
@@ -21,6 +25,7 @@ kept as tuples of floats; `readonly_array` gives library callers their
 ndarray view.
 """
 
+import functools
 import math
 
 from .errors import NoConvergence, SingularMatrix
@@ -98,40 +103,44 @@ _MAX_ITER = 500
 def _betacf(a, b, x):
     """Continued fraction for the incomplete beta (Lentz).
 
-    Raises NoConvergence when _MAX_ITER terms leave it unconverged.
+    Press et al., Numerical Recipes, 6.4.  The loop calls no builtin: a
+    chained comparison stands for each abs(), and the term index m runs
+    as a float, whose sums and products are those of the int it stands
+    for.  Raises NoConvergence when _MAX_ITER terms leave it unconverged.
     """
-    tiny = 1e-300
+    tiny, eps = 1e-300, _EPS
+    neg_tiny, neg_eps = -tiny, -eps
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
+    if neg_tiny < d < tiny:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
+    for m in map(float, range(1, _MAX_ITER)):
+        m2 = m + m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
+        if neg_tiny < d < tiny:
             d = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
+        if neg_tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
+        if neg_tiny < d < tiny:
             d = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
+        if neg_tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if neg_eps < delta - 1.0 < eps:
             return h
     raise NoConvergence(
         f"incomplete beta continued fraction unconverged after {_MAX_ITER - 1} "
@@ -157,6 +166,13 @@ def _log_gamma_ratio_half(a):
 
     return ((a - 0.5) * math.log1p(0.5 / a) + 0.5 * math.log(a + 0.5) - 0.5
             + stirling_remainder(a + 0.5) - stirling_remainder(a))
+
+
+@functools.lru_cache(maxsize=64)
+def _log_front(a):
+    """log Gamma(a + 1/2) - log Gamma(a) - log Gamma(1/2): the part of the
+    t tail's log prefactor that depends on a = df/2 alone."""
+    return _log_gamma_ratio_half(a) - math.lgamma(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +279,24 @@ def t_sf_two_sided(t, df):
     The tail is the regularized incomplete beta I_x(df/2, 1/2) at
     x = df/(df + t^2).  Its prefactor takes log x = -log1p(t^2/df) and
     log(1 - x) from t rather than from the rounded x, which sits near 1 at
-    large df.
+    large df.  The part of its log that depends on df alone is cached per
+    df (`_log_front`); it is the first difference in the sum either way, so
+    the cache changes no bit.  Raises ValueError for a NaN t or a df that
+    is not a positive integer; an infinite t has tail 0.
     """
     if df < 1 or int(df) != df:
         raise ValueError("df must be a positive integer")
     tt = t * t
-    if tt == 0.0:
-        return 1.0
+    if not tt > 0.0:
+        if tt == 0.0:
+            return 1.0
+        raise ValueError("t must not be NaN")
     x = df / (df + tt)
     if x == 0.0:
         return 0.0
     a = 0.5 * df
     front = math.exp(
-        _log_gamma_ratio_half(a) - math.lgamma(0.5)
+        _log_front(a)
         - a * math.log1p(tt / df) + 0.5 * (math.log(tt) - math.log(df + tt))
     )
     if x < (a + 1.0) / (a + 2.5):

@@ -8,8 +8,12 @@ Both views read the same stored numbers.
 The JSON text is json.dumps(..., indent=2, sort_keys=True, allow_nan=False)
 byte for byte.  Python 3.11 runs that call in the pure-Python encoder, so
 `_render` walks only the containers that hold other containers and gives
-each leaf container (a matrix row, a pair, an effect) to json's C encoder
-in one call, with the separators of its depth.
+each leaf container (a pair, an effect, a list of coefficients) to json's
+C encoder in one call, with the separators of its depth; a container is a
+leaf when the types of its values are all json scalars, a test made in C.
+The three k x k matrices (observed r, its p-values and r-hat) are
+symmetric, so `_render_mirrored` writes them with one float repr per
+mirrored pair of equal nonzero cells.
 """
 
 import functools
@@ -41,7 +45,18 @@ def stars(p):
     return ""
 
 
-_CONTAINERS = (dict, list, tuple)
+# The types json writes as scalars in a Report; a container whose values are
+# all of these types is a leaf.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+class _Mirrored(list):
+    """The row lists of a square matrix whose cell (i, j) is as a rule the
+    same float as cell (j, i), such as a correlation table.
+
+    It equals the plain list of its rows.  `_render` writes such a matrix
+    with one float repr per mirrored pair (`_render_mirrored`).
+    """
 
 
 @functools.cache
@@ -67,19 +82,57 @@ def _leaf_encoder(depth):
     return lambda obj: "".join(encode(obj, 0))
 
 
+def _render_mirrored(rows, depth):
+    """The text `_render` writes for the square float matrix `rows` at `depth`.
+
+    Cells on and above the diagonal are repr'd.  Row i reuses the texts of
+    column i above the diagonal when its cells left of the diagonal equal
+    them and none of them is 0.0 or -0.0: equal nonzero floats have the
+    same bits, so the same repr.  Otherwise its cells left of the
+    diagonal are repr'd too.  Returns None for another shape or cell type,
+    or a non-finite cell (a finite float's repr holds no "n"; "inf" and
+    "nan" do), which `_render` then writes, or rejects, as json does.
+    """
+    k = len(rows)
+    try:
+        if not k or set(map(len, rows)) != {k}:
+            return None
+        upper = [[None] * i + list(map(float.__repr__, row[i:])) for i, row in enumerate(rows)]
+    except TypeError:  # a row that is not a sequence, or a cell that is not a float
+        return None
+    partners, partner_texts = list(zip(*rows)), list(zip(*upper))
+    outer, inner = "  " * (depth + 1), "  " * (depth + 2)
+    cell_sep, row_sep = ",\n" + inner, ",\n" + outer
+    lines = []
+    for i, row in enumerate(rows):
+        lower = tuple(row[:i])
+        if lower == partners[i][:i] and 0.0 not in lower:
+            cells = partner_texts[i][:i]
+        else:
+            cells = map(float.__repr__, lower)
+        lines.append(f"[\n{inner}{cell_sep.join((*cells, *upper[i][i:]))}\n{outer}]")
+    text = f"[\n{outer}{row_sep.join(lines)}\n{'  ' * depth}]"
+    return None if "n" in text else text
+
+
 def _render(obj, depth=0):
     """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) at `depth`.
 
-    Every key of a dict that holds a container must be a string, as every
-    Report key is; any other raises TypeError.
+    Every key of a dict that holds a value of a type outside _SCALARS (a
+    container, or an np.float64) must be a string, as every Report key is;
+    any other raises TypeError.
     """
     if isinstance(obj, dict):
         brackets, values = "{}", obj.values()
     elif isinstance(obj, (list, tuple)):
+        if type(obj) is _Mirrored:
+            text = _render_mirrored(obj, depth)
+            if text is not None:
+                return text
         brackets, values = "[]", obj
     else:
         return _leaf_encoder(depth)(obj)
-    if not any(isinstance(v, _CONTAINERS) for v in values):
+    if _SCALARS.issuperset(map(type, values)):
         text = _leaf_encoder(depth)(obj)
         if text == brackets:  # an empty container stays on one line
             return text
@@ -92,6 +145,12 @@ def _render(obj, depth=0):
             items = [_render(v, depth + 1) for v in obj]
         inner = (",\n" + "  " * (depth + 1)).join(items)
     return f"{brackets[0]}\n{'  ' * (depth + 1)}{inner}\n{'  ' * depth}{brackets[1]}"
+
+
+def _strengths(c):
+    """(a, b, strength label) for each of `c.pairs()`, read from c's rows."""
+    upper = (r for i, row in enumerate(c.r_rows) for r in row[i + 1:])
+    return [(a, b, classify_strength(r).value) for (a, b), r in zip(c.pairs(), upper)]
 
 
 class Report(Record):
@@ -150,12 +209,9 @@ class Report(Record):
             out["correlations"] = {
                 "variables": list(c.variables),
                 "n": c.n,
-                "r": [list(row) for row in c.r_rows],
-                "p": [list(row) for row in c.p_rows],
-                "strength": {
-                    f"{a}:{b}": classify_strength(c.value(a, b)).value
-                    for a, b in c.pairs()
-                },
+                "r": _Mirrored(map(list, c.r_rows)),
+                "p": _Mirrored(map(list, c.p_rows)),
+                "strength": {f"{a}:{b}": label for a, b, label in _strengths(c)},
             }
         if self.fitted is not None:
             f = self.fitted
@@ -180,7 +236,7 @@ class Report(Record):
             rm = self.reproduced
             out["reproduced"] = {
                 "variables": list(rm.variables),
-                "r_hat": [list(row) for row in rm.r_hat_rows],
+                "r_hat": _Mirrored(map(list, rm.r_hat_rows)),
             }
         if self.fit is not None:
             out["fit"] = {
@@ -308,9 +364,7 @@ class Report(Record):
                     cells.append(f"{'':>9}")
             lines.append(f"{v:<10}" + "".join(cells))
         lines.append("strength (|r|): " + ", ".join(
-            f"{a}-{b} {classify_strength(c.value(a, b)).value}"
-            for a, b in c.pairs()
-        ))
+            f"{a}-{b} {label}" for a, b, label in _strengths(c)))
         lines.append("stars: ** p<.01, * p<.05")
         return lines
 

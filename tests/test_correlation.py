@@ -1,5 +1,6 @@
 """Pearson matrices, correlation-file ingestion, and strength labels."""
 
+import math
 import warnings
 
 import numpy as np
@@ -116,6 +117,12 @@ def test_p_rows_computed_on_first_read_only(monkeypatch):
     assert len(calls) == 5 * 4 // 2
     assert corr.p_rows is first
     assert len(calls) == 5 * 4 // 2
+
+
+def test_p_value_of_a_nan_correlation_raises():
+    # the t tail rejects a NaN t at once rather than running its continued fraction out
+    with pytest.raises(ValueError, match="NaN"):
+        correlation_p_value(math.nan, 240)
 
 
 def test_estimates_compute_no_correlation_tails(monkeypatch, study_dataset, revised_refit):

@@ -68,9 +68,10 @@ def kolmogorov_theta_dual(lam):
 
 
 # ---------------------------------------------------------------------------
-# Scalar reference loops for the array tails: the same libm calls and the
-# same IEEE steps, one value at a time.  The array forms must equal them
-# bit for bit.
+# Scalar reference loops: the same libm calls and the same IEEE steps as the
+# array tails, one value at a time, and the t tail as it was written before
+# its continued fraction lost its abs() calls and its prefactor gained a
+# per-df cache.  The implementations must equal them bit for bit.
 
 def reference_normal_cdf(z):
     if not math.isfinite(z):
@@ -90,6 +91,64 @@ def reference_chisq_sf(x, df):
         a = j + 0.5 * odd
         total += math.exp(a * log_h - h - math.lgamma(a + 1.0))
     return min(1.0, total)
+
+
+def reference_betacf(a, b, x):
+    """The incomplete beta's continued fraction as it was written with abs()
+    and an int term index (Lentz; Numerical Recipes 6.4), 499 terms."""
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 500):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise NoConvergence(f"unconverged at a={a!r}, b={b!r}, x={x!r}")
+
+
+def reference_t_sf_two_sided(t, df):
+    """The two-sided t tail with its df-only log-gamma terms computed on
+    every call."""
+    tt = t * t
+    if tt == 0.0:
+        return 1.0
+    x = df / (df + tt)
+    if x == 0.0:
+        return 0.0
+    a = 0.5 * df
+    front = math.exp(
+        numeric._log_gamma_ratio_half(a) - math.lgamma(0.5)
+        - a * math.log1p(tt / df) + 0.5 * (math.log(tt) - math.log(df + tt))
+    )
+    if x < (a + 1.0) / (a + 2.5):
+        return front * reference_betacf(a, 0.5, x) / a
+    return 1.0 - 2.0 * front * reference_betacf(0.5, a, tt / (df + tt))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +338,67 @@ def test_t_sf_unconverged_fraction_raises(monkeypatch):
     with pytest.raises(NoConvergence, match=r"a=5\.0, b=0\.5, x=0\.714") as exc:
         numeric.t_sf_two_sided(2.0, 10)
     assert isinstance(exc.value, PathtrekError)
+
+
+def t_tail_outcome(f, t, df):
+    """The bits of f(t, df), or the class of the error it raises."""
+    try:
+        return f(t, df).hex()
+    except NoConvergence as exc:
+        return type(exc)
+
+
+# Every df that perfbench's plans produce: n - |P| - 1 for the sample sizes
+# its fits and recoveries use and up to 19 parents (n - 2 is a correlation's).
+PERFBENCH_DFS = tuple(n - 1 - parents for n in (240, 1000, 2000, 5000, 20000)
+                      for parents in range(20))
+
+
+def t_tail_grid():
+    gen = np.random.default_rng(20240533)
+    dfs = {1, 2, 3, 4, 5, 10, 37, 38, 39, 40, 41, 42, 100, 238, 10 ** 3, 10 ** 4,
+           10 ** 5, 10 ** 6, 10 ** 7, *PERFBENCH_DFS}
+    dfs |= set(gen.integers(1, 10 ** 7, 40).tolist())
+    dfs |= set(np.unique(np.rint(10.0 ** gen.uniform(0.0, 7.0, 60))).astype(int).tolist())
+    ts = [0.0, -0.0, 1e-300, 1e-160, 1e-20, 1e-8, 0.01, 0.5, 1.0, 1.96, 2.0, 5.0, 40.0,
+          1e3, 1e8, 1e20, 1e150, 1e300, 1.7976931348623157e308]
+    ts += (10.0 ** gen.uniform(-6.0, 2.0, 40)).tolist()
+    ts += gen.uniform(0.0, 12.0, 40).tolist()
+    grid = [(t, df) for df in sorted(dfs) for t in ts]
+    grid += [(-t, df) for t, df in grid[::7]]
+    grid += [(float(t), int(df)) for t, df in zip(gen.uniform(0.0, 30.0, 2000),
+                                                 gen.integers(1, 400, 2000))]
+    return grid
+
+
+def test_t_sf_equals_reference_bit_for_bit():
+    grid = t_tail_grid()
+    branches = {"fraction in x": 0, "fraction in 1 - x": 0, "front underflows": 0}
+    for t, df in grid:
+        assert t_tail_outcome(numeric.t_sf_two_sided, t, df) == \
+            t_tail_outcome(reference_t_sf_two_sided, t, df), (t, df)
+        tt = t * t
+        x = df / (df + tt) if tt else 1.0
+        if tt and x:
+            a = 0.5 * df
+            branches["fraction in x" if x < (a + 1.0) / (a + 2.5) else "fraction in 1 - x"] += 1
+            front = (numeric._log_gamma_ratio_half(a) - math.lgamma(0.5) - a * math.log1p(tt / df)
+                     + 0.5 * (math.log(tt) - math.log(df + tt)))
+            branches["front underflows"] += math.exp(front) == 0.0
+    # the grid reaches both continued fractions and a prefactor that underflows
+    assert min(branches.values()) > 50, branches
+
+
+def test_t_sf_rejects_nan_t():
+    for df in (1, 10, 4998):
+        with pytest.raises(ValueError, match="NaN"):
+            numeric.t_sf_two_sided(math.nan, df)
+
+
+def test_t_sf_infinite_t_is_zero():
+    for df in (1, 10, 4998, 10 ** 7):
+        assert numeric.t_sf_two_sided(math.inf, df) == 0.0
+        assert numeric.t_sf_two_sided(-math.inf, df) == 0.0
 
 
 def test_t_sf_normal_limit():

@@ -1,5 +1,6 @@
 """The JSON renderer against the stdlib call whose bytes it must reproduce."""
 
+import contextlib
 import json
 import math
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathtrek.report import _render
+from conftest import DATA_DIR
+from pathtrek.correlation import classify_strength, load_correlation_csv
+from pathtrek.effects import assess_fit
+from pathtrek.estimation import fit_standardized
+from pathtrek.pathspec import load_model
+from pathtrek.report import Report, _Mirrored, _render
+from pathtrek.tracing import implied_matrix
 
 
 def stdlib(obj):
@@ -73,16 +80,127 @@ def test_render_refuses_non_string_keys_beside_containers():
         _render({1: [1]})
 
 
-def test_render_without_the_c_encoder(monkeypatch):
-    # where json has no C encoder, each leaf goes through JSONEncoder.encode
+@contextlib.contextmanager
+def without_c_encoder():
+    """json as on an interpreter without its C encoder."""
     from pathtrek import report
 
-    obj = {"r": [[1.0, -0.0], [5e-324, 1e16]], "s": ["\n", '"é'], "e": [{}, []], "n": None}
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    saved = json.encoder.c_make_encoder
+    json.encoder.c_make_encoder = None
     report._leaf_encoder.cache_clear()
     try:
+        yield
+    finally:
+        json.encoder.c_make_encoder = saved
+        report._leaf_encoder.cache_clear()
+
+
+def test_render_without_the_c_encoder():
+    # where json has no C encoder, each leaf goes through JSONEncoder.encode
+    obj = {"r": [[1.0, -0.0], [5e-324, 1e16]], "s": ["\n", '"é'], "e": [{}, []], "n": None}
+    with without_c_encoder():
         assert _render(obj) == stdlib(obj)
         with pytest.raises(ValueError):
             _render({"a": [math.nan]})
-    finally:
-        report._leaf_encoder.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# Mirrored matrices: one repr per pair of equal nonzero cells
+
+@st.composite
+def mirrored_matrices(draw, cells=finite_floats):
+    """Square float rows whose cell (i, j), i > j, is cell (j, i), its zero
+    of the other sign, or one ulp away from it."""
+    k = draw(st.integers(1, 6))
+    rows = [[draw(cells) for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        for j in range(i):
+            partner = rows[j][i]
+            relation = draw(st.sampled_from(["same", "same", "zeros", "ulp"]))
+            if relation == "zeros":
+                rows[j][i], rows[i][j] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+            elif relation == "ulp":
+                rows[i][j] = math.nextafter(partner, draw(st.sampled_from([math.inf, -math.inf])))
+                if not math.isfinite(rows[i][j]):
+                    rows[i][j] = partner
+            else:
+                rows[i][j] = partner
+    return rows
+
+
+def in_documents(rows):
+    """The rows as a mirrored matrix alone and at the depths a Report puts them."""
+    return [_Mirrored(rows),
+            {"reproduced": {"r_hat": _Mirrored(rows), "variables": ["a"]}},
+            [{"x": [_Mirrored(rows), 1]}]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mirrored_matrices())
+@example([[1.0]])
+@example([[1.0, 0.0], [-0.0, 1.0]])
+@example([[1.0, 0.25, 5e-324], [0.25, 1.0, -1e16], [5e-324, -1e16, 1.0]])
+def test_render_mirrored_matches_stdlib(rows):
+    for obj in in_documents(rows):
+        assert _render(obj) == stdlib(obj)
+        with without_c_encoder():
+            assert _render(obj) == stdlib(obj)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[1.0, 2.0]],
+    [[1.0, 2.0], [3.0]],
+    [[1, 0.5], [0.5, 1]],
+    [[True, 0.5], [0.5, None]],
+    [[np.float64(0.5), 0.5], [0.5, np.float64(-0.0)]],
+    [(1.0, 0.5), (0.5, 1.0)],
+])
+def test_render_mirrored_other_shapes_and_cells_match_stdlib(rows):
+    for obj in in_documents(rows):
+        assert _render(obj) == stdlib(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (2, 1)])
+def test_render_mirrored_rejects_non_finite_cells(bad, cell):
+    rows = [[1.0, 0.5, 0.25], [0.5, 1.0, 0.125], [0.25, 0.125, 1.0]]
+    i, j = cell
+    rows[i][j] = bad
+    for obj in in_documents(rows):
+        with pytest.raises(ValueError):
+            stdlib(obj)
+        with pytest.raises(ValueError):
+            _render(obj)
+        with without_c_encoder(), pytest.raises(ValueError):
+            _render(obj)
+
+
+@pytest.fixture(scope="module")
+def study_report():
+    corr = load_correlation_csv(DATA_DIR / "observed_correlations.csv", 240)
+    fitted = fit_standardized(corr, load_model(DATA_DIR / "revised_model.pm"))
+    implied = implied_matrix(fitted.annotated_model())
+    return Report(command="fit", correlations=corr, fitted=fitted, reproduced=implied,
+                  fit=assess_fit(corr, implied))
+
+
+def test_report_matrices_are_lists_of_lists(study_report):
+    corr, implied = study_report.correlations, study_report.reproduced
+    d = study_report.to_dict()
+    assert d["correlations"]["r"] == [list(row) for row in corr.r_rows]
+    assert d["correlations"]["p"] == [list(row) for row in corr.p_rows]
+    assert d["reproduced"]["r_hat"] == [list(row) for row in implied.r_hat_rows]
+    plain = json.loads(stdlib(d))
+    assert d == plain
+    assert study_report.to_json() == stdlib(plain) + "\n"
+
+
+def test_report_strengths_follow_the_pairs(study_report):
+    c = study_report.correlations
+    labels = {f"{a}:{b}": classify_strength(c.value(a, b)).value for a, b in c.pairs()}
+    assert study_report.to_dict()["correlations"]["strength"] == labels
+    assert list(study_report.to_dict()["correlations"]["strength"]) == list(labels)
+    line = "strength (|r|): " + ", ".join(
+        f"{a}-{b} {classify_strength(c.value(a, b)).value}" for a, b in c.pairs())
+    assert line in study_report.to_text().splitlines()
