@@ -38,7 +38,6 @@ from .tracing import (
     Trek,
     enumerate_treks,
     implied_matrix,
-    reproduced_matrix,
     write_treks_csv,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "pearson_matrix",
     "recovery_check",
     "render_model",
-    "reproduced_matrix",
     "residual_diagnostics",
     "revise_model",
     "screen",

@@ -55,15 +55,16 @@ def assess_fit(observed, reproduced, threshold=DEFAULT_MISFIT_THRESHOLD):
     """Compare every unordered pair: |r - r_hat| > threshold flags a misfit.
 
     `reproduced` is a ReproducedMatrix over the same variables as
-    `observed`, in any order.  One pass over the upper triangle of the
+    `observed`, in any order; otherwise VariableMismatch names the
+    variables each side lacks.  One pass over the upper triangle of the
     stored cells gives one PairFit per pair, in observed.pairs() order.
     """
     names = observed.variables
     if set(names) != set(reproduced.variables):
-        raise VariableMismatch(
-            f"observed variables {sorted(names)} != "
-            f"reproduced {sorted(reproduced.variables)}"
-        )
+        lacks = [f"{side} lacks {sorted(missing)}" for side, missing in (
+            ("reproduced", set(names).difference(reproduced.variables)),
+            ("observed", set(reproduced.variables).difference(names))) if missing]
+        raise VariableMismatch("observed and reproduced variables differ: " + "; ".join(lacks))
     idx = [reproduced.index(v) for v in names]
     pairs = []
     new = tuple.__new__  # as PairFit._make builds it, with no Python call per pair

@@ -17,6 +17,7 @@ after that, `topological_order` included, reads the stored tables.
 """
 
 import heapq
+import math
 import re
 import warnings
 from typing import NamedTuple, Optional
@@ -47,7 +48,7 @@ class Arrow(NamedTuple):
 
 
 class PathModel(FrozenRecord):
-    """A validated DAG of named variables with optional arrow coefficients.
+    """A validated DAG of named variables with optional, finite arrow coefficients.
 
     Construction works out the causal structure once (the order, each
     variable's parents and children, and the arrow of each (source, target)
@@ -75,6 +76,10 @@ class PathModel(FrozenRecord):
                 raise UnknownVariable(f"arrow target {target!r} undeclared")
             if (source, target) in arrow_of:
                 raise DuplicateArrow(source, target)
+            if a.coefficient is not None and not math.isfinite(a.coefficient):
+                raise ParseError(
+                    f"arrow {source} -> {target} carries a non-finite coefficient "
+                    f"{a.coefficient!r}")
             arrow_of[(source, target)] = a
         order, parents, children = _causal_structure(names, arrow_of)
         for nm, label in labels.items():

@@ -20,11 +20,12 @@ unchanged and runs the loop from the first changed position, since a
 variable's Sigma entries with earlier variables, its (I-B)^-1 row and its
 Psi depend on that prefix alone.
 Treks are enumerated only to explain a decomposition and for the trek export:
-`_treks_by_pair` lists every pair's treks once, `write_treks_csv` writes
-them and `reproduced_matrix` sums them, which the trek rule makes equal to
-the recursion, so it serves as the recursion's cross-check.  Enumeration
-grows exponentially with the arrow count, so it stops past TREK_BUDGET
-treks, whatever the number of variables.
+`_treks_by_pair` lists every pair's treks once and `write_treks_csv` writes
+them.  The trek rule makes the sum of each pair's treks equal to the
+recursion's r_hat; the tests keep that sum as the recursion's cross-check,
+and the library computes r_hat by the recursion alone.  Enumeration grows
+exponentially with the arrow count, so it stops past TREK_BUDGET treks,
+whatever the number of variables.
 """
 
 import itertools
@@ -81,8 +82,10 @@ class ReproducedMatrix(FrozenRecord):
     def __init__(self, variables, r_hat_rows, psi=None, total=None):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "r_hat_rows", r_hat_rows)  # tuples of floats, as given
-        object.__setattr__(self, "psi", psi)  # residual variances, implied route only
-        object.__setattr__(self, "total", total)  # rows of (I-B)⁻¹ by variable, implied only
+        # residual variances and rows of (I-B)⁻¹ by variable; None only for a
+        # matrix a caller builds from cells
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "total", total)
 
     @cached_property
     def r_hat(self):
@@ -160,16 +163,6 @@ def _treks_by_pair(m):
     return treks
 
 
-def reproduced_matrix(m):
-    """Exhaustive trek-sum correlations for every variable pair."""
-    idx = {v: i for i, v in enumerate(m.variables)}
-    r_hat = [[1.0 if a == b else 0.0 for b in range(m.k)] for a in range(m.k)]
-    for (va, vb), treks in _treks_by_pair(m).items():
-        a, b = idx[va], idx[vb]
-        r_hat[a][b] = r_hat[b][a] = sum((t.product for t in treks), 0.0)
-    return ReproducedMatrix(m.variables, tuple(map(tuple, r_hat)))
-
-
 def implied_matrix(m):
     """Structural implied correlations, built recursively in causal order.
 
@@ -180,16 +173,11 @@ def implied_matrix(m):
     (I-B)⁻ᵀ without forming an inverse; each sum runs over the parents left
     to right.  Raises NonPositiveResidualVariance when psi <= 0.
     """
-    implied = _implied(m)
+    implied = _trace(m.variables, _steps(m))[0]
     for v, resid in implied.psi.items():  # causal order
         if resid <= 0.0:
             raise NonPositiveResidualVariance(v, resid)
     return implied
-
-
-def _implied(m):
-    """implied_matrix without the residual-variance check: psi may be <= 0."""
-    return _trace(m.variables, _steps(m))[0]
 
 
 def _steps(m):
@@ -210,32 +198,29 @@ def _trace(variables, steps, resume=None):
     variable's parents and beta are empty.  Returns the ReproducedMatrix and
     the recursion's state.  Passed back as `resume` with the same
     `variables`, that state lets the next call skip the longest prefix of
-    `steps` equal, position by position, to the steps it was built from: it
-    resets Sigma, the (I-B)⁻¹ rows and psi to what a fresh run holds at the
-    first changed position (the prefix's block, zeros elsewhere; Sigma's
-    entry (i, j) is written only when the later of i and j is processed)
-    and runs the same loop from there, so the result is bit for bit that of
-    a fresh call.  A fresh call (`resume` None) resumes the empty state: it
-    keeps no prefix and runs the loop over every step.  `resume` is
+    `steps` equal, position by position, to the steps it was built from and
+    run the same loop from the first changed position.  The prefix's Sigma
+    block, (I-B)⁻¹ rows and psi are what a fresh run holds there, and every
+    other Sigma cell is overwritten before it is read: entry (i, j) is
+    written when the later of i and j is processed (`sigma[j][vi]` for
+    every j, then row `sigma[vi]`), and every position from the first
+    changed one on is processed again.  A stale cell reaches only
+    `cov[j]` for a j later than the variable being processed, which is
+    itself overwritten when j is; psi and `explained` read only the parents'
+    columns, and (I-B)⁻¹ row v only the parents' rows, all written in this
+    pass or in the prefix.  So the result is bit for bit that of a fresh
+    call, which starts from zeros and keeps no prefix.  `resume` is
     consumed: its Sigma rows are rewritten.
     """
     k = len(variables)
     idx = {v: i for i, v in enumerate(variables)}
-    done, sigma, total, psi = resume or ((), [None] * k, [None] * k, [])
+    done, sigma, total, psi = resume or ((), [[0.0] * k for _ in range(k)], [None] * k, [])
     start = 0
     for step, old in zip(steps, done):
         if step != old:
             break
         start += 1
-    redo = [idx[v] for v, _, _ in steps[start:]]
-    for v, _, _ in steps[:start]:
-        row = sigma[idx[v]]
-        for j in redo:
-            row[j] = 0.0
     total = total[:]  # the previous result keeps its list
-    for j in redo:
-        sigma[j] = [0.0] * k
-        total[j] = None
     psi = psi[:start]
     for v, parents, beta in steps[start:]:
         vi = idx[v]

@@ -9,6 +9,7 @@ import pytest
 
 from pathtrek.correlation import CorrelationMatrix
 from pathtrek.pathspec import parse_model
+from pathtrek.tracing import ReproducedMatrix, _steps, _trace, _treks_by_pair
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -90,6 +91,25 @@ def total_effect_oracle(m):
         power = power @ b
         total += power
     return m.variables, total
+
+
+def trek_sum_matrix(m):
+    """r_hat as the sum of every pair's treks (Wright's trek rule).
+
+    The oracle for the structural recursion: it enumerates treks, so it
+    raises TooManyVariables past tracing.TREK_BUDGET.
+    """
+    idx = {v: i for i, v in enumerate(m.variables)}
+    r_hat = [[1.0 if a == b else 0.0 for b in range(m.k)] for a in range(m.k)]
+    for (va, vb), treks in _treks_by_pair(m).items():
+        a, b = idx[va], idx[vb]
+        r_hat[a][b] = r_hat[b][a] = sum((t.product for t in treks), 0.0)
+    return ReproducedMatrix(m.variables, tuple(map(tuple, r_hat)))
+
+
+def unchecked_trace(m):
+    """A fresh trace of annotated `m` without implied_matrix's psi check."""
+    return _trace(m.variables, _steps(m))[0]
 
 
 def exact_corr_scores(target_r, n, seed):

@@ -20,9 +20,9 @@ from pathtrek.estimation import fit_standardized
 from pathtrek.pathspec import Arrow, PathModel
 from pathtrek.screening import ks_normality, mahalanobis, vif
 from pathtrek.simulate import SimulationSpec, recovery_check, simulate_dataset
-from pathtrek.tracing import implied_matrix, reproduced_matrix
+from pathtrek.tracing import implied_matrix
 
-from conftest import total_effect_oracle
+from conftest import total_effect_oracle, trek_sum_matrix
 from test_tracing import random_annotated_dag
 
 
@@ -62,8 +62,8 @@ def test_criterion_2_r_squared(revised_refit):
 # 3 ------------------------------------------------------------------------
 
 def test_criterion_3_reproduced_golden_cells(initial_printed, revised_printed):
-    init = reproduced_matrix(initial_printed)
-    rev = reproduced_matrix(revised_printed)
+    init = implied_matrix(initial_printed)
+    rev = implied_matrix(revised_printed)
     cells = [
         (init, "X1", "X3", 0.417), (init, "X1", "X4", 0.087),
         (init, "X2", "X3", 0.329), (init, "X2", "X4", 0.069),
@@ -79,9 +79,9 @@ def test_criterion_3_reproduced_golden_cells(initial_printed, revised_printed):
 # 4 ------------------------------------------------------------------------
 
 def test_criterion_4_fit_verdicts(observed_corr, initial_printed, revised_refit):
-    initial_fit = assess_fit(observed_corr, reproduced_matrix(initial_printed), 0.05)
+    initial_fit = assess_fit(observed_corr, implied_matrix(initial_printed), 0.05)
     revised_fit = assess_fit(
-        observed_corr, reproduced_matrix(revised_refit.annotated_model()), 0.05
+        observed_corr, implied_matrix(revised_refit.annotated_model()), 0.05
     )
     ok = (
         initial_fit.misfit_count == 9
@@ -148,7 +148,7 @@ def test_criterion_7_oracle_equivalence():
     worst_total = 0.0
     for _ in range(100):
         model = random_annotated_dag(gen, max_k=8)
-        rm = reproduced_matrix(model)
+        rm = trek_sum_matrix(model)
         im = implied_matrix(model)
         worst_matrix = max(worst_matrix, float(np.abs(rm.r_hat - im.r_hat).max()))
         names, totals = total_effect_oracle(model)
@@ -218,6 +218,6 @@ def test_criterion_10_saturated_identity():
         r = cov / np.outer(scale, scale)
         corr = CorrelationMatrix(names, r, 120)
         fit = fit_standardized(corr, saturated)
-        rm = reproduced_matrix(fit.annotated_model())
+        rm = implied_matrix(fit.annotated_model())
         worst = max(worst, float(np.abs(rm.r_hat - r).max()))
     report(10, worst <= 1e-9, f"max saturated reproduction error {worst:.2e} (tol 1e-9)")

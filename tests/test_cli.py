@@ -8,7 +8,7 @@ from pathtrek.cli import main
 from pathtrek.data import Dataset, load_csv, write_csv
 from pathtrek.pathspec import load_model, render_model
 
-from conftest import DATA_DIR, NAMES, OBSERVED_R, exact_corr_scores
+from conftest import DATA_DIR, NAMES, OBSERVED_R, exact_corr_scores, unchecked_trace
 
 CORR = str(DATA_DIR / "observed_correlations.csv")
 SCORES = str(DATA_DIR / "sample_scores.csv")
@@ -293,10 +293,22 @@ def test_revise_no_admissible_move(tmp_path):
     assert any("revision failed" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("command", ["fit", "revise"])
+def test_model_over_a_subset_names_the_missing_variables(tmp_path, capsys, command):
+    model_path = tmp_path / "subset.pm"
+    model_path.write_text("var X1\nvar X2\nvar X3\npath X1 -> X2\npath X2 -> X3\n",
+                          encoding="utf-8")
+    code = main([command, "--corr", CORR, "--n", "240", "--model", str(model_path),
+                 "--out", str(tmp_path / "r.txt")])
+    assert code == 2
+    assert ("pathtrek: error: observed and reproduced variables differ: "
+            "reproduced lacks ['X4', 'Y']\n") in capsys.readouterr().err
+
+
 def _k16_problem(seed, n):
     """A seeded 16-variable DAG's population correlation table and a start model.
 
-    The table is the true annotated DAG's r_hat from `_implied`.  The start
+    The table is the true annotated DAG's r_hat from an unchecked trace.  The start
     model lacks a quarter of the true arrows and carries four spurious ones;
     variables are declared in shuffled order, so dropping a spurious arrow
     can change the causal order.
@@ -305,7 +317,6 @@ def _k16_problem(seed, n):
 
     from pathtrek.correlation import CorrelationMatrix
     from pathtrek.pathspec import Arrow, PathModel
-    from pathtrek.tracing import _implied
 
     rng = np.random.default_rng(seed)
     k = 16
@@ -316,7 +327,7 @@ def _k16_problem(seed, n):
         parents = [causal[i] for i in range(j) if rng.random() < 0.25]
         true += [Arrow(p, causal[j], float(rng.uniform(-0.9, 0.9)) / len(parents))
                  for p in parents]
-    corr = CorrelationMatrix(declared, _implied(PathModel(declared, true, {})).r_hat_rows, n)
+    corr = CorrelationMatrix(declared, unchecked_trace(PathModel(declared, true, {})).r_hat_rows, n)
     kept = [true[i] for i in sorted(rng.permutation(len(true))[len(true) // 4:])]
     have = {(a.source, a.target) for a in true}
     free = [(causal[i], causal[j]) for j in range(k) for i in range(j)
@@ -421,6 +432,20 @@ def test_simulate_failure_keeps_existing_out(tmp_path, capsys):
     assert code == 2
     assert "pathtrek: error:" in capsys.readouterr().err
     assert out.read_bytes() == b"A,B\n1.0,2.0\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_coefficient_keeps_existing_out(tmp_path, capsys, value):
+    # float() reads nan and inf; the model refuses them before --out is opened
+    model_path = tmp_path / "non_finite.pm"
+    model_path.write_text(f"var A\nvar B\npath A -> B : {value}\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"precious")
+    code = main(["simulate", "--model", str(model_path), "--n", "100",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "pathtrek: error:" in capsys.readouterr().err
+    assert out.read_bytes() == b"precious"
 
 
 def test_simulated_data_refits(tmp_path, revised_refit):
@@ -1000,16 +1025,15 @@ def test_revise_trace_export(tmp_path):
 
 
 @pytest.mark.parametrize("model", [INITIAL, INITIAL_PUBLISHED], ids=["bare", "annotated"])
-def test_trek_export_sums_no_reproduced_matrix(tmp_path, monkeypatch, model):
-    # the export writes the listed treks; r_hat comes from the recursion alone
-    import pathtrek.cli
+def test_trek_export_sums_no_reproduced_matrix(tmp_path, model):
+    # the export writes the listed treks; r_hat comes from the recursion alone,
+    # and the library has no trek-sum route to it
+    import pathtrek
     import pathtrek.tracing
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("fit --treks-csv called reproduced_matrix")
-
-    for module in (pathtrek.tracing, pathtrek.cli):  # either may bind the name
-        monkeypatch.setattr(module, "reproduced_matrix", refuse, raising=False)
+    for module in (pathtrek, pathtrek.tracing):
+        assert not hasattr(module, "reproduced_matrix")
+    assert "reproduced_matrix" not in pathtrek.__all__
     treks = tmp_path / "treks.csv"
     assert main(["fit", "--corr", CORR, "--n", "240", "--model", model,
                  "--treks-csv", str(treks), "--out", str(tmp_path / "r.txt")]) == 0
@@ -1037,7 +1061,7 @@ def test_fit_and_revise_never_enumerate_treks(tmp_path, monkeypatch):
 def _count_structure_builds(monkeypatch):
     """Record every run of the structural recursion, fresh or resumed.
 
-    `tracing._trace` is the one recursion: `_implied` and `cli` call it as
+    `tracing._trace` is the one recursion: `implied_matrix` and `cli` call it as
     `tracing._trace`, and `decompose_effects` and a revise refit, which
     resumes it, as `effects._trace`, so it is wrapped at both names.
     """

@@ -28,9 +28,9 @@ from pathtrek.errors import (
 )
 from pathtrek.estimation import coefficient_inference, fit_standardized
 from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
-from pathtrek.tracing import ReproducedMatrix, _implied, implied_matrix, reproduced_matrix
+from pathtrek.tracing import ReproducedMatrix, implied_matrix
 
-from conftest import total_effect_oracle
+from conftest import total_effect_oracle, unchecked_trace
 from test_tracing import annotated_dags, random_annotated_dag
 
 
@@ -38,7 +38,7 @@ from test_tracing import annotated_dags, random_annotated_dag
 # assess_fit
 
 def test_initial_model_flags_nine_of_ten(observed_corr, initial_printed):
-    fa = assess_fit(observed_corr, reproduced_matrix(initial_printed))
+    fa = assess_fit(observed_corr, implied_matrix(initial_printed))
     assert fa.misfit_count == 9
     assert not fa.fits
     unflagged = [(p.a, p.b) for p in fa.pairs if not p.flagged]
@@ -46,7 +46,7 @@ def test_initial_model_flags_nine_of_ten(observed_corr, initial_printed):
 
 
 def test_revised_model_fits(observed_corr, revised_refit):
-    fa = assess_fit(observed_corr, reproduced_matrix(revised_refit.annotated_model()))
+    fa = assess_fit(observed_corr, implied_matrix(revised_refit.annotated_model()))
     assert fa.misfit_count == 0
     assert fa.fits
     assert fa.verdict == "fits"
@@ -63,16 +63,23 @@ def test_identical_matrices_fit(observed_corr):
 def test_assess_fit_variable_mismatch(observed_corr):
     other = CorrelationMatrix(("A", "B"), np.eye(2), 50)
     m = parse_model("var A\nvar B\npath A -> B : 0.2\n")
-    with pytest.raises(VariableMismatch):
-        assess_fit(observed_corr, reproduced_matrix(m))
-    with pytest.raises(VariableMismatch):
-        assess_fit(other, reproduced_matrix(
+    with pytest.raises(VariableMismatch, match=r"^observed and reproduced variables differ: "
+                       r"reproduced lacks \['X1', 'X2', 'X3', 'X4', 'Y'\]; "
+                       r"observed lacks \['A', 'B'\]$"):
+        assess_fit(observed_corr, implied_matrix(m))
+    with pytest.raises(VariableMismatch,
+                       match=r": reproduced lacks \['B'\]; observed lacks \['C'\]$"):
+        assess_fit(other, implied_matrix(
             parse_model("var A\nvar C\npath A -> C : 0.1\n")
+        ))
+    with pytest.raises(VariableMismatch, match=r": reproduced lacks \['X4', 'Y'\]$"):
+        assess_fit(observed_corr, implied_matrix(
+            parse_model("var X1\nvar X2\nvar X3\npath X1 -> X2 : 0.1\n")
         ))
 
 
 def test_pair_ordering_deterministic(observed_corr, revised_refit):
-    fa = assess_fit(observed_corr, reproduced_matrix(revised_refit.annotated_model()))
+    fa = assess_fit(observed_corr, implied_matrix(revised_refit.annotated_model()))
     assert [(p.a, p.b) for p in fa.pairs] == observed_corr.pairs()
 
 
@@ -172,9 +179,10 @@ def reference_effects(m):
     """decompose_effects with its own forward substitution for (I-B)⁻¹.
 
     Row v of (I-B)⁻¹ is e_v plus beta_pv times row p, summed over the
-    parents left to right in causal order; R² is 1 - psi of _implied.
+    parents left to right in causal order; R² is 1 - psi of an unchecked
+    trace.
     """
-    implied = _implied(m)
+    implied = unchecked_trace(m)
     order = topological_order(m)
     reach = {}  # v -> row v of (I-B)⁻¹: the total effect on v of each variable
     for v in order:
@@ -410,7 +418,7 @@ def reference_revise(corr, m, alpha=0.05, threshold=DEFAULT_MISFIT_THRESHOLD,
     def refit(current):
         fit = coefficient_inference(fit_standardized(corr, current))
         # An intermediate refit may imply psi <= 0; that must not stop the search.
-        assessment = assess_fit(corr, _implied(fit.annotated_model()), threshold)
+        assessment = assess_fit(corr, unchecked_trace(fit.annotated_model()), threshold)
         return fit, assessment
 
     fit, assessment = refit(model)

@@ -1,5 +1,6 @@
 """Model DSL parsing, validation, causal ordering, and rendering."""
 
+import math
 import sys
 
 import numpy as np
@@ -337,6 +338,17 @@ def test_label_survives_render(label):
 def test_unrenderable_label_rejected(head, bad, tail):
     with pytest.raises(ParseError):
         PathModel(("A",), (), {"A": head + bad + tail})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_rejected(value):
+    with pytest.raises(ParseError, match="arrow A -> B carries a non-finite coefficient"):
+        PathModel(("A", "B"), (Arrow("A", "B", value),), {})
+    with pytest.raises(ParseError, match="arrow A -> B"):
+        parse_model(f"var A\nvar B\npath A -> B : {value}\n")
+    bare = PathModel(("A", "B"), (Arrow("A", "B"),), {})
+    with pytest.raises(ParseError, match="arrow A -> B"):
+        bare.with_coefficients({("A", "B"): value})
 
 
 def test_with_coefficients(revised_model):

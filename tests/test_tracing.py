@@ -22,15 +22,13 @@ from pathtrek.pathspec import Arrow, PathModel, parse_model, topological_order
 from pathtrek import tracing
 from pathtrek.simulate import SimulationSpec, simulate_dataset
 from pathtrek.tracing import (
-    _implied,
     _trace,
     enumerate_treks,
     implied_matrix,
-    reproduced_matrix,
     write_treks_csv,
 )
 
-from conftest import NAMES
+from conftest import NAMES, trek_sum_matrix, unchecked_trace
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +129,7 @@ def test_enumeration_deterministic_and_sorted(initial_printed):
 
 
 def test_reproduced_golden_cells_initial(initial_printed):
-    rm = reproduced_matrix(initial_printed)
+    rm = trek_sum_matrix(initial_printed)
     assert rm.value("X1", "X3") == pytest.approx(0.417, abs=1e-3)
     assert rm.value("X1", "X4") == pytest.approx(0.087, abs=1e-3)
     assert rm.value("X2", "X3") == pytest.approx(0.329, abs=1e-3)
@@ -145,13 +143,13 @@ def test_reproduced_golden_cells_initial(initial_printed):
 
 
 def test_reproduced_golden_cells_revised_refit(revised_refit):
-    rm = reproduced_matrix(revised_refit.annotated_model())
+    rm = trek_sum_matrix(revised_refit.annotated_model())
     assert rm.value("X4", "Y") == pytest.approx(0.881, abs=1e-3)
     assert rm.value("X1", "X3") == pytest.approx(0.514, abs=1e-9)
 
 
 def test_trek_lists_attached_per_cell(initial_printed):
-    rm = reproduced_matrix(initial_printed)
+    rm = trek_sum_matrix(initial_printed)
     cell = enumerate_treks(initial_printed, "X1", "X3")
     assert len(cell) == 2
     assert sum(t.product for t in cell) == pytest.approx(rm.value("X1", "X3"))
@@ -192,7 +190,7 @@ def test_trek_sum_equals_implied_on_random_models():
     gen = np.random.default_rng(77)
     for _ in range(100):
         model = random_annotated_dag(gen, max_k=8)
-        rm = reproduced_matrix(model)
+        rm = trek_sum_matrix(model)
         im = implied_matrix(model)
         assert np.abs(rm.r_hat - im.r_hat).max() <= 1e-9
 
@@ -229,7 +227,7 @@ def test_implied_matches_closed_form(m):
         psi[i] = 1.0 - sum(t[i, u] ** 2 * psi[u] for u in range(k) if u != i)
     sigma = t @ np.diag(psi) @ t.T
 
-    im = _implied(m)
+    im = unchecked_trace(m)
     assert max(abs(im.psi[v] - psi[idx[v]]) for v in m.variables) <= 1e-12
     assert np.abs(im.r_hat - sigma).max() <= 1e-12
     assert im.r_hat.dtype == np.float64 and not im.r_hat.flags.writeable
@@ -256,40 +254,86 @@ def _steps(m, beta):
             for v in topological_order(m)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_retrace_after_each_move_equals_a_fresh_trace(data):
-    """A resumed recursion gives a fresh _implied's bits after adds and drops.
+COEFFICIENT = st.floats(-1.0, 1.0)
 
-    As in a revise refit, an add refits its target's equation and a drop
-    refits every equation that lost a parent; the others keep their beta.
-    Variables are declared in shuffled order, so a drop can reorder the
-    causal order.
-    """
+
+def _draw_dag(data):
+    """Variables declared in shuffled order, every causally forward pair, and
+    beta[(source, target)] for a random subset of those pairs."""
     k = data.draw(st.integers(1, 12))
     causal = [f"V{i}" for i in range(k)]
     declared = tuple(data.draw(st.permutations(causal)))
     pairs = [(causal[i], causal[j]) for j in range(k) for i in range(j)]
-    coefficient = st.floats(-1.0, 1.0)
-    beta = {pair: data.draw(coefficient) for pair in pairs if data.draw(st.booleans())}
+    beta = {pair: data.draw(COEFFICIENT) for pair in pairs if data.draw(st.booleans())}
+    return declared, pairs, beta
+
+
+def _draw_move(data, pairs, beta):
+    """Add one arrow or drop some, in `beta`, and refit as revise does.
+
+    An add refits its target's equation and a drop refits every equation
+    that lost a parent; the others keep their beta.
+    """
+    free = [pair for pair in pairs if pair not in beta]
+    if free and data.draw(st.booleans()):
+        src, dst = data.draw(st.sampled_from(free))
+        beta[(src, dst)] = 0.0
+        refit = {dst}
+    else:
+        dropped = data.draw(st.sets(st.sampled_from(sorted(beta)))) if beta else set()
+        for pair in dropped:
+            del beta[pair]
+        refit = {t for _, t in dropped}
+    for pair in beta:
+        if pair[1] in refit:
+            beta[pair] = data.draw(COEFFICIENT)
+
+
+def _model(declared, beta):
+    return PathModel(declared, [Arrow(s, t, b) for (s, t), b in beta.items()], {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_retrace_after_each_move_equals_a_fresh_trace(data):
+    """A resumed recursion gives a fresh trace's bits after adds and drops.
+
+    Variables are declared in shuffled order, so a drop can reorder the
+    causal order.
+    """
+    declared, pairs, beta = _draw_dag(data)
     state = None
     for _ in range(data.draw(st.integers(1, 8))):
-        m = PathModel(declared, [Arrow(s, t, b) for (s, t), b in beta.items()], {})
+        m = _model(declared, beta)
         retraced, state = _trace(declared, _steps(m, beta), state)
-        _assert_same_trace(retraced, _implied(m))
-        free = [pair for pair in pairs if pair not in beta]
-        if free and data.draw(st.booleans()):
-            src, dst = data.draw(st.sampled_from(free))
-            beta[(src, dst)] = 0.0
-            refit = {dst}
-        else:
-            dropped = data.draw(st.sets(st.sampled_from(sorted(beta)))) if beta else set()
-            for pair in dropped:
-                del beta[pair]
-            refit = {t for _, t in dropped}
-        for pair in beta:
-            if pair[1] in refit:
-                beta[pair] = data.draw(coefficient)
+        _assert_same_trace(retraced, unchecked_trace(m))
+        _draw_move(data, pairs, beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_retrace_from_a_poisoned_state_equals_a_fresh_trace(data):
+    """A resume overwrites every Sigma cell past the kept prefix before reading it.
+
+    Before the resume, NaN fills the Sigma rows of the variables from the
+    first changed position on, the prefix rows' columns of those variables,
+    and their (I-B)⁻¹ rows; the result still has a fresh trace's bits.
+    """
+    declared, pairs, beta = _draw_dag(data)
+    _, (done, sigma, total, psi) = _trace(declared, _steps(_model(declared, beta), beta))
+    _draw_move(data, pairs, beta)
+    moved = _model(declared, beta)
+    steps = _steps(moved, beta)
+    start = next((i for i, (step, old) in enumerate(zip(steps, done)) if step != old),
+                 len(steps))
+    redo = {declared.index(v) for v, _, _ in steps[start:]}
+    nan = float("nan")
+    for i, row in enumerate(sigma):
+        for j in range(len(row)) if i in redo else redo:
+            row[j] = nan
+    total = [[nan] * len(declared) if i in redo else row for i, row in enumerate(total)]
+    retraced, _ = _trace(declared, steps, (done, sigma, total, psi))
+    _assert_same_trace(retraced, unchecked_trace(moved))
 
 
 def test_retrace_after_a_drop_that_reorders_the_causal_order():
@@ -301,7 +345,7 @@ def test_retrace_after_a_drop_that_reorders_the_causal_order():
     beta = {(a.source, a.target): a.coefficient for a in m.arrows}
     _, state = _trace(m.variables, _steps(m, beta))
     retraced, _ = _trace(m.variables, _steps(dropped, beta), state)
-    _assert_same_trace(retraced, _implied(dropped))
+    _assert_same_trace(retraced, unchecked_trace(dropped))
 
 
 def test_implied_single_arrow():
@@ -320,14 +364,14 @@ def test_implied_rejects_exploding_coefficient():
 
 def test_unchecked_recursion_matches_trek_sum_when_psi_negative():
     m = parse_model("var A\nvar B\npath A -> B : 1.2\n")
-    im = _implied(m)
+    im = unchecked_trace(m)
     assert im.psi["B"] == pytest.approx(1.0 - 1.2 ** 2)
-    assert np.abs(im.r_hat - reproduced_matrix(m).r_hat).max() <= 1e-12
+    assert np.abs(im.r_hat - trek_sum_matrix(m).r_hat).max() <= 1e-12
     m = parse_model("var A\nvar B\nvar C\nvar D\npath A -> B : 0.9\npath A -> C : 0.9\n"
                     "path B -> C : 0.9\npath C -> D : 0.5\n")
-    im = _implied(m)
+    im = unchecked_trace(m)
     assert im.psi["C"] < 0.0
-    assert np.abs(im.r_hat - reproduced_matrix(m).r_hat).max() <= 1e-12
+    assert np.abs(im.r_hat - trek_sum_matrix(m).r_hat).max() <= 1e-12
 
 
 def test_saturated_model_reproduces_any_pd_matrix():
@@ -349,7 +393,7 @@ def test_saturated_model_reproduces_any_pd_matrix():
         r = cov / np.outer(d, d)
         corr = CorrelationMatrix(names, r, 100)
         fit = fit_standardized(corr, saturated)
-        rm = reproduced_matrix(fit.annotated_model())
+        rm = trek_sum_matrix(fit.annotated_model())
         assert np.abs(rm.r_hat - r).max() <= 1e-9
 
 
@@ -357,7 +401,7 @@ def test_missing_coefficient(revised_model):
     with pytest.raises(MissingCoefficient):
         enumerate_treks(revised_model, "X1", "Y")
     with pytest.raises(MissingCoefficient):
-        reproduced_matrix(revised_model)
+        trek_sum_matrix(revised_model)
 
 
 def test_same_endpoint_rejected(initial_printed):
@@ -390,7 +434,7 @@ def test_too_many_variables_guard():
     names = tuple(f"V{i}" for i in range(21))
     arrows = tuple(Arrow(names[i], names[i + 1], 0.1) for i in range(20))
     chain_model = PathModel(names, arrows, {})
-    chain = reproduced_matrix(chain_model)
+    chain = trek_sum_matrix(chain_model)
     (trek,) = enumerate_treks(chain_model, "V0", "V20")
     assert trek.nodes == names
     assert trek.product == pytest.approx(1e-20, rel=1e-12)
@@ -398,7 +442,7 @@ def test_too_many_variables_guard():
     complete = tuple(Arrow(names[i], names[j], 0.1)
                      for j in range(21) for i in range(j))
     with pytest.raises(TooManyVariables):
-        reproduced_matrix(PathModel(names, complete, {}))
+        trek_sum_matrix(PathModel(names, complete, {}))
 
 
 def test_recursion_has_no_variable_limit():
