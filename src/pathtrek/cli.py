@@ -11,10 +11,11 @@ usage error, 3 revision failure.
 fit and revise report the same procedure through one function,
 `_traced_report`: the (variable, parents, beta) steps that were traced,
 and the structure the trace gave, yield r_hat, the fit verdict, the
-effects and a warning for each residual variance <= 0.  A fit is traced
-from its own steps; an annotated model is built from it only to export
-treks or write the final model.  Every output file is written through
-`files`.
+effects and a warning for each residual variance that is not > 0.  A fit
+is traced from its own steps; an annotated model is built from it only to
+export treks or write the final model.  Every input file is read once,
+through `files.read_input`, which gives both the text that is parsed and the
+digest the report records; every output file is written through `files`.
 
 The raw-data modules (data, screening, simulate), and numpy with them, are
 imported only by the commands that read or write rows, so `fit --corr` and
@@ -31,7 +32,7 @@ import sys
 import warnings as _warnings
 
 from . import __version__, tracing
-from .correlation import load_correlation_csv, pearson_matrix
+from .correlation import _parse_correlation_csv, pearson_matrix
 from .effects import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
@@ -44,8 +45,8 @@ from .effects import (
 )
 from .errors import NoAdmissibleRevision, NonPositiveResidualVariance, PathtrekError
 from .estimation import fit_standardized
-from .files import file_digest, write_rows, write_text
-from .pathspec import load_model, render_model
+from .files import read_input, write_rows, write_text
+from .pathspec import load_model, parse_model, render_model
 from .report import Report
 from .tracing import write_treks_csv
 
@@ -165,11 +166,16 @@ def _load_inputs(args, parser):
             corr = pearson_matrix(dataset)
             inputs[args.data] = dataset.digest
         else:
-            corr = load_correlation_csv(args.corr, args.n)
-            inputs[args.corr] = file_digest(args.corr)
-        model = load_model(args.model)
-        inputs[args.model] = file_digest(args.model)
+            text, inputs[args.corr] = read_input(args.corr)
+            corr = _parse_correlation_csv(text, args.corr, args.n)
+        model = _read_model(args.model, inputs)
     return corr, model, inputs, [str(w.message) for w in caught]
+
+
+def _read_model(path, inputs):
+    """The model file at path, parsed; its digest is recorded in inputs."""
+    text, inputs[path] = read_input(path)
+    return parse_model(text)
 
 
 def _emit(report, args):
@@ -187,13 +193,11 @@ def _cmd_screen(args, parser):
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         dataset = load_csv(args.data)
-        model = load_model(args.model) if args.model else None
+        inputs = {args.data: dataset.digest}
+        model = _read_model(args.model, inputs) if args.model else None
         load_warnings = [str(w.message) for w in caught]
     result = screen(dataset, model=model, alpha=args.alpha,
                     outlier_p=args.outlier_p)
-    inputs = {args.data: dataset.digest}
-    if args.model:
-        inputs[args.model] = file_digest(args.model)
     report = Report(
         command="screen",
         inputs=inputs,
@@ -221,12 +225,12 @@ def _traced_report(command, corr, inputs, warnings, fitted, steps, implied,
     """The fit or revise Report of `fitted`, traced as the (variable, parents,
     beta) `steps` that gave the structure `implied`.
 
-    Coefficients that imply a residual variance <= 0 are reported as
-    warnings after the caller's own, not as errors.  The effects come from
-    the same steps and structure as r_hat.
+    Coefficients that imply a residual variance that is not > 0 (NaN
+    included) are reported as warnings after the caller's own, not as
+    errors.  The effects come from the same steps and structure as r_hat.
     """
     warnings = warnings + [str(NonPositiveResidualVariance(v, psi))
-                           for v, psi in implied.psi.items() if psi <= 0.0]
+                           for v, psi in tracing._psi_faults(implied)]
     return Report(
         command=command,
         inputs=inputs,

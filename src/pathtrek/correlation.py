@@ -2,6 +2,7 @@
 
 import csv
 import enum
+import io
 import math
 import numbers
 import warnings
@@ -17,7 +18,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
 )
-from .files import write_rows
+from .files import read_input, write_rows
 from .record import FrozenRecord
 
 ASYMMETRY_LIMIT = 1e-6
@@ -173,8 +174,9 @@ def load_correlation_csv(path, n):
     """Read a labeled square correlation matrix; p-values follow from r and n.
 
     Layout: a header row of names (optionally preceded by a blank corner
-    cell), then one row per variable whose first cell repeats the name; one
-    leading byte-order mark is skipped.  The cells are checked and repaired
+    cell), then one row per variable whose first cell repeats the name.  The
+    file is read by files.read_input, and its text split into lines as in a
+    file opened with newline="".  The cells are checked and repaired
     by CorrelationMatrix, and its OutOfRange, AsymmetryTooLarge and
     DiagonalNotOne are raised again with the path in front of the message.
     A matrix whose smallest eigenvalue is <= 0 is loaded with a DataWarning
@@ -184,14 +186,16 @@ def load_correlation_csv(path, n):
     when the factor fails or that bound is below PD_MARGIN, where a
     successful factor does not rule out an eigenvalue that rounds to <= 0.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        if fh.read(1) != "\ufeff":
-            fh.seek(0)
-        reader = csv.reader(fh)
-        try:
-            rows = [cells for cells in reader if cells]
-        except csv.Error as exc:
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    return _parse_correlation_csv(read_input(path)[0], path, n)
+
+
+def _parse_correlation_csv(text, path, n):
+    """load_correlation_csv's matrix from the file's text; path names the file in errors."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [cells for cells in reader if cells]
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -233,7 +237,7 @@ def load_correlation_csv(path, n):
                 f"{path}: not positive definite, smallest eigenvalue {lam_min:.3g}; "
                 "no sample can have these correlations",
                 DataWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of load_correlation_csv
             )
     return corr
 

@@ -2,7 +2,6 @@
 
 import csv
 import functools
-import hashlib
 import io
 import itertools
 import math
@@ -13,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataWarning, OutOfRange, ParseError, TooFewRows, ZeroVariance
-from .files import open_output
+from .files import open_output, read_input
 from .record import FrozenRecord
 
 SD_FLOOR = 1e-12
@@ -89,25 +88,19 @@ class Dataset(FrozenRecord):
 def load_csv(path):
     """Read a dataset from a header-first CSV file.
 
-    The file is read once, as bytes: their sha256 becomes the Dataset's
-    `digest`, and they are decoded as UTF-8 in one call (a decoding error
-    names its byte offset in the file); one leading byte-order mark is
-    skipped.  The header is read with the csv module from the text's first
-    lines, split as in a file opened with newline="" (line endings
-    untranslated).  A clean body (k finite numbers on every non-blank line,
-    no quotes) is parsed in C by one np.loadtxt call; its values equal those
-    of float() on each cell.  That result is kept only if np.loadtxt raised
-    nothing, returned k columns of finite values, and returned one row per
-    non-blank line.  Any other body goes through the per-row loop, because
+    The file is read once, by files.read_input: the sha256 of its bytes
+    becomes the Dataset's `digest`.  The header is read with the csv module
+    from the text's first lines, split as in a file opened with newline=""
+    (line endings untranslated).  A clean body (k finite numbers on every
+    non-blank line, no quotes) is parsed in C by one np.loadtxt call; its
+    values equal those of float() on each cell.  That result is kept only
+    if np.loadtxt raised nothing, returned k columns of finite values, and
+    returned one row per non-blank line.  Any other body goes through the per-row loop, because
     only it knows which rows to drop: rows with missing, unparseable or
     non-finite cells are dropped (listwise deletion), and the count is
     reported as a DataWarning.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
-    text = raw.decode("utf-8").removeprefix("\ufeff")
-    del raw
+    text, digest = read_input(path)
     header, start, header_lines = _read_header(text, path)
     names = [h.strip() for h in header]
     if not names:

@@ -98,8 +98,9 @@ class MissingCoefficient(PathtrekError):
 
 class NonPositiveResidualVariance(PathtrekError):
     def __init__(self, variable, value):
+        relation = "<=" if value <= 0.0 else "not >"  # "not >" for NaN
         super().__init__(
-            f"coefficients imply residual variance {value:.6g} <= 0 for {variable!r}"
+            f"coefficients imply residual variance {value:.6g} {relation} 0 for {variable!r}"
         )
         self.variable = variable
         self.value = value

@@ -1,5 +1,5 @@
-"""File access: the writer every output goes through, its text and CSV
-forms, and input digests.
+"""File access: the one reader every input goes through, and the writer
+every output goes through, with its text and CSV forms.
 
 An output is rewritten in place.  open(path, "w") truncates an existing
 file to zero length on open, and ext4 then flushes the file to disk when it
@@ -62,10 +62,14 @@ def write_rows(path, rows):
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def file_digest(path):
-    """sha256 hex digest of a file's bytes."""
-    h = hashlib.sha256()
+def read_input(path):
+    """(text, sha256 hex digest) of an input file, whose bytes are read once.
+
+    The digest is that of the bytes read.  They are decoded as strict UTF-8
+    in one call, so a decoding error names its byte offset in the file, and
+    one leading byte-order mark (Excel's "CSV UTF-8") is dropped.  Line
+    endings are left as they are.
+    """
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        raw = fh.read()
+    return raw.decode("utf-8").removeprefix("\ufeff"), hashlib.sha256(raw).hexdigest()

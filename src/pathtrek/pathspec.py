@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     UnknownVariable,
 )
+from .files import read_input
 from .record import FrozenRecord
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -270,11 +271,14 @@ def parse_model(text):
             declare(dst, lineno, line.find(dst) + 1)
             coeff = None
             if coeff_tok is not None:
+                col = line.rfind(coeff_tok) + 1
                 try:
                     coeff = float(coeff_tok)
                 except ValueError:
-                    _syntax(lineno, line.rfind(coeff_tok) + 1,
-                            f"bad coefficient {coeff_tok!r}")
+                    _syntax(lineno, col, f"bad coefficient {coeff_tok!r}")
+                if not math.isfinite(coeff):  # float() reads nan and inf
+                    _syntax(lineno, col, f"arrow {src} -> {dst} carries a non-finite "
+                                         f"coefficient {coeff_tok!r}")
             arrows.append(Arrow(src, dst, coeff))
         elif kind == "eq":
             # eq DST <- SRC1 SRC2 ...
@@ -283,10 +287,7 @@ def parse_model(text):
                 _syntax(lineno, 1, "expected `eq DST <- SRC1 SRC2 ...`")
             dst = m.group(1)
             declare(dst, lineno, line.find(dst) + 1)
-            srcs = m.group(2).split()
-            if not srcs:
-                _syntax(lineno, len(line) + 1, "eq needs at least one source")
-            for src in srcs:
+            for src in m.group(2).split():  # never empty: the line is rstripped
                 declare(src, lineno, line.rfind(src) + 1)
                 arrows.append(Arrow(src, dst, None))
         else:
@@ -319,7 +320,5 @@ def render_model(m):
 
 
 def load_model(path):
-    """Read and parse a model file; one leading byte-order mark is skipped."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_model(text.removeprefix("\ufeff"))
+    """Read a model file through files.read_input and parse it."""
+    return parse_model(read_input(path)[0])

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .data import Dataset
-from .errors import ParseError, VariableMissing
+from .errors import ParseError
 from .estimation import fit_standardized
 from .correlation import _sample_size, pearson_matrix
 from .record import FrozenRecord
@@ -105,8 +105,6 @@ def recovery_check(spec, tolerance):
         for parent, b_hat in zip(eq.parents, eq.beta):
             truth = spec.model.coefficient(parent, y)
             errors[(parent, y)] = abs(b_hat - truth)
-    if not errors:
-        raise VariableMissing("(no endogenous equations)", where="recovery check")
     return RecoveryReport(
         spec=spec,
         tolerance=float(tolerance),

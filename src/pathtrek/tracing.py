@@ -171,13 +171,23 @@ def implied_matrix(m):
     for every earlier j, and row y of (I-B)⁻¹ (`.total`) is e_y + betaᵀ T_P;
     exogenous variables get unit variance.  Equivalent to (I-B)⁻¹ Psi
     (I-B)⁻ᵀ without forming an inverse; each sum runs over the parents left
-    to right.  Raises NonPositiveResidualVariance when psi <= 0.
+    to right.  Raises NonPositiveResidualVariance for the first psi in
+    causal order that is not > 0.
     """
     implied = _trace(m.variables, _steps(m))[0]
-    for v, resid in implied.psi.items():  # causal order
-        if resid <= 0.0:
-            raise NonPositiveResidualVariance(v, resid)
+    faults = _psi_faults(implied)
+    if faults:
+        raise NonPositiveResidualVariance(*faults[0])
     return implied
+
+
+def _psi_faults(implied):
+    """(variable, psi) in causal order for each psi that is not > 0.
+
+    `not psi > 0.0` also holds for a NaN psi, as when huge coefficients
+    make betaᵀ Sigma_PP beta inf - inf.
+    """
+    return [(v, psi) for v, psi in implied.psi.items() if not psi > 0.0]
 
 
 def _steps(m):

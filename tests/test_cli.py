@@ -448,6 +448,22 @@ def test_simulate_non_finite_coefficient_keeps_existing_out(tmp_path, capsys, va
     assert out.read_bytes() == b"precious"
 
 
+# beta' Sigma beta for Y is inf - inf, so psi_Y is NaN, which `psi <= 0` lets pass
+NAN_PSI_MODEL = "path X1 -> X2 : -0.9\npath X1 -> Y : 2e160\npath X2 -> Y : 1e160\n"
+
+
+def test_simulate_nan_psi_keeps_existing_out(tmp_path, capsys):
+    model_path = tmp_path / "nan_psi.pm"
+    model_path.write_text(NAN_PSI_MODEL, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"precious")
+    code = main(["simulate", "--model", str(model_path), "--n", "10",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert out.read_bytes() == b"precious"
+    assert "residual variance nan not > 0 for 'Y'" in capsys.readouterr().err
+
+
 def test_simulated_data_refits(tmp_path, revised_refit):
     model_path = tmp_path / "annotated.pm"
     model_path.write_text(render_model(revised_refit.annotated_model()),
@@ -558,14 +574,14 @@ def test_data_digest_comes_from_the_parsed_bytes(tmp_path, monkeypatch, command)
 
     from pathtrek import cli, files
 
-    digested = []
-    monkeypatch.setattr(cli, "file_digest",
-                        lambda path: digested.append(path) or files.file_digest(path))
+    read = []
+    monkeypatch.setattr(cli, "read_input",
+                        lambda path: read.append(path) or files.read_input(path))
     code, report = run_json(tmp_path, [command, "--data", SCORES, "--model", REVISED])
     assert code == 0
     with open(SCORES, "rb") as fh:
         assert report["inputs"][SCORES] == hashlib.sha256(fh.read()).hexdigest()
-    assert digested == [REVISED]
+    assert read == [REVISED]  # load_csv reads --data itself
 
 
 SCREEN_SHA256 = "d4a4d83d8c78c61045cc0095d9a8413a9f09c1eda5d073dcf69929f96a10fc76"
@@ -919,6 +935,15 @@ def test_fit_warns_when_hypothesis_implies_nonpositive_psi(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "coefficients imply residual variance -0.44 <= 0 for 'B'" in out
     assert "does-not-fit" in out
+
+
+def test_fit_warns_when_hypothesis_implies_nan_psi(tmp_path, capsys):
+    model_path = tmp_path / "m.pm"
+    model_path.write_text("var X1\nvar X2\nvar X3\nvar X4\nvar Y\n" + NAN_PSI_MODEL,
+                          encoding="utf-8")
+    code = main(["fit", "--corr", CORR, "--n", "240", "--model", str(model_path)])
+    assert code == 0
+    assert "coefficients imply residual variance nan not > 0 for 'Y'" in capsys.readouterr().out
 
 
 def test_fit_warns_on_impossible_correlation_table(tmp_path):

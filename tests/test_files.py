@@ -1,7 +1,9 @@
 """Output files are rewritten in place: no O_TRUNC on open, cut to length
-at the end, emptied when the write fails, same inode as open(path, "w")."""
+at the end, emptied when the write fails, same inode as open(path, "w").
+Each input file is opened once per command."""
 
 import builtins
+import collections
 import os
 import stat
 
@@ -68,6 +70,36 @@ def test_writers_open_without_truncating(tmp_path, monkeypatch, name):
     assert not [p for p, flags in os_opens if flags & os.O_TRUNC]
     # A "w" mode is only ever given to a descriptor, which truncates nothing.
     assert not [f for f, mode in opens if "w" in mode and not isinstance(f, int)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--corr", CORR, "--n", "240", "--model", REVISED],
+    ["revise", "--corr", CORR, "--n", "240", "--model", INITIAL],
+    ["fit", "--data", SCORES, "--model", REVISED],
+    ["revise", "--data", SCORES, "--model", REVISED],
+    ["screen", "--data", SCORES, "--model", REVISED],
+], ids=["fit-corr", "revise-corr", "fit-data", "revise-data", "screen-data"])
+def test_each_input_is_opened_once(tmp_path, monkeypatch, argv):
+    # the report's digest of a file comes from the bytes that were parsed
+    inputs = {argv[i + 1] for i, arg in enumerate(argv) if arg in ("--corr", "--data", "--model")}
+    opened = collections.Counter()
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened[os.fspath(path)] += 1
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            opened[os.fspath(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    assert main(argv + ["--out", str(tmp_path / "report.txt")]) == 0
+    monkeypatch.undo()
+
+    assert {p: opened[p] for p in inputs} == dict.fromkeys(inputs, 1)
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))

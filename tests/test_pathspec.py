@@ -14,6 +14,7 @@ from pathtrek.errors import (
     ModelSyntaxError,
     ModelWarning,
     ParseError,
+    UnknownVariable,
 )
 from pathtrek.pathspec import (
     Arrow,
@@ -349,6 +350,24 @@ def test_non_finite_coefficient_rejected(value):
     bare = PathModel(("A", "B"), (Arrow("A", "B"),), {})
     with pytest.raises(ParseError, match="arrow A -> B"):
         bare.with_coefficients({("A", "B"): value})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_coefficient_names_its_position(value):
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(f"var A\nvar B\npath A  ->  B : {value}  # note\n")
+    assert (exc.value.line, exc.value.column) == (3, 17)
+
+
+@pytest.mark.parametrize("variables,arrows,message", [
+    (("A", "2B"), (), "invalid variable name '2B'"),
+    (("A", "B", "A"), (), "variable 'A' declared twice"),
+    (("A", "B"), (Arrow("C", "B"),), "arrow source 'C' undeclared"),
+    (("A", "B"), (Arrow("A", "C"),), "arrow target 'C' undeclared"),
+], ids=["invalid-name", "declared-twice", "undeclared-source", "undeclared-target"])
+def test_direct_construction_rejects_bad_names(variables, arrows, message):
+    with pytest.raises(UnknownVariable, match=message):
+        PathModel(variables, arrows, {})
 
 
 def test_with_coefficients(revised_model):

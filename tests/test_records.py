@@ -19,7 +19,7 @@ from pathtrek.correlation import load_correlation_csv
 from pathtrek.data import load_csv, summarize
 from pathtrek.effects import assess_fit, decompose_effects, revise_model
 from pathtrek.estimation import coefficient_inference, fit_standardized
-from pathtrek.files import file_digest
+from pathtrek.files import read_input
 from pathtrek.pathspec import load_model
 from pathtrek.report import Report
 from pathtrek.screening import screen
@@ -62,7 +62,7 @@ def build_records():
         "Report": Report(
             command="revise",
             inputs={"observed_correlations.csv":
-                    file_digest(DATA_DIR / "observed_correlations.csv")},
+                    read_input(DATA_DIR / "observed_correlations.csv")[1]},
             correlations=corr,
             fitted=trace.final_fit,
             reproduced=trace.final_implied,
