@@ -27,9 +27,9 @@ from .effects import (
     RevisionTrace,
     assess_fit,
     decompose_effects,
+    effects_csv,
     revise_model,
-    write_effects_csv,
-    write_revision_csv,
+    revision_csv,
 )
 from .estimation import FittedModel, coefficient_inference, fit_standardized
 from .pathspec import PathModel, load_model, parse_model, render_model, topological_order
@@ -38,7 +38,7 @@ from .tracing import (
     Trek,
     enumerate_treks,
     implied_matrix,
-    write_treks_csv,
+    treks_csv,
 )
 
 _LAZY = {
@@ -81,6 +81,7 @@ __all__ = [
     "classify_strength",
     "coefficient_inference",
     "decompose_effects",
+    "effects_csv",
     "enumerate_treks",
     "fit_standardized",
     "implied_matrix",
@@ -95,13 +96,12 @@ __all__ = [
     "render_model",
     "residual_diagnostics",
     "revise_model",
+    "revision_csv",
     "screen",
     "simulate_dataset",
     "standardize",
     "summarize",
     "topological_order",
+    "treks_csv",
     "vif",
-    "write_effects_csv",
-    "write_revision_csv",
-    "write_treks_csv",
 ]

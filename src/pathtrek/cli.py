@@ -15,7 +15,11 @@ effects and a warning for each residual variance that is not > 0.  A fit
 is traced from its own steps; an annotated model is built from it only to
 export treks or write the final model.  Every input file is read once,
 through `files.read_input`, which gives both the text that is parsed and the
-digest the report records; every output file is written through `files`.
+digest the report records.  Each command builds the text of the report and
+of every side output, then hands them all to one `files.write_outputs`
+call, which opens every output before it writes any; simulate hands it
+the rows as they are drawn.  So an exit 2 leaves every existing output as
+it was.
 
 The raw-data modules (data, screening, simulate), and numpy with them, are
 imported only by the commands that read or write rows, so `fit --corr` and
@@ -26,7 +30,6 @@ screening imports numpy.
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 import warnings as _warnings
@@ -39,16 +42,16 @@ from .effects import (
     DEFAULT_MISFIT_THRESHOLD,
     _effects_table,
     assess_fit,
+    effects_csv,
     revise_model,
-    write_effects_csv,
-    write_revision_csv,
+    revision_csv,
 )
 from .errors import NoAdmissibleRevision, NonPositiveResidualVariance, PathtrekError
 from .estimation import fit_standardized
-from .files import read_input, write_rows, write_text
+from .files import csv_text, read_input, write_outputs
 from .pathspec import load_model, parse_model, render_model
 from .report import Report
-from .tracing import write_treks_csv
+from .tracing import treks_csv
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -178,12 +181,11 @@ def _read_model(path, inputs):
     return parse_model(text)
 
 
-def _emit(report, args):
-    text = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+def _emit(report, args, *sides):
+    """Render the report, build each (path, build) side output whose path is
+    given, then write them all in one files.write_outputs call."""
+    write_outputs([(args.out, [report.to_json() if args.format == "json" else report.to_text()]),
+                   *((path, [build()]) for path, build in sides if path)])
 
 
 def _cmd_screen(args, parser):
@@ -204,14 +206,11 @@ def _cmd_screen(args, parser):
         screening=result,
         warnings=load_warnings + result.warnings,
     )
-    if args.residuals_csv:
-        write_rows(args.residuals_csv, itertools.chain(
-            [["equation", "fitted", "std_residual"]],
-            ([target, repr(fitted_value), repr(std_resid)]
-             for target, pts in result.residual_points.items()
-             for fitted_value, std_resid in pts),
-        ))
-    _emit(report, args)
+    _emit(report, args, (args.residuals_csv, lambda: csv_text([
+        ["equation", "fitted", "std_residual"],
+        *([target, repr(fitted_value), repr(std_resid)]
+          for target, pts in result.residual_points.items() for fitted_value, std_resid in pts),
+    ])))
     flagged = bool(result.outliers) or any(
         verdict == "non-normal" for _, _, verdict in result.normality.values()
     ) or any(v >= VIF_WARN for v in result.vif.values())
@@ -225,10 +224,12 @@ def _traced_report(command, corr, inputs, warnings, fitted, steps, implied,
     """The fit or revise Report of `fitted`, traced as the (variable, parents,
     beta) `steps` that gave the structure `implied`.
 
-    Coefficients that imply a residual variance that is not > 0 (NaN
-    included) are reported as warnings after the caller's own, not as
-    errors.  The effects come from the same steps and structure as r_hat.
+    Coefficients that imply a value that is not finite are an input error
+    (`tracing._require_finite`), in either format; a finite residual
+    variance that is not > 0 is reported as a warning after the caller's
+    own.  The effects come from the same steps and structure as r_hat.
     """
+    tracing._require_finite(implied)
     warnings = warnings + [str(NonPositiveResidualVariance(v, psi))
                            for v, psi in tracing._psi_faults(implied)]
     return Report(
@@ -261,12 +262,10 @@ def _cmd_fit(args, parser):
     implied = tracing._trace(model.variables, steps)[0]
     report = _traced_report("fit", corr, inputs, warnings, fitted, steps, implied,
                             assess_fit(corr, implied, args.misfit))
-    if args.treks_csv:
-        write_treks_csv(model if model.is_annotated else fitted.annotated_model(),
-                        args.treks_csv)
-    if args.effects_csv:
-        write_effects_csv(report.effects, args.effects_csv)
-    _emit(report, args)
+    _emit(report, args,
+          (args.treks_csv, lambda: treks_csv(
+              model if model.is_annotated else fitted.annotated_model())),
+          (args.effects_csv, lambda: effects_csv(report.effects)))
     return EXIT_OK
 
 
@@ -287,16 +286,14 @@ def _cmd_revise(args, parser):
     report = _traced_report("revise", corr, inputs, warnings, trace.final_fit,
                             trace.final_fit._steps(), trace.final_implied,
                             trace.final_assessment, revision=trace)
-    if args.out_model:
-        write_text(args.out_model, render_model(trace.final_fit.annotated_model()))
-    if args.trace_csv:
-        write_revision_csv(trace, args.trace_csv)
-    _emit(report, args)
+    _emit(report, args,
+          (args.out_model, lambda: render_model(trace.final_fit.annotated_model())),
+          (args.trace_csv, lambda: revision_csv(trace)))
     return exit_code
 
 
 def _cmd_simulate(args, parser):
-    from .data import write_csv_blocks
+    from .data import csv_pieces
     from .simulate import SimulationSpec, simulate_blocks
 
     with _warnings.catch_warnings(record=True) as caught:
@@ -306,7 +303,7 @@ def _cmd_simulate(args, parser):
         print(f"pathtrek: warning: {w.message}", file=sys.stderr)
     spec = SimulationSpec(model=model, n=args.n, seed=args.seed)
     # simulate_blocks raises for a bad model before --out is opened
-    write_csv_blocks(model.variables, simulate_blocks(spec), args.out)
+    write_outputs([(args.out, csv_pieces(model.variables, simulate_blocks(spec)))])
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     SingularMatrix,
 )
-from .files import read_input, write_rows
+from .files import csv_text, read_input
 from .record import FrozenRecord
 
 ASYMMETRY_LIMIT = 1e-6
@@ -242,9 +242,9 @@ def _parse_correlation_csv(text, path, n):
     return corr
 
 
-def write_correlation_csv(corr, path):
-    """Write a correlation matrix in the format load_correlation_csv reads."""
-    write_rows(path, [
+def correlation_csv(corr):
+    """A correlation matrix as CSV text, in the format load_correlation_csv reads."""
+    return csv_text([
         ["", *corr.variables],
         *([name, *map(repr, row)] for name, row in zip(corr.variables, corr.r_rows)),
     ])

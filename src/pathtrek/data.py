@@ -12,11 +12,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataWarning, OutOfRange, ParseError, TooFewRows, ZeroVariance
-from .files import open_output, read_input
+from .files import csv_text, read_input, write_outputs
 from .record import FrozenRecord
 
 SD_FLOOR = 1e-12
-# Values write_csv_blocks formats per run, each as its repr (see there for
+# Values csv_pieces formats per run, each as its repr (see there for
 # how, and for which values go through repr itself).  A run makes ~100
 # numpy calls and holds up to ~14 temporaries of this length.  Writing 8e5
 # normal draws (2-vCPU Xeon, one process, alternating) took 167 ms at
@@ -24,7 +24,7 @@ SD_FLOOR = 1e-12
 # 1024; a run's peak traced memory is 0.9 MB at 8192 and doubles with the
 # run, against 0.5 MB for the repr(run.tolist()) it replaced.
 WRITE_BLOCK_CELLS = 8192
-_TIE_MARGIN = 1e-9  # units of the 17th significant digit; see write_csv_blocks
+_TIE_MARGIN = 1e-9  # units of the 17th significant digit; see csv_pieces
 _LINE_END = re.compile(r"\r\n|\r|\n")  # where a file opened with newline="" ends a line
 
 
@@ -215,19 +215,20 @@ def _parse_listwise(body, k, path, header_lines):
 
 def write_csv(d, path):
     """Write a dataset in the same CSV dialect load_csv reads."""
-    write_csv_blocks(d.variables, [d.rows], path)
+    write_outputs([(path, csv_pieces(d.variables, [d.rows]))])
 
 
-def write_csv_blocks(variables, blocks, path):
-    """Write a header and the rows of each (rows, k) block, in write_csv's dialect.
+def csv_pieces(variables, blocks):
+    """The CSV text of a header and the rows of each (rows, k) block, in pieces.
 
     The header goes through csv.writer, which quotes names as needed.  The
     body is the bytes csv.writer would write for the float rows: every
     value as its repr, comma-separated, one row per line, so the bytes do
     not depend on how the rows are split into blocks.  Each block is
     formatted in runs of whole rows, about WRITE_BLOCK_CELLS values each,
-    so the temporaries stay small whatever the number of columns.  `blocks`
-    may be a generator: only one block is held at a time.
+    so the temporaries stay small whatever the number of columns, and each
+    run's text is one piece.  `blocks` may be a generator: only one block is
+    held at a time.
 
     A run is formatted by numpy, not by one repr call per value.  repr
     writes the shortest digit string that reads back as the same double,
@@ -257,11 +258,10 @@ def write_csv_blocks(variables, blocks, path):
     draws go through repr.
     """
     step = max(1, WRITE_BLOCK_CELLS // len(variables))
-    with open_output(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(variables)
-        for rows in blocks:
-            for start in range(0, len(rows), step):
-                fh.write(_csv_lines(rows[start:start + step]))
+    yield csv_text([variables])
+    for rows in blocks:
+        for start in range(0, len(rows), step):
+            yield _csv_lines(rows[start:start + step])
 
 
 def _dekker_split(a):
@@ -305,7 +305,7 @@ def _shortest_digits(values):
 
     `e` is the decimal exponent, `digits` the int64 of the digits padded
     with zeros to 17, and `slow` marks the values this cannot prove (see
-    write_csv_blocks); their e lies in -5..14 and their digits below 1e18,
+    csv_pieces); their e lies in -5..14 and their digits below 1e18,
     but neither means anything.
     """
     powers = _format_tables()[0]

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .errors import NoAdmissibleRevision, VariableMismatch
 from .estimation import _fit_model, coefficient_inference
-from .files import write_rows
+from .files import csv_text
 from .pathspec import Arrow, topological_order
 from .record import FrozenRecord, Record
 from .tracing import _steps, _trace
@@ -170,18 +170,18 @@ class RevisionTrace(Record):
         self.converged = converged
 
 
-def write_effects_csv(table, path):
-    """Export the effects table: outcome, determinant, direct, indirect, total."""
-    write_rows(path, [
+def effects_csv(table):
+    """The effects table as CSV text: outcome, determinant, direct, indirect, total."""
+    return csv_text([
         ["outcome", "determinant", "direct", "indirect", "total"],
         *([r.outcome, r.determinant, repr(r.direct), repr(r.indirect), repr(r.total)]
           for r in table.rows),
     ])
 
 
-def write_revision_csv(trace, path):
-    """Export the revision trace, one row per step."""
-    write_rows(path, [
+def revision_csv(trace):
+    """The revision trace as CSV text, one row per step."""
+    return csv_text([
         ["iteration", "action", "arrows", "reason", "misfit_count", "max_difference"],
         *([s.iteration, s.action, "; ".join(f"{a}->{b}" for a, b in s.arrows),
            s.reason, s.misfit_count, repr(s.max_difference)]

@@ -1,65 +1,86 @@
-"""File access: the one reader every input goes through, and the writer
-every output goes through, with its text and CSV forms.
+"""File access: the one reader every input goes through, and the one writer
+every output goes through.
+
+A command builds the bytes of every output before it calls write_outputs,
+which opens every output before it writes any: a command that fails, on a
+bad input or on an output it cannot open, leaves every existing output as
+it was.  The one stream that is still being built while it is written,
+simulate's rows, is its command's only output.
 
 An output is rewritten in place.  open(path, "w") truncates an existing
 file to zero length on open, and ext4 then flushes the file to disk when it
 is closed, which makes rewriting a small report cost tens of milliseconds
-against well under one for the write itself.  open_output writes over the
+against well under one for the write itself.  write_outputs writes over the
 old bytes and cuts the file to the new length at the end; a truncate to a
 nonzero length does not trigger that flush.
 """
 
-import contextlib
 import csv
 import hashlib
+import io
 import os
 import stat
+import sys
 
 
-@contextlib.contextmanager
-def open_output(path):
-    """Open path as UTF-8 text for writing, rewriting it in place.
+def write_outputs(outputs):
+    """Write each (path, pieces) in the list `outputs`; `pieces` is an
+    iterable of str.
 
-    The file is opened without O_TRUNC (created with mode 0o666 & ~umask if
-    missing), so it keeps its inode: hard links, owner and mode bits stay,
-    and a symlink is followed, as with open(path, "w").  When the body ends,
-    a regular file is cut to the length written; if the body raises, it is
-    cut to zero length, so new bytes are never left followed by the old
-    file's tail.  Other targets (/dev/null, a FIFO, a terminal) are written
-    and never truncated.  Nothing is fsynced.
+    Every path is opened before any is written, without O_TRUNC (created
+    with mode 0o666 & ~umask if missing), so a file keeps its inode: hard
+    links, owner and mode bits stay, and a symlink is followed, as with
+    open(path, "w").  If an open fails, nothing is written and no file is
+    cut (a missing path opened before it is left as an empty file).  Then
+    each output is written in turn, its pieces encoded as UTF-8 with
+    backslash escapes for what UTF-8 cannot encode (a lone surrogate from
+    a file name that is not UTF-8 is written as `\\udcff`, as in the JSON
+    report).  A regular file is cut to the length written, or to zero
+    length if its own pieces raise, so new bytes are never left followed
+    by the old file's tail.  Other targets (/dev/null, a FIFO, a terminal)
+    are written and never truncated.  A path of None (or "") is standard
+    output.  Nothing is fsynced.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fds = []
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
-        end = 0
-        try:
-            # closefd=False: the file object's close flushes whatever the
-            # body left buffered before the cut below.
-            with open(fd, "w", newline="", encoding="utf-8", closefd=False) as fh:
-                yield fh
-            if regular:
-                end = os.lseek(fd, 0, os.SEEK_CUR)
-        finally:
-            if regular:
-                os.ftruncate(fd, end)
+        for path, _ in outputs:
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666) if path else None)
+        for fd, (_, pieces) in zip(fds, outputs):
+            encoded = (piece.encode("utf-8", "backslashreplace") for piece in pieces)
+            if fd is None:  # the escaped text, which any text stream takes
+                sys.stdout.writelines(data.decode("utf-8") for data in encoded)
+            else:
+                _write_file(fd, encoded)
     finally:
-        os.close(fd)
+        for fd in fds:
+            if fd is not None:
+                os.close(fd)
 
 
-def write_text(path, text):
-    """Write a string to path through open_output."""
-    with open_output(path) as fh:
-        fh.write(text)
+def _write_file(fd, encoded):
+    """Write the bytes of `encoded` over the file open at fd; cut a regular
+    file to the length written, or to zero if `encoded` raises."""
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    end = 0
+    try:
+        # closefd=False: the file object's close flushes whatever is left
+        # buffered before the cut below.
+        with open(fd, "wb", closefd=False) as fh:
+            fh.writelines(encoded)
+        if regular:
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        if regular:
+            os.ftruncate(fd, end)
 
 
-def write_rows(path, rows):
-    """Write rows of cells to path as CSV through open_output.
-
-    The one CSV dialect of every export: csv.writer's defaults (commas,
-    minimal quoting) with each row ending in "\n".
-    """
-    with open_output(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+def csv_text(rows):
+    """Rows of cells as CSV text, in the one CSV dialect of every export:
+    csv.writer's defaults (commas, minimal quoting) with each row ending in
+    "\\n"."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def read_input(path):

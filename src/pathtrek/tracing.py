@@ -20,7 +20,7 @@ unchanged and runs the loop from the first changed position, since a
 variable's Sigma entries with earlier variables, its (I-B)^-1 row and its
 Psi depend on that prefix alone.
 Treks are enumerated only to explain a decomposition and for the trek export:
-`_treks_by_pair` lists every pair's treks once and `write_treks_csv` writes
+`_treks_by_pair` lists every pair's treks once and `treks_csv` renders
 them.  The trek rule makes the sum of each pair's treks equal to the
 recursion's r_hat; the tests keep that sum as the recursion's cross-check,
 and the library computes r_hat by the recursion alone.  Enumeration grows
@@ -29,15 +29,17 @@ whatever the number of variables.
 """
 
 import itertools
+import math
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
     NonPositiveResidualVariance,
+    OutOfRange,
     TooManyVariables,
     VariableMissing,
 )
-from .files import write_rows
+from .files import csv_text
 from .numeric import readonly_array
 from .pathspec import topological_order
 from .record import FrozenRecord
@@ -190,6 +192,24 @@ def _psi_faults(implied):
     return [(v, psi) for v, psi in implied.psi.items() if not psi > 0.0]
 
 
+def _require_finite(implied):
+    """Raise OutOfRange naming the first variable in causal order whose psi,
+    row of (I-B)⁻¹ or r_hat cells with itself and earlier variables are not
+    all finite, as when a coefficient of 1e160 makes psi -inf.
+
+    Each value is tested on its own: a sum of finite values can overflow.
+    """
+    seen = []
+    for v, psi in implied.psi.items():
+        i = implied.index(v)
+        seen.append(i)
+        row = implied.r_hat_rows[i]
+        if not (math.isfinite(psi) and all(map(math.isfinite, implied.total[i]))
+                and all(map(math.isfinite, [row[j] for j in seen]))):
+            raise OutOfRange("coefficients imply a correlation, residual variance "
+                             f"or effect that is not finite for {v!r}")
+
+
 def _steps(m):
     """The (variable, parents, beta) steps of annotated `m` for `_trace`."""
     m.require_annotated()
@@ -254,15 +274,11 @@ def _trace(variables, steps, resume=None):
     return implied, (steps, sigma, total, psi)
 
 
-def write_treks_csv(m, path):
-    """Export the treks of annotated `m`: pair, node sequence, class, product.
-
-    The treks are listed before `path` is opened, so a model past
-    TREK_BUDGET raises TooManyVariables and leaves no file.
-    """
-    treks = _treks_by_pair(m)
-    write_rows(path, itertools.chain(
+def treks_csv(m):
+    """The trek export of annotated `m` as CSV text: pair, node sequence,
+    class, product.  A model past TREK_BUDGET raises TooManyVariables."""
+    return csv_text(itertools.chain(
         [["pair", "sequence", "classification", "product"]],
         ([f"{a}-{b}", " ".join(t.nodes), t.classification, repr(t.product)]
-         for (a, b), ts in treks.items() for t in ts),
+         for (a, b), ts in _treks_by_pair(m).items() for t in ts),
     ))

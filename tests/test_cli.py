@@ -347,7 +347,7 @@ def test_revise_report_pinned_at_k16(tmp_path, monkeypatch):
     causal-order prefix can be long; the report keeps its bytes."""
     import hashlib
 
-    from pathtrek.correlation import write_correlation_csv
+    from pathtrek.correlation import correlation_csv
     from pathtrek.effects import revise_model
     from pathtrek.pathspec import Arrow, topological_order
 
@@ -369,7 +369,7 @@ def test_revise_report_pinned_at_k16(tmp_path, monkeypatch):
     assert reordered >= 1
 
     monkeypatch.chdir(tmp_path)
-    write_correlation_csv(corr, "corr.csv")
+    (tmp_path / "corr.csv").write_text(correlation_csv(corr), encoding="utf-8")
     (tmp_path / "start.pm").write_text(render_model(start), encoding="utf-8")
     assert main(["revise", "--corr", "corr.csv", "--n", "400", "--model", "start.pm",
                  "--format", "json", "--out", "report.json"]) == 0
@@ -937,13 +937,50 @@ def test_fit_warns_when_hypothesis_implies_nonpositive_psi(tmp_path, capsys):
     assert "does-not-fit" in out
 
 
-def test_fit_warns_when_hypothesis_implies_nan_psi(tmp_path, capsys):
+def test_fit_rejects_hypothesis_that_implies_nan_psi(tmp_path, capsys):
+    # a psi that is not finite leaves no usable number in the report
     model_path = tmp_path / "m.pm"
     model_path.write_text("var X1\nvar X2\nvar X3\nvar X4\nvar Y\n" + NAN_PSI_MODEL,
                           encoding="utf-8")
     code = main(["fit", "--corr", CORR, "--n", "240", "--model", str(model_path)])
-    assert code == 0
-    assert "coefficients imply residual variance nan not > 0 for 'Y'" in capsys.readouterr().out
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("pathtrek: error: coefficients imply a correlation, residual "
+                            "variance or effect that is not finite for 'Y'\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fit_rejects_overflowing_hypothesis_in_either_format(tmp_path, capsys, fmt):
+    # 1e160 squared overflows: psi_B is -inf and R² inf; text and JSON exit
+    # alike, and the side output keeps its bytes
+    corr_path = tmp_path / "c.csv"
+    corr_path.write_text(",A,B\nA,1,0.5\nB,0.5,1\n", encoding="utf-8")
+    model_path = tmp_path / "m.pm"
+    model_path.write_text("var A\nvar B\npath A -> B : 1e160\n", encoding="utf-8")
+    effects = tmp_path / "e.csv"
+    effects.write_bytes(b"precious")
+    code = main(["fit", "--corr", str(corr_path), "--n", "100", "--model", str(model_path),
+                 "--format", fmt, "--effects-csv", str(effects),
+                 "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "not finite for 'B'" in capsys.readouterr().err
+    assert effects.read_bytes() == b"precious"
+    assert not (tmp_path / "r").exists()
+
+
+def test_revise_failing_report_keeps_model_it_would_replace(tmp_path, capsys):
+    # --out-model names the input model and --out cannot be opened: the
+    # model file keeps its bytes, comments included
+    model_path = tmp_path / "start.pm"
+    with open(INITIAL, "rb") as fh:
+        start = b"# the user's notes\n" + fh.read()
+    model_path.write_bytes(start)
+    code = main(["revise", "--corr", CORR, "--n", "240", "--model", str(model_path),
+                 "--out-model", str(model_path), "--out", str(tmp_path / "missing" / "r.txt")])
+    assert code == 2
+    assert "pathtrek: error:" in capsys.readouterr().err
+    assert model_path.read_bytes() == start
 
 
 def test_fit_warns_on_impossible_correlation_table(tmp_path):

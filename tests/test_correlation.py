@@ -15,10 +15,10 @@ from pathtrek.correlation import (
     CorrelationMatrix,
     StrengthLabel,
     classify_strength,
+    correlation_csv,
     correlation_p_value,
     load_correlation_csv,
     pearson_matrix,
-    write_correlation_csv,
 )
 from pathtrek.data import Dataset
 from pathtrek.errors import (
@@ -300,7 +300,7 @@ def test_sample_size_rejected(build, n, tmp_path):
 
 def test_correlation_csv_roundtrip(tmp_path, observed_corr):
     path = tmp_path / "rt.csv"
-    write_correlation_csv(observed_corr, path)
+    path.write_text(correlation_csv(observed_corr), encoding="utf-8")
     back = load_correlation_csv(path, observed_corr.n)
     assert back.variables == observed_corr.variables
     assert np.array_equal(back.r, observed_corr.r)
@@ -388,7 +388,8 @@ def test_views_are_readonly_arrays_of_the_stored_floats(r, n):
 @given(unit_diagonal_matrices())
 def test_loader_warns_exactly_when_not_positive_definite(tmp_path_factory, r):
     path = tmp_path_factory.mktemp("pd") / "r.csv"
-    write_correlation_csv(CorrelationMatrix([f"v{i}" for i in range(len(r))], r, 100), path)
+    path.write_text(correlation_csv(CorrelationMatrix([f"v{i}" for i in range(len(r))], r, 100)),
+                    encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         corr = load_correlation_csv(path, 100)
@@ -417,7 +418,8 @@ def test_loader_warns_on_rank_deficient_matrix_whose_factor_passes(tmp_path):
          -0.770806096318806, 1.0],
     ]
     path = tmp_path / "r.csv"
-    write_correlation_csv(CorrelationMatrix([f"v{i}" for i in range(6)], cells, 100), path)
+    path.write_text(correlation_csv(CorrelationMatrix([f"v{i}" for i in range(6)], cells, 100)),
+                    encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         corr = load_correlation_csv(path, 100)

@@ -1,6 +1,8 @@
 """Output files are rewritten in place: no O_TRUNC on open, cut to length
 at the end, emptied when the write fails, same inode as open(path, "w").
-Each input file is opened once per command."""
+Every output is opened before any is written, so a command that exits 2
+leaves every existing output as it was.  Each input file is opened once per
+command."""
 
 import builtins
 import collections
@@ -10,8 +12,8 @@ import stat
 import pytest
 
 from pathtrek.cli import main
-from pathtrek.correlation import load_correlation_csv, write_correlation_csv
-from pathtrek.files import open_output
+from pathtrek.correlation import correlation_csv, load_correlation_csv
+from pathtrek.files import write_outputs
 
 from conftest import DATA_DIR
 
@@ -36,8 +38,8 @@ WRITERS = {
     "simulate": (["sim.csv"], lambda out: main([
         "simulate", "--model", REVISED_PUBLISHED, "--n", "240", "--seed", "7",
         "--out", out[0]])),
-    "write_correlation_csv": (["corr.csv"], lambda out: write_correlation_csv(
-        load_correlation_csv(CORR, 240), out[0])),
+    "write_outputs": (["corr.csv"], lambda out: write_outputs(
+        [(out[0], [correlation_csv(load_correlation_csv(CORR, 240))])])),
 }
 
 
@@ -116,15 +118,46 @@ def test_rewrite_over_longer_file_leaves_no_tail(tmp_path, name):
             assert b.read() == a.read(), s
 
 
+@pytest.mark.parametrize("name", sorted(set(WRITERS) - {"write_outputs"}))
+def test_unopenable_output_keeps_every_other_output(tmp_path, capsys, name):
+    # one output cannot be opened, whichever it is: the command exits 2
+    # having written none of the others
+    names, call = WRITERS[name]
+    for missing in range(len(names)):
+        paths = [tmp_path / n for n in names]
+        paths[missing] = tmp_path / "missing" / names[missing]
+        kept = {p: b"known bytes of %s\n" % p.name.encode() for p in paths if p.parent == tmp_path}
+        for path, content in kept.items():
+            path.write_bytes(content)
+        assert call([str(p) for p in paths]) == 2
+        assert "pathtrek: error:" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in kept} == kept
+
+
+def _failing_pieces(size):
+    yield "n" * size
+    raise RuntimeError("pieces failed")
+
+
 @pytest.mark.parametrize("size", [10, 200_000])  # still buffered, partly flushed
 def test_failed_write_leaves_regular_file_empty(tmp_path, size):
     path = tmp_path / "out.txt"
     path.write_bytes(b"old contents\n" * 1000)
     with pytest.raises(RuntimeError):
-        with open_output(path) as fh:
-            fh.write("n" * size)
-            raise RuntimeError("body failed")
+        write_outputs([(path, _failing_pieces(size))])
     assert path.read_bytes() == b""
+
+
+def test_failed_write_cuts_only_its_own_file(tmp_path):
+    # outputs are written in turn: the one before is complete, the one after
+    # is untouched
+    paths = [tmp_path / n for n in ("a.txt", "b.txt", "c.txt")]
+    for path in paths:
+        path.write_bytes(b"old contents\n")
+    with pytest.raises(RuntimeError):
+        write_outputs([(paths[0], ["new ", "a\n"]), (paths[1], _failing_pieces(10)),
+                       (paths[2], ["new c\n"])])
+    assert [p.read_bytes() for p in paths] == [b"new a\n", b"", b"old contents\n"]
 
 
 def test_rewrite_keeps_inode_links_and_mode(tmp_path):
@@ -152,8 +185,7 @@ def test_rewrite_keeps_inode_links_and_mode(tmp_path):
 def test_new_file_mode_follows_umask(tmp_path):
     old = os.umask(0o027)
     try:
-        with open_output(tmp_path / "new.txt") as fh:
-            fh.write("x\n")
+        write_outputs([(tmp_path / "new.txt", ["x\n"])])
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "new.txt").stat().st_mode) == 0o640
@@ -171,3 +203,18 @@ def test_unwritable_target_exits_2(tmp_path, capsys, where):
     assert main(["fit", "--corr", CORR, "--n", "240", "--model", REVISED,
                  "--out", str(out)]) == 2
     assert "pathtrek: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_input_name_that_is_not_utf8_is_escaped(tmp_path, capsys, fmt, to_file):
+    # a file name of bytes that are not UTF-8 reaches the report as the
+    # escape the JSON encoder writes, in both formats and to either target
+    corr = tmp_path / "c\udcff.csv"
+    with open(CORR, "rb") as fh:
+        corr.write_bytes(fh.read())
+    out = tmp_path / "report"
+    argv = ["fit", "--corr", str(corr), "--n", "240", "--model", REVISED, "--format", fmt]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+    written = out.read_bytes().decode("utf-8") if to_file else capsys.readouterr().out
+    assert "c\\udcff.csv" in written

@@ -25,7 +25,7 @@ from pathtrek.tracing import (
     _trace,
     enumerate_treks,
     implied_matrix,
-    write_treks_csv,
+    treks_csv,
 )
 
 from conftest import NAMES, trek_sum_matrix, unchecked_trace
@@ -454,11 +454,10 @@ def test_recursion_has_no_variable_limit():
     assert simulate_dataset(SimulationSpec(big, 10, 1)).rows.shape == (10, 25)
 
 
-def test_write_treks_csv_over_budget_leaves_no_file(tmp_path, monkeypatch, initial_printed):
+def test_treks_csv_over_budget_raises(monkeypatch, initial_printed):
     # a budget of 5 lets the study's first three pairs through (5 treks) and
-    # stops the fourth: no file is made, not even a partial one
+    # stops the fourth; the CLI then opens no output
+    # (test_trek_budget_stops_export_on_complete_dag)
     monkeypatch.setattr(tracing, "TREK_BUDGET", 5)
-    path = tmp_path / "treks.csv"
     with pytest.raises(TooManyVariables):
-        write_treks_csv(initial_printed, path)
-    assert not path.exists()
+        treks_csv(initial_printed)
