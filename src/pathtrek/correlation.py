@@ -176,7 +176,8 @@ def load_correlation_csv(path, n):
     Layout: a header row of names (optionally preceded by a blank corner
     cell), then one row per variable whose first cell repeats the name.  The
     file is read by files.read_input, and its text split into lines as in a
-    file opened with newline="".  The cells are checked and repaired
+    file opened with newline="".  An error in a row names its line in the
+    file, blank lines counted.  The cells are checked and repaired
     by CorrelationMatrix, and its OutOfRange, AsymmetryTooLarge and
     DiagonalNotOne are raised again with the path in front of the message.
     A matrix whose smallest eigenvalue is <= 0 is loaded with a DataWarning
@@ -193,12 +194,12 @@ def _parse_correlation_csv(text, path, n):
     """load_correlation_csv's matrix from the file's text; path names the file in errors."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = [cells for cells in reader if cells]
+        rows = [(reader.line_num, cells) for cells in reader if cells]
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     body = rows[1:]
     if header and header[0] == "":
         header = header[1:]  # corner cell above the label column
@@ -209,16 +210,16 @@ def _parse_correlation_csv(text, path, n):
     if len(body) != k:
         raise NotSquare(f"{path}: {k} columns but {len(body)} rows")
     r = []
-    for i, cells in enumerate(body):
+    for i, (line, cells) in enumerate(body):
         if len(cells) != k + 1:
-            raise NotSquare(f"{path}: row {i + 2} has {len(cells)} cells, expected {k + 1}")
+            raise NotSquare(f"{path}: row {line} has {len(cells)} cells, expected {k + 1}")
         label = cells[0].strip()
         if label != names[i]:
             raise ParseError(f"{path}: row label {label!r} does not match header {names[i]!r}")
         try:
             r.append([float(c) for c in cells[1:]])
         except ValueError as exc:
-            raise ParseError(f"{path}: row {i + 2}: {exc}") from None
+            raise ParseError(f"{path}: row {line}: {exc}") from None
     try:
         corr = CorrelationMatrix(names, r, n)
     except (OutOfRange, AsymmetryTooLarge, DiagonalNotOne) as exc:

@@ -3,9 +3,10 @@ every output goes through.
 
 A command builds the bytes of every output before it calls write_outputs,
 which opens every output before it writes any: a command that fails, on a
-bad input or on an output it cannot open, leaves every existing output as
-it was.  The one stream that is still being built while it is written,
-simulate's rows, is its command's only output.
+bad input, on an output it cannot open or on two outputs that name one
+file, leaves every existing output as it was and creates none.  The one
+stream that is still being built while it is written, simulate's rows, is
+its command's only output.
 
 An output is rewritten in place.  open(path, "w") truncates an existing
 file to zero length on open, and ext4 then flushes the file to disk when it
@@ -27,30 +28,52 @@ def write_outputs(outputs):
     """Write each (path, pieces) in the list `outputs`; `pieces` is an
     iterable of str.
 
-    Every path is opened before any is written, without O_TRUNC (created
-    with mode 0o666 & ~umask if missing), so a file keeps its inode: hard
-    links, owner and mode bits stay, and a symlink is followed, as with
-    open(path, "w").  If an open fails, nothing is written and no file is
-    cut (a missing path opened before it is left as an empty file).  Then
-    each output is written in turn, its pieces encoded as UTF-8 with
-    backslash escapes for what UTF-8 cannot encode (a lone surrogate from
-    a file name that is not UTF-8 is written as `\\udcff`, as in the JSON
-    report).  A regular file is cut to the length written, or to zero
-    length if its own pieces raise, so new bytes are never left followed
-    by the old file's tail.  Other targets (/dev/null, a FIFO, a terminal)
-    are written and never truncated.  A path of None (or "") is standard
-    output.  Nothing is fsynced.
+    Every path is opened before any is written.  A missing path is created
+    (O_EXCL, mode 0o666 & ~umask); an existing one is opened without
+    O_TRUNC, so a file keeps its inode: hard links, owner and mode bits
+    stay, and a symlink is followed, as with open(path, "w").  Two outputs
+    that open one regular file (the same path, a hard link, a symlink) are
+    a ValueError, raised before anything is written; /dev/null, a FIFO or
+    a terminal may be given twice.  Then each output is written in turn,
+    its pieces encoded as UTF-8 with backslash escapes for what UTF-8
+    cannot encode (a lone surrogate from a file name that is not UTF-8 is
+    written as `\\udcff`, as in the JSON report).  A regular file is cut to
+    the length written, or to zero length if its own pieces raise, so new
+    bytes are never left followed by the old file's tail.  Other targets
+    are written and never truncated.  If this call raises, at an open, at
+    the check or while writing, every file it created is removed again and
+    every existing file it did not reach keeps its bytes; only the missing
+    target of a dangling symlink, which the open follows, is left behind.
+    A path of None (or "") is standard output.  Nothing is fsynced.
     """
     fds = []
+    created = []  # paths this call created, removed again if it raises
+    inodes = {}  # (st_dev, st_ino) -> the output path that opened it
     try:
         for path, _ in outputs:
-            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666) if path else None)
+            if not path:
+                fds.append(None)
+                continue
+            try:
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+            except FileExistsError:  # also a symlink, which O_EXCL never follows
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            st = os.fstat(fds[-1])
+            key = (st.st_dev, st.st_ino)
+            if key in inodes and stat.S_ISREG(st.st_mode):
+                raise ValueError(f"outputs {inodes[key]} and {path} are one file")
+            inodes[key] = path
         for fd, (_, pieces) in zip(fds, outputs):
             encoded = (piece.encode("utf-8", "backslashreplace") for piece in pieces)
             if fd is None:  # the escaped text, which any text stream takes
                 sys.stdout.writelines(data.decode("utf-8") for data in encoded)
             else:
                 _write_file(fd, encoded)
+    except BaseException:
+        for path in created:
+            os.unlink(path)
+        raise
     finally:
         for fd in fds:
             if fd is not None:

@@ -9,7 +9,8 @@ Model text is line oriented:
 
 Names match [A-Za-z_][A-Za-z0-9_]*.  Undeclared names used in arrows are
 implicitly declared with a ModelWarning.  The `eq` form is sugar for one
-uncoefficiented arrow per listed source.
+uncoefficiented arrow per listed source.  A syntax error (ModelSyntaxError)
+names its line and the column where the offending token starts.
 
 A PathModel checks itself and works out its causal structure (order,
 parents, children, arrow lookup) once, when it is constructed; every query
@@ -35,6 +36,10 @@ from .files import read_input
 from .record import FrozenRecord
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_TOKEN_RE = re.compile(r"\S+")
+# `path SRC -> DST [: COEFF]` and `eq DST <- SRC1 SRC2 ...`
+_PATH_RE = re.compile(r"\s*path\s+(\S+)\s*->\s*(\S+)\s*(?::\s*(\S+)\s*)?$")
+_EQ_RE = re.compile(r"\s*eq\s+(\S+)\s*<-\s*(.+)$")
 # A line up to its first `#` outside double quotes (labels may contain `#`).
 _CODE_RE = re.compile(r'(?:[^"#]|"[^"]*(?:"|$))*')
 # What a label cannot hold and still render to one quoted line: a double quote
@@ -213,92 +218,73 @@ def _syntax(lineno, col, msg):
     raise ModelSyntaxError(msg, lineno, col)
 
 
-def _check_name(tok, lineno, col):
-    if not _NAME_RE.match(tok):
-        _syntax(lineno, col, f"invalid name {tok!r}")
-    return tok
-
-
 def parse_model(text):
-    """Parse model DSL text into a validated PathModel."""
-    declared = []
+    """Parse model DSL text into a validated PathModel.
+
+    Each line is read in one pass, and every token comes with the position
+    of the match that read it, so a ModelSyntaxError's column is where the
+    offending token starts (for a line that is wrong as a whole, where its
+    directive starts), even when the same text occurs earlier on the line.
+    """
+    declared = {}  # name -> whether a var line declared it, in order of first use
     labels = {}
-    implicit = []
     arrows = []
 
-    def declare(name, lineno, col, explicit=False, label=None):
-        _check_name(name, lineno, col)
-        if explicit:
-            if name in declared and name not in implicit:
-                _syntax(lineno, col, f"variable {name!r} declared twice")
-            if name not in declared:
-                declared.append(name)
-            elif name in implicit:
-                implicit.remove(name)  # explicit declaration wins
-            if label is not None:
-                labels[name] = label
-        elif name not in declared:
-            declared.append(name)
-            implicit.append(name)
+    def declare(lineno, name, start, by_var=False):
+        if not _NAME_RE.match(name):
+            _syntax(lineno, start + 1, f"invalid name {name!r}")
+        if by_var and declared.get(name):
+            _syntax(lineno, start + 1, f"variable {name!r} declared twice")
+        declared[name] = by_var or declared.get(name, False)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _CODE_RE.match(raw).group().rstrip()
-        if not line.strip():
+        toks = _TOKEN_RE.finditer(line)
+        head = next(toks, None)
+        if head is None:
             continue
-        toks = line.split()
-        kind = toks[0]
-        if kind == "var":
-            if len(toks) < 2:
+        if head[0] == "var":
+            name = next(toks, None)
+            if name is None:
                 _syntax(lineno, len(line) + 1, "var needs a name")
-            name = toks[1]
-            label = None
-            rest = line.split(None, 2)
-            if len(rest) == 3:
-                lab = rest[2].strip()
-                if not (lab.startswith('"') and lab.endswith('"') and len(lab) >= 2):
-                    _syntax(lineno, line.find(lab) + 1, "label must be double-quoted")
-                label = lab[1:-1]
-            declare(name, lineno, line.find(name) + 1, explicit=True, label=label)
-        elif kind == "path":
-            # path SRC -> DST [: COEFF]
-            m = re.match(
-                r"\s*path\s+(\S+)\s*->\s*(\S+)\s*(?::\s*(\S+)\s*)?$", line
-            )
+            lab = next(toks, None)
+            if lab is not None:
+                label = line[lab.start():]
+                if not (label.startswith('"') and label.endswith('"') and len(label) >= 2):
+                    _syntax(lineno, lab.start() + 1, "label must be double-quoted")
+                labels[name[0]] = label[1:-1]
+            declare(lineno, name[0], name.start(), by_var=True)
+        elif head[0] == "path":
+            m = _PATH_RE.match(line)
             if not m:
-                _syntax(lineno, 1, "expected `path SRC -> DST [: COEFF]`")
-            src, dst, coeff_tok = m.group(1), m.group(2), m.group(3)
-            declare(src, lineno, line.find(src) + 1)
-            declare(dst, lineno, line.find(dst) + 1)
-            coeff = None
-            if coeff_tok is not None:
-                col = line.rfind(coeff_tok) + 1
+                _syntax(lineno, head.start() + 1, "expected `path SRC -> DST [: COEFF]`")
+            src, dst, coeff = m.groups()
+            declare(lineno, src, m.start(1))
+            declare(lineno, dst, m.start(2))
+            if coeff is not None:
                 try:
-                    coeff = float(coeff_tok)
+                    coeff = float(coeff)
                 except ValueError:
-                    _syntax(lineno, col, f"bad coefficient {coeff_tok!r}")
+                    _syntax(lineno, m.start(3) + 1, f"bad coefficient {m[3]!r}")
                 if not math.isfinite(coeff):  # float() reads nan and inf
-                    _syntax(lineno, col, f"arrow {src} -> {dst} carries a non-finite "
-                                         f"coefficient {coeff_tok!r}")
+                    _syntax(lineno, m.start(3) + 1, f"arrow {src} -> {dst} carries a "
+                                                    f"non-finite coefficient {m[3]!r}")
             arrows.append(Arrow(src, dst, coeff))
-        elif kind == "eq":
-            # eq DST <- SRC1 SRC2 ...
-            m = re.match(r"\s*eq\s+(\S+)\s*<-\s*(.+)$", line)
+        elif head[0] == "eq":
+            m = _EQ_RE.match(line)
             if not m:
-                _syntax(lineno, 1, "expected `eq DST <- SRC1 SRC2 ...`")
-            dst = m.group(1)
-            declare(dst, lineno, line.find(dst) + 1)
-            for src in m.group(2).split():  # never empty: the line is rstripped
-                declare(src, lineno, line.rfind(src) + 1)
-                arrows.append(Arrow(src, dst, None))
+                _syntax(lineno, head.start() + 1, "expected `eq DST <- SRC1 SRC2 ...`")
+            dst = m[1]
+            declare(lineno, dst, m.start(1))
+            for src in _TOKEN_RE.finditer(line, m.start(2)):  # never none: the line is rstripped
+                declare(lineno, src[0], src.start())
+                arrows.append(Arrow(src[0], dst, None))
         else:
-            _syntax(lineno, 1, f"unknown directive {kind!r}")
+            _syntax(lineno, head.start() + 1, f"unknown directive {head[0]!r}")
 
+    implicit = ", ".join(name for name, by_var in declared.items() if not by_var)
     if implicit:
-        warnings.warn(
-            f"implicitly declared variables: {', '.join(implicit)}",
-            ModelWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"implicitly declared variables: {implicit}", ModelWarning, stacklevel=2)
     return PathModel(tuple(declared), tuple(arrows), labels)
 
 

@@ -223,6 +223,15 @@ def test_load_correlation_rejects_malformed_table(tmp_path, text, error, message
     assert str(exc.value) == f"{path}: {message}"
 
 
+def test_malformed_row_named_by_its_file_line(tmp_path):
+    # blank lines are skipped but counted: the short row is on line 5
+    path = tmp_path / "blank.csv"
+    path.write_text("\n,a,b\n\na,1,0\nb,0\n", encoding="utf-8")
+    with pytest.raises(NotSquare) as exc:
+        load_correlation_csv(path, 100)
+    assert str(exc.value) == f"{path}: row 5 has 2 cells, expected 3"
+
+
 # ---------------------------------------------------------------------------
 # direct construction
 

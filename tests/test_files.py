@@ -1,8 +1,8 @@
 """Output files are rewritten in place: no O_TRUNC on open, cut to length
 at the end, emptied when the write fails, same inode as open(path, "w").
 Every output is opened before any is written, so a command that exits 2
-leaves every existing output as it was.  Each input file is opened once per
-command."""
+leaves every existing output as it was and creates none; two outputs on one
+file are exit 2.  Each input file is opened once per command."""
 
 import builtins
 import collections
@@ -134,6 +134,42 @@ def test_unopenable_output_keeps_every_other_output(tmp_path, capsys, name):
         assert {p: p.read_bytes() for p in kept} == kept
 
 
+MULTI_OUTPUT = sorted(name for name, (names, _) in WRITERS.items() if len(names) > 1)
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "hard-link"])
+@pytest.mark.parametrize("name", MULTI_OUTPUT)
+def test_two_outputs_on_one_file_exit_2(tmp_path, capsys, name, link):
+    names, call = WRITERS[name]
+    paths = [tmp_path / n for n in names]
+    paths[0].write_bytes(b"known bytes\n")
+    if link:
+        os.link(paths[0], paths[-1])
+    else:
+        paths[-1] = paths[0]
+    assert call([str(p) for p in paths]) == 2
+    assert "are one file" in capsys.readouterr().err
+    assert paths[0].read_bytes() == b"known bytes\n"
+    assert not [p for p in paths[1:-1] if p.exists()]
+
+
+@pytest.mark.parametrize("name", MULTI_OUTPUT)
+def test_exit_2_creates_no_output(tmp_path, capsys, name):
+    # the new paths are opened, and created, before the one that fails
+    names, call = WRITERS[name]
+    paths = [tmp_path / n for n in names]
+    paths[-1] = tmp_path / "missing" / names[-1]
+    assert call([str(p) for p in paths]) == 2
+    assert "pathtrek: error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_dev_null_may_take_two_outputs(capsys):
+    assert main(["fit", "--corr", CORR, "--n", "240", "--model", REVISED,
+                 "--out", os.devnull, "--effects-csv", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def _failing_pieces(size):
     yield "n" * size
     raise RuntimeError("pieces failed")
@@ -158,6 +194,17 @@ def test_failed_write_cuts_only_its_own_file(tmp_path):
         write_outputs([(paths[0], ["new ", "a\n"]), (paths[1], _failing_pieces(10)),
                        (paths[2], ["new c\n"])])
     assert [p.read_bytes() for p in paths] == [b"new a\n", b"", b"old contents\n"]
+
+
+def test_failed_write_removes_the_files_it_created(tmp_path):
+    # a new output is removed even when it was written in full
+    paths = [tmp_path / n for n in ("new-a.txt", "new-b.txt", "old.txt")]
+    paths[2].write_bytes(b"old contents\n")
+    with pytest.raises(RuntimeError):
+        write_outputs([(paths[0], ["new a\n"]), (paths[1], _failing_pieces(10)),
+                       (paths[2], ["new c\n"])])
+    assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+    assert paths[2].read_bytes() == b"old contents\n"
 
 
 def test_rewrite_keeps_inode_links_and_mode(tmp_path):

@@ -6,11 +6,15 @@ awkward values or none, and an input: a correlation table rounded to 2, 3
 or 17 digits (some with a BOM, CRLF line ends, a NaN or a unit cell), or
 raw rows (some with a duplicated or constant column).  It runs one command
 with a random set of its side outputs, each filled beforehand with known
-bytes, and sometimes one output in a directory that does not exist.  fit,
-revise and screen run in both formats.  Every case must keep four rules:
+bytes, except sometimes one that does not exist yet; sometimes one output
+is in a directory that does not exist, and sometimes two flags name one
+path.  fit, revise and screen run in both formats.  Every case must keep
+six rules:
 
   * the exit code is 0, 1, 2 or 3, and no exception escapes `main`;
   * on exit 2, every output keeps the bytes it had;
+  * on exit 2, an output that did not exist still does not;
+  * two outputs on one path exit 2;
   * a JSON report parses, with NaN and Infinity refused;
   * text and JSON exit alike.
 """
@@ -96,7 +100,8 @@ def _data_text(rnd, names):
 
 
 def _case(rnd, work):
-    """(command, argv without --format, {flag: output path}, model text) of one case."""
+    """(command, argv without --format, {flag: output path}, the output paths
+    left un-created, model text) of one case."""
     k = rnd.randint(2, 6)
     names, arrows = _dag(rnd, k)
     command = rnd.choice(("fit", "fit", "revise", "revise", "screen", "simulate"))
@@ -119,17 +124,24 @@ def _case(rnd, work):
     if outputs and rnd.random() < 0.15:
         flag = rnd.choice(flags)
         outputs[flag] = work / "missing" / outputs[flag].name
+    if len(outputs) > 1 and rnd.random() < 0.1:
+        first, second = rnd.sample(flags, 2)
+        outputs[second] = outputs[first]
+    fresh = {rnd.choice(list(outputs.values()))} if outputs and rnd.random() < 0.3 else set()
     for flag, path in outputs.items():
         argv += [flag, str(path)]
-    return command, argv, outputs, model
+    return command, argv, outputs, fresh, model
 
 
-def _run(argv, outputs, capsys):
-    """(problems, exit code) of one run, every output filled beforehand."""
+def _run(argv, outputs, fresh, capsys):
+    """(problems, exit code) of one run, every output but the fresh ones
+    filled beforehand."""
     known = {path: b"known bytes of %s\n" % path.name.encode()
-             for path in outputs.values() if path.parent.exists()}
+             for path in outputs.values() if path.parent.exists() and path not in fresh}
     for path, content in known.items():
         path.write_bytes(content)
+    for path in fresh:
+        path.unlink(missing_ok=True)
     try:
         code = main(argv)
     except (Exception, SystemExit) as exc:  # an escape is what this looks for
@@ -142,12 +154,15 @@ def _run(argv, outputs, capsys):
     if code == 2:
         problems += [f"exit 2 rewrote {path.name}"
                      for path, content in known.items() if path.read_bytes() != content]
+        problems += [f"exit 2 left {path.name}" for path in fresh if path.exists()]
     elif "json" in argv:
         report = outputs["--out"].read_text(encoding="utf-8") if "--out" in outputs else stdout
         try:
             json.loads(report, parse_constant=_refuse)
         except ValueError as exc:
             problems.append(f"JSON report does not parse: {exc}")
+    if len(set(outputs.values())) < len(outputs) and code != 2:
+        problems.append(f"two outputs on one path exit {code}")
     return problems, code
 
 
@@ -157,12 +172,12 @@ def test_cli_fuzz(tmp_path, capsys):
     for case in range(CASES):
         work = tmp_path / str(case % 8)
         work.mkdir(exist_ok=True)
-        command, argv, outputs, model = _case(rnd, work)
+        command, argv, outputs, fresh, model = _case(rnd, work)
         formats = [[]] if command == "simulate" else [["--format", "text"],
                                                       ["--format", "json"]]
         codes = []
         for fmt in formats:
-            problems, code = _run(argv + fmt, outputs, capsys)
+            problems, code = _run(argv + fmt, outputs, fresh, capsys)
             codes.append(code)
             failures += [(problems, argv + fmt, model)] if problems else []
         if len(set(codes)) > 1:

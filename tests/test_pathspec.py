@@ -1,7 +1,11 @@
 """Model DSL parsing, validation, causal ordering, and rendering."""
 
+import ast
 import math
+import random
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +361,69 @@ def test_non_finite_coefficient_names_its_position(value):
     with pytest.raises(ModelSyntaxError) as exc:
         parse_model(f"var A\nvar B\npath A  ->  B : {value}  # note\n")
     assert (exc.value.line, exc.value.column) == (3, 17)
+
+
+@pytest.mark.parametrize("text,position", [
+    ("var v\nvar v\n", (2, 5)),
+    ("path x1 -> 1\n", (1, 12)),
+    ("eq Y <- 1 x1\n", (1, 9)),
+    ("var x x\n", (1, 7)),
+    ("var ab\nvar a\nvar a\n", (3, 5)),
+    ("  wat A\n", (1, 3)),
+])
+def test_syntax_error_names_where_its_token_starts(text, position):
+    # the same text earlier on the line does not move the column
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model(text)
+    assert (exc.value.line, exc.value.column) == position
+
+
+DIRECTIVES = ["var", "path", "eq", "wat"]
+TOKEN_POOL = DIRECTIVES + [
+    "A", "B", "x1", "v", "a", "ab", "Y", "2B", "1", "a-b", "->", "<-", "=>", "A->B", "B:0.5",
+    ":", "0.5", "-1", "twelve", "nan", "inf", '"Score"', '"a b"', '"', "#"]
+QUOTED_TOKEN = re.compile(r"(?:name|variable|coefficient|directive) ('(?:[^'\\]|\\.)*')")
+
+
+def _starts_token(code, start, token):
+    """Whether `token` starts at `start` and stands alone there: between
+    blanks, line ends, arrows or a colon (where `path` and `eq` split)."""
+    end = start + len(token)
+    cuts = ("->", "<-", ":")
+    return (code.startswith(token, start)
+            and (start == 0 or code[start - 1].isspace() or code[:start].endswith(cuts))
+            and (end == len(code) or code[end].isspace() or code[end:].startswith(cuts)))
+
+
+def test_random_syntax_errors_name_where_their_token_starts():
+    rnd = random.Random(4217)
+    errors = 0
+    for _ in range(3000):
+        lines = [rnd.choice(["", " ", "  "]) + " ".join(
+            [rnd.choice(DIRECTIVES)] + rnd.choices(TOKEN_POOL, k=rnd.randint(0, 5)))
+            for _ in range(rnd.randint(1, 3))]
+        text = "\n".join(lines)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ModelWarning)
+                parse_model(text)
+        except ModelSyntaxError as exc:
+            errors += 1
+            code = lines[exc.line - 1].split("#")[0].rstrip()  # no label holds a #
+            start, message = exc.column - 1, str(exc).split(": ", 1)[1]
+            quoted = QUOTED_TOKEN.search(message)
+            if quoted:
+                assert _starts_token(code, start, ast.literal_eval(quoted[1])), text
+            elif message == "var needs a name":
+                assert start == len(code), text
+            elif message.startswith("expected"):
+                assert start == len(code) - len(code.lstrip()), text
+            else:
+                assert message == "label must be double-quoted", text
+                assert start == [m.start() for m in re.finditer(r"\S+", code)][2], text
+        except ParseError:
+            pass
+    assert errors > 2000
 
 
 @pytest.mark.parametrize("variables,arrows,message", [
