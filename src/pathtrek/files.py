@@ -41,9 +41,9 @@ def write_outputs(outputs):
     the length written, or to zero length if its own pieces raise, so new
     bytes are never left followed by the old file's tail.  Other targets
     are written and never truncated.  If this call raises, at an open, at
-    the check or while writing, every file it created is removed again and
-    every existing file it did not reach keeps its bytes; only the missing
-    target of a dangling symlink, which the open follows, is left behind.
+    the check or while writing, every file it created is removed again (the
+    new target of a dangling symlink too; the link stays) and every
+    existing file it did not reach keeps its bytes.
     A path of None (or "") is standard output.  Nothing is fsynced.
     """
     fds = []
@@ -58,7 +58,12 @@ def write_outputs(outputs):
                 fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
                 created.append(path)
             except FileExistsError:  # also a symlink, which O_EXCL never follows
-                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+                try:
+                    fds.append(os.open(path, os.O_WRONLY))
+                except FileNotFoundError:  # a dangling symlink: create its target
+                    target = os.path.realpath(path)
+                    fds.append(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                    created.append(target)
             st = os.fstat(fds[-1])
             key = (st.st_dev, st.st_ino)
             if key in inodes and stat.S_ISREG(st.st_mode):

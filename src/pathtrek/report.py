@@ -3,7 +3,10 @@
 A Report is built once from analysis results and rendered two ways: text
 (3-decimal reals, "<.001" for tiny p-values, significance stars) and JSON
 (full precision, stable field names, null for an exact fit's infinite t).
-Both views read the same stored numbers.
+Both views read the same stored numbers.  In the JSON each pair, effect
+row, revision step and equation object holds exactly its record's fields
+(PairFit; EffectRow plus total; RevisionStep; EquationFit), each tuple
+written as a list, so the keys are stated once, by the record.
 
 The JSON text is json.dumps(..., indent=2, sort_keys=True, allow_nan=False)
 byte for byte.  Python 3.11 runs that call in the pure-Python encoder, so
@@ -153,6 +156,19 @@ def _strengths(c):
     return [(a, b, classify_strength(r).value) for (a, b), r in zip(c.pairs(), upper)]
 
 
+def _listed(value):
+    """A record's field as json.loads reads it back: a tuple, and each tuple
+    in it, as a list.  A tuple field holds only tuples or only scalars."""
+    if not isinstance(value, tuple):
+        return value
+    return list(map(list, value)) if value and isinstance(value[0], tuple) else list(value)
+
+
+def _record(rec):
+    """A value record as a JSON object: its own fields, each tuple a list."""
+    return dict(zip(rec._fields, map(_listed, rec)))
+
+
 class Report(Record):
     _fields = ("command", "inputs", "screening", "correlations", "fitted", "reproduced",
                "fit", "effects", "revision", "warnings")
@@ -214,23 +230,11 @@ class Report(Record):
                 "strength": {f"{a}:{b}": label for a, b, label in _strengths(c)},
             }
         if self.fitted is not None:
-            f = self.fitted
             out["coefficients"] = {
-                "n": f.n,
-                "equations": [
-                    {
-                        "target": y,
-                        "parents": list(eq.parents),
-                        "beta": list(eq.beta),
-                        "se": list(eq.se),
-                        # an exact fit's infinite t is written as null
-                        "t": [x if math.isfinite(x) else None for x in eq.t],
-                        "p": list(eq.p),
-                        "r_squared": eq.r_squared,
-                        "disturbance": eq.disturbance,
-                    }
-                    for y, eq in f.equations.items()
-                ],
+                "n": self.fitted.n,
+                # an exact fit's infinite t is written as null
+                "equations": [dict(_record(eq), t=[x if math.isfinite(x) else None for x in eq.t])
+                              for eq in self.fitted.equations.values()],
             }
         if self.reproduced is not None:
             rm = self.reproduced
@@ -244,49 +248,18 @@ class Report(Record):
                 "misfit_count": self.fit.misfit_count,
                 "verdict": self.fit.verdict,
                 "max_difference": self.fit.max_difference,
-                "pairs": [
-                    {
-                        "a": a,
-                        "b": b,
-                        "observed": observed,
-                        "reproduced": reproduced,
-                        "difference": difference,
-                        "flagged": flagged,
-                    }
-                    for a, b, observed, reproduced, difference, flagged in self.fit.pairs
-                ],
+                "pairs": [dict(zip(p._fields, p)) for p in self.fit.pairs],
             }
         if self.effects is not None:
             out["effects"] = {
-                "rows": [
-                    {
-                        "outcome": r.outcome,
-                        "determinant": r.determinant,
-                        "direct": r.direct,
-                        "indirect": r.indirect,
-                        "total": r.total,
-                    }
-                    for r in self.effects.rows
-                ],
+                "rows": [dict(zip(r._fields, r), total=r.total) for r in self.effects.rows],
                 "r_squared": dict(self.effects.r_squared),
             }
         if self.revision is not None:
-            t = self.revision
             out["revision"] = {
-                "converged": t.converged,
-                "iterations": t.iterations,
-                "steps": [
-                    {
-                        "iteration": s.iteration,
-                        "action": s.action,
-                        "arrows": [list(a) for a in s.arrows],
-                        "reason": s.reason,
-                        "candidates": [list(c) for c in s.candidates],
-                        "misfit_count": s.misfit_count,
-                        "max_difference": s.max_difference,
-                    }
-                    for s in t.steps
-                ],
+                "converged": self.revision.converged,
+                "iterations": self.revision.iterations,
+                "steps": [_record(s) for s in self.revision.steps],
             }
         return out
 

@@ -239,6 +239,17 @@ def _direct(r):
     return CorrelationMatrix(("a", "b"), r, 100)
 
 
+@pytest.mark.parametrize("r", [[[1.0, 0.0]], [1.0, 0.0]], ids=["one-row", "flat"])
+def test_direct_rejects_rows_of_another_shape(r):
+    with pytest.raises(NotSquare, match="expected 2x2 matrices"):
+        _direct(r)
+
+
+def test_index_of_an_unknown_name_is_a_key_error():
+    with pytest.raises(KeyError):
+        _direct([[1.0, 0.5], [0.5, 1.0]]).index("z")
+
+
 def _assert_symmetric_unit_diagonal(corr):
     assert corr.r_rows[0][1] == corr.r_rows[1][0]
     assert corr.r_rows[0][0] == corr.r_rows[1][1] == 1.0

@@ -167,6 +167,11 @@ def test_dataset_rejects(variables, rows, error, message):
         Dataset(variables, rows)
 
 
+def test_column_of_an_unknown_name_is_a_key_error():
+    with pytest.raises(KeyError):
+        Dataset(("a",), np.array([[1.0], [2.0], [3.0]])).column("z")
+
+
 def test_dataset_immutable():
     d = Dataset(("a",), np.array([[1.0], [2.0], [3.0]]))
     with pytest.raises(ValueError):

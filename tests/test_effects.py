@@ -154,6 +154,10 @@ def test_effects_table_golden(revised_printed):
         assert row.total == pytest.approx(total, abs=1e-3), (det, outcome)
 
 
+def test_effects_row_of_an_unlinked_pair_is_none(revised_printed):
+    assert decompose_effects(revised_printed).row("Y", "X1") is None
+
+
 def test_effects_outcome_ordering(revised_printed):
     table = decompose_effects(revised_printed)
     assert [r.outcome for r in table.rows] == (

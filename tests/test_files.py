@@ -207,6 +207,22 @@ def test_failed_write_removes_the_files_it_created(tmp_path):
     assert paths[2].read_bytes() == b"old contents\n"
 
 
+def test_failed_write_removes_a_dangling_symlinks_new_target(tmp_path):
+    link = tmp_path / "dang"
+    link.symlink_to("nowhere")
+    with pytest.raises(FileNotFoundError):
+        write_outputs([(link, ["x"]), (tmp_path / "missing" / "y", ["y"])])
+    assert [p.name for p in tmp_path.iterdir()] == ["dang"]
+    assert link.is_symlink() and not (tmp_path / "nowhere").exists()
+
+
+def test_write_through_a_dangling_symlink_creates_its_target(tmp_path):
+    link = tmp_path / "dang"
+    link.symlink_to("nowhere")
+    write_outputs([(link, ["new\n"])])
+    assert link.is_symlink() and (tmp_path / "nowhere").read_bytes() == b"new\n"
+
+
 def test_rewrite_keeps_inode_links_and_mode(tmp_path):
     target = tmp_path / "report.json"
     target.write_bytes(b"x" * 50_000)

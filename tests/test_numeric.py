@@ -395,6 +395,12 @@ def test_t_sf_rejects_nan_t():
             numeric.t_sf_two_sided(math.nan, df)
 
 
+def test_t_sf_rejects_df_that_is_not_a_positive_integer():
+    for df in (0, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            numeric.t_sf_two_sided(1.0, df)
+
+
 def test_t_sf_infinite_t_is_zero():
     for df in (1, 10, 4998, 10 ** 7):
         assert numeric.t_sf_two_sided(math.inf, df) == 0.0

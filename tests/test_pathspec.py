@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pathtrek.errors import (
     CycleDetected,
     DuplicateArrow,
+    MissingCoefficient,
     ModelSyntaxError,
     ModelWarning,
     ParseError,
@@ -85,6 +86,13 @@ def test_parse_var_after_implicit_use():
 def test_parse_coefficient():
     m = parse_model("var A\nvar B\npath A -> B : 0.209\n")
     assert m.coefficient("A", "B") == 0.209
+
+
+def test_coefficient_of_a_bare_or_absent_arrow_is_missing():
+    m = parse_model("var A\nvar B\nvar C\npath A -> B\n")
+    for source, target in (("A", "B"), ("A", "C")):
+        with pytest.raises(MissingCoefficient):
+            m.coefficient(source, target)
 
 
 def test_parse_comments_and_blanks():

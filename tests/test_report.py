@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
-from pathtrek.correlation import classify_strength, load_correlation_csv
-from pathtrek.effects import assess_fit
+from conftest import DATA_DIR, unchecked_trace
+from pathtrek.correlation import CorrelationMatrix, classify_strength, load_correlation_csv
+from pathtrek.effects import assess_fit, decompose_effects, revise_model
 from pathtrek.estimation import fit_standardized
-from pathtrek.pathspec import load_model
+from pathtrek.pathspec import load_model, parse_model
 from pathtrek.report import Report, _Mirrored, _render
 from pathtrek.tracing import implied_matrix
 
@@ -185,15 +185,37 @@ def study_report():
                   fit=assess_fit(corr, implied))
 
 
-def test_report_matrices_are_lists_of_lists(study_report):
-    corr, implied = study_report.correlations, study_report.reproduced
-    d = study_report.to_dict()
+@pytest.fixture(scope="module", params=["fit", "revise", "exact-fit"])
+def report(request, study_report):
+    """The study's fit report; its revise report, with effects and steps that
+    carry candidates; and the report of an exact fit, whose t is ±inf."""
+    if request.param == "fit":
+        return study_report
+    if request.param == "revise":
+        corr = study_report.correlations
+        trace = revise_model(corr, load_model(DATA_DIR / "initial_model.pm"))
+        return Report(command="revise", correlations=corr, fitted=trace.final_fit,
+                      reproduced=trace.final_implied, fit=trace.final_assessment,
+                      effects=decompose_effects(trace.final_fit.annotated_model()),
+                      revision=trace)
+    corr = CorrelationMatrix(["A", "B", "Y"], [[1.0, 0.0, 0.6], [0.0, 1.0, -0.8],
+                                               [0.6, -0.8, 1.0]], 100)
+    fitted = fit_standardized(corr, parse_model("var A\nvar B\nvar Y\npath A -> Y\npath B -> Y\n"))
+    implied = unchecked_trace(fitted.annotated_model())  # psi_Y is 0
+    return Report(command="fit", correlations=corr, fitted=fitted, reproduced=implied,
+                  fit=assess_fit(corr, implied),
+                  effects=decompose_effects(fitted.annotated_model()))
+
+
+def test_report_matrices_are_lists_of_lists(report):
+    corr, implied = report.correlations, report.reproduced
+    d = report.to_dict()
     assert d["correlations"]["r"] == [list(row) for row in corr.r_rows]
     assert d["correlations"]["p"] == [list(row) for row in corr.p_rows]
     assert d["reproduced"]["r_hat"] == [list(row) for row in implied.r_hat_rows]
     plain = json.loads(stdlib(d))
     assert d == plain
-    assert study_report.to_json() == stdlib(plain) + "\n"
+    assert report.to_json() == stdlib(plain) + "\n"
 
 
 def test_report_strengths_follow_the_pairs(study_report):
