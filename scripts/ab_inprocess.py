@@ -22,7 +22,9 @@ alone can hide a last-bit change in a few draws).  Then each round times
 every op on both sides, the side that goes first alternating from round to
 round.  It prints each side's median over rounds of the mean op time with
 its first and third quartiles, and in how many rounds the change was
-faster.
+faster; then, per op id (per seed for recovery), each side's median time
+over rounds, which shows a change whose gain grows with the input, such as
+k = 20 against k = 10.
 
 No speed probe scales these times.  Both sides run interleaved in the same
 process, so a drift of the machine's speed reaches both alike.  The exit
@@ -55,23 +57,25 @@ def load_side(src, name, into):
 
 
 def side_ops(package, plan, kind, out):
-    """One zero-argument call per op of `kind`, writing under `out`."""
+    """Op id -> one zero-argument call, for every op of `kind`, writing under `out`."""
     if kind != "recovery":
         cli = importlib.import_module(f"{package.__name__}.cli")
-        return [functools.partial(cli.main, argv) for argv in op_argvs(plan, kind, out)]
+        return {op_id: functools.partial(cli.main, argv)
+                for op_id, argv in op_argvs(plan, kind, out).items()}
     op = plan["ops"]["recovery"]
     model = package.load_model(op["model"])
     seeds = [(op["first_seed"] + rep) % (1 << 31) for rep in range(RECOVERY_SEEDS)]
-    return [functools.partial(package.recovery_check,
-                              package.SimulationSpec(model, op["n"], seed), op["tolerance"])
-            for seed in seeds]
+    return {f"seed {seed}": functools.partial(package.recovery_check,
+                                              package.SimulationSpec(model, op["n"], seed),
+                                              op["tolerance"])
+            for seed in seeds}
 
 
 def op_argvs(plan, kind, out):
-    """The argv of every op of `kind` in the plan, writing under `out`."""
+    """Op id -> the argv of every op of `kind` in the plan, writing under `out`."""
     ops = plan["ops"][kind]
     ops = ops if isinstance(ops, list) else [ops]
-    argvs = []
+    argvs = {}
     for op in ops:
         path = os.path.join(out, op["id"])
         if kind == "screen":
@@ -83,22 +87,24 @@ def op_argvs(plan, kind, out):
         else:
             argv = [kind, *op["input"], "--model", op["model"], "--format", "json",
                     "--out", path]
-        argvs.append(argv)
+        argvs[op["id"]] = argv
     return argvs
 
 
 def run_round(ops):
-    """Seconds per op, averaged over one run of every op."""
+    """The seconds each op took, in one run of every op."""
     gc.collect()
-    start = time.perf_counter()
+    seconds = []
     for op in ops:
+        start = time.perf_counter()
         op()
-    return (time.perf_counter() - start) / len(ops)
+        seconds.append(time.perf_counter() - start)
+    return seconds
 
 
 def outputs(package, kind, ops, out):
     """Run every op once: the sha256 of each file written, or each recovery's errors and rows."""
-    results = [op() for op in ops]
+    results = [op() for op in ops.values()]
     if kind == "recovery":
         return {f"seed {report.spec.seed}":
                 (report.errors, package.simulate_dataset(report.spec).rows.tobytes())
@@ -135,11 +141,12 @@ def main(argv=None):
         differ = sorted(name for name in written["parent"].keys() | written["change"].keys()
                         if written["parent"].get(name) != written["change"].get(name))
 
-        times = {side: [] for side in SIDES}
+        op_times = {side: [] for side in SIDES}  # per round, the seconds of each op
         for round_no in range(args.rounds):
             for side in SIDES if round_no % 2 == 0 else SIDES[::-1]:
-                times[side].append(run_round(ops[side]))
+                op_times[side].append(run_round(ops[side].values()))
 
+    times = {side: [statistics.fmean(round_) for round_ in op_times[side]] for side in SIDES}
     medians = {side: 1000.0 * statistics.median(times[side]) for side in SIDES}
     won = sum(c < p for p, c in zip(times["parent"], times["change"]))
     change = 100.0 * (medians["change"] / medians["parent"] - 1.0)
@@ -149,6 +156,12 @@ def main(argv=None):
         note = f" ({change:+.1f}%)" if side == "change" else ""
         print(f"{side:<7} median {medians[side]:.3f} ms/op{note}, quartiles {q1:.3f}-{q3:.3f}")
     print(f"change faster in {won}/{args.rounds} rounds")
+    width = max(map(len, ops["parent"]))
+    for i, op_id in enumerate(ops["parent"]):
+        parent, change = (1000.0 * statistics.median(round_[i] for round_ in op_times[side])
+                          for side in SIDES)
+        print(f"  {op_id:<{width}}  parent {parent:.3f} ms, change {change:.3f} ms "
+              f"({100.0 * (change / parent - 1.0):+.1f}%)")
     if differ:
         print(f"outputs differ: {', '.join(differ)}")
         return 1

@@ -4,10 +4,12 @@ The tail probabilities are built on the C library's lgamma, erfc, exp and
 log (via math): the normal tail is erfc, the chi-squared tail a finite sum
 for its integer df, the t tail a continued fraction for the incomplete
 beta, and the Kolmogorov tail a theta series.  The t tail is the one
-evaluated per correlation pair and per arrow, so its log-gamma terms are
-cached per df and its continued fraction calls no builtin per term; both
-keep every bit of the plain form that tests/test_numeric.py keeps as its
-reference.  Screening evaluates the
+evaluated per correlation pair and per arrow, so its constants that depend
+on df alone come from one cached lookup, and its continued fraction reads
+the x-free factors of each term from a table kept per (a, b), grown only
+as far as a fraction has run, so its loop runs only the recurrences in x
+and calls no builtin; all of it keeps every bit of the plain form that
+tests/test_numeric.py keeps as its reference.  Screening evaluates the
 normal and chi-squared tails over arrays: `normal_cdf_array` and
 `chisq_sf_array` do the correctly rounded steps (abs, division, products,
 sums, sqrt, min, sign branch) in numpy and map libm's erfc, exp and log
@@ -98,53 +100,87 @@ def inverse_factor(a):
 
 _EPS = 1e-15
 _MAX_ITER = 500
+# The continued fraction's x-free factors, per (a, b), oldest table first.
+_FRACTION_TABLES = {}
+_FRACTION_TABLE_LIMIT = 64
+
+
+def _fraction_table(a, b):
+    """The table of x-free factors of the continued fraction at (a, b).
+
+    Entry m - 1 is (m(b - m), (a - 1 + 2m)(a + 2m), -(a + m)(a + b + m),
+    (a + 2m)(a + 1 + 2m)), the numerator and denominator factors of the
+    fraction's two coefficients for term m.  A new table is empty and
+    `_betacf` appends a term only when a fraction runs past the table's
+    end, so a table is as long as the longest fraction that ran at (a, b).
+    At most _FRACTION_TABLE_LIMIT tables are kept; a new one evicts the
+    oldest.
+    """
+    table = _FRACTION_TABLES.get((a, b))
+    if table is None:
+        if len(_FRACTION_TABLES) >= _FRACTION_TABLE_LIMIT:
+            del _FRACTION_TABLES[next(iter(_FRACTION_TABLES))]
+        table = _FRACTION_TABLES[a, b] = []
+    return table
 
 
 def _betacf(a, b, x):
     """Continued fraction for the incomplete beta (Lentz).
 
-    Press et al., Numerical Recipes, 6.4.  The loop calls no builtin: a
-    chained comparison stands for each abs(), and the term index m runs
-    as a float, whose sums and products are those of the int it stands
-    for.  Raises NoConvergence when _MAX_ITER terms leave it unconverged.
+    Press et al., Numerical Recipes, 6.4.  Each term's coefficient is its
+    x-free numerator factor times x over its denominator factor, both read
+    from `_fraction_table(a, b)`, with the same operations in the same
+    order as when they are computed in place, so the table changes no bit.
+    The loop calls no builtin: a chained comparison stands for each abs().
+    Raises NoConvergence when _MAX_ITER - 1 terms, as _MAX_ITER reads when
+    the fraction runs, leave it unconverged.
     """
     tiny, eps = 1e-300, _EPS
     neg_tiny, neg_eps = -tiny, -eps
+    terms = _fraction_table(a, b)
     qab = a + b
     qap = a + 1.0
-    qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
     if neg_tiny < d < tiny:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in map(float, range(1, _MAX_ITER)):
+    ran = 0
+    while True:
+        for num_even, den_even, num_odd, den_odd in terms[ran:_MAX_ITER - 1]:
+            aa = num_even * x / den_even
+            d = 1.0 + aa * d
+            if neg_tiny < d < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if neg_tiny < c < tiny:
+                c = tiny
+            d = 1.0 / d
+            h *= d * c
+            aa = num_odd * x / den_odd
+            d = 1.0 + aa * d
+            if neg_tiny < d < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if neg_tiny < c < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if neg_eps < delta - 1.0 < eps:
+                return h
+        ran = len(terms)
+        if ran >= _MAX_ITER - 1:
+            raise NoConvergence(
+                f"incomplete beta continued fraction unconverged after {_MAX_ITER - 1} "
+                f"iterations at a={a!r}, b={b!r}, x={x!r}")
+        # term m = ran + 1, its index as a float, whose sums and products
+        # are those of the int it stands for
+        m = ran + 1.0
         m2 = m + m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if neg_tiny < d < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if neg_tiny < c < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if neg_tiny < d < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if neg_tiny < c < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if neg_eps < delta - 1.0 < eps:
-            return h
-    raise NoConvergence(
-        f"incomplete beta continued fraction unconverged after {_MAX_ITER - 1} "
-        f"iterations at a={a!r}, b={b!r}, x={x!r}")
+        terms.append((m * (b - m), (a - 1.0 + m2) * (a + m2),
+                      -(a + m) * (qab + m), (a + m2) * (qap + m2)))
 
 
 def _log_gamma_ratio_half(a):
@@ -169,10 +205,13 @@ def _log_gamma_ratio_half(a):
 
 
 @functools.lru_cache(maxsize=64)
-def _log_front(a):
-    """log Gamma(a + 1/2) - log Gamma(a) - log Gamma(1/2): the part of the
-    t tail's log prefactor that depends on a = df/2 alone."""
-    return _log_gamma_ratio_half(a) - math.lgamma(0.5)
+def _t_constants(df):
+    """The t tail's constants that depend on df alone: a = df/2, the part
+    log Gamma(a + 1/2) - log Gamma(a) - log Gamma(1/2) of its log
+    prefactor, and (a + 1)/(a + 2.5), the x below which the continued
+    fraction runs in x rather than in 1 - x."""
+    a = 0.5 * float(df)
+    return a, _log_gamma_ratio_half(a) - math.lgamma(0.5), (a + 1.0) / (a + 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +318,14 @@ def t_sf_two_sided(t, df):
     The tail is the regularized incomplete beta I_x(df/2, 1/2) at
     x = df/(df + t^2).  Its prefactor takes log x = -log1p(t^2/df) and
     log(1 - x) from t rather than from the rounded x, which sits near 1 at
-    large df.  The part of its log that depends on df alone is cached per
-    df (`_log_front`); it is the first difference in the sum either way, so
-    the cache changes no bit.  Raises ValueError for a NaN t or a df that
-    is not a positive integer; an infinite t has tail 0.
+    large df.  The constants that depend on df alone come from one cached
+    lookup (`_t_constants`); the log-gamma part is the first difference in
+    the sum either way, so the cache changes no bit.  Raises ValueError
+    for a NaN t or a df that is not a positive integer (a bool is not one,
+    though True == 1); an infinite t has tail 0.
     """
-    if df < 1 or int(df) != df:
+    # checked before the lookup: True and 1 are one key of the cache
+    if isinstance(df, bool) or df < 1 or int(df) != df:
         raise ValueError("df must be a positive integer")
     tt = t * t
     if not tt > 0.0:
@@ -294,12 +335,11 @@ def t_sf_two_sided(t, df):
     x = df / (df + tt)
     if x == 0.0:
         return 0.0
-    a = 0.5 * df
+    a, log_front, threshold = _t_constants(df)
     front = math.exp(
-        _log_front(a)
-        - a * math.log1p(tt / df) + 0.5 * (math.log(tt) - math.log(df + tt))
+        log_front - a * math.log1p(tt / df) + 0.5 * (math.log(tt) - math.log(df + tt))
     )
-    if x < (a + 1.0) / (a + 2.5):
+    if x < threshold:
         return front * _betacf(a, 0.5, x) / a
     return 1.0 - 2.0 * front * _betacf(0.5, a, tt / (df + tt))
 

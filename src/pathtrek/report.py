@@ -11,17 +11,21 @@ written as a list, so the keys are stated once, by the record.
 The JSON text is json.dumps(..., indent=2, sort_keys=True, allow_nan=False)
 byte for byte.  Python 3.11 runs that call in the pure-Python encoder, so
 `_render` walks only the containers that hold other containers and gives
-each leaf container (a pair, an effect, a list of coefficients) to json's
+each leaf container (a list of coefficients, a dict of scalars) to json's
 C encoder in one call, with the separators of its depth; a container is a
 leaf when the types of its values are all json scalars, a test made in C.
-The three k x k matrices (observed r, its p-values and r-hat) are
-symmetric, so `_render_mirrored` writes them with one float repr per
-mirrored pair of equal nonzero cells.
+The fit's pairs, the effects rows and each revision step's arrows and
+candidates are marked as lists of flat records (`_Records`), and
+`_render_records` encodes each such list in one C encoder call and lays
+out the boundaries between its items.  The three k x k matrices (observed
+r, its p-values and r-hat) are symmetric, so `_render_mirrored` writes
+them with one float repr per mirrored pair of equal nonzero cells.
 """
 
 import functools
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -59,6 +63,15 @@ class _Mirrored(list):
 
     It equals the plain list of its rows.  `_render` writes such a matrix
     with one float repr per mirrored pair (`_render_mirrored`).
+    """
+
+
+class _Records(list):
+    """A list of flat records, such as the fit's pairs: dicts, or lists,
+    whose values are all json scalars.
+
+    It equals the plain list of its items.  `_render` writes it with one
+    encoder call (`_render_records`).
     """
 
 
@@ -118,6 +131,40 @@ def _render_mirrored(rows, depth):
     return None if "n" in text else text
 
 
+def _render_records(items, depth):
+    """The text `_render` writes for the list of flat records `items` at `depth`.
+
+    The items are encoded in one call at their own depth, so the separator
+    between two items is the one between two values of an item: ",\n" and
+    the values' indent.  Only at an item boundary does a closing bracket
+    precede it and an opening one follow it, since within an item a scalar
+    precedes it and a key or a scalar follows it, and a json string that
+    escapes all but printable ASCII holds no raw newline.  Each boundary
+    and the outer brackets are then laid out as indent=2 lays them out.
+    Returns None for an empty list, an empty item, an item that holds a
+    container, or items of more than one type, which `_render` then
+    writes item by item.
+    """
+    kinds = set(map(type, items))
+    if kinds == {dict}:
+        (opening, closing), values = "{}", chain.from_iterable(map(dict.values, items))
+    elif kinds == {list}:
+        (opening, closing), values = "[]", chain.from_iterable(items)
+    else:
+        return None
+    if not all(items) or not _SCALARS.issuperset(map(type, values)):
+        return None
+    text = _leaf_encoder(depth + 1)(items)
+    outer, inner = "  " * (depth + 1), "  " * (depth + 2)
+    body = text[2:-2].replace(f"{closing},\n{inner}{opening}",
+                              f"\n{outer}{closing},\n{outer}{opening}\n{inner}")
+    return f"[\n{outer}{opening}\n{inner}{body}\n{outer}{closing}\n{'  ' * depth}]"
+
+
+# The list types that `_render` writes whole, each by its own writer.
+_WRITERS = {_Mirrored: _render_mirrored, _Records: _render_records}
+
+
 def _render(obj, depth=0):
     """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) at `depth`.
 
@@ -128,8 +175,9 @@ def _render(obj, depth=0):
     if isinstance(obj, dict):
         brackets, values = "{}", obj.values()
     elif isinstance(obj, (list, tuple)):
-        if type(obj) is _Mirrored:
-            text = _render_mirrored(obj, depth)
+        writer = _WRITERS.get(type(obj))
+        if writer is not None:
+            text = writer(obj, depth)
             if text is not None:
                 return text
         brackets, values = "[]", obj
@@ -161,7 +209,7 @@ def _listed(value):
     in it, as a list.  A tuple field holds only tuples or only scalars."""
     if not isinstance(value, tuple):
         return value
-    return list(map(list, value)) if value and isinstance(value[0], tuple) else list(value)
+    return _Records(map(list, value)) if value and isinstance(value[0], tuple) else list(value)
 
 
 def _record(rec):
@@ -248,11 +296,12 @@ class Report(Record):
                 "misfit_count": self.fit.misfit_count,
                 "verdict": self.fit.verdict,
                 "max_difference": self.fit.max_difference,
-                "pairs": [dict(zip(p._fields, p)) for p in self.fit.pairs],
+                "pairs": _Records(dict(zip(p._fields, p)) for p in self.fit.pairs),
             }
         if self.effects is not None:
             out["effects"] = {
-                "rows": [dict(zip(r._fields, r), total=r.total) for r in self.effects.rows],
+                "rows": _Records(dict(zip(r._fields, r), total=r.total)
+                                 for r in self.effects.rows),
                 "r_squared": dict(self.effects.r_squared),
             }
         if self.revision is not None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathtrek import correlation
+from pathtrek import correlation, numeric
 from pathtrek.correlation import (
     ASYMMETRY_LIMIT,
     DIAGONAL_LIMIT,
@@ -117,6 +117,26 @@ def test_p_rows_computed_on_first_read_only(monkeypatch):
     assert len(calls) == 5 * 4 // 2
     assert corr.p_rows is first
     assert len(calls) == 5 * 4 // 2
+
+
+def k20_corr():
+    gen = np.random.default_rng(20261020)
+    return CorrelationMatrix([f"v{i}" for i in range(20)],
+                             np.corrcoef(gen.standard_normal((60, 20)), rowvar=False), 5000)
+
+
+@pytest.mark.parametrize("build", [k20_corr, lambda: CorrelationMatrix(NAMES, OBSERVED_R, N_OBS)],
+                         ids=["k20-n5000", "study"])
+def test_p_rows_equal_the_p_value_of_each_cell(build):
+    # p_rows runs from empty t-tail caches, each reference call after it
+    numeric._FRACTION_TABLES.clear()
+    numeric._t_constants.cache_clear()
+    corr = build()
+    for i, (r_row, p_row) in enumerate(zip(corr.r_rows, corr.p_rows)):
+        assert p_row[i] == 1.0
+        for j, (r, p) in enumerate(zip(r_row, p_row)):
+            if j != i:
+                assert p.hex() == correlation_p_value(r, corr.n).hex(), (i, j)
 
 
 def test_p_value_of_a_nan_correlation_raises():

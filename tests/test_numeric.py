@@ -389,6 +389,84 @@ def test_t_sf_equals_reference_bit_for_bit():
     assert min(branches.values()) > 50, branches
 
 
+class CountingX(float):
+    """An x that counts the products it is the right operand of.  The
+    reference fraction multiplies by x once before its loop and twice per
+    term, with x on the right, and a float subclass changes no bit."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        self.products += 1
+        return float.__rmul__(self, other)
+
+
+def reference_fraction_length(a, b, x):
+    """How many terms the continued fraction at (a, b, x) runs."""
+    counted = CountingX(x)
+    try:
+        reference_betacf(a, b, counted)
+    except NoConvergence:
+        pass
+    return (counted.products - 1) // 2
+
+
+def clear_t_caches():
+    numeric._FRACTION_TABLES.clear()
+    numeric._t_constants.cache_clear()
+
+
+def test_t_sf_cache_state_changes_no_bit():
+    # the grid in a shuffled order, from empty caches: every tail meets
+    # tables and constants cached by other (t, df) in another order
+    grid = t_tail_grid()
+    np.random.default_rng(20261020).shuffle(grid)
+    clear_t_caches()
+    longest = {}
+    for t, df in grid:
+        assert t_tail_outcome(numeric.t_sf_two_sided, t, df) == \
+            t_tail_outcome(reference_t_sf_two_sided, t, df), (t, df)
+        tt = t * t
+        x = df / (df + tt) if tt else 0.0
+        if x:
+            a = 0.5 * df
+            key, xx = ((a, 0.5), x) if x < (a + 1.0) / (a + 2.5) else ((0.5, a), tt / (df + tt))
+            longest[key] = max(longest.get(key, 0), reference_fraction_length(*key, xx))
+    # the tables are bounded in number and grow only as far as a fraction ran
+    tables = numeric._FRACTION_TABLES
+    assert len(longest) > numeric._FRACTION_TABLE_LIMIT >= len(tables) > 0
+    assert all(len(table) <= longest[key] for key, table in tables.items())
+    info = numeric._t_constants.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_t_sf_iteration_limit_is_read_when_a_table_exists(monkeypatch):
+    # t = 2, df = 10 runs the fraction at (5.0, 0.5); a lowered _MAX_ITER
+    # stops it at the same term whether its table is full or empty
+    def outcome():
+        try:
+            return numeric.t_sf_two_sided(2.0, 10).hex()
+        except NoConvergence as exc:
+            return str(exc)
+
+    clear_t_caches()
+    expected = outcome()
+    terms = len(numeric._FRACTION_TABLES[5.0, 0.5])
+    assert terms > 3
+    for limit in range(1, terms + 2):
+        monkeypatch.undo()
+        outcome()
+        assert len(numeric._FRACTION_TABLES[5.0, 0.5]) == terms
+        monkeypatch.setattr(numeric, "_MAX_ITER", limit)
+        warm = outcome()
+        clear_t_caches()
+        assert outcome() == warm
+        if limit > terms:
+            assert warm == expected
+        else:
+            assert f"after {limit - 1} iterations at a=5.0, b=0.5" in warm
+
+
 def test_t_sf_rejects_nan_t():
     for df in (1, 10, 4998):
         with pytest.raises(ValueError, match="NaN"):
@@ -399,6 +477,14 @@ def test_t_sf_rejects_df_that_is_not_a_positive_integer():
     for df in (0, 2.5):
         with pytest.raises(ValueError, match="positive integer"):
             numeric.t_sf_two_sided(1.0, df)
+
+
+def test_t_sf_rejects_a_bool_df_after_df_1_is_cached():
+    # True == 1 and hash(True) == hash(1): one key of the per-df cache
+    numeric.t_sf_two_sided(2.0, 1)
+    for df in (True, False):
+        with pytest.raises(ValueError, match="positive integer"):
+            numeric.t_sf_two_sided(2.0, df)
 
 
 def test_t_sf_infinite_t_is_zero():

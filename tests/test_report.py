@@ -14,7 +14,7 @@ from pathtrek.correlation import CorrelationMatrix, classify_strength, load_corr
 from pathtrek.effects import assess_fit, decompose_effects, revise_model
 from pathtrek.estimation import fit_standardized
 from pathtrek.pathspec import load_model, parse_model
-from pathtrek.report import Report, _Mirrored, _render
+from pathtrek.report import Report, _Mirrored, _Records, _render, _render_records
 from pathtrek.tracing import implied_matrix
 
 
@@ -176,6 +176,70 @@ def test_render_mirrored_rejects_non_finite_cells(bad, cell):
             _render(obj)
 
 
+# ---------------------------------------------------------------------------
+# Record lists: one encoder call per list of flat records
+
+# names that hold the renderer's boundary text, brackets, quotes, escapes,
+# newlines and non-ASCII
+names = st.text(alphabet=st.sampled_from(list('\n"\\}{][, :aé日\U0001f600')) | st.characters(),
+                max_size=8)
+record_values = names | finite_floats | st.integers() | st.booleans() | st.none()
+record_lists = (st.lists(st.dictionaries(names, record_values, min_size=1, max_size=6),
+                         min_size=1, max_size=6)
+                | st.lists(st.lists(record_values, min_size=1, max_size=4), min_size=1, max_size=6))
+
+
+def records_in_documents(items):
+    """The items as a record list alone and at the depths a Report puts one."""
+    return [_Records(items),
+            {"fit": {"pairs": _Records(items), "verdict": "ok"}},
+            {"revision": {"steps": [{"arrows": [], "candidates": _Records(items)}]}}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_lists)
+@example([{"a": "},\n  {", "b": '"{["', "c": "\\", "d": "é日\n"},
+          {"a": 1, "b": True, "c": None, "d": 0.5}])
+@example([{"},\n    {": 1, "{": "}"}, {"},\n    {": -0.0, "{": "]"}])
+@example([["X1", "],\n        [", -0.25], ["[", "\u2028", 1e16]])
+def test_render_records_matches_stdlib(items):
+    assert _render_records(items, 0) is not None
+    for obj in records_in_documents(items):
+        assert _render(obj) == stdlib(obj)
+        with without_c_encoder():
+            assert _render(obj) == stdlib(obj)
+
+
+@pytest.mark.parametrize("items", [
+    [],
+    [{}],
+    [{"a": 1}, {}],
+    [["a"], []],
+    [{"a": [1]}],
+    [{"a": {"b": 1}}],
+    [[1, [2]]],
+    [{"a": 1}, ["a"]],
+    [{"a": 1}, 2],
+    [(1, 2)],
+    [{"a": np.float64(0.5)}],
+])
+def test_render_records_falls_back_item_by_item(items):
+    # an empty item, a nested item and a mixed list are written as json writes them
+    assert _render_records(items, 0) is None
+    for obj in records_in_documents(items):
+        assert _render(obj) == stdlib(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_records_rejects_non_finite(bad):
+    for items in ([{"a": 1.0}, {"a": bad}], [[bad, "x"]]):
+        for obj in records_in_documents(items):
+            with pytest.raises(ValueError):
+                _render(obj)
+            with without_c_encoder(), pytest.raises(ValueError):
+                _render(obj)
+
+
 @pytest.fixture(scope="module")
 def study_report():
     corr = load_correlation_csv(DATA_DIR / "observed_correlations.csv", 240)
@@ -216,6 +280,18 @@ def test_report_matrices_are_lists_of_lists(report):
     plain = json.loads(stdlib(d))
     assert d == plain
     assert report.to_json() == stdlib(plain) + "\n"
+
+
+def test_report_writes_its_record_lists_in_one_call(report):
+    # the fit's pairs, the effects rows and each step's non-empty candidates
+    d = report.to_dict()
+    steps = d["revision"]["steps"] if "revision" in d else []
+    lists = [d["fit"]["pairs"], *([d["effects"]["rows"]] if "effects" in d else []),
+             *(step["candidates"] for step in steps if step["candidates"])]
+    assert len(lists) > (3 if steps else 1 if "effects" in d else 0)
+    for items in lists:
+        assert type(items) is _Records
+        assert _render_records(items, 2) is not None
 
 
 def test_report_strengths_follow_the_pairs(study_report):
