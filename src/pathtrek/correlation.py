@@ -205,6 +205,8 @@ def _parse_correlation_csv(text, path, n):
         header = header[1:]  # corner cell above the label column
     names = tuple(header)
     k = len(names)
+    if not k:
+        raise ParseError(f"{path}: line {rows[0][0]}: empty header, no variable names")
     if any(not nm for nm in names) or len(set(names)) != len(names):
         raise ParseError(f"{path}: header names must be unique and nonempty")
     if len(body) != k:

@@ -4,10 +4,10 @@ The tail probabilities are built on the C library's lgamma, erfc, exp and
 log (via math): the normal tail is erfc, the chi-squared tail a finite sum
 for its integer df, the t tail a continued fraction for the incomplete
 beta, and the Kolmogorov tail a theta series.  The t tail is the one
-evaluated per correlation pair and per arrow, so its constants that depend
-on df alone come from one cached lookup, and its continued fraction reads
-the x-free factors of each term from a table kept per (a, b), grown only
-as far as a fraction has run, so its loop runs only the recurrences in x
+evaluated per correlation pair and per arrow, so what depends on df alone
+comes from one cached lookup per df: its constants and the two tables of
+x-free factors its continued fractions read, each grown only as far as a
+fraction has run, so the fraction's loop runs only the recurrences in x
 and calls no builtin; all of it keeps every bit of the plain form that
 tests/test_numeric.py keeps as its reference.  Screening evaluates the
 normal and chi-squared tails over arrays: `normal_cdf_array` and
@@ -100,44 +100,26 @@ def inverse_factor(a):
 
 _EPS = 1e-15
 _MAX_ITER = 500
-# The continued fraction's x-free factors, per (a, b), oldest table first.
-_FRACTION_TABLES = {}
-_FRACTION_TABLE_LIMIT = 64
 
 
-def _fraction_table(a, b):
-    """The table of x-free factors of the continued fraction at (a, b).
-
-    Entry m - 1 is (m(b - m), (a - 1 + 2m)(a + 2m), -(a + m)(a + b + m),
-    (a + 2m)(a + 1 + 2m)), the numerator and denominator factors of the
-    fraction's two coefficients for term m.  A new table is empty and
-    `_betacf` appends a term only when a fraction runs past the table's
-    end, so a table is as long as the longest fraction that ran at (a, b).
-    At most _FRACTION_TABLE_LIMIT tables are kept; a new one evicts the
-    oldest.
-    """
-    table = _FRACTION_TABLES.get((a, b))
-    if table is None:
-        if len(_FRACTION_TABLES) >= _FRACTION_TABLE_LIMIT:
-            del _FRACTION_TABLES[next(iter(_FRACTION_TABLES))]
-        table = _FRACTION_TABLES[a, b] = []
-    return table
-
-
-def _betacf(a, b, x):
+def _betacf(a, b, x, terms):
     """Continued fraction for the incomplete beta (Lentz).
 
-    Press et al., Numerical Recipes, 6.4.  Each term's coefficient is its
-    x-free numerator factor times x over its denominator factor, both read
-    from `_fraction_table(a, b)`, with the same operations in the same
-    order as when they are computed in place, so the table changes no bit.
-    The loop calls no builtin: a chained comparison stands for each abs().
-    Raises NoConvergence when _MAX_ITER - 1 terms, as _MAX_ITER reads when
-    the fraction runs, leave it unconverged.
+    Press et al., Numerical Recipes, 6.4.  `terms` is the table of x-free
+    factors at (a, b): entry m - 1 is (m(b - m), (a - 1 + 2m)(a + 2m),
+    -(a + m)(a + b + m), (a + 2m)(a + 1 + 2m)), the numerator and
+    denominator factors of the fraction's two coefficients for term m.  A
+    term is appended only when the fraction runs past the table's end, so
+    a table is as long as the longest fraction that ran with it.  Each
+    coefficient is its numerator factor times x over its denominator
+    factor, the same operations in the same order as when they are
+    computed in place, so the table changes no bit.  The loop calls no
+    builtin: a chained comparison stands for each abs().  Raises
+    NoConvergence when _MAX_ITER - 1 terms, as _MAX_ITER reads when the
+    fraction runs, leave it unconverged.
     """
     tiny, eps = 1e-300, _EPS
     neg_tiny, neg_eps = -tiny, -eps
-    terms = _fraction_table(a, b)
     qab = a + b
     qap = a + 1.0
     c = 1.0
@@ -206,12 +188,13 @@ def _log_gamma_ratio_half(a):
 
 @functools.lru_cache(maxsize=64)
 def _t_constants(df):
-    """The t tail's constants that depend on df alone: a = df/2, the part
+    """The t tail's values that depend on df alone: a = df/2, the part
     log Gamma(a + 1/2) - log Gamma(a) - log Gamma(1/2) of its log
-    prefactor, and (a + 1)/(a + 2.5), the x below which the continued
-    fraction runs in x rather than in 1 - x."""
+    prefactor, (a + 1)/(a + 2.5), the x below which the continued fraction
+    runs in x rather than in 1 - x, and the fraction's tables of x-free
+    factors at (a, 1/2) and at (1/2, a), which start empty (`_betacf`)."""
     a = 0.5 * float(df)
-    return a, _log_gamma_ratio_half(a) - math.lgamma(0.5), (a + 1.0) / (a + 2.5)
+    return a, _log_gamma_ratio_half(a) - math.lgamma(0.5), (a + 1.0) / (a + 2.5), [], []
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +301,10 @@ def t_sf_two_sided(t, df):
     The tail is the regularized incomplete beta I_x(df/2, 1/2) at
     x = df/(df + t^2).  Its prefactor takes log x = -log1p(t^2/df) and
     log(1 - x) from t rather than from the rounded x, which sits near 1 at
-    large df.  The constants that depend on df alone come from one cached
-    lookup (`_t_constants`); the log-gamma part is the first difference in
-    the sum either way, so the cache changes no bit.  Raises ValueError
+    large df.  The values that depend on df alone, the continued
+    fraction's tables among them, come from one cached lookup
+    (`_t_constants`); the log-gamma part is the first difference in the
+    sum either way, so the cache changes no bit.  Raises ValueError
     for a NaN t or a df that is not a positive integer (a bool is not one,
     though True == 1); an infinite t has tail 0.
     """
@@ -335,13 +319,13 @@ def t_sf_two_sided(t, df):
     x = df / (df + tt)
     if x == 0.0:
         return 0.0
-    a, log_front, threshold = _t_constants(df)
+    a, log_front, threshold, terms_in_x, terms_in_1mx = _t_constants(df)
     front = math.exp(
         log_front - a * math.log1p(tt / df) + 0.5 * (math.log(tt) - math.log(df + tt))
     )
     if x < threshold:
-        return front * _betacf(a, 0.5, x) / a
-    return 1.0 - 2.0 * front * _betacf(0.5, a, tt / (df + tt))
+        return front * _betacf(a, 0.5, x, terms_in_x) / a
+    return 1.0 - 2.0 * front * _betacf(0.5, a, tt / (df + tt), terms_in_1mx)
 
 
 def kolmogorov_sf(d_scaled):

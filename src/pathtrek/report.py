@@ -14,12 +14,14 @@ byte for byte.  Python 3.11 runs that call in the pure-Python encoder, so
 each leaf container (a list of coefficients, a dict of scalars) to json's
 C encoder in one call, with the separators of its depth; a container is a
 leaf when the types of its values are all json scalars, a test made in C.
-The fit's pairs, the effects rows and each revision step's arrows and
-candidates are marked as lists of flat records (`_Records`), and
-`_render_records` encodes each such list in one C encoder call and lays
-out the boundaries between its items.  The three k x k matrices (observed
-r, its p-values and r-hat) are symmetric, so `_render_mirrored` writes
-them with one float repr per mirrored pair of equal nonzero cells.
+A list that is not a leaf goes to two writers, chosen by its shape, before
+it is walked.  `_render_mirrored` writes a square matrix of floats, such
+as the three k x k matrices (observed r, its p-values and r-hat), with one
+float repr per mirrored pair of equal nonzero cells.  `_render_records`
+encodes a list of flat records (the fit's pairs, the effects rows, each
+revision step's arrows and candidates, screening's summaries and
+outliers) in one C encoder call and lays out the boundaries between its
+items.  Each returns None for any other shape.
 """
 
 import functools
@@ -57,24 +59,6 @@ def stars(p):
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-class _Mirrored(list):
-    """The row lists of a square matrix whose cell (i, j) is as a rule the
-    same float as cell (j, i), such as a correlation table.
-
-    It equals the plain list of its rows.  `_render` writes such a matrix
-    with one float repr per mirrored pair (`_render_mirrored`).
-    """
-
-
-class _Records(list):
-    """A list of flat records, such as the fit's pairs: dicts, or lists,
-    whose values are all json scalars.
-
-    It equals the plain list of its items.  `_render` writes it with one
-    encoder call (`_render_records`).
-    """
-
-
 @functools.cache
 def _leaf_encoder(depth):
     """Encode a container that holds no container, or a scalar, at `depth`.
@@ -105,16 +89,17 @@ def _render_mirrored(rows, depth):
     column i above the diagonal when its cells left of the diagonal equal
     them and none of them is 0.0 or -0.0: equal nonzero floats have the
     same bits, so the same repr.  Otherwise its cells left of the
-    diagonal are repr'd too.  Returns None for another shape or cell type,
-    or a non-finite cell (a finite float's repr holds no "n"; "inf" and
-    "nan" do), which `_render` then writes, or rejects, as json does.
+    diagonal are repr'd too.  Returns None for another shape than k >= 1
+    rows, each a list or tuple of k cells, or another cell type, or a
+    non-finite cell (a finite float's repr holds no "n"; "inf" and "nan"
+    do), which `_render` then writes, or rejects, as json does.
     """
     k = len(rows)
+    if not {list, tuple}.issuperset(map(type, rows)) or set(map(len, rows)) != {k}:
+        return None
     try:
-        if not k or set(map(len, rows)) != {k}:
-            return None
         upper = [[None] * i + list(map(float.__repr__, row[i:])) for i, row in enumerate(rows)]
-    except TypeError:  # a row that is not a sequence, or a cell that is not a float
+    except TypeError:  # a cell that is not a float
         return None
     partners, partner_texts = list(zip(*rows)), list(zip(*upper))
     outer, inner = "  " * (depth + 1), "  " * (depth + 2)
@@ -161,25 +146,18 @@ def _render_records(items, depth):
     return f"[\n{outer}{opening}\n{inner}{body}\n{outer}{closing}\n{'  ' * depth}]"
 
 
-# The list types that `_render` writes whole, each by its own writer.
-_WRITERS = {_Mirrored: _render_mirrored, _Records: _render_records}
-
-
 def _render(obj, depth=0):
     """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) at `depth`.
 
-    Every key of a dict that holds a value of a type outside _SCALARS (a
-    container, or an np.float64) must be a string, as every Report key is;
-    any other raises TypeError.
+    A leaf container goes to the C encoder whole; a list that is not a leaf
+    to `_render_mirrored`, then `_render_records`, and is walked item by
+    item only when both return None.  Every key of a dict that holds a
+    value of a type outside _SCALARS (a container, or an np.float64) must
+    be a string, as every Report key is; any other raises TypeError.
     """
     if isinstance(obj, dict):
         brackets, values = "{}", obj.values()
     elif isinstance(obj, (list, tuple)):
-        writer = _WRITERS.get(type(obj))
-        if writer is not None:
-            text = writer(obj, depth)
-            if text is not None:
-                return text
         brackets, values = "[]", obj
     else:
         return _leaf_encoder(depth)(obj)
@@ -193,6 +171,9 @@ def _render(obj, depth=0):
             items = [f"{encode_basestring_ascii(k)}: {_render(v, depth + 1)}"
                      for k, v in sorted(obj.items())]
         else:
+            text = _render_mirrored(obj, depth) or _render_records(obj, depth)
+            if text is not None:
+                return text
             items = [_render(v, depth + 1) for v in obj]
         inner = (",\n" + "  " * (depth + 1)).join(items)
     return f"{brackets[0]}\n{'  ' * (depth + 1)}{inner}\n{'  ' * depth}{brackets[1]}"
@@ -209,7 +190,7 @@ def _listed(value):
     in it, as a list.  A tuple field holds only tuples or only scalars."""
     if not isinstance(value, tuple):
         return value
-    return _Records(map(list, value)) if value and isinstance(value[0], tuple) else list(value)
+    return list(map(list, value)) if value and isinstance(value[0], tuple) else list(value)
 
 
 def _record(rec):
@@ -273,8 +254,8 @@ class Report(Record):
             out["correlations"] = {
                 "variables": list(c.variables),
                 "n": c.n,
-                "r": _Mirrored(map(list, c.r_rows)),
-                "p": _Mirrored(map(list, c.p_rows)),
+                "r": list(map(list, c.r_rows)),
+                "p": list(map(list, c.p_rows)),
                 "strength": {f"{a}:{b}": label for a, b, label in _strengths(c)},
             }
         if self.fitted is not None:
@@ -288,7 +269,7 @@ class Report(Record):
             rm = self.reproduced
             out["reproduced"] = {
                 "variables": list(rm.variables),
-                "r_hat": _Mirrored(map(list, rm.r_hat_rows)),
+                "r_hat": list(map(list, rm.r_hat_rows)),
             }
         if self.fit is not None:
             out["fit"] = {
@@ -296,12 +277,11 @@ class Report(Record):
                 "misfit_count": self.fit.misfit_count,
                 "verdict": self.fit.verdict,
                 "max_difference": self.fit.max_difference,
-                "pairs": _Records(dict(zip(p._fields, p)) for p in self.fit.pairs),
+                "pairs": [dict(zip(p._fields, p)) for p in self.fit.pairs],
             }
         if self.effects is not None:
             out["effects"] = {
-                "rows": _Records(dict(zip(r._fields, r), total=r.total)
-                                 for r in self.effects.rows),
+                "rows": [dict(zip(r._fields, r), total=r.total) for r in self.effects.rows],
                 "r_squared": dict(self.effects.r_squared),
             }
         if self.revision is not None:

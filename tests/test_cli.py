@@ -188,6 +188,17 @@ def test_data_with_empty_header_line(tmp_path, capsys, command):
     assert f"{path}: line 1: empty header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "revise"])
+@pytest.mark.parametrize("header", ['""', " "], ids=["quoted-empty", "space"])
+def test_corr_with_empty_header_line(tmp_path, capsys, command, header):
+    path = tmp_path / "noheader.csv"
+    path.write_text(header + "\n", encoding="utf-8")
+    assert main([command, "--corr", str(path), "--n", "240", "--model", REVISED]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 1: empty header, no variable names" in err
+    assert "Traceback" not in err
+
+
 def test_fit_rejects_correlation_past_one(tmp_path, capsys):
     path = tmp_path / "big.csv"
     text = (DATA_DIR / "observed_correlations.csv").read_text(encoding="utf-8")

@@ -128,8 +128,7 @@ def k20_corr():
 @pytest.mark.parametrize("build", [k20_corr, lambda: CorrelationMatrix(NAMES, OBSERVED_R, N_OBS)],
                          ids=["k20-n5000", "study"])
 def test_p_rows_equal_the_p_value_of_each_cell(build):
-    # p_rows runs from empty t-tail caches, each reference call after it
-    numeric._FRACTION_TABLES.clear()
+    # p_rows runs from an empty t-tail cache, each reference call after it
     numeric._t_constants.cache_clear()
     corr = build()
     for i, (r_row, p_row) in enumerate(zip(corr.r_rows, corr.p_rows)):
@@ -241,6 +240,17 @@ def test_load_correlation_rejects_malformed_table(tmp_path, text, error, message
     with pytest.raises(error) as exc:
         load_correlation_csv(path, 100)
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text,line", [('""\n', 1), (" \n", 1), ('\n""\n', 2), (" \na,1\n", 1)],
+                         ids=["quoted-empty", "space", "after-blank-line", "with-rows"])
+def test_header_that_names_no_variable_is_a_parse_error(tmp_path, text, line):
+    # a 0 x 0 table would otherwise reach the Cholesky factor, whose error names no file
+    path = tmp_path / "noheader.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_correlation_csv(path, 100)
+    assert str(exc.value) == f"{path}: line {line}: empty header, no variable names"
 
 
 def test_malformed_row_named_by_its_file_line(tmp_path):

@@ -411,17 +411,19 @@ def reference_fraction_length(a, b, x):
     return (counted.products - 1) // 2
 
 
-def clear_t_caches():
-    numeric._FRACTION_TABLES.clear()
-    numeric._t_constants.cache_clear()
+def fraction_tables(df):
+    """((a, b), table) for the continued fraction's tables at (df/2, 1/2)
+    and (1/2, df/2), as t_sf_two_sided reads them from its cache for df."""
+    a = 0.5 * df
+    return list(zip([(a, 0.5), (0.5, a)], numeric._t_constants(df)[3:]))
 
 
 def test_t_sf_cache_state_changes_no_bit():
-    # the grid in a shuffled order, from empty caches: every tail meets
+    # the grid in a shuffled order, from an empty cache: every tail meets
     # tables and constants cached by other (t, df) in another order
     grid = t_tail_grid()
     np.random.default_rng(20261020).shuffle(grid)
-    clear_t_caches()
+    numeric._t_constants.cache_clear()
     longest = {}
     for t, df in grid:
         assert t_tail_outcome(numeric.t_sf_two_sided, t, df) == \
@@ -432,12 +434,14 @@ def test_t_sf_cache_state_changes_no_bit():
             a = 0.5 * df
             key, xx = ((a, 0.5), x) if x < (a + 1.0) / (a + 2.5) else ((0.5, a), tt / (df + tt))
             longest[key] = max(longest.get(key, 0), reference_fraction_length(*key, xx))
-    # the tables are bounded in number and grow only as far as a fraction ran
-    tables = numeric._FRACTION_TABLES
-    assert len(longest) > numeric._FRACTION_TABLE_LIMIT >= len(tables) > 0
-    assert all(len(table) <= longest[key] for key, table in tables.items())
+            # the df's tables, just read, grow only as far as a fraction ran
+            # with them since they were cached
+            for table_key, table in fraction_tables(df):
+                assert len(table) <= longest.get(table_key, 0), (t, df, table_key)
+    # the tables are bounded in number: two per df the one cache holds, and
+    # the grid has more dfs than it holds
     info = numeric._t_constants.cache_info()
-    assert info.currsize <= info.maxsize
+    assert len({df for _, df in grid}) > info.maxsize >= info.currsize > 0
 
 
 def test_t_sf_iteration_limit_is_read_when_a_table_exists(monkeypatch):
@@ -449,17 +453,17 @@ def test_t_sf_iteration_limit_is_read_when_a_table_exists(monkeypatch):
         except NoConvergence as exc:
             return str(exc)
 
-    clear_t_caches()
+    numeric._t_constants.cache_clear()
     expected = outcome()
-    terms = len(numeric._FRACTION_TABLES[5.0, 0.5])
+    terms = len(dict(fraction_tables(10))[5.0, 0.5])
     assert terms > 3
     for limit in range(1, terms + 2):
         monkeypatch.undo()
         outcome()
-        assert len(numeric._FRACTION_TABLES[5.0, 0.5]) == terms
+        assert len(dict(fraction_tables(10))[5.0, 0.5]) == terms
         monkeypatch.setattr(numeric, "_MAX_ITER", limit)
         warm = outcome()
-        clear_t_caches()
+        numeric._t_constants.cache_clear()
         assert outcome() == warm
         if limit > terms:
             assert warm == expected

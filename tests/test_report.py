@@ -10,11 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, unchecked_trace
+from pathtrek import report as report_module
 from pathtrek.correlation import CorrelationMatrix, classify_strength, load_correlation_csv
+from pathtrek.data import load_csv
 from pathtrek.effects import assess_fit, decompose_effects, revise_model
 from pathtrek.estimation import fit_standardized
 from pathtrek.pathspec import load_model, parse_model
-from pathtrek.report import Report, _Mirrored, _Records, _render, _render_records
+from pathtrek.report import Report, _render, _render_mirrored, _render_records
+from pathtrek.screening import screen
 from pathtrek.tracing import implied_matrix
 
 
@@ -34,8 +37,43 @@ scalars = (texts
            | st.integers()
            | st.booleans()
            | st.none())
+
+
+@st.composite
+def mirrored_matrices(draw, cells=finite_floats):
+    """Square float rows whose cell (i, j), i > j, is cell (j, i), its zero
+    of the other sign, or one ulp away from it."""
+    k = draw(st.integers(1, 6))
+    rows = [[draw(cells) for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        for j in range(i):
+            partner = rows[j][i]
+            relation = draw(st.sampled_from(["same", "same", "zeros", "ulp"]))
+            if relation == "zeros":
+                rows[j][i], rows[i][j] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+            elif relation == "ulp":
+                rows[i][j] = math.nextafter(partner, draw(st.sampled_from([math.inf, -math.inf])))
+                if not math.isfinite(rows[i][j]):
+                    rows[i][j] = partner
+            else:
+                rows[i][j] = partner
+    return rows
+
+
+# names that hold the renderer's boundary text, brackets, quotes, escapes,
+# newlines and non-ASCII
+names = st.text(alphabet=st.sampled_from(list('\n"\\}{][, :aé日\U0001f600')) | st.characters(),
+                max_size=8)
+record_values = names | finite_floats | st.integers() | st.booleans() | st.none()
+record_lists = (st.lists(st.dictionaries(names, record_values, min_size=1, max_size=6),
+                         min_size=1, max_size=6)
+                | st.lists(st.lists(record_values, min_size=1, max_size=4), min_size=1, max_size=6))
+
+
+# square float matrices and flat record lists are leaves, so both list
+# writers meet them at any depth
 documents = st.recursive(
-    scalars | st.sampled_from([(), [], {}]),
+    scalars | st.sampled_from([(), [], {}]) | mirrored_matrices() | record_lists,
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(inner, max_size=5).map(tuple)
                    | st.dictionaries(texts, inner, max_size=5)),
@@ -47,6 +85,14 @@ documents = st.recursive(
 @given(documents)
 @example({"r": [[1.0, 0.5], [0.5, 1.0]], "n": 240, "warnings": [], "fit": {}})
 @example([{"a": [{}]}, ("},\n  ", [[]])])
+# shapes that a length check alone could take for a square matrix
+@example([{"a": 1.0, "b": 0.5}, {"a": 0.5, "b": 1.0}])
+@example([[1, 2], [2, 1]])
+@example([[1.0, True], [True, 1.0]])
+@example(((1.0, 0.5), (0.5, 1.0)))
+@example([[1.0]])
+@example([[1.0, 0.5], [0.5]])
+@example([[1.0, 0.5], "ab"])
 def test_render_matches_stdlib(obj):
     assert _render(obj) == stdlib(obj)
 
@@ -107,32 +153,11 @@ def test_render_without_the_c_encoder():
 # ---------------------------------------------------------------------------
 # Mirrored matrices: one repr per pair of equal nonzero cells
 
-@st.composite
-def mirrored_matrices(draw, cells=finite_floats):
-    """Square float rows whose cell (i, j), i > j, is cell (j, i), its zero
-    of the other sign, or one ulp away from it."""
-    k = draw(st.integers(1, 6))
-    rows = [[draw(cells) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(i):
-            partner = rows[j][i]
-            relation = draw(st.sampled_from(["same", "same", "zeros", "ulp"]))
-            if relation == "zeros":
-                rows[j][i], rows[i][j] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
-            elif relation == "ulp":
-                rows[i][j] = math.nextafter(partner, draw(st.sampled_from([math.inf, -math.inf])))
-                if not math.isfinite(rows[i][j]):
-                    rows[i][j] = partner
-            else:
-                rows[i][j] = partner
-    return rows
-
-
 def in_documents(rows):
     """The rows as a mirrored matrix alone and at the depths a Report puts them."""
-    return [_Mirrored(rows),
-            {"reproduced": {"r_hat": _Mirrored(rows), "variables": ["a"]}},
-            [{"x": [_Mirrored(rows), 1]}]]
+    return [rows,
+            {"reproduced": {"r_hat": rows, "variables": ["a"]}},
+            [{"x": [rows, 1]}]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,6 +166,7 @@ def in_documents(rows):
 @example([[1.0, 0.0], [-0.0, 1.0]])
 @example([[1.0, 0.25, 5e-324], [0.25, 1.0, -1e16], [5e-324, -1e16, 1.0]])
 def test_render_mirrored_matches_stdlib(rows):
+    assert _render_mirrored(rows, 0) is not None
     for obj in in_documents(rows):
         assert _render(obj) == stdlib(obj)
         with without_c_encoder():
@@ -179,21 +205,11 @@ def test_render_mirrored_rejects_non_finite_cells(bad, cell):
 # ---------------------------------------------------------------------------
 # Record lists: one encoder call per list of flat records
 
-# names that hold the renderer's boundary text, brackets, quotes, escapes,
-# newlines and non-ASCII
-names = st.text(alphabet=st.sampled_from(list('\n"\\}{][, :aé日\U0001f600')) | st.characters(),
-                max_size=8)
-record_values = names | finite_floats | st.integers() | st.booleans() | st.none()
-record_lists = (st.lists(st.dictionaries(names, record_values, min_size=1, max_size=6),
-                         min_size=1, max_size=6)
-                | st.lists(st.lists(record_values, min_size=1, max_size=4), min_size=1, max_size=6))
-
-
 def records_in_documents(items):
     """The items as a record list alone and at the depths a Report puts one."""
-    return [_Records(items),
-            {"fit": {"pairs": _Records(items), "verdict": "ok"}},
-            {"revision": {"steps": [{"arrows": [], "candidates": _Records(items)}]}}]
+    return [items,
+            {"fit": {"pairs": items, "verdict": "ok"}},
+            {"revision": {"steps": [{"arrows": [], "candidates": items}]}}]
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,10 +265,11 @@ def study_report():
                   fit=assess_fit(corr, implied))
 
 
-@pytest.fixture(scope="module", params=["fit", "revise", "exact-fit"])
+@pytest.fixture(scope="module", params=["fit", "revise", "exact-fit", "screen"])
 def report(request, study_report):
     """The study's fit report; its revise report, with effects and steps that
-    carry candidates; and the report of an exact fit, whose t is ±inf."""
+    carry candidates; the report of an exact fit, whose t is ±inf; and the
+    screen report of the study's raw scores, with outliers flagged."""
     if request.param == "fit":
         return study_report
     if request.param == "revise":
@@ -262,6 +279,11 @@ def report(request, study_report):
                       reproduced=trace.final_implied, fit=trace.final_assessment,
                       effects=decompose_effects(trace.final_fit.annotated_model()),
                       revision=trace)
+    if request.param == "screen":
+        result = screen(load_csv(DATA_DIR / "sample_scores.csv"),
+                        model=load_model(DATA_DIR / "revised_model.pm"), outlier_p=0.01)
+        assert result.outliers
+        return Report(command="screen", screening=result, warnings=result.warnings)
     corr = CorrelationMatrix(["A", "B", "Y"], [[1.0, 0.0, 0.6], [0.0, 1.0, -0.8],
                                                [0.6, -0.8, 1.0]], 100)
     fitted = fit_standardized(corr, parse_model("var A\nvar B\nvar Y\npath A -> Y\npath B -> Y\n"))
@@ -272,26 +294,56 @@ def report(request, study_report):
 
 
 def test_report_matrices_are_lists_of_lists(report):
-    corr, implied = report.correlations, report.reproduced
     d = report.to_dict()
-    assert d["correlations"]["r"] == [list(row) for row in corr.r_rows]
-    assert d["correlations"]["p"] == [list(row) for row in corr.p_rows]
-    assert d["reproduced"]["r_hat"] == [list(row) for row in implied.r_hat_rows]
+    if report.correlations is not None:
+        corr, implied = report.correlations, report.reproduced
+        assert d["correlations"]["r"] == [list(row) for row in corr.r_rows]
+        assert d["correlations"]["p"] == [list(row) for row in corr.p_rows]
+        assert d["reproduced"]["r_hat"] == [list(row) for row in implied.r_hat_rows]
     plain = json.loads(stdlib(d))
     assert d == plain
     assert report.to_json() == stdlib(plain) + "\n"
 
 
-def test_report_writes_its_record_lists_in_one_call(report):
-    # the fit's pairs, the effects rows and each step's non-empty candidates
+JSON_TYPES = {dict, list, str, int, float, bool, type(None)}
+
+
+def json_types(obj):
+    """The type of obj and of every key and value in it, at any depth."""
+    yield type(obj)
+    if type(obj) is dict:
+        yield from map(type, obj)
+        for value in obj.values():
+            yield from json_types(value)
+    elif type(obj) is list:
+        for value in obj:
+            yield from json_types(value)
+
+
+def test_report_dict_holds_only_plain_json_types(report):
+    # no list subclass marks how a list is written: `_render` tells by its shape
+    assert set(json_types(report.to_dict())) <= JSON_TYPES
+
+
+def test_report_writes_its_record_lists_in_one_call(report, monkeypatch):
+    # the fit's pairs, the effects rows, the screen's summaries and outliers,
+    # and each step's arrows and non-empty candidates
     d = report.to_dict()
-    steps = d["revision"]["steps"] if "revision" in d else []
-    lists = [d["fit"]["pairs"], *([d["effects"]["rows"]] if "effects" in d else []),
-             *(step["candidates"] for step in steps if step["candidates"])]
-    assert len(lists) > (3 if steps else 1 if "effects" in d else 0)
+    lists = [d[part][key] for part, key in [("fit", "pairs"), ("effects", "rows"),
+                                            ("screening", "summaries"), ("screening", "outliers")]
+             if part in d]
+    lists += [step[key] for step in d.get("revision", {}).get("steps", [])
+              for key in ("arrows", "candidates") if step[key]]
+    assert len(lists) > (5 if "revision" in d else 1 if "effects" in d or "screening" in d else 0)
+    # `_render` calls itself through the module, so a list written whole
+    # leaves the spy uncalled
+    walked = []
+    monkeypatch.setattr(report_module, "_render",
+                        lambda *args: walked.append(args) or _render(*args))
     for items in lists:
-        assert type(items) is _Records
-        assert _render_records(items, 2) is not None
+        text = _render(items, 2)
+        assert walked == []
+        assert text == _render_records(items, 2)
 
 
 def test_report_strengths_follow_the_pairs(study_report):
