@@ -43,7 +43,7 @@ from .tracing import (
 
 _LAZY = {
     **dict.fromkeys(
-        ("Dataset", "VariableSummary", "load_csv", "standardize", "summarize"), "data"),
+        ("Dataset", "VariableSummary", "load_csv", "summarize"), "data"),
     **dict.fromkeys(
         ("ScreeningReport", "ks_normality", "mahalanobis", "residual_diagnostics", "screen",
          "vif"), "screening"),
@@ -99,7 +99,6 @@ __all__ = [
     "revision_csv",
     "screen",
     "simulate_dataset",
-    "standardize",
     "summarize",
     "topological_order",
     "treks_csv",

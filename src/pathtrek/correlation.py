@@ -1,4 +1,9 @@
-"""Pearson correlation matrices with significance and strength labels."""
+"""Pearson correlation matrices with significance and strength labels.
+
+CorrelationMatrix alone decides what a correlation table is: its names,
+its cells and its n.  pearson_matrix builds one from the block
+z'z / (n - 1) that a Dataset computes once and keeps.
+"""
 
 import csv
 import enum
@@ -81,6 +86,15 @@ def _check_correlations(r):
                        for j in range(k)) for i in range(k))
 
 
+def _variable_names(variables):
+    """variables as a tuple of str; ParseError unless there is at least one,
+    none is blank and none is repeated."""
+    names = tuple(str(v) for v in variables)
+    if not names or not all(names) or len(set(names)) != len(names):
+        raise ParseError("variable names must be unique and nonempty")
+    return names
+
+
 def _sample_size(n):
     """n as an int; ValueError unless it is a whole number >= 3."""
     if (isinstance(n, bool) or not isinstance(n, numbers.Real)
@@ -103,7 +117,8 @@ def _square_rows(a, k):
 class CorrelationMatrix(FrozenRecord):
     """Symmetric unit-diagonal correlations with per-cell two-sided p-values.
 
-    Built from (variables, r, n): r is a nested sequence or ndarray that
+    Built from (variables, r, n): the variables are at least one name, none
+    blank and none repeated; r is a nested sequence or ndarray that
     _check_correlations checks and repairs into `r_rows`, tuples of floats;
     n is the sample size, a whole number >= 3.  `p_rows` follows from r and
     n on first read; `.r` and `.p` are read-only float64 ndarrays of the two.
@@ -112,7 +127,7 @@ class CorrelationMatrix(FrozenRecord):
     _fields = ("variables", "r_rows", "n")
 
     def __init__(self, variables, r, n):
-        names = tuple(str(v) for v in variables)
+        names = _variable_names(variables)
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "r_rows", _check_correlations(_square_rows(r, len(names))))
         object.__setattr__(self, "n", _sample_size(n))
@@ -161,13 +176,11 @@ class CorrelationMatrix(FrozenRecord):
 
 
 def pearson_matrix(d):
-    """Sample Pearson correlations of a dataset; CorrelationMatrix repairs the cells."""
-    from .data import _z_scores
-
+    """Sample Pearson correlations of a dataset, its block z'z / (n - 1);
+    CorrelationMatrix repairs the cells."""
     if d.k < 2:
         raise ValueError("need at least 2 variables to correlate")
-    z = _z_scores(d)
-    return CorrelationMatrix(d.variables, (z.T @ z) / (d.n - 1), d.n)
+    return CorrelationMatrix(d.variables, d._r, d.n)
 
 
 def load_correlation_csv(path, n):

@@ -1,4 +1,10 @@
-"""Rectangular numeric datasets: CSV ingestion, standardization, summaries."""
+"""Rectangular numeric datasets: CSV ingestion, standardization, summaries.
+
+A Dataset owns its standardization: the column sds, the z-scores and their
+correlations z'z / (n - 1) are each computed on first read and kept, and
+every raw-data reader (pearson_matrix, the screening battery, summarize)
+takes them from it.
+"""
 
 import csv
 import functools
@@ -11,8 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .correlation import _variable_names
 from .errors import DataWarning, OutOfRange, ParseError, TooFewRows, ZeroVariance
 from .files import csv_text, read_input, write_outputs
+from .numeric import readonly_array
 from .record import FrozenRecord
 
 SD_FLOOR = 1e-12
@@ -41,6 +49,9 @@ class Dataset(FrozenRecord):
 
     `digest` is the sha256 of the file load_csv parsed (None for data built
     in memory); equality does not read it, and compares the rows by value.
+    `_sds`, `_z` and `_r` are the standardization every raw-data reader
+    takes, built on first read and kept: they take no part in equality,
+    repr, copy or pickle.
     """
 
     _fields = ("variables", "rows", "digest")
@@ -48,9 +59,7 @@ class Dataset(FrozenRecord):
     __array_ufunc__ = None
 
     def __init__(self, variables, rows, digest=None):
-        names = tuple(str(v) for v in variables)
-        if len(set(names)) != len(names) or any(not v for v in names):
-            raise ParseError("variable names must be unique and nonempty")
+        names = _variable_names(variables)
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != len(names):
             raise ParseError("rows must be a 2-D block with one column per variable")
@@ -69,6 +78,9 @@ class Dataset(FrozenRecord):
             return NotImplemented
         return self.variables == other.variables and np.array_equal(self.rows, other.rows)
 
+    def __reduce__(self):
+        return self.__class__, (self.variables, self.rows, self.digest)
+
     @property
     def n(self):
         return self.rows.shape[0]
@@ -83,6 +95,39 @@ class Dataset(FrozenRecord):
         except ValueError:
             raise KeyError(name) from None
         return self.rows[:, idx]
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def _sds(self):
+        """Sample standard deviations (n-1 denominator), one per column,
+        read-only; numpy's overflow warnings stay silent."""
+        sds = self.rows.std(axis=0, ddof=1)
+        sds.flags.writeable = False
+        return sds
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def _z(self):
+        """The read-only (n, k) block of every column at mean 0, sd 1.
+
+        Raises ZeroVariance for a constant column and OutOfRange for one
+        whose mean or sd overflows float64; numpy's overflow warnings stay
+        silent.
+        """
+        means = self.rows.mean(axis=0)
+        for name, mean, sd in zip(self.variables, means, self._sds):
+            if not (math.isfinite(mean) and math.isfinite(sd)):
+                raise OutOfRange(f"variable {name!r}: mean or sd overflows float64")
+            if sd < SD_FLOOR:
+                raise ZeroVariance(name)
+        z = (self.rows - means) / self._sds
+        z.flags.writeable = False
+        return z
+
+    @functools.cached_property
+    def _r(self):
+        """The (k, k) correlations z'z / (n - 1) of `_z`, read-only."""
+        return readonly_array((self._z.T @ self._z) / (self.n - 1))
 
 
 def load_csv(path):
@@ -390,55 +435,13 @@ def _cells(rows):
     return text
 
 
-def column_sds(d):
-    """Sample standard deviations (n-1 denominator), one per column."""
-    return d.rows.std(axis=0, ddof=1)
-
-
-def standardize(d):
-    """Rescale every column to mean 0, sd 1 (n-1 denominator)."""
-    return Dataset(d.variables, _z_scores(d))
-
-
-def _z_scores(d):
-    """standardize's (n, k) block, without building a checked Dataset."""
-    return _z_scores_and_sds(d)[0]
-
-
-def _z_scores_and_sds(d):
-    """_z_scores' block and the column sds it divides by.
-
-    Raises ZeroVariance for a constant column and OutOfRange for one whose
-    mean or sd overflows float64; numpy's overflow warnings stay silent.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = d.rows.mean(axis=0)
-        sds = column_sds(d)
-    for name, mean, sd in zip(d.variables, means, sds):
-        if not (math.isfinite(mean) and math.isfinite(sd)):
-            raise OutOfRange(f"variable {name!r}: mean or sd overflows float64")
-        if sd < SD_FLOOR:
-            raise ZeroVariance(name)
-    return (d.rows - means) / sds, sds
-
-
-def summarize(d, sds=None):
+@np.errstate(over="ignore", invalid="ignore")
+def summarize(d):
     """One VariableSummary per column, in declaration order.
 
-    `sds` is column_sds(d), for a caller that has computed it already.
+    A constant column has sd 0; an overflowing one, an infinite or nan mean
+    or sd.  Neither raises, and numpy's overflow warnings stay silent.
     """
-    if sds is None:
-        sds = column_sds(d)
-    out = []
-    for j, name in enumerate(d.variables):
-        col = d.rows[:, j]
-        out.append(
-            VariableSummary(
-                name=name,
-                mean=float(col.mean()),
-                sd=float(sds[j]),
-                minimum=float(col.min()),
-                maximum=float(col.max()),
-            )
-        )
-    return out
+    return [VariableSummary(name, float(col.mean()), float(sd), float(col.min()),
+                            float(col.max()))
+            for name, col, sd in zip(d.variables, d.rows.T, d._sds)]

@@ -225,7 +225,14 @@ def parse_model(text):
     of the match that read it, so a ModelSyntaxError's column is where the
     offending token starts (for a line that is wrong as a whole, where its
     directive starts), even when the same text occurs earlier on the line.
+    The ModelWarning for implicitly declared variables points at the caller.
     """
+    return _parse_model(text)
+
+
+def _parse_model(text):
+    """parse_model's PathModel, called by parse_model or load_model: the
+    ModelWarning is raised two frames up, at their caller."""
     declared = {}  # name -> whether a var line declared it, in order of first use
     labels = {}
     arrows = []
@@ -284,7 +291,7 @@ def parse_model(text):
 
     implicit = ", ".join(name for name, by_var in declared.items() if not by_var)
     if implicit:
-        warnings.warn(f"implicitly declared variables: {implicit}", ModelWarning, stacklevel=2)
+        warnings.warn(f"implicitly declared variables: {implicit}", ModelWarning, stacklevel=3)
     return PathModel(tuple(declared), tuple(arrows), labels)
 
 
@@ -306,5 +313,6 @@ def render_model(m):
 
 
 def load_model(path):
-    """Read a model file through files.read_input and parse it."""
-    return parse_model(read_input(path)[0])
+    """Read a model file through files.read_input and parse it; the
+    ModelWarning for implicitly declared variables points at the caller."""
+    return _parse_model(read_input(path)[0])

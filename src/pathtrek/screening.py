@@ -16,6 +16,10 @@ D2, grown until its last p is past the cutoff, and `distances` and
 `largest` take it over the rows they return.  The tails are elementwise and
 D is a max of elementwise differences, so every reported value has the
 bits a whole-column evaluation gives.
+
+The standardized block z and its correlations z'z / (n - 1) come from the
+Dataset, which computes each once: the distances, the VIF matrix, the
+fitted model and the residual points all read the same block.
 """
 
 import math
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import numeric
 from .correlation import CorrelationMatrix
-from .data import _z_scores, _z_scores_and_sds, summarize
+from .data import SD_FLOOR, summarize
 from .estimation import fit_standardized
 from .errors import (
     SingularCovariance,
@@ -62,8 +66,7 @@ def mahalanobis(d):
     triples sorted by descending D2, equal D2 in ascending row order.
     """
     _check_rows(d)
-    z = _z_scores(d)
-    return _triples(*_ranked(z, (z.T @ z) / (d.n - 1)), d.k)
+    return _triples(*_ranked(d._z, d._r), d.k)
 
 
 def _check_rows(d):
@@ -134,7 +137,7 @@ def ks_normality(column, alpha=0.05):
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
     sd = x.std(ddof=1)
-    if sd < 1e-12:
+    if sd < SD_FLOOR:
         raise ZeroVariance("(column)")
     z = (x - x.mean()) / sd
     approx = numeric.normal_cdf_approx(z)
@@ -166,13 +169,14 @@ def vif(corr, predictors):
 def residual_diagnostics(fitted, d):
     """Per-equation (fitted value, standardized residual) pairs for plotting.
 
-    The dataset is standardized internally, so callers may pass raw scores.
-    No verdict is computed; the points are for external inspection.
+    The residuals are taken on the dataset's own z-scores, so callers may
+    pass raw scores.  No verdict is computed; the points are for external
+    inspection.
     """
     for v in fitted.model.variables:
         if v not in d.variables:
             raise VariableMissing(v, where="dataset")
-    z = _z_scores(d)
+    z = d._z
     col = {name: j for j, name in enumerate(d.variables)}
     points = {}
     for y, eq in fitted.equations.items():
@@ -181,7 +185,7 @@ def residual_diagnostics(fitted, d):
             predicted += b * z[:, col[parent]]
         resid = z[:, col[y]] - predicted
         rsd = resid.std(ddof=1)
-        scaled = resid / rsd if rsd > 1e-12 else np.zeros_like(resid)
+        scaled = resid / rsd if rsd > SD_FLOOR else np.zeros_like(resid)
         points[y] = list(zip(predicted.tolist(), scaled.tolist()))
     return points
 
@@ -242,8 +246,9 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     With a model, residual diagnostics are emitted per equation and the VIF
     block is the set of variables serving as a parent anywhere in it;
     without one, the VIF block is every column and residuals are skipped.
-    The standardized block z and R = z'z / (n - 1) are computed once, for
-    the distances and the VIF matrix alike.  Every check that can raise
+    The distances, the VIF matrix and the residual points all read the
+    Dataset's one standardized block z and R = z'z / (n - 1), which it
+    computes on first read and keeps.  Every check that can raise
     runs here, first that every model variable is a column of `d` (raising
     VariableMissing); the report builds its full distance list and the
     residual points later, when they are first read.
@@ -254,12 +259,10 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
                 raise VariableMissing(v, where="dataset")
     warnings_list = []
     _check_rows(d)
-    # raises ZeroVariance for a constant column and OutOfRange for an
-    # overflowing one, so summarize meets neither
-    z, sds = _z_scores_and_sds(d)
-    summaries = summarize(d, sds)
-    r = (z.T @ z) / (d.n - 1)
-    ranked = _ranked(z, r)
+    # d._z raises ZeroVariance for a constant column and OutOfRange for an
+    # overflowing one
+    ranked = _ranked(d._z, d._r)
+    summaries = summarize(d)
     outliers = _outliers(*ranked, d.k, outlier_p)
     if outliers:
         warnings_list.append(
@@ -281,9 +284,8 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
         block = parent_vars if len(parent_vars) >= 2 else list(d.variables)
     else:
         block = list(d.variables)
-    # pearson_matrix(d), from the block already computed; a lone column
-    # correlates 1 with itself
-    corr = CorrelationMatrix(d.variables, r if d.k >= 2 else [[1.0]], d.n)
+    # what pearson_matrix(d) gives, also for a lone column, which it refuses
+    corr = CorrelationMatrix(d.variables, d._r, d.n)
     vifs = vif(corr, block)
     for name, value in vifs.items():
         if value >= VIF_FLAG:

@@ -86,10 +86,10 @@ def test_pearson_affine_invariance(study_dataset):
 
 
 def test_pearson_matches_crossproduct_of_standardized(study_dataset):
-    from pathtrek.data import standardize
-
-    z = standardize(study_dataset)
-    gram = z.rows.T @ z.rows / (z.n - 1)
+    x = study_dataset.rows
+    z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+    assert np.abs(study_dataset._z - z).max() < 1e-12
+    gram = z.T @ z / (len(z) - 1)
     assert np.abs(pearson_matrix(study_dataset).r - gram).max() < 1e-12
 
 
@@ -301,6 +301,16 @@ def test_direct_rejects_diagonal_off_one():
     _assert_symmetric_unit_diagonal(_direct([[1.0 + DIAGONAL_LIMIT / 2, 0.5], [0.5, 1.0]]))
     with pytest.raises(DiagonalNotOne):
         _direct([[1.0, 0.5], [0.5, 1.0 - 2 * DIAGONAL_LIMIT]])
+
+
+@pytest.mark.parametrize("names", [("a", "a", "b"), ("", "b"), ()],
+                         ids=["repeated", "blank", "none"])
+def test_direct_rejects_names_it_cannot_index(names):
+    r = np.eye(len(names))
+    with pytest.raises(ParseError, match="variable names must be unique and nonempty"):
+        CorrelationMatrix(names, r, 50)
+    with pytest.raises(ParseError, match="variable names must be unique and nonempty"):
+        Dataset(names, np.random.default_rng(3).normal(size=(5, len(names))))
 
 
 def test_direct_accepts_single_variable_and_indefinite():

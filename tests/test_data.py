@@ -1,9 +1,11 @@
 """Dataset loading, standardization, and summaries; load_csv against the
 listwise-deletion row loop it ran before its np.loadtxt fast path."""
 
+import copy
 import csv
 import hashlib
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathtrek import data
-from pathtrek.data import Dataset, load_csv, standardize, summarize, write_csv
+from pathtrek.data import Dataset, load_csv, summarize, write_csv
 from pathtrek.errors import DataWarning, OutOfRange, ParseError, TooFewRows, ZeroVariance
 
 from conftest import DATA_DIR, OBSERVED_R, exact_corr_scores
@@ -155,13 +157,14 @@ def test_dataset_compared_with_an_array_is_a_bool():
 @pytest.mark.parametrize("variables,rows,error,message", [
     (("a", "a"), np.ones((3, 2)), ParseError, "variable names must be unique and nonempty"),
     (("a", ""), np.ones((3, 2)), ParseError, "variable names must be unique and nonempty"),
+    ((), np.empty((5, 0)), ParseError, "variable names must be unique and nonempty"),
     (("a", "b"), np.ones((3, 3)), ParseError, "rows must be a 2-D block"),
     (("a",), np.ones(3), ParseError, "rows must be a 2-D block"),
     (("a", "b"), [[1.0, 2.0], [3.0, math.inf], [5.0, 6.0]], ParseError,
      "all observations must be finite"),
     (("a", "b"), np.ones((2, 2)), TooFewRows, "need at least 3 rows, got 2"),
-], ids=["duplicate-name", "blank-name", "wrong-width", "one-dimensional", "non-finite",
-        "two-rows"])
+], ids=["duplicate-name", "blank-name", "no-names", "wrong-width", "one-dimensional",
+        "non-finite", "two-rows"])
 def test_dataset_rejects(variables, rows, error, message):
     with pytest.raises(error, match=message):
         Dataset(variables, rows)
@@ -180,45 +183,76 @@ def test_dataset_immutable():
 
 def test_standardize_symmetric_column():
     d = Dataset(("a",), np.array([[1.0], [2.0], [3.0]]))
-    z = standardize(d)
-    assert z.column("a").tolist() == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
+    assert d._z[:, 0].tolist() == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
 
 
 def test_standardize_zero_variance():
     d = Dataset(("a", "b"), np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
     with pytest.raises(ZeroVariance) as exc:
-        standardize(d)
+        d._z
     assert exc.value.name == "b"
+    with pytest.raises(ZeroVariance):
+        d._r
 
 
-@pytest.mark.parametrize("column", [
+OVERFLOWING = [
     [1e308, -1e308] * 5,  # finite mean, sd overflows
     [1.7e308, 1.6e308, 1.5e308, 1.7e308, 1.6e308],  # the sum behind the mean overflows
-])
+]
+
+
+@pytest.mark.parametrize("column", OVERFLOWING)
 def test_standardize_overflowing_column(column):
     rows = np.column_stack([np.arange(len(column), dtype=float), column])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warnings stay silent
         with pytest.raises(OutOfRange, match="variable 'b': mean or sd overflows"):
-            standardize(Dataset(("a", "b"), rows))
+            Dataset(("a", "b"), rows)._z
 
 
 def test_standardize_moments_and_idempotence():
     gen = np.random.default_rng(4)
     d = Dataset(tuple("abcd"), gen.normal(3.0, 9.0, (40, 4)))
-    z = standardize(d)
-    assert np.abs(z.rows.mean(axis=0)).max() < 1e-12
-    assert np.abs(z.rows.std(axis=0, ddof=1) - 1.0).max() < 1e-12
-    zz = standardize(z)
-    assert np.abs(zz.rows - z.rows).max() < 1e-12
+    z = d._z
+    assert np.abs(z.mean(axis=0)).max() < 1e-12
+    assert np.abs(z.std(axis=0, ddof=1) - 1.0).max() < 1e-12
+    assert np.array_equal(d._sds, d.rows.std(axis=0, ddof=1))
+    zz = Dataset(d.variables, z)._z
+    assert np.abs(zz - z).max() < 1e-12
 
 
 def test_standardize_preserves_correlations():
     gen = np.random.default_rng(11)
     d = Dataset(tuple("abc"), gen.normal(0.0, 4.0, (60, 3)) + gen.uniform(-5, 5, 3))
     before = np.corrcoef(d.rows, rowvar=False)
-    after = np.corrcoef(standardize(d).rows, rowvar=False)
-    assert np.abs(before - after).max() < 1e-12
+    assert np.abs(np.corrcoef(d._z, rowvar=False) - before).max() < 1e-12
+    assert np.abs(d._r - before).max() < 1e-12
+
+
+def test_standardization_is_kept_and_read_only():
+    d = Dataset(tuple("ab"), np.random.default_rng(12).normal(size=(20, 2)))
+    for name in ("_sds", "_z", "_r"):
+        block = getattr(d, name)
+        assert getattr(d, name) is block
+        with pytest.raises(ValueError):
+            block[0] = 9.0
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["fresh", "block-read"])
+def test_dataset_identity_does_not_depend_on_its_block(read):
+    rows = np.random.default_rng(13).normal(size=(10, 3))
+    fresh, d = Dataset(tuple("abc"), rows, digest="x"), Dataset(tuple("abc"), rows, digest="x")
+    if read:
+        d._r  # builds _sds, _z and _r
+        assert {"_sds", "_z", "_r"} <= d.__dict__.keys()
+    assert d == fresh and fresh == d
+    assert repr(d) == repr(fresh)
+    assert pickle.dumps(d) == pickle.dumps(fresh)
+    for other in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert other == fresh
+        assert repr(other) == repr(fresh)
+        assert other.digest == "x"
+        assert np.array_equal(other._r, fresh._r)
 
 
 def test_summarize_basic():
@@ -229,6 +263,26 @@ def test_summarize_basic():
     assert s[0].sd == pytest.approx(1.0)
     assert (s[0].minimum, s[0].maximum) == (1.0, 3.0)
     assert s[1].sd == 0.0
+
+
+def test_summarize_a_constant_column_after_its_z_scores_raised():
+    d = Dataset(("a", "b"), np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]]))
+    with pytest.raises(ZeroVariance):
+        d._z
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize(d)
+    assert (s[1].mean, s[1].sd, s[1].minimum, s[1].maximum) == (7.0, 0.0, 7.0, 7.0)
+
+
+@pytest.mark.parametrize("column", OVERFLOWING)
+def test_summarize_an_overflowing_column_is_silent(column):
+    rows = np.column_stack([np.arange(len(column), dtype=float), column])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize(Dataset(("a", "b"), rows))
+    assert not math.isfinite(s[1].mean) or not math.isfinite(s[1].sd)
+    assert (s[1].minimum, s[1].maximum) == (min(column), max(column))
 
 
 def test_summary_consistent_with_load(tmp_path):

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathtrek.correlation import load_correlation_csv
+from pathtrek.data import load_csv
 from pathtrek.errors import (
     CycleDetected,
     DuplicateArrow,
@@ -72,6 +74,29 @@ def test_parse_implicit_declaration_warns():
     with pytest.warns(ModelWarning, match="implicitly declared"):
         m = parse_model("path A -> B\n")
     assert m.variables == ("A", "B")
+
+
+LOADER_WARNINGS = {
+    # loader -> (file name, file text, call) for an input that warns
+    "load_csv": ("rows.csv", "a,b\n1,2\n2,1\n3,5\nx,y\n", lambda path: load_csv(path)),
+    "load_correlation_csv": ("r.csv", ",a,b\na,1,1\nb,1,1\n",
+                             lambda path: load_correlation_csv(path, 10)),
+    "parse_model": ("m.pm", "path A -> B\n",
+                    lambda path: parse_model(path.read_text(encoding="utf-8"))),
+    "load_model": ("m.pm", "path A -> B\n", lambda path: load_model(path)),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADER_WARNINGS))
+def test_loader_warnings_point_at_the_caller(tmp_path, loader):
+    name, text, call = LOADER_WARNINGS[loader]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        call(path)
+    assert len(record) == 1
+    assert record[0].filename == __file__
 
 
 def test_parse_var_after_implicit_use():

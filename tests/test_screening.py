@@ -1,6 +1,7 @@
 """Outlier distances, KS normality, VIF, and residual diagnostics."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -10,8 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathtrek import numeric, rng, screening
-from pathtrek.data import Dataset, _z_scores, standardize
-from pathtrek.errors import SingularCovariance, SingularMatrix, VariableMissing, ZeroVariance
+from pathtrek import data
+from pathtrek.data import Dataset
+from pathtrek.errors import (
+    ParseError,
+    SingularCovariance,
+    SingularMatrix,
+    VariableMissing,
+    ZeroVariance,
+)
 from pathtrek.estimation import fit_standardized
 from pathtrek.correlation import CorrelationMatrix, pearson_matrix
 from pathtrek.pathspec import parse_model
@@ -271,8 +279,8 @@ def test_ranked_equals_whole_column_reference(seed, n, k, kind, cutoff):
     x = draw_block(seed, n, k, kind)
     if n <= k or (x.std(axis=0, ddof=1) < 1e-12).any():
         return
-    z = _z_scores(Dataset(tuple(f"v{j}" for j in range(k)), x))
-    r = (z.T @ z) / (n - 1)
+    d = Dataset(tuple(f"v{j}" for j in range(k)), x)
+    z, r = d._z, d._r
     want = outcome(reference_ranked, z, r)
     if not isinstance(want[0], np.ndarray):
         assert outcome(screening._ranked, z, r) == want
@@ -292,8 +300,8 @@ def test_outliers_evaluate_each_row_once(monkeypatch):
     # at cutoff 1 the search grows its head over every row; a head
     # recomputed on each growth would pass more than n rows to the tail
     n, k = 700, 4
-    z = _z_scores(Dataset(("a", "b", "c", "d"), draw_block(921, n, k, "normal")))
-    rows, d2 = screening._ranked(z, (z.T @ z) / (n - 1))
+    d = Dataset(("a", "b", "c", "d"), draw_block(921, n, k, "normal"))
+    rows, d2 = screening._ranked(d._z, d._r)
     counted = []
     tail = numeric.chisq_sf_array
     monkeypatch.setattr(numeric, "chisq_sf_array",
@@ -307,8 +315,7 @@ def test_report_distances_and_largest_equal_the_full_triples(cutoff):
     x = draw_block(917, 700, 4, "exp")
     x[:5] *= 40.0  # a few far rows
     d = Dataset(("a", "b", "c", "d"), x)
-    z = _z_scores(d)
-    order, d2, p = reference_ranked(z, (z.T @ z) / (d.n - 1))
+    order, d2, p = reference_ranked(d._z, d._r)
     full = list(zip(order.tolist(), d2.tolist(), p.tolist()))
     report = screen(d, outlier_p=cutoff)
     assert report.outliers == [t for t in full if t[2] < cutoff]
@@ -354,8 +361,8 @@ def test_ks_non_finite_z_raises_as_the_reference():
 
 
 def test_ranked_nan_distance_raises_as_the_reference():
-    z = _z_scores(Dataset(("a", "b"), draw_block(918, 40, 2, "normal")))
-    r = (z.T @ z) / 39
+    d = Dataset(("a", "b"), draw_block(918, 40, 2, "normal"))
+    z, r = d._z.copy(), d._r
     z[7, 1] = math.nan
     want = outcome(reference_ranked, z, r)
     assert want[0] is ValueError
@@ -422,14 +429,14 @@ def test_residual_sd_tracks_disturbance(observed_corr, revised_model, revised_re
     sim = simulate_dataset(
         SimulationSpec(model=revised_refit.annotated_model(), n=240, seed=42)
     )
-    z = standardize(sim)
+    z = dict(zip(sim.variables, sim._z.T))
     fit = fit_standardized(pearson_matrix(sim), revised_model)
     table_fit = fit_standardized(observed_corr, revised_model)
     for y, eq in fit.equations.items():
         predicted = sum(
-            b * z.column(p) for p, b in zip(eq.parents, eq.beta)
+            b * z[p] for p, b in zip(eq.parents, eq.beta)
         )
-        resid = z.column(y) - predicted
+        resid = z[y] - predicted
         assert abs(resid.std(ddof=1) - table_fit.equation(y).disturbance) < 0.05
 
 
@@ -505,6 +512,29 @@ def test_screen_warns_and_flags_large_vif():
         "VIF a = 16.92 >= 10.0 (flag)", "VIF b = 16.92 >= 10.0 (flag)",
         "VIF c = 6.51 >= 5.0 (warn)", "VIF d = 6.51 >= 5.0 (warn)",
     ]
+
+
+def test_screen_of_a_dataset_without_columns_is_refused():
+    with pytest.raises(ParseError, match="variable names must be unique and nonempty"):
+        screen(Dataset((), np.empty((5, 0))))
+
+
+def test_one_dataset_standardizes_once(monkeypatch, revised_model):
+    # pearson_matrix, screen and the residual points all read one z block
+    calls = []
+    z_scores = data.Dataset.__dict__["_z"].func
+    counted = functools.cached_property(lambda d: calls.append(d) or z_scores(d))
+    counted.__set_name__(data.Dataset, "_z")
+    monkeypatch.setattr(data.Dataset, "_z", counted)
+    d = Dataset(NAMES, exact_corr_scores(OBSERVED_R, 240, seed=918))
+    corr = pearson_matrix(d)
+    z = d._z
+    report = screen(d, model=revised_model)
+    assert report.residual_points
+    assert residual_diagnostics(fit_standardized(corr, revised_model), d)
+    assert mahalanobis(d) == report.distances
+    assert calls == [d]
+    assert d._z is z
 
 
 def test_screen_without_model_uses_all_columns():
