@@ -27,8 +27,12 @@ over rounds, which shows a change whose gain grows with the input, such as
 k = 20 against k = 10.
 
 No speed probe scales these times.  Both sides run interleaved in the same
-process, so a drift of the machine's speed reaches both alike.  The exit
-status is 1 when the two sides' outputs differ.
+process, so a drift of the machine's speed reaches both alike.  As
+perfbench does, the process runs on one CPU with one BLAS and OpenMP thread
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 before
+numpy loads): a threaded dgemm on screen's (n, k) by (k, k) product would
+otherwise add milliseconds of noise.  The exit status is 1 when the two
+sides' outputs differ.
 """
 
 import argparse
@@ -44,6 +48,7 @@ import sys
 import tempfile
 import time
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 KINDS = ("fit", "revise", "screen", "simulate", "recovery")
 SIDES = ("parent", "change")
 RECOVERY_SEEDS = 10
@@ -128,6 +133,9 @@ def main(argv=None):
         parser.error("--rounds must be at least 2, for the quartiles")
     with open(args.plan, encoding="utf-8") as fh:
         plan = json.load(fh)
+    os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy is imported
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)

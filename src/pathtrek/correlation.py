@@ -122,6 +122,9 @@ class CorrelationMatrix(FrozenRecord):
     _check_correlations checks and repairs into `r_rows`, tuples of floats;
     n is the sample size, a whole number >= 3.  `p_rows` follows from r and
     n on first read; `.r` and `.p` are read-only float64 ndarrays of the two.
+    Copies and pickles rebuild from (variables, r_rows, n), without them:
+    r_rows is already symmetric with a unit diagonal, so its check repairs
+    nothing and the rebuilt cells keep their bits.
     """
 
     _fields = ("variables", "r_rows", "n")
@@ -131,6 +134,9 @@ class CorrelationMatrix(FrozenRecord):
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "r_rows", _check_correlations(_square_rows(r, len(names))))
         object.__setattr__(self, "n", _sample_size(n))
+
+    def __reduce__(self):
+        return self.__class__, (self.variables, self.r_rows, self.n)
 
     @cached_property
     def p_rows(self):

@@ -3,7 +3,8 @@
 A Dataset owns its standardization: the column sds, the z-scores and their
 correlations z'z / (n - 1) are each computed on first read and kept, and
 every raw-data reader (pearson_matrix, the screening battery, summarize)
-takes them from it.
+takes them from it.  The sds and z-scores come from one centered pass,
+with the bits of rows.std(axis=0, ddof=1) and (rows - means) / sds.
 """
 
 import csv
@@ -50,8 +51,9 @@ class Dataset(FrozenRecord):
     `digest` is the sha256 of the file load_csv parsed (None for data built
     in memory); equality does not read it, and compares the rows by value.
     `_sds`, `_z` and `_r` are the standardization every raw-data reader
-    takes, built on first read and kept: they take no part in equality,
-    repr, copy or pickle.
+    takes, built on first read and kept (`_sds` and `_z` from one
+    `_standardized` pass, whose centered block becomes z): they take no
+    part in equality, repr, copy or pickle.
     """
 
     _fields = ("variables", "rows", "digest")
@@ -98,30 +100,47 @@ class Dataset(FrozenRecord):
 
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")
-    def _sds(self):
-        """Sample standard deviations (n-1 denominator), one per column,
-        read-only; numpy's overflow warnings stay silent."""
-        sds = self.rows.std(axis=0, ddof=1)
+    def _standardized(self):
+        """(means, sds, z): the column means and sds and the z-scores, or
+        None for z when a column is constant or overflows; numpy's overflow
+        warnings stay silent.
+
+        One pass over x = rows - means gives both: the sds are
+        sqrt(sum(x * x) / (n - 1)), the operations rows.std(axis=0, ddof=1)
+        runs, so their bits are its bits, and z is x / sds, divided in
+        place, as (rows - means) / sds.
+        """
+        means = self.rows.mean(axis=0)
+        x = self.rows - means
+        sds = np.sqrt(np.add.reduce(x * x, axis=0) / (self.n - 1))
         sds.flags.writeable = False
-        return sds
+        # finite sds mean finite sums of squares, so finite means and x
+        if not (np.isfinite(sds).all() and (sds >= SD_FLOOR).all()):
+            return means, sds, None
+        z = np.divide(x, sds, out=x)
+        z.flags.writeable = False
+        return means, sds, z
 
     @functools.cached_property
-    @np.errstate(over="ignore", invalid="ignore")
+    def _sds(self):
+        """Sample standard deviations (n-1 denominator), one per column,
+        read-only."""
+        return self._standardized[1]
+
+    @functools.cached_property
     def _z(self):
         """The read-only (n, k) block of every column at mean 0, sd 1.
 
         Raises ZeroVariance for a constant column and OutOfRange for one
-        whose mean or sd overflows float64; numpy's overflow warnings stay
-        silent.
+        whose mean or sd overflows float64.
         """
-        means = self.rows.mean(axis=0)
-        for name, mean, sd in zip(self.variables, means, self._sds):
-            if not (math.isfinite(mean) and math.isfinite(sd)):
-                raise OutOfRange(f"variable {name!r}: mean or sd overflows float64")
-            if sd < SD_FLOOR:
-                raise ZeroVariance(name)
-        z = (self.rows - means) / self._sds
-        z.flags.writeable = False
+        means, sds, z = self._standardized
+        if z is None:
+            for name, mean, sd in zip(self.variables, means, sds):
+                if not (math.isfinite(mean) and math.isfinite(sd)):
+                    raise OutOfRange(f"variable {name!r}: mean or sd overflows float64")
+                if sd < SD_FLOOR:
+                    raise ZeroVariance(name)
         return z
 
     @functools.cached_property

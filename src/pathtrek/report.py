@@ -97,10 +97,11 @@ def _render_mirrored(rows, depth):
     k = len(rows)
     if not {list, tuple}.issuperset(map(type, rows)) or set(map(len, rows)) != {k}:
         return None
-    try:
-        upper = [[None] * i + list(map(float.__repr__, row[i:])) for i, row in enumerate(rows)]
-    except TypeError:  # a cell that is not a float
+    # every cell, left of the diagonal too: an int equal to its float partner
+    # would take the float's text, and a str would reach float.__repr__
+    if not all(issubclass(t, float) for t in set(map(type, chain.from_iterable(rows)))):
         return None
+    upper = [[None] * i + list(map(float.__repr__, row[i:])) for i, row in enumerate(rows)]
     partners, partner_texts = list(zip(*rows)), list(zip(*upper))
     outer, inner = "  " * (depth + 1), "  " * (depth + 2)
     cell_sep, row_sep = ",\n" + inner, ",\n" + outer

@@ -10,12 +10,15 @@ Every tail the battery reports comes from numeric's array forms, which leave
 the elementwise erfc, exp and log to libm, but only where an output can read
 it.  KS takes the exact normal CDF only at the sorted scores whose
 discrepancy under numpy's closed-form normal_cdf_approx is within KS_MARGIN
-of the largest; the point that attains D is always among them.  The
-outliers take the chi-squared p only over a head of the rows by descending
-D2, grown until its last p is past the cutoff, and `distances` and
-`largest` take it over the rows they return.  The tails are elementwise and
-D is a max of elementwise differences, so every reported value has the
-bits a whole-column evaluation gives.
+of the largest; the point that attains D is always among them.  From
+2 * KS_BLOCKS scores on, the closed form itself is taken only at block
+knots and inside the blocks whose bound can reach that largest
+discrepancy.  The rows are sorted by descending D2 only as far as an output
+reads them: the outliers take the chi-squared p over a _head of the rows,
+grown until its last p is past the cutoff, `largest` over a head of its
+count, and `distances` over all of them.  The tails are elementwise and D
+is a max of elementwise differences, so every reported value has the bits
+a whole-column evaluation gives.
 
 The standardized block z and its correlations z'z / (n - 1) come from the
 Dataset, which computes each once: the distances, the VIF matrix, the
@@ -23,6 +26,7 @@ fitted model and the residual points all read the same block.
 """
 
 import math
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +48,9 @@ DEFAULT_OUTLIER_P = 0.001
 # at a point attaining D, and the approximate maximum, are each within that
 # error of the exact ones.
 KS_MARGIN = 1e-6
+# From n = 2 * KS_BLOCKS points, ks_normality bounds the KS discrepancy over
+# about KS_BLOCKS blocks before it evaluates any point inside one.
+KS_BLOCKS = 2048
 P_BLOCK = 64  # rows in the first chi-squared block of the outlier search
 P_MARGIN = 1e-6  # relative margin over chisq_sf_array's rounding
 VIF_WARN = 5.0
@@ -66,7 +73,7 @@ def mahalanobis(d):
     triples sorted by descending D2, equal D2 in ascending row order.
     """
     _check_rows(d)
-    return _triples(*_ranked(d._z, d._r), d.k)
+    return _triples(*_head(_distances(d._z, d._r), d.n), d.k)
 
 
 def _check_rows(d):
@@ -74,8 +81,8 @@ def _check_rows(d):
         raise ValueError(f"need n > k, got n={d.n}, k={d.k}")
 
 
-def _ranked(z, r):
-    """mahalanobis's row indices and D2, by descending D2.
+def _distances(z, r):
+    """mahalanobis's D2 of every row, in row order.
 
     z is the standardized (n, k) block and r = z'z / (n - 1).  A NaN or
     negative D2 raises here, as chisq_sf_array raises for it.
@@ -87,8 +94,28 @@ def _ranked(z, r):
     d2 = ((z @ w.T) ** 2).sum(axis=1)
     if not (d2 >= 0.0).all():
         numeric.chisq_sf_array(d2, z.shape[1])  # raises its ValueError
-    order = np.argsort(-d2, kind="stable")
-    return order, d2[order]
+    return d2
+
+
+def _head(d2, count):
+    """(rows, D2) of the first `count` rows by descending D2, equal D2 in
+    ascending row order: the first `count` of np.argsort(-d2, kind="stable").
+
+    Below the whole column, np.partition finds the count-th smallest -D2;
+    every row at or below it, in ascending row order, is stable-sorted, and
+    its first `count` are the head.  So a head is a prefix of every longer
+    one, and only the rows that can be in it are sorted.
+    """
+    neg = -d2
+    if count >= len(d2):
+        rows = np.argsort(neg, kind="stable")
+    elif count == 0:
+        rows = np.arange(0)
+    else:
+        last = np.partition(neg, count - 1)[count - 1]  # the head's last -D2
+        rows = np.flatnonzero(neg <= last)
+        rows = rows[np.argsort(neg[rows], kind="stable")[:count]]
+    return rows, d2[rows]
 
 
 def _triples(rows, d2, df):
@@ -101,11 +128,11 @@ def _triples(rows, d2, df):
     return list(zip(rows.tolist(), d2.tolist(), p.tolist()))
 
 
-def _outliers(rows, d2, df, cutoff):
-    """(row_index, D2, p) triples of the ranked rows whose p < cutoff.
+def _outliers(d2, df, cutoff):
+    """(row_index, D2, p) triples of the rows by descending D2 whose p < cutoff.
 
-    p is taken over a growing head (P_BLOCK rows, then twice as many each
-    time, each new block's rows evaluated once) until its last p exceeds
+    p is taken over a growing _head (P_BLOCK rows, then twice as many each
+    time, each new row evaluated once) until its last p exceeds
     cutoff * (1 + P_MARGIN).  The chi-squared tail cannot rise as D2 falls,
     and chisq_sf_array's sum of positive terms is good to ~1e-14 relative,
     so no later row can come below cutoff.
@@ -113,12 +140,13 @@ def _outliers(rows, d2, df, cutoff):
     p = d2[:0]
     count = P_BLOCK
     while True:
-        p = np.concatenate([p, numeric.chisq_sf_array(d2[len(p):count], df)])
+        rows, ranked = _head(d2, count)
+        p = np.concatenate([p, numeric.chisq_sf_array(ranked[len(p):], df)])
         if count >= len(d2) or p[-1] > cutoff * (1.0 + P_MARGIN):
             break
         count *= 2
     i = np.flatnonzero(p < cutoff)
-    return list(zip(rows[i].tolist(), d2[i].tolist(), p[i].tolist()))
+    return list(zip(rows[i].tolist(), ranked[i].tolist(), p[i].tolist()))
 
 
 def ks_normality(column, alpha=0.05):
@@ -126,30 +154,63 @@ def ks_normality(column, alpha=0.05):
 
     D is the two-sided sup discrepancy at the sample points; p comes from
     the asymptotic Kolmogorov tail at sqrt(n)*D.  Verdict is "non-normal"
-    when p < alpha, else "normal".  The exact normal_cdf_array is taken
-    only at the points whose discrepancy under normal_cdf_approx is within
-    KS_MARGIN of the largest: any point attaining D is among them, and D
-    is a max of elementwise differences, so it has the bits a
-    whole-column evaluation gives.
+    when p < alpha, else "normal".  Raises ValueError for fewer than 3
+    observations, a non-finite one, or a mean or sd that overflows.  The
+    exact normal_cdf_array is taken only at the points whose discrepancy
+    under normal_cdf_approx is within KS_MARGIN of the largest, over every
+    point below 2 * KS_BLOCKS and over _ks_candidates from there: any
+    point attaining D is among them, and D is a max of elementwise
+    differences, so it has the bits a whole-column evaluation gives.
     """
     x = np.sort(np.asarray(column, dtype=np.float64))
     n = len(x)
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
-    sd = x.std(ddof=1)
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):  # -inf sorts first, inf and nan last
+        raise ValueError("column holds a non-finite value")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = x.mean(), x.std(ddof=1)
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError("column mean or sd overflows float64")
     if sd < SD_FLOOR:
         raise ZeroVariance("(column)")
-    z = (x - x.mean()) / sd
-    approx = numeric.normal_cdf_approx(z)
-    above = np.arange(1, n + 1) / n
-    below = np.arange(0, n) / n
+    z = np.subtract(x, mean, out=x)  # x is np.sort's copy
+    z /= sd
+    kept = np.arange(n) if n < 2 * KS_BLOCKS else _ks_candidates(z)
+    approx = numeric.normal_cdf_approx(z[kept])
+    above, below = (kept + 1) / n, kept / n
     gap = np.maximum(above - approx, approx - below)
-    near = np.flatnonzero(gap >= gap.max() - KS_MARGIN)
-    cdf = numeric.normal_cdf_array(z[near])
+    near = gap >= gap.max() - KS_MARGIN
+    cdf = numeric.normal_cdf_array(z[kept[near]])
     d_stat = float(max((above[near] - cdf).max(), (cdf - below[near]).max()))
     p = numeric.kolmogorov_sf(math.sqrt(n) * d_stat)
     verdict = "non-normal" if p < alpha else "normal"
     return d_stat, p, verdict
+
+
+def _ks_candidates(z):
+    """Indices of the sorted z where the KS discrepancy can attain D.
+
+    z is cut into blocks of B = len(z) // KS_BLOCKS points between knots
+    at 0, B, 2B, ... and the last point, and normal_cdf_approx is taken
+    only at the knots.  Phi rises along z, so no point of the block s..e
+    has a discrepancy above max((e + 1)/n - Phi(z_s), Phi(z_e) - s/n).
+    Each approximate Phi is within eps = NORMAL_CDF_APPROX_ERROR of the
+    exact one, so a block is kept when that bound, widened by 2 eps,
+    reaches the knots' largest approximate discrepancy less eps and
+    KS_MARGIN; the block holding a point that attains D always is.
+    """
+    n = len(z)
+    knots = np.append(np.arange(0, n - 1, n // KS_BLOCKS), n - 1)
+    approx = numeric.normal_cdf_approx(z[knots])
+    best = np.maximum((knots + 1) / n - approx, approx - knots / n).max()
+    start, end = knots[:-1], knots[1:]
+    bound = np.maximum((end + 1) / n - approx[:-1], approx[1:] - start / n)
+    err = numeric.NORMAL_CDF_APPROX_ERROR
+    keep = bound + 2.0 * err >= best - err - KS_MARGIN
+    inside = np.append(np.repeat(keep, end - start), False)  # s..e-1 of each block
+    inside[end[keep]] = True
+    return np.flatnonzero(inside)
 
 
 def vif(corr, predictors):
@@ -194,8 +255,8 @@ class ScreeningReport(Record):
     """What the battery found.
 
     `distances` (every row's (row, D2, p), descending D2) is built on first
-    read from the `_ranked` (rows, D2) arrays, with df the dataset's column
-    count, and `residual_points` (equation target -> [(fitted,
+    read from `_d2`, every row's D2 in row order, with df the dataset's
+    column count, and `residual_points` (equation target -> [(fitted,
     std_residual)], {} without a model) by residual_diagnostics over
     `_fitted` and `_data`.  Equality and repr read them as they read the
     other attributes.
@@ -205,7 +266,7 @@ class ScreeningReport(Record):
                "residual_points", "outlier_cutoff", "alpha", "warnings")
 
     def __init__(self, summaries, outliers, normality, vif, outlier_cutoff, alpha,
-                 warnings=None, _ranked=None, _fitted=None, _data=None):
+                 warnings=None, _d2=None, _fitted=None, _data=None):
         self.summaries = summaries
         self.outliers = outliers  # flagged (row, D2, p), descending D2
         self.normality = normality  # name -> (D, p, verdict)
@@ -213,13 +274,13 @@ class ScreeningReport(Record):
         self.outlier_cutoff = outlier_cutoff
         self.alpha = alpha
         self.warnings = [] if warnings is None else warnings
-        self._ranked = _ranked  # distances' (rows, D2) arrays
+        self._d2 = _d2  # every row's D2, in row order
         self._fitted = _fitted  # the model residual_points is computed from
         self._data = _data  # the screened Dataset
 
     @cached_property
     def distances(self):
-        return _triples(*self._ranked, self._data.k)
+        return _triples(*_head(self._d2, len(self._d2)), self._data.k)
 
     @cached_property
     def residual_points(self):
@@ -235,9 +296,13 @@ class ScreeningReport(Record):
         return {y: self._data.n for y in self._fitted.equations}
 
     def largest(self, count):
-        """The first `count` triples of distances, without the others."""
-        rows, d2 = self._ranked
-        return _triples(rows[:count], d2[:count], self._data.k)
+        """The first `count` triples of distances, without the others.
+
+        Raises ValueError unless count is a whole number >= 0.
+        """
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise ValueError(f"count must be a whole number >= 0, got {count!r}")
+        return _triples(*_head(self._d2, int(count)), self._data.k)
 
 
 def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
@@ -261,9 +326,9 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     _check_rows(d)
     # d._z raises ZeroVariance for a constant column and OutOfRange for an
     # overflowing one
-    ranked = _ranked(d._z, d._r)
+    d2 = _distances(d._z, d._r)
     summaries = summarize(d)
-    outliers = _outliers(*ranked, d.k, outlier_p)
+    outliers = _outliers(d2, d.k, outlier_p)
     if outliers:
         warnings_list.append(
             f"{len(outliers)} outlier rows at Mahalanobis p < {outlier_p}"
@@ -305,7 +370,7 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
         outlier_cutoff=outlier_p,
         alpha=alpha,
         warnings=warnings_list,
-        _ranked=ranked,
+        _d2=d2,
         _fitted=fitted,
         _data=d,
     )

@@ -1,6 +1,8 @@
 """Pearson matrices, correlation-file ingestion, and strength labels."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -117,6 +119,22 @@ def test_p_rows_computed_on_first_read_only(monkeypatch):
     assert len(calls) == 5 * 4 // 2
     assert corr.p_rows is first
     assert len(calls) == 5 * 4 // 2
+
+
+@pytest.mark.parametrize("build", [lambda: CorrelationMatrix(NAMES, OBSERVED_R, N_OBS),
+                                   lambda: k20_corr()], ids=["study", "k20-n5000"])
+def test_copies_and_pickles_leave_the_cache_behind(build):
+    fresh, corr = build(), build()
+    before = pickle.dumps(corr)
+    corr.p_rows, corr.r, corr.p  # noqa: B018 - builds the cache
+    assert {"p_rows", "r", "p"} <= corr.__dict__.keys()
+    assert pickle.dumps(corr) == before == pickle.dumps(fresh)
+    for other in (copy.copy(corr), copy.deepcopy(corr), pickle.loads(before)):
+        assert other.__dict__.keys() == fresh.__dict__.keys()
+        assert other == corr
+        assert [[x.hex() for x in row] for row in other.r_rows] == \
+            [[x.hex() for x in row] for row in corr.r_rows]
+        assert other.p_rows == corr.p_rows
 
 
 def k20_corr():

@@ -221,6 +221,47 @@ def test_standardize_moments_and_idempotence():
     assert np.abs(zz - z).max() < 1e-12
 
 
+def numpy_standardization(rows):
+    """The sds and z-scores as numpy's own mean and std give them, silently."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        means, sds = rows.mean(axis=0), rows.std(axis=0, ddof=1)
+        return sds, (rows - means) / sds
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 400), st.integers(1, 6),
+       st.sampled_from(["normal", "offset", "rounded", "wide"]))
+@settings(max_examples=200, deadline=None)
+def test_standardization_has_numpys_bits(seed, n, k, kind):
+    gen = np.random.default_rng(seed)
+    rows = gen.normal(size=(n, k))
+    if kind == "offset":
+        rows = rows * 1e-3 + gen.uniform(-1e6, 1e6, k)
+    elif kind == "rounded":
+        rows = np.round(rows * 2.0)  # a constant column now and then
+    elif kind == "wide":
+        rows = np.exp(rows * 20.0)
+    d = Dataset(tuple(f"v{j}" for j in range(k)), rows)
+    sds, z = numpy_standardization(d.rows)
+    assert d._sds.tobytes() == sds.tobytes()
+    if (sds < 1e-12).any():
+        with pytest.raises(ZeroVariance):
+            d._z
+    else:
+        assert d._z.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("column", [*OVERFLOWING, [4.0] * 6, [0.1, 0.1, 0.1]])
+def test_sds_are_numpys_when_the_z_scores_raise(column):
+    rows = np.column_stack([np.arange(len(column), dtype=float), column])
+    d = Dataset(("a", "b"), rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((OutOfRange, ZeroVariance)):
+            d._z
+        assert d._sds.tobytes() == numpy_standardization(d.rows)[0].tobytes()
+    assert "_z" not in d.__dict__
+
+
 def test_standardize_preserves_correlations():
     gen = np.random.default_rng(11)
     d = Dataset(tuple("abc"), gen.normal(0.0, 4.0, (60, 3)) + gen.uniform(-5, 5, 3))
@@ -243,8 +284,8 @@ def test_dataset_identity_does_not_depend_on_its_block(read):
     rows = np.random.default_rng(13).normal(size=(10, 3))
     fresh, d = Dataset(tuple("abc"), rows, digest="x"), Dataset(tuple("abc"), rows, digest="x")
     if read:
-        d._r  # builds _sds, _z and _r
-        assert {"_sds", "_z", "_r"} <= d.__dict__.keys()
+        d._r, d._sds  # builds _standardized, _z, _r and _sds
+        assert {"_standardized", "_sds", "_z", "_r"} <= d.__dict__.keys()
     assert d == fresh and fresh == d
     assert repr(d) == repr(fresh)
     assert pickle.dumps(d) == pickle.dumps(fresh)

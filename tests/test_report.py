@@ -93,6 +93,9 @@ documents = st.recursive(
 @example([[1.0]])
 @example([[1.0, 0.5], [0.5]])
 @example([[1.0, 0.5], "ab"])
+# a cell left of the diagonal that is not a float
+@example([[-0.0, -0.0], ["", -0.0]])
+@example([[1.0, 1.0], [1, 1.0]])
 def test_render_matches_stdlib(obj):
     assert _render(obj) == stdlib(obj)
 

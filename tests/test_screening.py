@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,17 +284,18 @@ def test_ranked_equals_whole_column_reference(seed, n, k, kind, cutoff):
     z, r = d._z, d._r
     want = outcome(reference_ranked, z, r)
     if not isinstance(want[0], np.ndarray):
-        assert outcome(screening._ranked, z, r) == want
+        assert outcome(screening._distances, z, r) == want
         return
-    rows, d2 = screening._ranked(z, r)
+    d2 = screening._distances(z, r)
+    rows, ranked = screening._head(d2, n)
     assert bits(rows) == bits(want[0])
-    assert bits(d2) == bits(want[1])
+    assert bits(ranked) == bits(want[1])
     full = list(zip(*(a.tolist() for a in want)))
     flagged = [t for t in full if t[2] < cutoff]
-    assert repr(screening._outliers(rows, d2, k, cutoff)) == repr(flagged)
+    assert repr(screening._outliers(d2, k, cutoff)) == repr(flagged)
     for count in (1, k, n // 2, n + 1):
-        assert repr(screening._triples(rows[:count], d2[:count], k)) == repr(full[:count])
-    assert repr(screening._triples(rows, d2, k)) == repr(full)
+        assert repr(screening._triples(*screening._head(d2, count), k)) == repr(full[:count])
+    assert repr(screening._triples(rows, ranked, k)) == repr(full)
 
 
 def test_outliers_evaluate_each_row_once(monkeypatch):
@@ -301,12 +303,12 @@ def test_outliers_evaluate_each_row_once(monkeypatch):
     # recomputed on each growth would pass more than n rows to the tail
     n, k = 700, 4
     d = Dataset(("a", "b", "c", "d"), draw_block(921, n, k, "normal"))
-    rows, d2 = screening._ranked(d._z, d._r)
+    d2 = screening._distances(d._z, d._r)
     counted = []
     tail = numeric.chisq_sf_array
     monkeypatch.setattr(numeric, "chisq_sf_array",
                         lambda x, df: counted.append(len(x)) or tail(x, df))
-    assert len(screening._outliers(rows, d2, k, 1.0)) == n
+    assert len(screening._outliers(d2, k, 1.0)) == n
     assert sum(counted) == n
 
 
@@ -323,6 +325,14 @@ def test_report_distances_and_largest_equal_the_full_triples(cutoff):
         assert report.largest(count) == full[:count]
     assert report.distances == full
     assert mahalanobis(d) == full
+
+
+@pytest.mark.parametrize("count", [-1, -240, 1.0, 2.5, True, "3", None])
+def test_largest_refuses_a_count_that_is_not_a_whole_number(count):
+    report = screen(Dataset(NAMES, exact_corr_scores(OBSERVED_R, 240, seed=911)))
+    with pytest.raises(ValueError, match="count must be a whole number >= 0"):
+        report.largest(count)
+    assert len(report.largest(np.int64(3))) == 3
 
 
 def worst_approx(z):
@@ -354,10 +364,16 @@ def test_ks_exact_under_the_worst_approximation(monkeypatch, tilt):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_ks_non_finite_z_raises_as_the_reference():
-    for column in ([1.0, 2.0, math.inf], [1.0, math.nan, 3.0, 4.0]):
+    # the reference meets the bad value in normal_cdf_array after numpy's
+    # warnings; ks_normality raises the same ValueError type up front, silently
+    for column in ([1.0, 2.0, math.inf], [1.0, math.nan, 3.0, 4.0],
+                   [-math.inf, 0.0, 1.0], [math.inf] * 3):
         want = outcome(reference_ks_normality, column)
         assert want[0] is ValueError
-        assert outcome(ks_normality, column) == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(ks_normality, column) == (ValueError,
+                                                     "column holds a non-finite value")
 
 
 def test_ranked_nan_distance_raises_as_the_reference():
@@ -366,7 +382,91 @@ def test_ranked_nan_distance_raises_as_the_reference():
     z[7, 1] = math.nan
     want = outcome(reference_ranked, z, r)
     assert want[0] is ValueError
-    assert outcome(screening._ranked, z, r) == want
+    assert outcome(screening._distances, z, r) == want
+
+
+DISTANCE_KINDS = st.sampled_from(["distinct", "tied", "duplicated"])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), DISTANCE_KINDS)
+@settings(max_examples=150, deadline=None)
+def test_head_is_a_prefix_of_the_stable_order(seed, n, kind):
+    gen = np.random.default_rng(seed)
+    d2 = gen.chisquare(3, n)
+    if kind == "tied":
+        d2 = np.round(d2)  # few values, many rows each, zeros among them
+    elif kind == "duplicated":
+        d2 = gen.choice(d2[:max(1, n // 20)], n)
+    order = np.argsort(-d2, kind="stable")
+    for count in (0, 1, 63, 64, 65, n - 1, n, n + 1):
+        rows, ranked = screening._head(d2, count)
+        assert rows.tolist() == order[:count].tolist()
+        assert bits(ranked) == bits(d2[order[:count]])
+
+
+KS_COLUMNS = ("discrete", "tied", "sorted", "heavy")
+
+
+def ks_column(seed, n, kind):
+    """A column of one shape: Poisson counts, rounded normals, sorted
+    normals or Cauchy draws."""
+    gen = np.random.default_rng(seed)
+    if kind == "discrete":
+        return gen.poisson(4.0, n).astype(np.float64)
+    if kind == "tied":
+        return np.round(gen.normal(size=n) * 1.5)
+    if kind == "sorted":
+        return np.sort(gen.normal(size=n))
+    return gen.standard_cauchy(n)
+
+
+@pytest.mark.parametrize("kind", KS_COLUMNS)
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 200_000])
+def test_ks_blocks_equal_whole_column_reference(n, kind):
+    for seed in range(3 if n < 10**5 else 1):
+        column = ks_column(seed, n, kind)
+        assert repr(ks_normality(column)) == repr(reference_ks_normality(column))
+
+
+def worst_approx_over(column):
+    """normal_cdf_approx as worst_approx moves it over the whole sorted
+    column's z, taken at any of those z."""
+    x = np.sort(column)
+    z = (x - x.mean()) / x.std(ddof=1)
+    moved = worst_approx(z)
+    return lambda at: moved[np.searchsorted(z, at)]
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-12, 1e-9, 1e-8])
+@pytest.mark.parametrize("n", [4096, 20_000])
+def test_ks_blocks_exact_under_the_worst_approximation(monkeypatch, n, tilt):
+    # as test_ks_exact_under_the_worst_approximation, with the block bound
+    # taken on approximate knots too
+    half = np.sort(np.random.default_rng(921).normal(size=n // 2))
+    column = np.concatenate([half, -half * (1.0 + tilt)])
+    want = reference_ks_normality(column)
+    monkeypatch.setattr(numeric, "normal_cdf_approx", worst_approx_over(column))
+    assert repr(ks_normality(column)) == repr(want)
+
+
+def test_ks_blocks_evaluate_few_points(monkeypatch):
+    column = ks_column(7, 20_000, "sorted")
+    counted = {"approx": 0, "exact": 0}
+    for name, key in (("normal_cdf_approx", "approx"), ("normal_cdf_array", "exact")):
+        f = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name, functools.partial(
+            lambda f, key, z: counted.__setitem__(key, counted[key] + len(z)) or f(z), f, key))
+    ks_normality(column)
+    assert counted["approx"] < 20_000 // 4
+    assert 1 <= counted["exact"] < 100
+
+
+@pytest.mark.parametrize("column", [[1e308, -1e308] * 3, [1.7e308, 1.6e308, 1.5e308]])
+def test_ks_overflowing_column_raises_silently(column):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mean or sd overflows"):
+            ks_normality(column)
 
 
 # ---------------------------------------------------------------------------
