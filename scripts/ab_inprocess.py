@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time two pathtrek trees on one benchmark plan, in one process, alternating.
+"""Time two pathtrek trees on one benchmark plan, alternating, in one process
+or, for KIND cli, in one child process per op.
 
     python3 scripts/ab_inprocess.py PARENT_SRC CHANGE_SRC PLAN KIND [--rounds N]
 
@@ -7,16 +8,22 @@ PARENT_SRC and CHANGE_SRC are directories that each hold a `pathtrek`
 package (a checkout's `src/`).  Each package is copied to a temporary
 directory under its own name, `pathtrek_parent` and `pathtrek_change`; this
 works because every import inside the package is relative.  Both copies are
-imported into this process.
+imported into this process, and child processes find them on a PYTHONPATH
+that holds that directory.
 
 PLAN is a `plan.json` that `perfbench/run.py` wrote under
 `.perfbench/WORKLOAD/`; its input paths are relative to the checkout it ran
 in, so run this script from there.  KIND is one of fit, revise, screen,
-simulate and recovery.  The first four run every op of that kind in the
-plan through `cli.main`.  recovery runs `recovery_check` on the plan's
+simulate, recovery and cli.  The first four run every op of that kind in
+the plan through `cli.main`.  recovery runs `recovery_check` on the plan's
 recovery model and n for RECOVERY_SEEDS seeds, the ones perfbench's first
-replications take.  One untimed round runs every op on both sides and
-compares their outputs: the files written, byte for byte, or each
+replications take.  cli runs each op of the plan's `cli` list as a child
+process, `python -m pathtrek_parent.cli ...` or `python -m
+pathtrek_change.cli ...`, and times it from start to exit, as perfbench's
+cli_ms_p50 does but with no speed probe: this is the regime where
+interpreter start-up and shutdown, not the analysis, set the time.  One
+untimed round runs every op on both sides and compares their outputs: the
+files written, byte for byte, and each op's exit code, or each
 `RecoveryReport`'s errors and the bytes of the rows it drew (the errors
 alone can hide a last-bit change in a few draws).  Then each round times
 every op on both sides, the side that goes first alternating from round to
@@ -31,8 +38,9 @@ process, so a drift of the machine's speed reaches both alike.  As
 perfbench does, the process runs on one CPU with one BLAS and OpenMP thread
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 before
 numpy loads): a threaded dgemm on screen's (n, k) by (k, k) product would
-otherwise add milliseconds of noise.  The exit status is 1 when the two
-sides' outputs differ.
+otherwise add milliseconds of noise.  Child processes inherit the CPU and
+the thread variables.  The exit status is 1 when the two sides' outputs
+differ.
 """
 
 import argparse
@@ -44,12 +52,13 @@ import json
 import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-KINDS = ("fit", "revise", "screen", "simulate", "recovery")
+KINDS = ("fit", "revise", "screen", "simulate", "recovery", "cli")
 SIDES = ("parent", "change")
 RECOVERY_SEEDS = 10
 
@@ -61,8 +70,20 @@ def load_side(src, name, into):
     return importlib.import_module(name)
 
 
+def run_child(argv, env):
+    """The exit code of a child process that runs argv."""
+    return subprocess.run(argv, env=env, stdout=subprocess.DEVNULL).returncode
+
+
 def side_ops(package, plan, kind, out):
-    """Op id -> one zero-argument call, for every op of `kind`, writing under `out`."""
+    """Op id -> one zero-argument call, for every op of `kind`, writing under `out`;
+    each call of a cli-driven kind returns the op's exit code."""
+    if kind == "cli":
+        path = os.path.dirname(os.path.dirname(package.__file__))
+        env = dict(os.environ, PYTHONPATH=path)
+        return {op_id: functools.partial(run_child, [sys.executable, "-m",
+                                                     f"{package.__name__}.cli", *argv], env)
+                for op_id, argv in op_argvs(plan, kind, out).items()}
     if kind != "recovery":
         cli = importlib.import_module(f"{package.__name__}.cli")
         return {op_id: functools.partial(cli.main, argv)
@@ -90,8 +111,8 @@ def op_argvs(plan, kind, out):
             argv = ["simulate", "--model", op["model"], "--n", str(op["n"]),
                     "--seed", str(op["seed_offset"]), "--out", path]
         else:
-            argv = [kind, *op["input"], "--model", op["model"], "--format", "json",
-                    "--out", path]
+            argv = [op["command"] if kind == "cli" else kind, *op["input"],
+                    "--model", op["model"], "--format", "json", "--out", path]
         argvs[op["id"]] = argv
     return argvs
 
@@ -108,13 +129,14 @@ def run_round(ops):
 
 
 def outputs(package, kind, ops, out):
-    """Run every op once: the sha256 of each file written, or each recovery's errors and rows."""
+    """Run every op once: each op's exit code and the sha256 of each file
+    written, or each recovery's errors and rows."""
     results = [op() for op in ops.values()]
     if kind == "recovery":
         return {f"seed {report.spec.seed}":
                 (report.errors, package.simulate_dataset(report.spec).rows.tobytes())
                 for report in results}
-    found = {}
+    found = {f"exit code of {op_id}": code for op_id, code in zip(ops, results)}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
             found[name] = hashlib.sha256(fh.read()).hexdigest()
@@ -173,8 +195,12 @@ def main(argv=None):
     if differ:
         print(f"outputs differ: {', '.join(differ)}")
         return 1
-    noun = "recovery reports" if args.kind == "recovery" else "files"
-    print(f"outputs identical on both sides ({len(written['parent'])} {noun})")
+    if args.kind == "recovery":
+        count = f"{len(written['parent'])} recovery reports"
+    else:
+        codes = len(ops["parent"])
+        count = f"{len(written['parent']) - codes} files, {codes} exit codes"
+    print(f"outputs identical on both sides ({count})")
     return 0
 
 

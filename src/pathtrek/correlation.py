@@ -96,9 +96,15 @@ def _variable_names(variables):
 
 
 def _sample_size(n):
-    """n as an int; ValueError unless it is a whole number >= 3."""
-    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-            or not math.isfinite(n) or n != int(n) or n < 3):
+    """n as an int; ValueError unless it is a whole number >= 3 that a
+    float can hold (math.isfinite of an int past ~1.8e308 overflows)."""
+    try:
+        whole = (not isinstance(n, bool) and isinstance(n, numbers.Real)
+                 and math.isfinite(n) and n == int(n) and n >= 3)
+    except OverflowError:
+        raise ValueError("sample size must be a whole number >= 3, "
+                         "got a number beyond the range of a float") from None
+    if not whole:
         raise ValueError(f"sample size must be a whole number >= 3, got {n!r}")
     return int(n)
 

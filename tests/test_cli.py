@@ -216,6 +216,26 @@ def test_fit_corr_with_sample_size_zero(capsys):
     assert "requires --n" not in err
 
 
+BEYOND_FLOAT = "1" + "0" * 400  # an int past the largest float, ~1.8e308
+
+
+def test_fit_corr_with_sample_size_beyond_float(capsys):
+    assert main(["fit", "--corr", CORR, "--n", BEYOND_FLOAT, "--model", REVISED]) == 2
+    err = capsys.readouterr().err
+    assert ("sample size must be a whole number >= 3, "
+            "got a number beyond the range of a float") in err
+    assert "Traceback" not in err
+
+
+def test_simulate_with_sample_size_beyond_float(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--model", REVISED_PUBLISHED, "--n", BEYOND_FLOAT,
+                 "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "sample size must be a whole number >= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,exports", [
     ("fit", ["--effects-csv", "e.csv", "--treks-csv", "t.csv"]),
     ("revise", ["--trace-csv", "t.csv", "--out-model", "m.pm"]),
@@ -1269,8 +1289,9 @@ def test_trek_budget_stops_export_on_complete_dag(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # fresh interpreters: what a real process prints and imports
 
-def run_fresh(args, cwd):
-    """A new `python` process that imports the same pathtrek as this one."""
+def run_fresh(args, cwd, text=True):
+    """A new `python` process that imports the same pathtrek as this one;
+    its stdout and stderr as str, or as bytes when `text` is false."""
     import os
     import subprocess
     import sys
@@ -1281,7 +1302,7 @@ def run_fresh(args, cwd):
     src = os.path.dirname(os.path.dirname(os.path.abspath(pathtrek.__file__)))
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=text)
 
 
 def test_simulate_routes_load_warnings(tmp_path):
@@ -1351,3 +1372,106 @@ def test_correlation_path_imports_no_numpy(tmp_path):
     assert "converged after 2 iteration(s)" in (tmp_path / "revise.txt").read_text()
     assert "misfit pairs:" in (tmp_path / "fit-data.txt").read_text()
     assert len((tmp_path / "sim.csv").read_text().splitlines()) == 6
+
+
+# the process entry: `python -m pathtrek.cli` and the console script run
+# cli.console_main, which is main plus a gc.freeze() on the way out
+
+ENTRY_CASES = {
+    "fit-text": (["fit", "--corr", CORR, "--n", "240", "--model", REVISED], 0),
+    "fit-json": (["fit", "--corr", CORR, "--n", "240", "--model", REVISED,
+                  "--format", "json", "--out", "fit.json"], 0),
+    "revise-exhausted": (["revise", "--corr", CORR, "--n", "240", "--model", INITIAL,
+                          "--max-iter", "1", "--out-model", "final.pm",
+                          "--trace-csv", "trace.csv"], 3),
+    "screen-strict": (["screen", "--data", "{inputs}/bad.csv", "--strict"], 1),
+    "simulate": (["simulate", "--model", REVISED_PUBLISHED, "--n", "50", "--seed", "7",
+                  "--out", "sim.csv"], 0),
+    "input-error": (["fit", "--corr", CORR, "--n", "0", "--model", REVISED], 2),
+    "usage-error": (["fit", "--model", REVISED], 2),
+    "version": (["--version"], 0),
+}
+
+
+def _entry_argv(argv, tmp_path):
+    """argv with {inputs} naming a directory that holds bad.csv."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir(exist_ok=True)
+    rows = exact_corr_scores(OBSERVED_R, 240, seed=31).copy()
+    rows[0] = 10.0  # an outlier, which --strict makes exit 1
+    write_csv(Dataset(NAMES, rows), inputs / "bad.csv")
+    return [arg.format(inputs=inputs) for arg in argv]
+
+
+@pytest.mark.parametrize("case", list(ENTRY_CASES))
+def test_process_entry_matches_main(tmp_path, monkeypatch, capsysbinary, case):
+    argv, expected = ENTRY_CASES[case]
+    argv = _entry_argv(argv, tmp_path)
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8")  # the bytes capsysbinary gives
+    runs = {}
+    for side in ("main", "process"):
+        cwd = tmp_path / side
+        cwd.mkdir()
+        if side == "main":
+            monkeypatch.chdir(cwd)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --version
+                code = exc.code
+            out, err = capsysbinary.readouterr()
+        else:
+            proc = run_fresh(["-m", "pathtrek.cli", *argv], cwd, text=False)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        files = {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+        runs[side] = code, out, err, files
+    assert runs["process"] == runs["main"]
+    assert runs["main"][0] == expected
+    assert runs["main"][1] or runs["main"][2] or runs["main"][3]
+
+
+def test_main_leaves_the_collector_alone(tmp_path, monkeypatch, capsys):
+    import gc
+
+    monkeypatch.chdir(tmp_path)
+    before = gc.get_freeze_count(), gc.isenabled()
+    for argv, expected in ENTRY_CASES.values():
+        try:
+            code = main(_entry_argv(argv, tmp_path))
+        except SystemExit as exc:
+            code = exc.code
+        assert code == expected, argv
+        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+
+
+def test_process_entry_freezes_on_every_way_out(tmp_path):
+    code = (
+        "import gc, sys\n"
+        "from pathtrek.cli import console_main\n"
+        "try:\n"
+        "    console_main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "else:\n"
+        "    code = None\n"
+        "print(code, gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr)\n"
+    )
+    for argv, expected in ((["--version"], "0"), (["fit", "--model", REVISED], "2")):
+        proc = run_fresh(["-c", code, *argv], tmp_path)
+        assert proc.stderr.splitlines()[-1] == f"{expected} True True", proc.stderr
+
+
+def test_console_script_is_the_process_entry():
+    import ast
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    from pathtrek import cli
+
+    with open(DATA_DIR.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["pathtrek"].partition(":")
+    assert module == "pathtrek.cli"
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    block, = (node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert ast.unparse(block) == f"if __name__ == '__main__':\n    sys.exit({name}())"

@@ -370,7 +370,9 @@ def test_sample_size_stored_as_int(build, n, tmp_path):
 
 
 @pytest.mark.parametrize("build", ["direct", "loader"])
-@pytest.mark.parametrize("n", [2, 0, -240, 240.5, float("nan"), float("inf"), True, "240", None])
+@pytest.mark.parametrize("n", [2, 0, -240, 240.5, float("nan"), float("inf"), True, "240", None,
+                               pytest.param(10**400, id="1e400"),
+                               pytest.param(-10**400, id="-1e400")])
 def test_sample_size_rejected(build, n, tmp_path):
     with pytest.raises(ValueError, match="sample size must be a whole number >= 3"):
         _build_direct(n) if build == "direct" else _build_loaded(n, tmp_path)

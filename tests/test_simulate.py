@@ -114,7 +114,7 @@ def test_exploding_coefficient_rejected():
 
 
 def test_spec_validation(annotated_revised, revised_model):
-    for n in (2, 100.5, True, float("nan"), "100"):
+    for n in (2, 100.5, True, float("nan"), "100", 10**400):
         with pytest.raises(ValueError, match="sample size"):
             SimulationSpec(model=annotated_revised, n=n, seed=1)
     for seed in (-1, 1 << 64, 1.7, 1.0, True, "1", None):
