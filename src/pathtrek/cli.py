@@ -55,7 +55,7 @@ from .effects import (
 )
 from .errors import NoAdmissibleRevision, NonPositiveResidualVariance, PathtrekError
 from .estimation import fit_standardized
-from .files import csv_text, read_input, write_outputs
+from .files import csv_text, naming, read_input, write_outputs
 from .pathspec import load_model, parse_model, render_model
 from .report import Report
 from .tracing import treks_csv
@@ -96,8 +96,9 @@ def _build_parser():
 
     Nothing in it depends on the call: parse_args makes a fresh Namespace
     each time, and errors go to the sys.stderr of that moment.  Each
-    subcommand's own parser rides on its Namespace as `command_parser`, so
-    usage errors found after parsing name the subcommand.
+    subcommand's handler rides on its Namespace as `handler`, beside its own
+    parser as `command_parser`, so usage errors found after parsing name the
+    subcommand.
     """
     parser = argparse.ArgumentParser(
         prog="pathtrek",
@@ -105,6 +106,11 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, command_parser=p)
+        return p
 
     def add_output(p):
         p.add_argument("--out", help="write the report here (default stdout)")
@@ -120,7 +126,7 @@ def _build_parser():
         p.add_argument("--model", required=True, help=model_help)
         p.add_argument("--misfit", type=threshold, default=DEFAULT_MISFIT_THRESHOLD)
 
-    p_screen = sub.add_parser("screen", help="run the data-screening battery")
+    p_screen = add_command("screen", _cmd_screen, "run the data-screening battery")
     p_screen.add_argument("--data", required=True, help="dataset CSV")
     p_screen.add_argument("--model", help="optional model file for residuals/VIF block")
     p_screen.add_argument("--alpha", type=probability, default=0.05,
@@ -132,13 +138,13 @@ def _build_parser():
                           help="export residual points (equation, fitted, std_residual)")
     add_output(p_screen)
 
-    p_fit = sub.add_parser("fit", help="estimate, trace, assess, decompose")
+    p_fit = add_command("fit", _cmd_fit, "estimate, trace, assess, decompose")
     add_inputs(p_fit, "model file")
     p_fit.add_argument("--treks-csv", help="export the trek decomposition here")
     p_fit.add_argument("--effects-csv", help="export the effects table here")
     add_output(p_fit)
 
-    p_rev = sub.add_parser("revise", help="drop/add revision loop")
+    p_rev = add_command("revise", _cmd_revise, "drop/add revision loop")
     add_inputs(p_rev, "starting model file")
     p_rev.add_argument("--alpha", type=probability, default=DEFAULT_ALPHA,
                        help="drop level for coefficient p (default %(default)s)")
@@ -147,14 +153,11 @@ def _build_parser():
     p_rev.add_argument("--trace-csv", help="export the revision steps here")
     add_output(p_rev)
 
-    p_sim = sub.add_parser("simulate", help="draw a dataset from an annotated model")
+    p_sim = add_command("simulate", _cmd_simulate, "draw a dataset from an annotated model")
     p_sim.add_argument("--model", required=True, help="coefficient-annotated model file")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", required=True, help="dataset CSV to write")
-
-    for p in sub.choices.values():
-        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -183,9 +186,11 @@ def _load_inputs(args, parser):
 
 
 def _read_model(path, inputs):
-    """The model file at path, parsed; its digest is recorded in inputs."""
+    """The model file at path, parsed; its digest is recorded in inputs and
+    an error names the file."""
     text, inputs[path] = read_input(path)
-    return parse_model(text)
+    with naming(path):
+        return parse_model(text)
 
 
 def _emit(report, args, *sides):
@@ -258,13 +263,19 @@ def _cmd_fit(args, parser):
     A fully annotated model file is taken as the hypothesis under test: its
     own coefficients drive the reproduced matrix, fit verdict, and effects,
     while the refit coefficients and inference are reported alongside.  A
-    bare topology is traced with the fitted coefficients.
+    bare topology is traced with the fitted coefficients, and so is a
+    partially annotated one, with a warning that counts the coefficients
+    it ignored.
     """
     corr, model, inputs, warnings = _load_inputs(args, parser)
     fitted = fit_standardized(corr, model)
+    ignored = sum(a.coefficient is not None for a in model.arrows)
     if model.is_annotated:
         warnings.append("traced the model file's own coefficients (fully annotated input); "
                         "refit values are in the coefficients section")
+    elif ignored:
+        warnings.append(f"ignored the coefficients of {ignored} of {len(model.arrows)} arrows "
+                        "(partially annotated input); traced the refit values")
     steps = tracing._steps(model) if model.is_annotated else fitted._steps()
     implied = tracing._trace(model.variables, steps)[0]
     report = _traced_report("fit", corr, inputs, warnings, fitted, steps, implied,
@@ -278,7 +289,6 @@ def _cmd_fit(args, parser):
 
 def _cmd_revise(args, parser):
     corr, model, inputs, warnings = _load_inputs(args, parser)
-    exit_code = EXIT_OK
     try:
         trace = revise_model(
             corr, model,
@@ -287,16 +297,13 @@ def _cmd_revise(args, parser):
     except NoAdmissibleRevision as exc:
         trace = exc.trace
         warnings.append(f"revision failed: {exc}")
-        exit_code = EXIT_REVISION
-    if not trace.converged:
-        exit_code = EXIT_REVISION
     report = _traced_report("revise", corr, inputs, warnings, trace.final_fit,
                             trace.final_fit._steps(), trace.final_implied,
                             trace.final_assessment, revision=trace)
     _emit(report, args,
           (args.out_model, lambda: render_model(trace.final_fit.annotated_model())),
           (args.trace_csv, lambda: revision_csv(trace)))
-    return exit_code
+    return EXIT_OK if trace.converged else EXIT_REVISION
 
 
 def _cmd_simulate(args, parser):
@@ -316,14 +323,8 @@ def _cmd_simulate(args, parser):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    handler = {
-        "screen": _cmd_screen,
-        "fit": _cmd_fit,
-        "revise": _cmd_revise,
-        "simulate": _cmd_simulate,
-    }[args.command]
     try:
-        return handler(args, args.command_parser)
+        return args.handler(args, args.command_parser)
     except (PathtrekError, OSError, ValueError) as exc:
         print(f"pathtrek: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -97,7 +97,8 @@ def _variable_names(variables):
 
 def _sample_size(n):
     """n as an int; ValueError unless it is a whole number >= 3 that a
-    float can hold (math.isfinite of an int past ~1.8e308 overflows)."""
+    float can hold (math.isfinite of an int past ~1.8e308 overflows) and at
+    most 2**53, so that n - 2, the t tests' df, is an exact float."""
     try:
         whole = (not isinstance(n, bool) and isinstance(n, numbers.Real)
                  and math.isfinite(n) and n == int(n) and n >= 3)
@@ -106,6 +107,8 @@ def _sample_size(n):
                          "got a number beyond the range of a float") from None
     if not whole:
         raise ValueError(f"sample size must be a whole number >= 3, got {n!r}")
+    if n > 2**53:
+        raise ValueError(f"sample size must be a whole number >= 3 and at most 2**53, got {n!r}")
     return int(n)
 
 

@@ -2,9 +2,13 @@
 
 A Dataset owns its standardization: the column sds, the z-scores and their
 correlations z'z / (n - 1) are each computed on first read and kept, and
-every raw-data reader (pearson_matrix, the screening battery, summarize)
-takes them from it.  The sds and z-scores come from one centered pass,
-with the bits of rows.std(axis=0, ddof=1) and (rows - means) / sds.
+pearson_matrix, summarize and screening's distances, VIFs and model fit
+take them from it.  The sds and z-scores come from one centered pass,
+with the bits of rows.std(axis=0, ddof=1) and (rows - means) / sds.  Two
+screening statistics scale on their own terms: ks_normality standardizes
+its own sorted copy of a column, whose bits the study's screen pins (the
+Dataset's z-scores move D in the last digits), and residual_diagnostics
+scales each residual by that residual's own sd.
 """
 
 import csv
@@ -50,10 +54,10 @@ class Dataset(FrozenRecord):
 
     `digest` is the sha256 of the file load_csv parsed (None for data built
     in memory); equality does not read it, and compares the rows by value.
-    `_sds`, `_z` and `_r` are the standardization every raw-data reader
-    takes, built on first read and kept (`_sds` and `_z` from one
-    `_standardized` pass, whose centered block becomes z): they take no
-    part in equality, repr, copy or pickle.
+    `_sds`, `_z` and `_r` are the standardization the raw-data readers
+    take (see the module docstring), built on first read and kept (`_sds`
+    and `_z` from one `_standardized` pass, whose centered block becomes
+    z): they take no part in equality, repr, copy or pickle.
     """
 
     _fields = ("variables", "rows", "digest")

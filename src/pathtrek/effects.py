@@ -265,36 +265,31 @@ def revise_model(corr, m, alpha=DEFAULT_ALPHA, threshold=DEFAULT_MISFIT_THRESHOL
                 )
             flagged = visit(model, "drop", tuple(sorted(drops)), f"coefficient p >= {alpha}")
 
+        if flagged:  # add the arrow for the largest misfit that can be added
+            pos = {v: i for i, v in enumerate(topological_order(model))}
+            candidates = []
+            for pair in flagged:
+                if model.has_arrow_between(pair.a, pair.b):
+                    continue
+                src, dst = sorted((pair.a, pair.b), key=pos.get)
+                candidates.append((src, dst, pair.difference))
+            candidates.sort(key=lambda c: (-c[2], pos[c[0]], pos[c[1]]))
+            arrows = model.arrow_set()
+            added = next((c for c in candidates if arrows | {c[:2]} not in seen), None)
+            if added is None and not drops:
+                raise NoAdmissibleRevision(
+                    f"misfit persists ({len(flagged)} pairs) but no arrow can be added",
+                    trace=trace,
+                )
+            if added is not None:
+                src, dst, diff = added
+                flagged = visit(model.with_arrows(model.arrows + (Arrow(src, dst, None),)),
+                                "add", ((src, dst),),
+                                f"misfit |r - r_hat| = {diff:.4f} > {threshold}",
+                                tuple(candidates))
+
         if not flagged:
             trace.converged = True
             break
-
-        order = topological_order(model)
-        pos = {v: i for i, v in enumerate(order)}
-        candidates = []
-        for pair in flagged:
-            if model.has_arrow_between(pair.a, pair.b):
-                continue
-            src, dst = sorted((pair.a, pair.b), key=pos.get)
-            candidates.append((src, dst, pair.difference))
-        candidates.sort(key=lambda c: (-c[2], pos[c[0]], pos[c[1]]))
-
-        arrows = model.arrow_set()
-        added = next((c for c in candidates if arrows | {c[:2]} not in seen), None)
-        if added is None:
-            if not drops:
-                raise NoAdmissibleRevision(
-                    f"misfit persists ({len(flagged)} pairs) but no "
-                    "arrow can be added",
-                    trace=trace,
-                )
-        else:
-            src, dst, diff = added
-            flagged = visit(model.with_arrows(model.arrows + (Arrow(src, dst, None),)), "add",
-                            ((src, dst),), f"misfit |r - r_hat| = {diff:.4f} > {threshold}",
-                            tuple(candidates))
-            if not flagged:
-                trace.converged = True
-                break
 
     return trace

@@ -9,6 +9,18 @@ class ParseError(PathtrekError):
     """Malformed tabular input (bad header, duplicate column names)."""
 
 
+class NotUTF8(ParseError, UnicodeDecodeError):
+    """Input bytes that are not UTF-8: the UnicodeDecodeError, with its start
+    and end offsets, under a message that names the file."""
+
+    def __init__(self, path, exc):
+        UnicodeDecodeError.__init__(self, exc.encoding, exc.object, exc.start, exc.end, exc.reason)
+        self.path = path
+
+    def __str__(self):
+        return f"{self.path}: byte {self.start}: not UTF-8 ({self.reason})"
+
+
 class ModelSyntaxError(ParseError):
     """Bad line in the model DSL; carries the offending position."""
 

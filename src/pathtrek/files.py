@@ -16,12 +16,15 @@ old bytes and cuts the file to the new length at the end; a truncate to a
 nonzero length does not trigger that flush.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import os
 import stat
 import sys
+
+from .errors import NotUTF8, PathtrekError
 
 
 def write_outputs(outputs):
@@ -116,9 +119,26 @@ def read_input(path):
 
     The digest is that of the bytes read.  They are decoded as strict UTF-8
     in one call, so a decoding error names its byte offset in the file, and
-    one leading byte-order mark (Excel's "CSV UTF-8") is dropped.  Line
+    one leading byte-order mark (Excel's "CSV UTF-8") is dropped; bytes
+    that are not UTF-8 raise NotUTF8, a UnicodeDecodeError and a ParseError
+    whose message names the path and the offset of the first bad byte.  Line
     endings are left as they are.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    return raw.decode("utf-8").removeprefix("\ufeff"), hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUTF8(path, exc) from None
+    return text.removeprefix("\ufeff"), hashlib.sha256(raw).hexdigest()
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Prefix the message of a PathtrekError raised in the block with path,
+    as every input reader does; its type and attributes stay as they were."""
+    try:
+        yield
+    except PathtrekError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

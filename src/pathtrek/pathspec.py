@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     UnknownVariable,
 )
-from .files import read_input
+from .files import naming, read_input
 from .record import FrozenRecord
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -313,6 +313,9 @@ def render_model(m):
 
 
 def load_model(path):
-    """Read a model file through files.read_input and parse it; the
-    ModelWarning for implicitly declared variables points at the caller."""
-    return _parse_model(read_input(path)[0])
+    """Read a model file through files.read_input and parse it; an error
+    names the file, and the ModelWarning for implicitly declared variables
+    points at the caller."""
+    text = read_input(path)[0]
+    with naming(path):
+        return _parse_model(text)

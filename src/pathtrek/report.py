@@ -38,8 +38,8 @@ from .record import Record
 P_DISPLAY_FLOOR = 5e-4
 
 
-def fmt(x, nd=3):
-    return f"{x:.{nd}f}"
+def fmt(x):
+    return f"{x:.3f}"
 
 
 def p_display(p):

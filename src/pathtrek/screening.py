@@ -22,7 +22,9 @@ a whole-column evaluation gives.
 
 The standardized block z and its correlations z'z / (n - 1) come from the
 Dataset, which computes each once: the distances, the VIF matrix, the
-fitted model and the residual points all read the same block.
+fitted model and the residual points all read the same block.  ks_normality
+standardizes its own sorted copy of each column, and the residual points
+scale each residual by its own sd.
 """
 
 import math

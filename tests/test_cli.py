@@ -76,6 +76,36 @@ def test_fit_published_revised_model_fits(tmp_path):
     assert r2["Y"] == pytest.approx(0.805, abs=1e-3)
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_fit_partially_annotated_model_traces_the_refit(tmp_path, fmt):
+    # one arrow of the bare revised model carries a coefficient: the report
+    # is the bare model's, plus one warning that counts what was ignored
+    text = (DATA_DIR / "revised_model.pm").read_text(encoding="utf-8")
+    partial = text.replace("path X1 -> X2\n", "path X1 -> X2 : 0.3\n")
+    assert partial != text
+    model = tmp_path / "m.pm"
+    out = tmp_path / "report"
+    reports = []
+    for model_text in (text, partial):
+        model.write_text(model_text, encoding="utf-8")
+        assert main(["fit", "--corr", CORR, "--n", "240", "--model", str(model),
+                     "--format", fmt, "--out", str(out)]) == 0
+        reports.append(out.read_text(encoding="utf-8"))
+    warning = ("ignored the coefficients of 1 of 9 arrows (partially annotated input); "
+               "traced the refit values")
+    if fmt == "json":
+        bare, part = map(json.loads, reports)
+        assert bare["warnings"] == [] and part["warnings"] == [warning]
+        for r in (bare, part):
+            del r["inputs"][str(model)], r["warnings"]
+        assert part == bare
+        assert part["coefficients"]["equations"][0]["beta"][0] != 0.3
+    else:
+        bare, part = ([line for line in r.splitlines() if not line.startswith("input ")]
+                      for r in reports)
+        assert part == bare + ["", "warnings:", f"  - {warning}"]
+
+
 def test_fit_from_raw_data(tmp_path):
     code, report = run_json(tmp_path, [
         "fit", "--data", SCORES, "--model", REVISED,
@@ -227,6 +257,22 @@ def test_fit_corr_with_sample_size_beyond_float(capsys):
     assert "Traceback" not in err
 
 
+def test_fit_corr_with_sample_size_past_the_t_tails_range(capsys):
+    # 1e155 is a float, but its t tail's continued fraction never converged
+    n = "1" + "0" * 155
+    assert main(["fit", "--corr", CORR, "--n", n, "--model", REVISED]) == 2
+    err = capsys.readouterr().err
+    assert "sample size must be a whole number >= 3 and at most 2**53" in err
+    assert "continued fraction" not in err
+
+
+def test_fit_corr_with_sample_size_2_53(tmp_path):
+    code, report = run_json(tmp_path, ["fit", "--corr", CORR, "--n", str(2**53),
+                                       "--model", REVISED])
+    assert code == 0
+    assert report["correlations"]["n"] == 2**53
+
+
 def test_simulate_with_sample_size_beyond_float(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(["simulate", "--model", REVISED_PUBLISHED, "--n", BEYOND_FLOAT,
@@ -322,6 +368,41 @@ def test_revise_no_admissible_move(tmp_path):
     ])
     assert code == 3
     assert any("revision failed" in w for w in report["warnings"])
+
+
+@pytest.mark.parametrize("command", ["fit", "revise", "screen", "simulate"])
+@pytest.mark.parametrize("text,message", [
+    (b"var A\nvar B\nbogus\n", "line 3, column 1: unknown directive 'bogus'"),
+    (b"var A\nvar B\npath A -> B : 1\npath B -> A : 1\n",
+     "model contains a cycle: A -> B -> A"),
+    (b"var A\nvar B\xff\n", "byte 11: not UTF-8 (invalid start byte)"),
+], ids=["syntax", "cycle", "not-utf8"])
+def test_model_file_errors_name_the_file(tmp_path, capsys, command, text, message):
+    model = tmp_path / "m.pm"
+    model.write_bytes(text)
+    out = tmp_path / "out"
+    inputs = {"screen": ["--data", SCORES], "simulate": ["--n", "10", "--seed", "1"]}.get(
+        command, ["--corr", CORR, "--n", "240"])
+    assert main([command, *inputs, "--model", str(model), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"pathtrek: error: {model}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option", [
+    ("fit", "--corr"), ("revise", "--corr"), ("fit", "--data"), ("screen", "--data"),
+])
+def test_input_that_is_not_utf8_names_the_file(tmp_path, capsys, command, option):
+    path = tmp_path / "in.csv"
+    if option == "--corr":
+        path.write_bytes(b",A,B\nA,1,0.5\nB,0.5\xff,1\n")
+        args = [option, str(path), "--n", "240", "--model", REVISED]
+    else:
+        path.write_bytes(b"X1,X2\n1,2\xff\n")
+        args = [option, str(path)] + (["--model", REVISED] if command != "screen" else [])
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err == (
+        f"pathtrek: error: {path}: byte {path.read_bytes().index(0xff)}: "
+        "not UTF-8 (invalid start byte)\n")
 
 
 @pytest.mark.parametrize("command", ["fit", "revise"])

@@ -363,7 +363,8 @@ def _build_loaded(n, tmp_path):
 
 
 @pytest.mark.parametrize("build", ["direct", "loader"])
-@pytest.mark.parametrize("n", [3, 240, 240.0, np.int64(240), np.float64(240.0)])
+@pytest.mark.parametrize("n", [3, 240, 240.0, np.int64(240), np.float64(240.0),
+                               pytest.param(2**53, id="2**53")])
 def test_sample_size_stored_as_int(build, n, tmp_path):
     corr = _build_direct(n) if build == "direct" else _build_loaded(n, tmp_path)
     assert corr.n == n and type(corr.n) is int
@@ -376,6 +377,17 @@ def test_sample_size_stored_as_int(build, n, tmp_path):
 def test_sample_size_rejected(build, n, tmp_path):
     with pytest.raises(ValueError, match="sample size must be a whole number >= 3"):
         _build_direct(n) if build == "direct" else _build_loaded(n, tmp_path)
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 1e155, 10**155, 1.7e308],
+                         ids=["2**53+1", "1e155", "10**155", "1.7e308"])
+def test_sample_size_above_2_53_rejected(n):
+    # beyond 2**53, n - 2 (the t tests' df) is no longer an exact float
+    with pytest.raises(ValueError, match="sample size must be a whole number >= 3 and at "
+                                         "most 2\\*\\*53"):
+        _build_direct(n)
+    with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+        SimulationSpec(model=None, n=n, seed=1)
 
 
 def test_correlation_csv_roundtrip(tmp_path, observed_corr):

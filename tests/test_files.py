@@ -13,7 +13,8 @@ import pytest
 
 from pathtrek.cli import main
 from pathtrek.correlation import correlation_csv, load_correlation_csv
-from pathtrek.files import write_outputs
+from pathtrek.errors import ParseError
+from pathtrek.files import read_input, write_outputs
 
 from conftest import DATA_DIR
 
@@ -281,3 +282,16 @@ def test_input_name_that_is_not_utf8_is_escaped(tmp_path, capsys, fmt, to_file):
     assert main(argv + (["--out", str(out)] if to_file else [])) == 0
     written = out.read_bytes().decode("utf-8") if to_file else capsys.readouterr().out
     assert "c\\udcff.csv" in written
+
+
+@pytest.mark.parametrize("raw,offset", [
+    (b"\xff", 0), (b"a,b\n1,\xe9\n", 6), (b"\xef\xbb\xbfa\xc3", 4),
+], ids=["first-byte", "latin-1", "truncated-after-bom"])
+def test_read_input_that_is_not_utf8_names_path_and_offset(tmp_path, raw, offset):
+    path = tmp_path / "in.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as caught:
+        read_input(path)
+    assert str(caught.value).startswith(f"{path}: byte {offset}: not UTF-8 (")
+    # still the decoder's error, for callers that read its offsets
+    assert isinstance(caught.value, UnicodeDecodeError) and caught.value.start == offset

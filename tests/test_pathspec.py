@@ -99,6 +99,24 @@ def test_loader_warnings_point_at_the_caller(tmp_path, loader):
     assert record[0].filename == __file__
 
 
+def test_load_model_errors_name_the_file_and_keep_their_type(tmp_path):
+    path = tmp_path / "m.pm"
+    path.write_text("var A\nvar B\n  path A => B\n", encoding="utf-8")
+    with pytest.raises(ModelSyntaxError) as caught:
+        load_model(path)
+    assert (caught.value.line, caught.value.column) == (3, 3)
+    assert str(caught.value) == f"{path}: line 3, column 3: expected `path SRC -> DST [: COEFF]`"
+    cycle = "var A\nvar B\npath A -> B\npath B -> A\n"
+    path.write_text(cycle, encoding="utf-8")
+    with pytest.raises(CycleDetected) as caught:
+        load_model(path)
+    assert caught.value.cycle == ("A", "B", "A")
+    assert str(caught.value) == f"{path}: model contains a cycle: A -> B -> A"
+    # parse_model has no file to name
+    with pytest.raises(CycleDetected, match="^model contains a cycle"):
+        parse_model(cycle)
+
+
 def test_parse_var_after_implicit_use():
     # the later declaration keeps A's place and label, and only B stays implicit
     with pytest.warns(ModelWarning) as caught:
