@@ -41,7 +41,14 @@ class ZeroVariance(PathtrekError):
 
 
 class SingularMatrix(PathtrekError):
-    """Cholesky pivot at or below its relative floor: not positive definite."""
+    """Cholesky pivot at or below its relative floor: not positive definite.
+
+    `column` is the 0-based index of the failing pivot and `pivot` its
+    value, when the factorization raised it."""
+
+    def __init__(self, message, column=None, pivot=None):
+        super().__init__(message)
+        self.column, self.pivot = column, pivot
 
 
 class SingularCovariance(SingularMatrix):

@@ -70,7 +70,7 @@ def cholesky(a):
         pivot = m[i][i] - sum(x * x for x in row)
         if pivot <= PIVOT_FLOOR * m[i][i]:
             raise SingularMatrix(
-                f"not positive definite: pivot {pivot:.3e} in column {i}")
+                f"not positive definite: pivot {pivot:.3e} in column {i}", i, pivot)
         row.append(math.sqrt(pivot))
         low.append(row)
     return low

@@ -3,35 +3,33 @@
 A Report is built once from analysis results and rendered two ways: text
 (3-decimal reals, "<.001" for tiny p-values, significance stars) and JSON
 (full precision, stable field names, null for an exact fit's infinite t).
-Both views read the same stored numbers.  In the JSON each pair, effect
-row, revision step and equation object holds exactly its record's fields
-(PairFit; EffectRow plus total; RevisionStep; EquationFit), each tuple
-written as a list, so the keys are stated once, by the record.
+Both views read the same stored numbers.
 
-The JSON text is json.dumps(..., indent=2, sort_keys=True, allow_nan=False)
-byte for byte.  Python 3.11 runs that call in the pure-Python encoder, so
-`_render` walks only the containers that hold other containers and gives
-each leaf container (a list of coefficients, a dict of scalars) to json's
-C encoder in one call, with the separators of its depth; a container is a
-leaf when the types of its values are all json scalars, a test made in C.
-A list that is not a leaf goes to two writers, chosen by its shape, before
-it is walked.  `_render_mirrored` writes a square matrix of floats, such
-as the three k x k matrices (observed r, its p-values and r-hat), with one
-float repr per mirrored pair of equal nonzero cells.  `_render_records`
-encodes a list of flat records (the fit's pairs, the effects rows, each
-revision step's arrows and candidates, screening's summaries and
-outliers) in one C encoder call and lays out the boundaries between its
-items.  Each returns None for any other shape.
+`to_json` writes each section straight from its record (CorrelationMatrix,
+FittedModel, ReproducedMatrix, FitAssessment, EffectsTable, RevisionTrace,
+ScreeningReport), and its text is json.dumps(..., indent=2,
+sort_keys=True, allow_nan=False) byte for byte.  An object's keys come
+from its record's `_fields` (PairFit; EffectRow plus total; RevisionStep;
+EquationFit), sorted once per key tuple into a str.format template, and
+each tuple is written as a list.  Strings go through json's
+encode_basestring_ascii, floats through float.__repr__ as json writes
+them, and a non-finite float raises json's own ValueError.  A list of
+records is written a column at a time.  A matrix reprs each mirrored pair
+of equal cells once, and each pair's observed and reproduced values,
+the very r and r-hat cells that assess_fit read, reuse their matrix's
+text by the cell's id.  `to_dict` is json.loads of that text.
 """
 
 import functools
 import json
 import math
-from itertools import chain
+import operator
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .correlation import classify_strength
+from .effects import EffectRow
 from .estimation import coefficient_inference
 from .record import Record
 
@@ -54,149 +52,213 @@ def stars(p):
     return ""
 
 
-# The types json writes as scalars in a Report; a container whose values are
-# all of these types is a leaf.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+# json's text for a value of exactly one of these types (a float's when finite)
+_WRITERS = {str: encode_basestring_ascii, bool: _CONSTANTS.__getitem__,
+            type(None): _CONSTANTS.__getitem__, int: int.__repr__, float: float.__repr__}
+
+
+def _scalar(x):
+    """json's text for a str, None, bool, int or float; json's own error for
+    a non-finite float or another type."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return _CONSTANTS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    json.dumps(x, allow_nan=False, indent=2)  # raises what json.dumps of the report raises
+
+
+def _field(value, depth):
+    """json's text at `depth` for a scalar, or a tuple or list of fields."""
+    if isinstance(value, (tuple, list)):
+        return _array(_texts(value, depth + 1), depth)
+    return _scalar(value)
+
+
+def _texts(values, depth, seen=None):
+    """json's texts at `depth` for a sequence of fields, made in one pass
+    when they are all of one scalar type, or rows of one length.  A float
+    that `seen` holds by its id takes the text from there."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float and all(map(math.isfinite, values)):
+        if seen is not None:
+            texts = list(map(seen.get, map(id, values)))
+            if None not in texts:
+                return texts
+        return list(map(float.__repr__, values))
+    if kind in _WRITERS and kind is not float:
+        return list(map(_WRITERS[kind], values))
+    if kind is not None and issubclass(kind, (tuple, list)):
+        widths = set(map(len, values))
+        if len(widths) == 1 and 0 not in widths:
+            return _rows(values, depth, _layout(widths.pop(), depth))
+        # lists of several lengths: their items' texts in one pass, then cut
+        items = _texts(list(chain.from_iterable(values)), depth + 1)
+        ends = list(accumulate(map(len, values)))
+        return [_array(items[start:end], depth) for start, end in zip([0, *ends], ends)]
+    return [_field(v, depth) for v in values]
+
+
+def _rows(rows, depth, layout, seen=None):
+    """The texts at `depth` of rows of one length, each written by the
+    template `layout`, from one pass over each column."""
+    return list(map(layout.format, *[_texts(column, depth + 1, seen) for column in zip(*rows)]))
+
+
+def _array(texts, depth):
+    """The JSON array at `depth` whose items have the texts `texts`."""
+    if not texts:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * depth + "]"
+
+
+def _object(items, depth):
+    """The JSON object at `depth` of (key, value text) items in sorted key order."""
+    if not items:
+        return "{}"
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join([encode_basestring_ascii(k) + ": " + text for k, text in items])
+    return "{" + inner + body + "\n" + "  " * depth + "}"
+
+
+def _named(mapping, depth, keys=None):
+    """The JSON object at `depth` of a dict keyed by name; each value is a
+    scalar, or a row of a record whose keys are `keys`."""
+    if not mapping:
+        return "{}"
+    names, values = zip(*sorted(mapping.items()))
+    texts = _rows(values, depth + 1, _layout(keys, depth + 1)) if keys else _texts(values, depth + 1)
+    return _object(list(zip(names, texts)), depth)
+
+
+def _records(rows, depth, keys=None, seen=None):
+    """The JSON array at `depth` of records; their keys are `keys`, or the
+    records' own `_fields`."""
+    texts = rows and _rows(rows, depth + 1, _layout(keys or rows[0]._fields, depth + 1), seen)
+    return _array(texts, depth)
 
 
 @functools.cache
-def _leaf_encoder(depth):
-    """Encode a container that holds no container, or a scalar, at `depth`.
-
-    The items are split by the separator that indent=2 puts between them
-    at that depth; `_render` moves the brackets onto their own lines.  A
-    leaf cannot refer to itself, so no circular-reference check is needed.
-    JSONEncoder.encode would build a new C encoder for every leaf; it is
-    built here once per depth, with the arguments JSONEncoder.iterencode
-    passes it.
-    """
-    encoder = json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "),
-                               sort_keys=True, allow_nan=False, check_circular=False)
-    if json.encoder.c_make_encoder is None:  # an interpreter without json's C encoder
-        return encoder.encode
-    encode = json.encoder.c_make_encoder(
-        markers=None, default=encoder.default, encoder=encode_basestring_ascii,
-        indent=None, key_separator=encoder.key_separator,
-        item_separator=encoder.item_separator, sort_keys=True, skipkeys=False,
-        allow_nan=False)
-    return lambda obj: "".join(encode(obj, 0))
+def _layout(keys, depth):
+    """A str.format template of the JSON object at `depth` whose keys are
+    `keys`, sorted here once per key tuple, or of the JSON array of `keys`
+    items when `keys` is an int.  Field i takes the text of keys[i], or item i."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if isinstance(keys, int):
+        return "[" + ",".join(f"{inner}{{{i}}}" for i in range(keys)) + outer + "]"
+    return "{{" + ",".join(f"{inner}{encode_basestring_ascii(k)}: {{{keys.index(k)}}}"
+                           for k in sorted(keys)) + outer + "}}"
 
 
-def _render_mirrored(rows, depth):
-    """The text `_render` writes for the square float matrix `rows` at `depth`.
+@functools.cache
+def _square(k, depth):
+    """For a k x k matrix at `depth`, its cells numbered in row order: those
+    on and above the diagonal, those below it, the mirror cell of each of
+    those, the index among the first of each cell or of its mirror cell,
+    and the str.format template of the matrix, whose field i is cell i."""
+    upper = [i * k + j for i in range(k) for j in range(i, k)]
+    rank = {cell: n for n, cell in enumerate(upper)}
+    inner, cell_inner, outer = ("\n" + "  " * d for d in (depth + 1, depth + 2, depth))
+    rows = ["[" + ",".join(f"{cell_inner}{{{i * k + j}}}" for j in range(k)) + inner + "]"
+            for i in range(k)]
+    return (upper, [i * k + j for i in range(k) for j in range(i)],
+            [j * k + i for i in range(k) for j in range(i)],
+            [rank[min(i, j) * k + max(i, j)] for i in range(k) for j in range(k)],
+            "[" + ",".join(inner + row for row in rows) + outer + "]")
 
-    Cells on and above the diagonal are repr'd.  Row i reuses the texts of
-    column i above the diagonal when its cells left of the diagonal equal
-    them and none of them is 0.0 or -0.0: equal nonzero floats have the
-    same bits, so the same repr.  Otherwise its cells left of the
-    diagonal are repr'd too.  Returns None for another shape than k >= 1
-    rows, each a list or tuple of k cells, or another cell type, or a
-    non-finite cell (a finite float's repr holds no "n"; "inf" and "nan"
-    do), which `_render` then writes, or rejects, as json does.
+
+def _matrix(rows, depth, seen):
+    """The JSON array at `depth` of a square matrix of floats, such as the
+    observed r, its p-values and r-hat, with one float repr per mirrored
+    pair of cells of one value.
+
+    When each cell below the diagonal equals its mirror cell, and either
+    none of them is 0.0 or -0.0 or each is the very object of its mirror
+    cell, only the cells on and above the diagonal are repr'd: equal
+    nonzero floats have the same bits, so the same repr.  Otherwise every
+    cell is.  `seen`, unless None, takes the text of each cell by
+    the cell's id.  Another
+    shape or cell type is written as any field is.
     """
     k = len(rows)
-    if not {list, tuple}.issuperset(map(type, rows)) or set(map(len, rows)) != {k}:
-        return None
-    # every cell, left of the diagonal too: an int equal to its float partner
-    # would take the float's text, and a str would reach float.__repr__
-    if not all(issubclass(t, float) for t in set(map(type, chain.from_iterable(rows)))):
-        return None
-    upper = [[None] * i + list(map(float.__repr__, row[i:])) for i, row in enumerate(rows)]
-    partners, partner_texts = list(zip(*rows)), list(zip(*upper))
-    outer, inner = "  " * (depth + 1), "  " * (depth + 2)
-    cell_sep, row_sep = ",\n" + inner, ",\n" + outer
-    lines = []
-    for i, row in enumerate(rows):
-        lower = tuple(row[:i])
-        if lower == partners[i][:i] and 0.0 not in lower:
-            cells = partner_texts[i][:i]
-        else:
-            cells = map(float.__repr__, lower)
-        lines.append(f"[\n{inner}{cell_sep.join((*cells, *upper[i][i:]))}\n{outer}]")
-    text = f"[\n{outer}{row_sep.join(lines)}\n{'  ' * depth}]"
-    return None if "n" in text else text
-
-
-def _render_records(items, depth):
-    """The text `_render` writes for the list of flat records `items` at `depth`.
-
-    The items are encoded in one call at their own depth, so the separator
-    between two items is the one between two values of an item: ",\n" and
-    the values' indent.  Only at an item boundary does a closing bracket
-    precede it and an opening one follow it, since within an item a scalar
-    precedes it and a key or a scalar follows it, and a json string that
-    escapes all but printable ASCII holds no raw newline.  Each boundary
-    and the outer brackets are then laid out as indent=2 lays them out.
-    Returns None for an empty list, an empty item, an item that holds a
-    container, or items of more than one type, which `_render` then
-    writes item by item.
-    """
-    kinds = set(map(type, items))
-    if kinds == {dict}:
-        (opening, closing), values = "{}", chain.from_iterable(map(dict.values, items))
-    elif kinds == {list}:
-        (opening, closing), values = "[]", chain.from_iterable(items)
+    cells = tuple(chain.from_iterable(rows))
+    if not k or set(map(len, rows)) != {k} or not all(
+            issubclass(t, float) for t in set(map(type, cells))):
+        return _field(rows, depth)
+    if not all(map(math.isfinite, cells)):
+        for cell in cells:  # json's error for the first, in row order
+            _scalar(cell)
+    upper, lower, mirror, spread, template = _square(k, depth)
+    below, above = list(map(cells.__getitem__, lower)), list(map(cells.__getitem__, mirror))
+    if below == above and (0.0 not in below or all(map(operator.is_, below, above))):
+        texts = list(map(float.__repr__, map(cells.__getitem__, upper)))
+        texts = list(map(texts.__getitem__, spread))
     else:
-        return None
-    if not all(items) or not _SCALARS.issuperset(map(type, values)):
-        return None
-    text = _leaf_encoder(depth + 1)(items)
-    outer, inner = "  " * (depth + 1), "  " * (depth + 2)
-    body = text[2:-2].replace(f"{closing},\n{inner}{opening}",
-                              f"\n{outer}{closing},\n{outer}{opening}\n{inner}")
-    return f"[\n{outer}{opening}\n{inner}{body}\n{outer}{closing}\n{'  ' * depth}]"
+        texts = list(map(float.__repr__, cells))
+    if seen is not None:
+        seen.update(zip(map(id, cells), texts))
+    return template.format(*texts)
 
 
-def _render(obj, depth=0):
-    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) at `depth`.
+def _screening(s, seen):
+    # VariableSummary's minimum and maximum are written as min and max
+    summaries = _records(s.summaries, 2, ("name", "mean", "sd", "min", "max"))
+    return _object([("normality", _named(s.normality, 2, ("d", "p", "verdict"))),
+                    ("outlier_cutoff", _scalar(s.outlier_cutoff)),
+                    ("outliers", _records(s.outliers, 2, ("row", "d_squared", "p"))),
+                    ("summaries", summaries), ("vif", _named(s.vif, 2)),
+                    ("warnings", _field(s.warnings, 2))], 1)
 
-    A leaf container goes to the C encoder whole; a list that is not a leaf
-    to `_render_mirrored`, then `_render_records`, and is walked item by
-    item only when both return None.  Every key of a dict that holds a
-    value of a type outside _SCALARS (a container, or an np.float64) must
-    be a string, as every Report key is; any other raises TypeError.
-    """
-    if isinstance(obj, dict):
-        brackets, values = "{}", obj.values()
-    elif isinstance(obj, (list, tuple)):
-        brackets, values = "[]", obj
-    else:
-        return _leaf_encoder(depth)(obj)
-    if _SCALARS.issuperset(map(type, values)):
-        text = _leaf_encoder(depth)(obj)
-        if text == brackets:  # an empty container stays on one line
-            return text
-        inner = text[1:-1]
-    else:
-        if brackets == "{}":
-            items = [f"{encode_basestring_ascii(k)}: {_render(v, depth + 1)}"
-                     for k, v in sorted(obj.items())]
-        else:
-            text = _render_mirrored(obj, depth) or _render_records(obj, depth)
-            if text is not None:
-                return text
-            items = [_render(v, depth + 1) for v in obj]
-        inner = (",\n" + "  " * (depth + 1)).join(items)
-    return f"{brackets[0]}\n{'  ' * (depth + 1)}{inner}\n{'  ' * depth}{brackets[1]}"
+
+def _correlations(c, seen):
+    return _object([("n", _scalar(c.n)), ("p", _matrix(c.p_rows, 2, None)),
+                    ("r", _matrix(c.r_rows, 2, seen)),
+                    ("strength", _named({f"{a}:{b}": label for a, b, label in _strengths(c)}, 2)),
+                    ("variables", _field(c.variables, 2))], 1)
+
+
+def _coefficients(fitted, seen):
+    # an exact fit's infinite t is written as null
+    equations = [eq if all(map(math.isfinite, eq.t)) else
+                 eq._replace(t=tuple(x if math.isfinite(x) else None for x in eq.t))
+                 for eq in fitted.equations.values()]
+    return _object([("equations", _records(equations, 2)), ("n", _scalar(fitted.n))], 1)
+
+
+def _reproduced(rm, seen):
+    return _object([("r_hat", _matrix(rm.r_hat_rows, 2, seen)),
+                    ("variables", _field(rm.variables, 2))], 1)
+
+
+def _fit(f, seen):
+    return _object([("max_difference", _scalar(f.max_difference)),
+                    ("misfit_count", _scalar(f.misfit_count)),
+                    # each observed and reproduced is the r or r-hat cell that
+                    # assess_fit read, so it takes the text its matrix wrote
+                    ("pairs", _records(f.pairs, 2, seen=seen)),
+                    ("threshold", _scalar(f.threshold)), ("verdict", _scalar(f.verdict))], 1)
+
+
+def _effects(e, seen):
+    rows = _records([(*r, r.total) for r in e.rows], 2, EffectRow._fields + ("total",))
+    return _object([("r_squared", _named(e.r_squared, 2)), ("rows", rows)], 1)
+
+
+def _revision(t, seen):
+    return _object([("converged", _scalar(t.converged)), ("iterations", _scalar(t.iterations)),
+                    ("steps", _records(t.steps, 2))], 1)
 
 
 def _strengths(c):
     """(a, b, strength label) for each of `c.pairs()`, read from c's rows."""
     upper = (r for i, row in enumerate(c.r_rows) for r in row[i + 1:])
     return [(a, b, classify_strength(r).value) for (a, b), r in zip(c.pairs(), upper)]
-
-
-def _listed(value):
-    """A record's field as json.loads reads it back: a tuple, and each tuple
-    in it, as a list.  A tuple field holds only tuples or only scalars."""
-    if not isinstance(value, tuple):
-        return value
-    return list(map(list, value)) if value and isinstance(value[0], tuple) else list(value)
-
-
-def _record(rec):
-    """A value record as a JSON object: its own fields, each tuple a list."""
-    return dict(zip(rec._fields, map(_listed, rec)))
 
 
 class Report(Record):
@@ -219,82 +281,25 @@ class Report(Record):
 
     # -- machine rendering ---------------------------------------------
 
-    def to_dict(self):
-        out = {
-            "version": __version__,
-            "command": self.command,
-            "inputs": dict(self.inputs),
-            "warnings": list(self.warnings),
-        }
-        if self.screening is not None:
-            s = self.screening
-            out["screening"] = {
-                "summaries": [
-                    {
-                        "name": v.name,
-                        "mean": v.mean,
-                        "sd": v.sd,
-                        "min": v.minimum,
-                        "max": v.maximum,
-                    }
-                    for v in s.summaries
-                ],
-                "outliers": [
-                    {"row": r, "d_squared": d2, "p": p} for r, d2, p in s.outliers
-                ],
-                "outlier_cutoff": s.outlier_cutoff,
-                "normality": {
-                    name: {"d": d, "p": p, "verdict": verdict}
-                    for name, (d, p, verdict) in s.normality.items()
-                },
-                "vif": dict(s.vif),
-                "warnings": list(s.warnings),
-            }
-        if self.correlations is not None:
-            c = self.correlations
-            out["correlations"] = {
-                "variables": list(c.variables),
-                "n": c.n,
-                "r": list(map(list, c.r_rows)),
-                "p": list(map(list, c.p_rows)),
-                "strength": {f"{a}:{b}": label for a, b, label in _strengths(c)},
-            }
-        if self.fitted is not None:
-            out["coefficients"] = {
-                "n": self.fitted.n,
-                # an exact fit's infinite t is written as null
-                "equations": [dict(_record(eq), t=[x if math.isfinite(x) else None for x in eq.t])
-                              for eq in self.fitted.equations.values()],
-            }
-        if self.reproduced is not None:
-            rm = self.reproduced
-            out["reproduced"] = {
-                "variables": list(rm.variables),
-                "r_hat": list(map(list, rm.r_hat_rows)),
-            }
-        if self.fit is not None:
-            out["fit"] = {
-                "threshold": self.fit.threshold,
-                "misfit_count": self.fit.misfit_count,
-                "verdict": self.fit.verdict,
-                "max_difference": self.fit.max_difference,
-                "pairs": [dict(zip(p._fields, p)) for p in self.fit.pairs],
-            }
-        if self.effects is not None:
-            out["effects"] = {
-                "rows": [dict(zip(r._fields, r), total=r.total) for r in self.effects.rows],
-                "r_squared": dict(self.effects.r_squared),
-            }
-        if self.revision is not None:
-            out["revision"] = {
-                "converged": self.revision.converged,
-                "iterations": self.revision.iterations,
-                "steps": [_record(s) for s in self.revision.steps],
-            }
-        return out
-
     def to_json(self):
-        return _render(self.to_dict()) + "\n"
+        """The JSON report: json.dumps(report, indent=2, sort_keys=True,
+        allow_nan=False) byte for byte, written from the records."""
+        seen = {}  # id of a matrix cell -> its text, for the fit's pairs
+        sections = [("command", _scalar(self.command)), ("inputs", _named(self.inputs, 1)),
+                    ("version", _scalar(__version__)), ("warnings", _field(self.warnings, 1))]
+        # the matrices come before the pairs that reuse their texts
+        sections += [(name, write(part, seen)) for name, part, write in [
+            ("screening", self.screening, _screening), ("coefficients", self.fitted, _coefficients),
+            ("correlations", self.correlations, _correlations),
+            ("reproduced", self.reproduced, _reproduced), ("fit", self.fit, _fit),
+            ("effects", self.effects, _effects), ("revision", self.revision, _revision),
+        ] if part is not None]
+        return _object(sorted(sections), 0) + "\n"
+
+    def to_dict(self):
+        """The parsed JSON report, json.loads(self.to_json()): its keys come in
+        sorted order, and it raises wherever to_json raises."""
+        return json.loads(self.to_json())
 
     # -- human rendering -------------------------------------------------
 

@@ -75,7 +75,7 @@ def mahalanobis(d):
     triples sorted by descending D2, equal D2 in ascending row order.
     """
     _check_rows(d)
-    return _triples(*_head(_distances(d._z, d._r), d.n), d.k)
+    return _triples(*_head(_distances(d._z, d._r, d.variables), d.n), d.k)
 
 
 def _check_rows(d):
@@ -83,16 +83,24 @@ def _check_rows(d):
         raise ValueError(f"need n > k, got n={d.n}, k={d.k}")
 
 
-def _distances(z, r):
+def _singular(exc, what, names):
+    """`exc` raised again, as SingularCovariance, naming the matrix and the
+    variable at its failing pivot."""
+    return SingularCovariance(f"{what} is not positive definite at variable "
+                              f"{names[exc.column]!r}: pivot {exc.pivot:.3e}", exc.column, exc.pivot)
+
+
+def _distances(z, r, names):
     """mahalanobis's D2 of every row, in row order.
 
-    z is the standardized (n, k) block and r = z'z / (n - 1).  A NaN or
-    negative D2 raises here, as chisq_sf_array raises for it.
+    z is the standardized (n, k) block of the variables `names` and r =
+    z'z / (n - 1).  A NaN or negative D2 raises here, as chisq_sf_array
+    raises for it.
     """
     try:
         w = np.array(numeric.inverse_factor(r))
     except SingularMatrix as exc:
-        raise SingularCovariance(str(exc)) from exc
+        raise _singular(exc, "the data's correlation matrix", names) from exc
     d2 = ((z @ w.T) ** 2).sum(axis=1)
     if not (d2 >= 0.0).all():
         numeric.chisq_sf_array(d2, z.shape[1])  # raises its ValueError
@@ -224,7 +232,10 @@ def vif(corr, predictors):
     for name in predictors:
         if name not in corr.variables:
             raise VariableMissing(name, where="correlation matrix")
-    w = numeric.inverse_factor(corr.submatrix(predictors))
+    try:
+        w = numeric.inverse_factor(corr.submatrix(predictors))
+    except SingularMatrix as exc:
+        raise _singular(exc, "the predictor block of the correlation matrix", predictors) from exc
     return {name: sum(row[j] * row[j] for row in w)
             for j, name in enumerate(predictors)}
 
@@ -328,7 +339,7 @@ def screen(d, model=None, alpha=0.05, outlier_p=DEFAULT_OUTLIER_P):
     _check_rows(d)
     # d._z raises ZeroVariance for a constant column and OutOfRange for an
     # overflowing one
-    d2 = _distances(d._z, d._r)
+    d2 = _distances(d._z, d._r, d.variables)
     summaries = summarize(d)
     outliers = _outliers(d2, d.k, outlier_p)
     if outliers:

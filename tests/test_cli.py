@@ -1556,3 +1556,26 @@ def test_console_script_is_the_process_entry():
     block, = (node for node in tree.body if isinstance(node, ast.If)
               and ast.unparse(node.test) == "__name__ == '__main__'")
     assert ast.unparse(block) == f"if __name__ == '__main__':\n    sys.exit({name}())"
+
+
+def test_screen_collinear_data_names_matrix_and_variable(tmp_path, capsys):
+    # B = 2A: the data's correlation matrix fails its Cholesky pivot at B
+    (tmp_path / "d.csv").write_text("A,B\n1,2\n2,4\n3,6\n", encoding="utf-8")
+    (tmp_path / "m.pm").write_text("var A\nvar B\npath A -> B\n", encoding="utf-8")
+    code = main(["screen", "--data", str(tmp_path / "d.csv"), "--model", str(tmp_path / "m.pm")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "the data's correlation matrix is not positive definite at variable 'B'" in err
+    assert "column" not in err
+
+
+def test_vif_names_the_variable_at_the_failing_pivot():
+    from pathtrek.correlation import CorrelationMatrix
+    from pathtrek.errors import SingularMatrix
+    from pathtrek.screening import vif
+
+    corr = CorrelationMatrix(["A", "B", "C"], [[1.0, 0.2, 1.0], [0.2, 1.0, 0.2],
+                                               [1.0, 0.2, 1.0]], 50)
+    with pytest.raises(SingularMatrix, match="predictor block of the correlation matrix "
+                                             "is not positive definite at variable 'C'"):
+        vif(corr, ["A", "B", "C"])

@@ -9,14 +9,16 @@ with a random set of its side outputs, each filled beforehand with known
 bytes, except sometimes one that does not exist yet; sometimes one output
 is in a directory that does not exist, and sometimes two flags name one
 path.  fit, revise and screen run in both formats.  Every case must keep
-six rules:
+seven rules:
 
   * the exit code is 0, 1, 2 or 3, and no exception escapes `main`;
   * on exit 2, every output keeps the bytes it had;
   * on exit 2, an output that did not exist still does not;
   * two outputs on one path exit 2;
   * a JSON report parses, with NaN and Infinity refused;
-  * text and JSON exit alike.
+  * text and JSON exit alike;
+  * a JSON report is laid out as json.dumps(..., indent=2, sort_keys=True)
+    lays out what json.loads reads from it.
 """
 
 import json
@@ -158,9 +160,12 @@ def _run(argv, outputs, fresh, capsys):
     elif "json" in argv:
         report = outputs["--out"].read_text(encoding="utf-8") if "--out" in outputs else stdout
         try:
-            json.loads(report, parse_constant=_refuse)
+            parsed = json.loads(report, parse_constant=_refuse)
         except ValueError as exc:
             problems.append(f"JSON report does not parse: {exc}")
+        else:
+            if report != json.dumps(parsed, indent=2, sort_keys=True) + "\n":
+                problems.append("JSON report is not laid out as json.dumps lays it out")
     if len(set(outputs.values())) < len(outputs) and code != 2:
         problems.append(f"two outputs on one path exit {code}")
     return problems, code

@@ -1,262 +1,124 @@
-"""The JSON renderer against the stdlib call whose bytes it must reproduce."""
+"""The JSON writer against the stdlib call whose bytes it must reproduce.
 
-import contextlib
+`reference_dict` builds the report's document as plain containers, the
+layout `Report.to_json` states in its records; json.dumps of it, with
+indent=2 and sorted keys, is the oracle for every byte of `to_json`.
+"""
+
+import functools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from conftest import DATA_DIR, unchecked_trace
+from pathtrek import __version__
 from pathtrek import report as report_module
-from pathtrek.correlation import CorrelationMatrix, classify_strength, load_correlation_csv
+from pathtrek.correlation import (CorrelationMatrix, classify_strength, load_correlation_csv,
+                                  pearson_matrix)
 from pathtrek.data import load_csv
 from pathtrek.effects import assess_fit, decompose_effects, revise_model
+from pathtrek.errors import NoAdmissibleRevision
 from pathtrek.estimation import fit_standardized
 from pathtrek.pathspec import load_model, parse_model
-from pathtrek.report import Report, _render, _render_mirrored, _render_records
+from pathtrek.report import Report, _strengths
 from pathtrek.screening import screen
+from pathtrek.simulate import SimulationSpec, simulate_dataset
 from pathtrek.tracing import implied_matrix
 
 
-def stdlib(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+def _listed(value):
+    """A record's field as json.loads reads it back: a tuple, and each tuple
+    in it, as a list.  A tuple field holds only tuples or only scalars."""
+    if not isinstance(value, tuple):
+        return value
+    return list(map(list, value)) if value and isinstance(value[0], tuple) else list(value)
 
 
-# text that looks like the renderer's own separators and brackets, escapes
-# and non-ASCII
-texts = st.text(alphabet=st.sampled_from(list('\n"\\},[ :a\x00é日\U0001f600')) | st.characters(),
-                max_size=8)
-finite_floats = (st.sampled_from([-0.0, 0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308])
-                 | st.floats(allow_nan=False, allow_infinity=False))
-scalars = (texts
-           | finite_floats
-           | finite_floats.map(np.float64)
-           | st.integers()
-           | st.booleans()
-           | st.none())
+def _record(rec):
+    """A value record as a JSON object: its own fields, each tuple a list."""
+    return dict(zip(rec._fields, map(_listed, rec)))
 
 
-@st.composite
-def mirrored_matrices(draw, cells=finite_floats):
-    """Square float rows whose cell (i, j), i > j, is cell (j, i), its zero
-    of the other sign, or one ulp away from it."""
-    k = draw(st.integers(1, 6))
-    rows = [[draw(cells) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(i):
-            partner = rows[j][i]
-            relation = draw(st.sampled_from(["same", "same", "zeros", "ulp"]))
-            if relation == "zeros":
-                rows[j][i], rows[i][j] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
-            elif relation == "ulp":
-                rows[i][j] = math.nextafter(partner, draw(st.sampled_from([math.inf, -math.inf])))
-                if not math.isfinite(rows[i][j]):
-                    rows[i][j] = partner
-            else:
-                rows[i][j] = partner
-    return rows
+def reference_dict(report):
+    """The report's document as plain containers, as Report.to_dict built it
+    before to_json wrote the JSON straight from the records."""
+    out = {
+        "version": __version__,
+        "command": report.command,
+        "inputs": dict(report.inputs),
+        "warnings": list(report.warnings),
+    }
+    if report.screening is not None:
+        s = report.screening
+        out["screening"] = {
+            "summaries": [{"name": v.name, "mean": v.mean, "sd": v.sd, "min": v.minimum,
+                           "max": v.maximum} for v in s.summaries],
+            "outliers": [{"row": r, "d_squared": d2, "p": p} for r, d2, p in s.outliers],
+            "outlier_cutoff": s.outlier_cutoff,
+            "normality": {name: {"d": d, "p": p, "verdict": verdict}
+                          for name, (d, p, verdict) in s.normality.items()},
+            "vif": dict(s.vif),
+            "warnings": list(s.warnings),
+        }
+    if report.correlations is not None:
+        c = report.correlations
+        out["correlations"] = {
+            "variables": list(c.variables),
+            "n": c.n,
+            "r": list(map(list, c.r_rows)),
+            "p": list(map(list, c.p_rows)),
+            "strength": {f"{a}:{b}": label for a, b, label in _strengths(c)},
+        }
+    if report.fitted is not None:
+        out["coefficients"] = {
+            "n": report.fitted.n,
+            # an exact fit's infinite t is written as null
+            "equations": [dict(_record(eq), t=[x if math.isfinite(x) else None for x in eq.t])
+                          for eq in report.fitted.equations.values()],
+        }
+    if report.reproduced is not None:
+        rm = report.reproduced
+        out["reproduced"] = {"variables": list(rm.variables),
+                             "r_hat": list(map(list, rm.r_hat_rows))}
+    if report.fit is not None:
+        f = report.fit
+        out["fit"] = {"threshold": f.threshold, "misfit_count": f.misfit_count,
+                      "verdict": f.verdict, "max_difference": f.max_difference,
+                      "pairs": [dict(zip(p._fields, p)) for p in f.pairs]}
+    if report.effects is not None:
+        out["effects"] = {
+            "rows": [dict(zip(r._fields, r), total=r.total) for r in report.effects.rows],
+            "r_squared": dict(report.effects.r_squared),
+        }
+    if report.revision is not None:
+        t = report.revision
+        out["revision"] = {"converged": t.converged, "iterations": t.iterations,
+                           "steps": [_record(s) for s in t.steps]}
+    return out
 
 
-# names that hold the renderer's boundary text, brackets, quotes, escapes,
-# newlines and non-ASCII
-names = st.text(alphabet=st.sampled_from(list('\n"\\}{][, :aé日\U0001f600')) | st.characters(),
-                max_size=8)
-record_values = names | finite_floats | st.integers() | st.booleans() | st.none()
-record_lists = (st.lists(st.dictionaries(names, record_values, min_size=1, max_size=6),
-                         min_size=1, max_size=6)
-                | st.lists(st.lists(record_values, min_size=1, max_size=4), min_size=1, max_size=6))
+def stdlib(report):
+    return json.dumps(reference_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# square float matrices and flat record lists are leaves, so both list
-# writers meet them at any depth
-documents = st.recursive(
-    scalars | st.sampled_from([(), [], {}]) | mirrored_matrices() | record_lists,
-    lambda inner: (st.lists(inner, max_size=5)
-                   | st.lists(inner, max_size=5).map(tuple)
-                   | st.dictionaries(texts, inner, max_size=5)),
-    max_leaves=40,
-)
+def assert_matches_oracle(report):
+    text = report.to_json()
+    assert text == stdlib(report)
+    assert report.to_dict() == json.loads(text)
 
 
-@settings(max_examples=300, deadline=None)
-@given(documents)
-@example({"r": [[1.0, 0.5], [0.5, 1.0]], "n": 240, "warnings": [], "fit": {}})
-@example([{"a": [{}]}, ("},\n  ", [[]])])
-# shapes that a length check alone could take for a square matrix
-@example([{"a": 1.0, "b": 0.5}, {"a": 0.5, "b": 1.0}])
-@example([[1, 2], [2, 1]])
-@example([[1.0, True], [True, 1.0]])
-@example(((1.0, 0.5), (0.5, 1.0)))
-@example([[1.0]])
-@example([[1.0, 0.5], [0.5]])
-@example([[1.0, 0.5], "ab"])
-# a cell left of the diagonal that is not a float
-@example([[-0.0, -0.0], ["", -0.0]])
-@example([[1.0, 1.0], [1, 1.0]])
-def test_render_matches_stdlib(obj):
-    assert _render(obj) == stdlib(obj)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
-@pytest.mark.parametrize("wrap", [
-    lambda x: x,
-    lambda x: [x],
-    lambda x: {"a": [1.0, {"b": x}]},
-    lambda x: {"a": [[x]], "b": []},
-])
-def test_render_rejects_non_finite_floats(bad, wrap):
-    obj = wrap(bad)
-    with pytest.raises(ValueError):
-        stdlib(obj)
-    with pytest.raises(ValueError):
-        _render(obj)
-
-
-@pytest.mark.parametrize("obj", [{(1, 2): [1]}, {(1, 2): 1}, {"a": [object()]}, [np.int64(3)]])
-def test_render_raises_type_error_where_json_does(obj):
-    with pytest.raises(TypeError):
-        stdlib(obj)
-    with pytest.raises(TypeError):
-        _render(obj)
-
-
-def test_render_refuses_non_string_keys_beside_containers():
-    # json.dumps would write {1: [1]} with the key "1"; no Report has such a key
-    with pytest.raises(TypeError):
-        _render({1: [1]})
-
-
-@contextlib.contextmanager
-def without_c_encoder():
-    """json as on an interpreter without its C encoder."""
-    from pathtrek import report
-
-    saved = json.encoder.c_make_encoder
-    json.encoder.c_make_encoder = None
-    report._leaf_encoder.cache_clear()
-    try:
-        yield
-    finally:
-        json.encoder.c_make_encoder = saved
-        report._leaf_encoder.cache_clear()
-
-
-def test_render_without_the_c_encoder():
-    # where json has no C encoder, each leaf goes through JSONEncoder.encode
-    obj = {"r": [[1.0, -0.0], [5e-324, 1e16]], "s": ["\n", '"é'], "e": [{}, []], "n": None}
-    with without_c_encoder():
-        assert _render(obj) == stdlib(obj)
-        with pytest.raises(ValueError):
-            _render({"a": [math.nan]})
-
-
-# ---------------------------------------------------------------------------
-# Mirrored matrices: one repr per pair of equal nonzero cells
-
-def in_documents(rows):
-    """The rows as a mirrored matrix alone and at the depths a Report puts them."""
-    return [rows,
-            {"reproduced": {"r_hat": rows, "variables": ["a"]}},
-            [{"x": [rows, 1]}]]
-
-
-@settings(max_examples=300, deadline=None)
-@given(mirrored_matrices())
-@example([[1.0]])
-@example([[1.0, 0.0], [-0.0, 1.0]])
-@example([[1.0, 0.25, 5e-324], [0.25, 1.0, -1e16], [5e-324, -1e16, 1.0]])
-def test_render_mirrored_matches_stdlib(rows):
-    assert _render_mirrored(rows, 0) is not None
-    for obj in in_documents(rows):
-        assert _render(obj) == stdlib(obj)
-        with without_c_encoder():
-            assert _render(obj) == stdlib(obj)
-
-
-@pytest.mark.parametrize("rows", [
-    [],
-    [[1.0, 2.0]],
-    [[1.0, 2.0], [3.0]],
-    [[1, 0.5], [0.5, 1]],
-    [[True, 0.5], [0.5, None]],
-    [[np.float64(0.5), 0.5], [0.5, np.float64(-0.0)]],
-    [(1.0, 0.5), (0.5, 1.0)],
-])
-def test_render_mirrored_other_shapes_and_cells_match_stdlib(rows):
-    for obj in in_documents(rows):
-        assert _render(obj) == stdlib(obj)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (2, 1)])
-def test_render_mirrored_rejects_non_finite_cells(bad, cell):
-    rows = [[1.0, 0.5, 0.25], [0.5, 1.0, 0.125], [0.25, 0.125, 1.0]]
-    i, j = cell
-    rows[i][j] = bad
-    for obj in in_documents(rows):
-        with pytest.raises(ValueError):
-            stdlib(obj)
-        with pytest.raises(ValueError):
-            _render(obj)
-        with without_c_encoder(), pytest.raises(ValueError):
-            _render(obj)
-
-
-# ---------------------------------------------------------------------------
-# Record lists: one encoder call per list of flat records
-
-def records_in_documents(items):
-    """The items as a record list alone and at the depths a Report puts one."""
-    return [items,
-            {"fit": {"pairs": items, "verdict": "ok"}},
-            {"revision": {"steps": [{"arrows": [], "candidates": items}]}}]
-
-
-@settings(max_examples=300, deadline=None)
-@given(record_lists)
-@example([{"a": "},\n  {", "b": '"{["', "c": "\\", "d": "é日\n"},
-          {"a": 1, "b": True, "c": None, "d": 0.5}])
-@example([{"},\n    {": 1, "{": "}"}, {"},\n    {": -0.0, "{": "]"}])
-@example([["X1", "],\n        [", -0.25], ["[", "\u2028", 1e16]])
-def test_render_records_matches_stdlib(items):
-    assert _render_records(items, 0) is not None
-    for obj in records_in_documents(items):
-        assert _render(obj) == stdlib(obj)
-        with without_c_encoder():
-            assert _render(obj) == stdlib(obj)
-
-
-@pytest.mark.parametrize("items", [
-    [],
-    [{}],
-    [{"a": 1}, {}],
-    [["a"], []],
-    [{"a": [1]}],
-    [{"a": {"b": 1}}],
-    [[1, [2]]],
-    [{"a": 1}, ["a"]],
-    [{"a": 1}, 2],
-    [(1, 2)],
-    [{"a": np.float64(0.5)}],
-])
-def test_render_records_falls_back_item_by_item(items):
-    # an empty item, a nested item and a mixed list are written as json writes them
-    assert _render_records(items, 0) is None
-    for obj in records_in_documents(items):
-        assert _render(obj) == stdlib(obj)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_render_records_rejects_non_finite(bad):
-    for items in ([{"a": 1.0}, {"a": bad}], [[bad, "x"]]):
-        for obj in records_in_documents(items):
-            with pytest.raises(ValueError):
-                _render(obj)
-            with without_c_encoder(), pytest.raises(ValueError):
-                _render(obj)
+def exact_fit_report():
+    """The report of an exact fit: Y is A and B without error, so t is ±inf."""
+    corr = CorrelationMatrix(["A", "B", "Y"], [[1.0, 0.0, 0.6], [0.0, 1.0, -0.8],
+                                               [0.6, -0.8, 1.0]], 100)
+    fitted = fit_standardized(corr, parse_model("var A\nvar B\nvar Y\npath A -> Y\npath B -> Y\n"))
+    implied = unchecked_trace(fitted.annotated_model())  # psi_Y is 0
+    return Report(command="fit", correlations=corr, fitted=fitted, reproduced=implied,
+                  fit=assess_fit(corr, implied),
+                  effects=decompose_effects(fitted.annotated_model()))
 
 
 @pytest.fixture(scope="module")
@@ -287,13 +149,159 @@ def report(request, study_report):
                         model=load_model(DATA_DIR / "revised_model.pm"), outlier_p=0.01)
         assert result.outliers
         return Report(command="screen", screening=result, warnings=result.warnings)
-    corr = CorrelationMatrix(["A", "B", "Y"], [[1.0, 0.0, 0.6], [0.0, 1.0, -0.8],
-                                               [0.6, -0.8, 1.0]], 100)
-    fitted = fit_standardized(corr, parse_model("var A\nvar B\nvar Y\npath A -> Y\npath B -> Y\n"))
-    implied = unchecked_trace(fitted.annotated_model())  # psi_Y is 0
-    return Report(command="fit", correlations=corr, fitted=fitted, reproduced=implied,
-                  fit=assess_fit(corr, implied),
-                  effects=decompose_effects(fitted.annotated_model()))
+    return exact_fit_report()
+
+
+def test_report_strengths_follow_the_pairs(study_report):
+    c = study_report.correlations
+    labels = {f"{a}:{b}": classify_strength(c.value(a, b)).value for a, b in c.pairs()}
+    assert study_report.to_dict()["correlations"]["strength"] == labels
+    # to_dict reads the JSON back, so its keys come in sorted order
+    assert list(study_report.to_dict()["correlations"]["strength"]) == sorted(labels)
+    line = "strength (|r|): " + ", ".join(
+        f"{a}-{b} {classify_strength(c.value(a, b)).value}" for a, b in c.pairs())
+    assert line in study_report.to_text().splitlines()
+
+
+def test_fixture_reports_match_the_oracle(report):
+    assert_matches_oracle(report)
+
+
+def seeded_model(rnd, names, annotated):
+    """A random DAG over `names`, declared in their order, with at least one arrow."""
+    order = rnd.sample(names, len(names))
+    arrows = [(order[i], order[j]) for j in range(len(order)) for i in range(j)
+              if rnd.random() < 0.4] or [(order[0], order[1])]
+    lines = [f"var {v}" for v in names]
+    for a, b in arrows:
+        lines.append(f"path {a} -> {b}" + (f" : {rnd.uniform(-0.4, 0.4)!r}" if annotated else ""))
+    return parse_model("\n".join(lines) + "\n")
+
+
+@functools.cache
+def seeded_reports(k, annotated):
+    """The fit report, bare and with effects, and the revise report (None
+    when no revision is admissible) of seeded data drawn from a random DAG
+    over k variables, for a bare or annotated hypothesis; the names' sorted
+    order differs from their declared order."""
+    rnd = random.Random(1000 + k)
+    names = [f"{rnd.choice('zaMb')}{i}" for i in range(k)]
+    rnd.shuffle(names)
+    assert sorted(names) != names or k < 3
+    truth = seeded_model(rnd, names, True)
+    corr = pearson_matrix(simulate_dataset(SimulationSpec(truth, 200, 1000 + k)))
+    model = seeded_model(random.Random(2000 + 2 * k + annotated), names, annotated)
+    fitted = fit_standardized(corr, model)
+    implied = unchecked_trace(fitted.annotated_model())
+    fit = assess_fit(corr, implied)
+    reports = {
+        "fit": Report(command="fit", inputs={"corr": "ab" * 32}, correlations=corr,
+                      fitted=fitted, reproduced=implied, fit=fit),
+        "fit-effects": Report(command="fit", correlations=corr, fitted=fitted,
+                              reproduced=implied, fit=fit, warnings=["psi ≤ 0"],
+                              effects=decompose_effects(fitted.annotated_model())),
+        "revise": None,
+    }
+    try:
+        trace = revise_model(corr, model)
+    except NoAdmissibleRevision:
+        return reports
+    reports["revise"] = Report(command="revise", correlations=corr, fitted=trace.final_fit,
+                               reproduced=trace.final_implied, fit=trace.final_assessment,
+                               effects=decompose_effects(trace.final_fit.annotated_model()),
+                               revision=trace)
+    return reports
+
+
+@pytest.mark.parametrize("kind", ["fit", "fit-effects", "revise"])
+@pytest.mark.parametrize("annotated", [False, True], ids=["bare", "annotated"])
+@pytest.mark.parametrize("k", range(2, 21))
+def test_seeded_reports_match_the_oracle(k, annotated, kind):
+    report = seeded_reports(k, annotated)[kind]
+    if report is not None:
+        assert_matches_oracle(report)
+
+
+def test_seeded_revisions_are_written():
+    # most seeded hypotheses admit a revision, so the revise cases are not empty
+    assert sum(seeded_reports(k, a)["revise"] is not None
+               for k in range(2, 21) for a in (False, True)) >= 25
+
+
+def test_exact_fit_writes_null_t():
+    report = exact_fit_report()
+    assert any(not math.isfinite(x) for eq in report.fitted.equations.values() for x in eq.t)
+    assert "null" in report.to_json()
+    assert_matches_oracle(report)
+
+
+@pytest.mark.parametrize("with_model", [False, True])
+@pytest.mark.parametrize("outlier_p", [1e-12, 0.01])
+def test_screen_reports_match_the_oracle(with_model, outlier_p):
+    data = load_csv(DATA_DIR / "sample_scores.csv")
+    model = load_model(DATA_DIR / "revised_model.pm") if with_model else None
+    result = screen(data, model=model, outlier_p=outlier_p)
+    assert bool(result.outliers) == (outlier_p == 0.01)
+    assert_matches_oracle(Report(command="screen", inputs={"data": data.digest},
+                                 screening=result, warnings=result.warnings))
+
+
+@pytest.mark.parametrize("name", ["é日", "\U0001f600", "lone \udc80 surrogate", 'quote " \\ \n'])
+def test_input_names_are_escaped_as_json_escapes_them(study_report, name):
+    report = Report(command="fit", inputs={name: "0" * 64, "corr": "1" * 64},
+                    correlations=study_report.correlations, fitted=study_report.fitted,
+                    reproduced=study_report.reproduced, fit=study_report.fit,
+                    warnings=[name])
+    assert report.to_json().isascii()
+    assert_matches_oracle(report)
+
+
+def planted(report, bad):
+    """Copies of the study's fit report with `bad` in one float field each."""
+    fitted, fit = report.fitted, report.fit
+    eq_name, eq = next(iter(fitted.equations.items()))
+    pair = fit.pairs[0]
+    implied = report.reproduced
+    rows = [list(row) for row in implied.r_hat_rows]
+    rows[1][0] = bad
+    yield "r_hat", Report(command="fit", correlations=report.correlations, fitted=fitted,
+                          reproduced=type(implied)(implied.variables,
+                                                   tuple(map(tuple, rows))))
+    yield "pair", Report(command="fit", fit=fit._replace(
+        pairs=(pair._replace(difference=bad), *fit.pairs[1:])))
+    yield "threshold", Report(command="fit", fit=fit._replace(threshold=bad))
+    effects = decompose_effects(fitted.annotated_model())
+    yield "effect", Report(command="fit", effects=type(effects)(
+        (effects.rows[0]._replace(direct=bad), *effects.rows[1:]), effects.r_squared))
+    yield "r_squared", Report(command="fit", effects=type(effects)(
+        effects.rows, dict(effects.r_squared, **{eq_name: bad})))
+    equations = dict(fitted.equations, **{eq_name: eq._replace(beta=(bad, *eq.beta[1:]))})
+    yield "beta", Report(command="fit", fitted=type(fitted)(fitted.model, equations,
+                                                            fitted.correlation))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_non_finite_floats_raise_json_error(study_report, bad):
+    for where, report in planted(study_report, bad):
+        with pytest.raises(ValueError) as expected:
+            stdlib(report)
+        for method in (report.to_json, report.to_dict):
+            with pytest.raises(ValueError) as got:
+                method()
+            assert str(got.value) == str(expected.value), where
+
+
+def test_output_does_not_depend_on_the_c_encoder(report, monkeypatch):
+    # with json's C encoder gone and its string escaper in pure Python, the
+    # bytes are the same
+    expected = report.to_json()
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(report_module, "encode_basestring_ascii",
+                        json.encoder.py_encode_basestring_ascii)
+    monkeypatch.setitem(report_module._WRITERS, str, json.encoder.py_encode_basestring_ascii)
+    report_module._layout.cache_clear()
+    report_module._square.cache_clear()
+    assert report.to_json() == expected == stdlib(report)
 
 
 def test_report_matrices_are_lists_of_lists(report):
@@ -303,9 +311,7 @@ def test_report_matrices_are_lists_of_lists(report):
         assert d["correlations"]["r"] == [list(row) for row in corr.r_rows]
         assert d["correlations"]["p"] == [list(row) for row in corr.p_rows]
         assert d["reproduced"]["r_hat"] == [list(row) for row in implied.r_hat_rows]
-    plain = json.loads(stdlib(d))
-    assert d == plain
-    assert report.to_json() == stdlib(plain) + "\n"
+    assert report.to_json() == json.dumps(d, indent=2, sort_keys=True) + "\n"
 
 
 JSON_TYPES = {dict, list, str, int, float, bool, type(None)}
@@ -324,36 +330,4 @@ def json_types(obj):
 
 
 def test_report_dict_holds_only_plain_json_types(report):
-    # no list subclass marks how a list is written: `_render` tells by its shape
     assert set(json_types(report.to_dict())) <= JSON_TYPES
-
-
-def test_report_writes_its_record_lists_in_one_call(report, monkeypatch):
-    # the fit's pairs, the effects rows, the screen's summaries and outliers,
-    # and each step's arrows and non-empty candidates
-    d = report.to_dict()
-    lists = [d[part][key] for part, key in [("fit", "pairs"), ("effects", "rows"),
-                                            ("screening", "summaries"), ("screening", "outliers")]
-             if part in d]
-    lists += [step[key] for step in d.get("revision", {}).get("steps", [])
-              for key in ("arrows", "candidates") if step[key]]
-    assert len(lists) > (5 if "revision" in d else 1 if "effects" in d or "screening" in d else 0)
-    # `_render` calls itself through the module, so a list written whole
-    # leaves the spy uncalled
-    walked = []
-    monkeypatch.setattr(report_module, "_render",
-                        lambda *args: walked.append(args) or _render(*args))
-    for items in lists:
-        text = _render(items, 2)
-        assert walked == []
-        assert text == _render_records(items, 2)
-
-
-def test_report_strengths_follow_the_pairs(study_report):
-    c = study_report.correlations
-    labels = {f"{a}:{b}": classify_strength(c.value(a, b)).value for a, b in c.pairs()}
-    assert study_report.to_dict()["correlations"]["strength"] == labels
-    assert list(study_report.to_dict()["correlations"]["strength"]) == list(labels)
-    line = "strength (|r|): " + ", ".join(
-        f"{a}-{b} {classify_strength(c.value(a, b)).value}" for a, b in c.pairs())
-    assert line in study_report.to_text().splitlines()

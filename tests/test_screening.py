@@ -224,11 +224,12 @@ def reference_ks_normality(column, alpha=0.05):
     return d_stat, p, verdict
 
 
-def reference_ranked(z, r):
+def reference_ranked(z, r, names):
     try:
         w = np.array(numeric.inverse_factor(r))
     except SingularMatrix as exc:
-        raise SingularCovariance(str(exc)) from exc
+        raise SingularCovariance(f"the data's correlation matrix is not positive definite at "
+                                 f"variable {names[exc.column]!r}: pivot {exc.pivot:.3e}") from exc
     d2 = ((z @ w.T) ** 2).sum(axis=1)
     p = numeric.chisq_sf_array(d2, z.shape[1])
     order = np.argsort(-d2, kind="stable")
@@ -282,11 +283,11 @@ def test_ranked_equals_whole_column_reference(seed, n, k, kind, cutoff):
         return
     d = Dataset(tuple(f"v{j}" for j in range(k)), x)
     z, r = d._z, d._r
-    want = outcome(reference_ranked, z, r)
+    want = outcome(reference_ranked, z, r, d.variables)
     if not isinstance(want[0], np.ndarray):
-        assert outcome(screening._distances, z, r) == want
+        assert outcome(screening._distances, z, r, d.variables) == want
         return
-    d2 = screening._distances(z, r)
+    d2 = screening._distances(z, r, d.variables)
     rows, ranked = screening._head(d2, n)
     assert bits(rows) == bits(want[0])
     assert bits(ranked) == bits(want[1])
@@ -303,7 +304,7 @@ def test_outliers_evaluate_each_row_once(monkeypatch):
     # recomputed on each growth would pass more than n rows to the tail
     n, k = 700, 4
     d = Dataset(("a", "b", "c", "d"), draw_block(921, n, k, "normal"))
-    d2 = screening._distances(d._z, d._r)
+    d2 = screening._distances(d._z, d._r, d.variables)
     counted = []
     tail = numeric.chisq_sf_array
     monkeypatch.setattr(numeric, "chisq_sf_array",
@@ -317,7 +318,7 @@ def test_report_distances_and_largest_equal_the_full_triples(cutoff):
     x = draw_block(917, 700, 4, "exp")
     x[:5] *= 40.0  # a few far rows
     d = Dataset(("a", "b", "c", "d"), x)
-    order, d2, p = reference_ranked(d._z, d._r)
+    order, d2, p = reference_ranked(d._z, d._r, d.variables)
     full = list(zip(order.tolist(), d2.tolist(), p.tolist()))
     report = screen(d, outlier_p=cutoff)
     assert report.outliers == [t for t in full if t[2] < cutoff]
@@ -380,9 +381,9 @@ def test_ranked_nan_distance_raises_as_the_reference():
     d = Dataset(("a", "b"), draw_block(918, 40, 2, "normal"))
     z, r = d._z.copy(), d._r
     z[7, 1] = math.nan
-    want = outcome(reference_ranked, z, r)
+    want = outcome(reference_ranked, z, r, d.variables)
     assert want[0] is ValueError
-    assert outcome(screening._distances, z, r) == want
+    assert outcome(screening._distances, z, r, d.variables) == want
 
 
 DISTANCE_KINDS = st.sampled_from(["distinct", "tied", "duplicated"])
