@@ -5,6 +5,7 @@ layout `Report.to_json` states in its records; json.dumps of it, with
 indent=2 and sorted keys, is the oracle for every byte of `to_json`.
 """
 
+import contextlib
 import functools
 import json
 import math
@@ -12,6 +13,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, unchecked_trace
 from pathtrek import __version__
@@ -19,14 +22,15 @@ from pathtrek import report as report_module
 from pathtrek.correlation import (CorrelationMatrix, classify_strength, load_correlation_csv,
                                   pearson_matrix)
 from pathtrek.data import load_csv
-from pathtrek.effects import assess_fit, decompose_effects, revise_model
+from pathtrek.effects import (EffectRow, EffectsTable, FitAssessment, PairFit, RevisionStep,
+                              RevisionTrace, assess_fit, decompose_effects, revise_model)
 from pathtrek.errors import NoAdmissibleRevision
 from pathtrek.estimation import fit_standardized
 from pathtrek.pathspec import load_model, parse_model
 from pathtrek.report import Report, _strengths
 from pathtrek.screening import screen
 from pathtrek.simulate import SimulationSpec, simulate_dataset
-from pathtrek.tracing import implied_matrix
+from pathtrek.tracing import ReproducedMatrix, implied_matrix
 
 
 def _listed(value):
@@ -108,6 +112,36 @@ def assert_matches_oracle(report):
     text = report.to_json()
     assert text == stdlib(report)
     assert report.to_dict() == json.loads(text)
+
+
+@contextlib.contextmanager
+def without_c_encoder():
+    """json as on an interpreter without its C encoder and C string escaper."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(json.encoder, "c_make_encoder", None)
+        mp.setattr(report_module, "encode_basestring_ascii",
+                   json.encoder.py_encode_basestring_ascii)
+        mp.setitem(report_module._WRITERS, str, json.encoder.py_encode_basestring_ascii)
+        report_module._layout.cache_clear()
+        report_module._square.cache_clear()
+        try:
+            yield
+        finally:
+            report_module._layout.cache_clear()
+            report_module._square.cache_clear()
+
+
+def assert_raises_as_json(report):
+    """to_json and to_dict raise json's own ValueError, with its message,
+    with and without json's C encoder."""
+    with pytest.raises(ValueError) as expected:
+        stdlib(report)
+    for switch in (contextlib.nullcontext, without_c_encoder):
+        with switch():
+            for method in (report.to_json, report.to_dict):
+                with pytest.raises(ValueError) as got:
+                    method()
+                assert str(got.value) == str(expected.value)
 
 
 def exact_fit_report():
@@ -256,52 +290,244 @@ def test_input_names_are_escaped_as_json_escapes_them(study_report, name):
     assert_matches_oracle(report)
 
 
-def planted(report, bad):
-    """Copies of the study's fit report with `bad` in one float field each."""
-    fitted, fit = report.fitted, report.fit
-    eq_name, eq = next(iter(fitted.equations.items()))
-    pair = fit.pairs[0]
-    implied = report.reproduced
-    rows = [list(row) for row in implied.r_hat_rows]
-    rows[1][0] = bad
-    yield "r_hat", Report(command="fit", correlations=report.correlations, fitted=fitted,
-                          reproduced=type(implied)(implied.variables,
-                                                   tuple(map(tuple, rows))))
-    yield "pair", Report(command="fit", fit=fit._replace(
-        pairs=(pair._replace(difference=bad), *fit.pairs[1:])))
-    yield "threshold", Report(command="fit", fit=fit._replace(threshold=bad))
-    effects = decompose_effects(fitted.annotated_model())
-    yield "effect", Report(command="fit", effects=type(effects)(
-        (effects.rows[0]._replace(direct=bad), *effects.rows[1:]), effects.r_squared))
-    yield "r_squared", Report(command="fit", effects=type(effects)(
-        effects.rows, dict(effects.r_squared, **{eq_name: bad})))
-    equations = dict(fitted.equations, **{eq_name: eq._replace(beta=(bad, *eq.beta[1:]))})
-    yield "beta", Report(command="fit", fitted=type(fitted)(fitted.model, equations,
-                                                            fitted.correlation))
+def with_cell(rows, i, j, x):
+    rows = [list(row) for row in rows]
+    rows[i][j] = x
+    return tuple(map(tuple, rows))
+
+
+def study_effects(r):
+    return decompose_effects(r.fitted.annotated_model())
+
+
+def with_beta(r, x):
+    """The study's fitted model with `x` as the first beta of its first equation."""
+    name, eq = next(iter(r.fitted.equations.items()))
+    equations = dict(r.fitted.equations, **{name: eq._replace(beta=(x, *eq.beta[1:]))})
+    return type(r.fitted)(r.fitted.model, equations, r.fitted.correlation)
+
+
+# reports made from the study's fit report `r` with `x` in one float field:
+# the threshold, a pair, an R², an r-hat cell, an effect and a beta
+PLANTED = [
+    lambda r, x: Report(command="fit", fit=r.fit._replace(threshold=x)),
+    lambda r, x: Report(command="fit", fit=r.fit._replace(
+        pairs=(r.fit.pairs[0]._replace(difference=x), *r.fit.pairs[1:]))),
+    lambda r, x: Report(command="fit", effects=EffectsTable(
+        study_effects(r).rows, dict(study_effects(r).r_squared, **{next(iter(r.fitted.equations)): x}))),
+    lambda r, x: Report(command="fit", correlations=r.correlations, fitted=r.fitted,
+                        reproduced=ReproducedMatrix(r.reproduced.variables,
+                                                    with_cell(r.reproduced.r_hat_rows, 1, 0, x))),
+    lambda r, x: Report(command="fit", effects=EffectsTable(
+        (study_effects(r).rows[0]._replace(direct=x), *study_effects(r).rows[1:]),
+        study_effects(r).r_squared)),
+    lambda r, x: Report(command="fit", fitted=with_beta(r, x)),
+]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
-def test_non_finite_floats_raise_json_error(study_report, bad):
-    for where, report in planted(study_report, bad):
-        with pytest.raises(ValueError) as expected:
-            stdlib(report)
-        for method in (report.to_json, report.to_dict):
-            with pytest.raises(ValueError) as got:
-                method()
-            assert str(got.value) == str(expected.value), where
+@pytest.mark.parametrize("wrap", PLANTED)
+def test_render_rejects_non_finite_floats(study_report, bad, wrap):
+    assert_raises_as_json(wrap(study_report, bad))
 
 
-def test_output_does_not_depend_on_the_c_encoder(report, monkeypatch):
+def test_output_does_not_depend_on_the_c_encoder(report):
     # with json's C encoder gone and its string escaper in pure Python, the
     # bytes are the same
     expected = report.to_json()
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    monkeypatch.setattr(report_module, "encode_basestring_ascii",
-                        json.encoder.py_encode_basestring_ascii)
-    monkeypatch.setitem(report_module._WRITERS, str, json.encoder.py_encode_basestring_ascii)
-    report_module._layout.cache_clear()
-    report_module._square.cache_clear()
-    assert report.to_json() == expected == stdlib(report)
+    with without_c_encoder():
+        assert report.to_json() == expected == stdlib(report)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): [1]}, {(1, 2): 1}, {"a": [object()]}, [np.int64(3)]])
+def test_render_raises_type_error_where_json_does(obj):
+    # a dict as the report's inputs, a list as its warnings
+    report = Report(command="fit", **{"inputs" if isinstance(obj, dict) else "warnings": obj})
+    with pytest.raises(TypeError):
+        stdlib(report)
+    with pytest.raises(TypeError):
+        report.to_json()
+
+
+def test_render_refuses_non_string_keys_beside_containers():
+    # json.dumps would write {1: [1]} with the key "1"; no Report has such a key
+    report = Report(command="fit", inputs={1: [1]})
+    assert '"1": [' in stdlib(report)
+    with pytest.raises(TypeError):
+        report.to_json()
+
+
+def test_render_without_the_c_encoder():
+    # where json has no C encoder, strings, a matrix whose -0.0 its mirror
+    # cell lacks and a non-finite float are written as json writes them
+    report = Report(command="fit", inputs={"é": "\n"}, warnings=["\n", '"é'],
+                    reproduced=ReproducedMatrix(["a", "b"], ((1.0, -0.0), (5e-324, 1e16))))
+    with without_c_encoder():
+        assert_matches_oracle(report)
+    assert_raises_as_json(Report(command="fit", warnings=["\n"],
+                                 reproduced=ReproducedMatrix(["a"], ((math.nan,),))))
+
+
+# ---------------------------------------------------------------------------
+# Strings at every place a report writes free text
+
+# text that looks like the writer's own separators and brackets, escapes
+# and non-ASCII
+texts = st.text(alphabet=st.sampled_from(list('\n"\\},[ :a\x00é日\U0001f600')) | st.characters(),
+                max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=st.dictionaries(texts, texts, max_size=5), warnings=st.lists(texts, max_size=5),
+       command=texts)
+@example(inputs={"corr": "ab" * 32}, warnings=[], command="fit")
+@example(inputs={"},\n  ": "]", "": "\x00", "é": "日"}, warnings=["\n", '"é', "{"], command="")
+def test_render_matches_stdlib(study_report, inputs, warnings, command):
+    assert_matches_oracle(Report(command=command, inputs=inputs, warnings=warnings,
+                                 correlations=study_report.correlations,
+                                 fitted=study_report.fitted,
+                                 reproduced=study_report.reproduced, fit=study_report.fit))
+
+
+# ---------------------------------------------------------------------------
+# Mirrored matrices: one repr per pair of equal nonzero cells
+
+finite_floats = (st.sampled_from([-0.0, 0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308])
+                 | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def mirrored_matrices(draw, cells=finite_floats):
+    """Square float rows whose cell (i, j), i > j, is cell (j, i), its zero
+    of the other sign, or one ulp away from it."""
+    k = draw(st.integers(1, 6))
+    rows = [[draw(cells) for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        for j in range(i):
+            partner = rows[j][i]
+            relation = draw(st.sampled_from(["same", "same", "zeros", "ulp"]))
+            if relation == "zeros":
+                rows[j][i], rows[i][j] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+            elif relation == "ulp":
+                rows[i][j] = math.nextafter(partner, draw(st.sampled_from([math.inf, -math.inf])))
+                if not math.isfinite(rows[i][j]):
+                    rows[i][j] = partner
+            else:
+                rows[i][j] = partner
+    return rows
+
+
+def mirrored_report(rows):
+    """A report of `rows` as r-hat, with a fit pair for each cell above the
+    diagonal whose observed and reproduced are that cell and its mirror
+    cell, so the pairs reuse the matrix's texts."""
+    k = len(rows)
+    names = [f"v{i}" for i in range(k)]
+    pairs = tuple(PairFit(names[i], names[j], rows[i][j], rows[j][i],
+                          abs(rows[i][j] - rows[j][i]), False)
+                  for i in range(k) for j in range(i + 1, min(k, len(rows[i]))))
+    return Report(command="fit", reproduced=ReproducedMatrix(names, rows),
+                  fit=FitAssessment(pairs, 0.05))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mirrored_matrices())
+@example([[1.0]])
+@example([[1.0, 0.0], [-0.0, 1.0]])
+@example([[1.0, 0.25, 5e-324], [0.25, 1.0, -1e16], [5e-324, -1e16, 1.0]])
+def test_render_mirrored_matches_stdlib(rows):
+    report = mirrored_report(rows)
+    assert_matches_oracle(report)
+    with without_c_encoder():
+        assert_matches_oracle(report)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[1.0, 2.0]],
+    [[1.0, 2.0], [3.0]],
+    [[1, 0.5], [0.5, 1]],
+    [[True, 0.5], [0.5, None]],
+    [[np.float64(0.5), 0.5], [0.5, np.float64(-0.0)]],
+    [(1.0, 0.5), (0.5, 1.0)],
+])
+def test_render_mirrored_other_shapes_and_cells_match_stdlib(rows):
+    assert_matches_oracle(mirrored_report(rows))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (2, 1)])
+def test_render_mirrored_rejects_non_finite_cells(bad, cell):
+    rows = ((1.0, 0.5, 0.25), (0.5, 1.0, 0.125), (0.25, 0.125, 1.0))
+    assert_raises_as_json(Report(command="fit", reproduced=ReproducedMatrix(
+        ["a", "b", "c"], with_cell(rows, *cell, bad))))
+
+
+# ---------------------------------------------------------------------------
+# Record lists: written a column at a time
+
+# names that hold the writer's boundary text, brackets, quotes, escapes,
+# newlines and non-ASCII
+names = st.text(alphabet=st.sampled_from(list('\n"\\}{][, :aé日\U0001f600')) | st.characters(),
+                max_size=8)
+# an effect row's total stays finite
+effect_floats = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.builds(PairFit, names, names, finite_floats, finite_floats,
+                                finite_floats, st.booleans()), max_size=6).map(tuple),
+       rows=st.lists(st.builds(EffectRow, names, names, effect_floats, effect_floats),
+                     max_size=6).map(tuple),
+       r_squared=st.dictionaries(names, finite_floats, max_size=4))
+@example(pairs=(PairFit("},\n  {", '"{["', 0.5, -0.0, 1e16, True),
+                PairFit("\\", "é日\n", 1, 2, 3, False)),
+         rows=(EffectRow("},\n    {", "]", -0.0, 5e-324),), r_squared={"{": 0.25})
+def test_render_records_matches_stdlib(pairs, rows, r_squared):
+    report = Report(command="fit", fit=FitAssessment(pairs, 0.05),
+                    effects=EffectsTable(rows, r_squared))
+    assert_matches_oracle(report)
+    with without_c_encoder():
+        assert_matches_oracle(report)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_records_rejects_non_finite(bad):
+    pairs = (PairFit("a", "b", 0.5, 0.25, 0.25, True), PairFit("a", "c", 0.5, bad, 0.0, False))
+    step = RevisionStep(1, "add", (("a", "b"),), "misfit", candidates=(("a", "b", bad),))
+    for report in (Report(command="fit", fit=FitAssessment(pairs, 0.1)),
+                   Report(command="fit", effects=EffectsTable((EffectRow("Y", "X", bad, 0.0),), {})),
+                   Report(command="revise", revision=RevisionTrace([step], iterations=1))):
+        assert_raises_as_json(report)
+
+
+def test_report_writes_its_record_lists_in_one_call(report, monkeypatch):
+    # the fit's pairs, the effects rows, the screen's summaries and outliers,
+    # and the revision's steps: each column is written in one pass, so no
+    # item of a list goes to `_field` on its own
+    ref = reference_dict(report)
+    lists = []
+    if report.fit is not None:
+        lists.append((report.fit.pairs, None, ref["fit"]["pairs"]))
+    if report.effects is not None:
+        lists.append(([(*r, r.total) for r in report.effects.rows],
+                      EffectRow._fields + ("total",), ref["effects"]["rows"]))
+    if report.screening is not None:
+        s = report.screening
+        lists += [(s.summaries, ("name", "mean", "sd", "min", "max"),
+                   ref["screening"]["summaries"]),
+                  (s.outliers, ("row", "d_squared", "p"), ref["screening"]["outliers"])]
+    if report.revision is not None:
+        lists.append((report.revision.steps, None, ref["revision"]["steps"]))
+    assert lists and all(items for items, _, _ in lists)
+    walked = []
+    field = report_module._field
+    monkeypatch.setattr(report_module, "_field",
+                        lambda *args: walked.append(args) or field(*args))
+    for items, keys, expected in lists:
+        text = report_module._records(items, 2, keys)
+        assert walked == []
+        assert text == json.dumps(expected, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 def test_report_matrices_are_lists_of_lists(report):
