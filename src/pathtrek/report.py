@@ -10,14 +10,18 @@ FittedModel, ReproducedMatrix, FitAssessment, EffectsTable, RevisionTrace,
 ScreeningReport), and its text is json.dumps(..., indent=2,
 sort_keys=True, allow_nan=False) byte for byte.  An object's keys come
 from its record's `_fields` (PairFit; EffectRow plus total; RevisionStep;
-EquationFit), sorted once per key tuple into a str.format template, and
-each tuple is written as a list.  Strings go through json's
-encode_basestring_ascii, floats through float.__repr__ as json writes
-them, and a non-finite float raises json's own ValueError.  A list of
-records is written a column at a time.  A matrix reprs each mirrored pair
-of equal cells once, and each pair's observed and reproduced values,
+EquationFit), sorted once per key tuple into a %-template, and each tuple
+is written as a list.  Strings go through json's encode_basestring_ascii,
+floats through float.__repr__ as json writes them.  A list of records is
+written a column at a time (a column of tuples from all their items at
+once) into one template per list shape.  A matrix reprs each mirrored
+pair of equal cells once, and each pair's observed and reproduced values,
 the very r and r-hat cells that assess_fit read, reuse their matrix's
-text by the cell's id.  `to_dict` is json.loads of that text.
+text by the cell's id.  A non-finite float, or a value json cannot
+write, raises json's own error; where a report holds several, the
+message may name another one than json.dumps's, which walks the keys in
+sorted order and a list one record at a time.  `to_dict` is json.loads
+of that text.
 """
 
 import functools
@@ -80,13 +84,14 @@ def _field(value, depth):
 
 
 def _texts(values, depth, seen=None):
-    """json's texts at `depth` for a sequence of fields, made in one pass
-    when they are all of one scalar type, or rows of one length.  A float
-    that `seen` holds by its id takes the text from there."""
+    """json's texts at `depth` for a sequence of fields: one map over values
+    of one scalar type, a column at a time over rows of one length, else
+    one field at a time.  A float that `seen` holds by its id takes the
+    text from there."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float and all(map(math.isfinite, values)):
-        if seen is not None:
+        if seen:
             texts = list(map(seen.get, map(id, values)))
             if None not in texts:
                 return texts
@@ -97,17 +102,16 @@ def _texts(values, depth, seen=None):
         widths = set(map(len, values))
         if len(widths) == 1 and 0 not in widths:
             return _rows(values, depth, _layout(widths.pop(), depth))
-        # lists of several lengths: their items' texts in one pass, then cut
-        items = _texts(list(chain.from_iterable(values)), depth + 1)
-        ends = list(accumulate(map(len, values)))
-        return [_array(items[start:end], depth) for start, end in zip([0, *ends], ends)]
+        return [_array(_texts(v, depth + 1), depth) for v in values]
     return [_field(v, depth) for v in values]
 
 
 def _rows(rows, depth, layout, seen=None):
-    """The texts at `depth` of rows of one length, each written by the
-    template `layout`, from one pass over each column."""
-    return list(map(layout.format, *[_texts(column, depth + 1, seen) for column in zip(*rows)]))
+    """The texts at `depth` of rows of one length, each written by `layout`,
+    from one pass over each column."""
+    order, template = layout
+    columns = list(zip(*rows))
+    return list(map(template.__mod__, zip(*[_texts(columns[i], depth + 1, seen) for i in order])))
 
 
 def _array(texts, depth):
@@ -119,12 +123,10 @@ def _array(texts, depth):
 
 
 def _object(items, depth):
-    """The JSON object at `depth` of (key, value text) items in sorted key order."""
-    if not items:
-        return "{}"
-    inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join([encode_basestring_ascii(k) + ": " + text for k, text in items])
-    return "{" + inner + body + "\n" + "  " * depth + "}"
+    """The JSON object at `depth` of (key, value text) items in sorted key
+    order, whose keys are names of the report's schema."""
+    keys, texts = zip(*items)
+    return _layout(keys, depth)[1] % texts
 
 
 def _named(mapping, depth, keys=None):
@@ -134,76 +136,99 @@ def _named(mapping, depth, keys=None):
         return "{}"
     names, values = zip(*sorted(mapping.items()))
     texts = _rows(values, depth + 1, _layout(keys, depth + 1)) if keys else _texts(values, depth + 1)
-    return _object(list(zip(names, texts)), depth)
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join([encode_basestring_ascii(k) + ": " + t for k, t in zip(names, texts)])
+    return "{" + inner + body + "\n" + "  " * depth + "}"
 
 
 def _records(rows, depth, keys=None, seen=None):
-    """The JSON array at `depth` of records; their keys are `keys`, or the
-    records' own `_fields`."""
-    texts = rows and _rows(rows, depth + 1, _layout(keys or rows[0]._fields, depth + 1), seen)
-    return _array(texts, depth)
+    """The JSON array at `depth` of records whose keys are `keys`, or the
+    records' own `_fields`, from one pass over each column.  Where a column
+    holds tuples or lists, that pass is over all their items, and one
+    template per list shape takes every text."""
+    if not rows:
+        return "[]"
+    keys, columns = keys or rows[0]._fields, list(zip(*rows))
+    widths = tuple(tuple(map(len, column)) if set(map(type, column)) <= {tuple, list} else None
+                   for column in columns)
+    if not any(widths):  # one template per record, for a list of any length
+        return _array(_rows(rows, depth + 1, _layout(keys, depth + 1), seen), depth)
+    texts = [_texts(list(chain.from_iterable(column)), depth + 3) if w else
+             _texts(column, depth + 2, seen) for column, w in zip(columns, widths)]
+    template, positions = _list_layout(keys, depth, len(rows), widths)
+    cells = list(chain.from_iterable(texts))
+    return template % tuple(map(cells.__getitem__, positions))
+
+
+@functools.lru_cache(maxsize=256)
+def _list_layout(keys, depth, count, widths):
+    """The %-template of the JSON array at `depth` of `count` objects whose
+    keys are `keys`, and the position of each text it takes among the
+    texts of all columns in turn: column i holds one text per row, or,
+    where widths[i] gives each row's length, the texts of the rows' items."""
+    order, template = _layout(keys, depth + 1)
+    spans, end = [], 0  # for each column, the positions of each row's texts
+    for w in widths:
+        bounds = list(accumulate([1] * count if w is None else w, initial=end))
+        spans.append(list(map(range, bounds, bounds[1:])))
+        end = bounds[-1]
+    objects, positions = [], []
+    for r in range(count):
+        for i in order:
+            positions += spans[i][r]
+        objects.append(template % tuple("%s" if widths[i] is None else _layout(
+            len(spans[i][r]), depth + 2)[1] if spans[i][r] else "[]" for i in order))
+    return _layout(count, depth)[1] % tuple(objects), positions
 
 
 @functools.cache
 def _layout(keys, depth):
-    """A str.format template of the JSON object at `depth` whose keys are
-    `keys`, sorted here once per key tuple, or of the JSON array of `keys`
-    items when `keys` is an int.  Field i takes the text of keys[i], or item i."""
+    """The positions of `keys`, names of the report's schema, in sorted
+    order, sorted here once per key tuple, and the %-template of the JSON
+    object at `depth` that takes their values' texts in that order; for an
+    int `keys`, of the JSON array of that many items."""
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     if isinstance(keys, int):
-        return "[" + ",".join(f"{inner}{{{i}}}" for i in range(keys)) + outer + "]"
-    return "{{" + ",".join(f"{inner}{encode_basestring_ascii(k)}: {{{keys.index(k)}}}"
-                           for k in sorted(keys)) + outer + "}}"
+        return range(keys), "[" + ",".join([inner + "%s"] * keys) + outer + "]"
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return order, "{" + ",".join(
+        f"{inner}{encode_basestring_ascii(keys[i])}: %s" for i in order) + outer + "}"
 
 
 @functools.cache
 def _square(k, depth):
-    """For a k x k matrix at `depth`, its cells numbered in row order: those
-    on and above the diagonal, those below it, the mirror cell of each of
-    those, the index among the first of each cell or of its mirror cell,
-    and the str.format template of the matrix, whose field i is cell i."""
+    """For a k x k matrix at `depth`, the %-template that takes its cells'
+    texts in row order, the cells on and above the diagonal, numbered in
+    row order, and for each cell the index among those of it or its mirror
+    cell."""
     upper = [i * k + j for i in range(k) for j in range(i, k)]
     rank = {cell: n for n, cell in enumerate(upper)}
-    inner, cell_inner, outer = ("\n" + "  " * d for d in (depth + 1, depth + 2, depth))
-    rows = ["[" + ",".join(f"{cell_inner}{{{i * k + j}}}" for j in range(k)) + inner + "]"
-            for i in range(k)]
-    return (upper, [i * k + j for i in range(k) for j in range(i)],
-            [j * k + i for i in range(k) for j in range(i)],
-            [rank[min(i, j) * k + max(i, j)] for i in range(k) for j in range(k)],
-            "[" + ",".join(inner + row for row in rows) + outer + "]")
+    row = _layout(k, depth + 1)[1]
+    return (_layout(k, depth)[1] % ((row,) * k), upper,
+            [rank[min(i, j) * k + max(i, j)] for i in range(k) for j in range(k)])
 
 
 def _matrix(rows, depth, seen):
-    """The JSON array at `depth` of a square matrix of floats, such as the
-    observed r, its p-values and r-hat, with one float repr per mirrored
-    pair of cells of one value.
-
-    When each cell below the diagonal equals its mirror cell, and either
-    none of them is 0.0 or -0.0 or each is the very object of its mirror
-    cell, only the cells on and above the diagonal are repr'd: equal
-    nonzero floats have the same bits, so the same repr.  Otherwise every
-    cell is.  `seen`, unless None, takes the text of each cell by
-    the cell's id.  Another
-    shape or cell type is written as any field is.
-    """
+    """The JSON array at `depth` of a square matrix, such as the observed r,
+    its p-values and r-hat, with one text per mirrored pair of cells of
+    one type and value.  `seen`, unless None, takes the text of each cell
+    by the cell's id.  Another shape is written as any field is."""
     k = len(rows)
-    cells = tuple(chain.from_iterable(rows))
-    if not k or set(map(len, rows)) != {k} or not all(
-            issubclass(t, float) for t in set(map(type, cells))):
+    if not k or set(map(len, rows)) != {k}:
         return _field(rows, depth)
-    if not all(map(math.isfinite, cells)):
-        for cell in cells:  # json's error for the first, in row order
-            _scalar(cell)
-    upper, lower, mirror, spread, template = _square(k, depth)
-    below, above = list(map(cells.__getitem__, lower)), list(map(cells.__getitem__, mirror))
-    if below == above and (0.0 not in below or all(map(operator.is_, below, above))):
-        texts = list(map(float.__repr__, map(cells.__getitem__, upper)))
+    cells = list(chain.from_iterable(rows))
+    mirror = list(chain.from_iterable(zip(*rows)))
+    template, upper, spread = _square(k, depth)
+    # equal cells of one type have one text, but for 0.0 and -0.0
+    if len(set(map(type, cells))) == 1 and cells == mirror and (
+            0.0 not in cells or all(map(operator.is_, cells, mirror))):
+        texts = _texts(list(map(cells.__getitem__, upper)), depth + 2)
         texts = list(map(texts.__getitem__, spread))
     else:
-        texts = list(map(float.__repr__, cells))
+        texts = _texts(cells, depth + 2)
     if seen is not None:
         seen.update(zip(map(id, cells), texts))
-    return template.format(*texts)
+    return template % tuple(texts)
 
 
 def _screening(s, seen):
@@ -307,18 +332,14 @@ class Report(Record):
         lines = [f"pathtrek {__version__} :: {self.command}"]
         for name, digest in self.inputs.items():
             lines.append(f"input {name} sha256:{digest[:16]}")
-        if self.screening is not None:
-            lines += self._screening_text()
-        if self.correlations is not None:
-            lines += self._correlations_text()
-        if self.fitted is not None:
-            lines += self._coefficients_text()
-        if self.reproduced is not None and self.fit is not None:
-            lines += self._fit_text()
-        if self.effects is not None:
-            lines += self._effects_text()
-        if self.revision is not None:
-            lines += self._revision_text()
+        for part, write in [(self.screening, self._screening_text),
+                            (self.correlations, self._correlations_text),
+                            (self.fitted, self._coefficients_text),
+                            (self.fit if self.reproduced is not None else None, self._fit_text),
+                            (self.effects, self._effects_text),
+                            (self.revision, self._revision_text)]:
+            if part is not None:
+                lines += write()
         if self.warnings:
             lines.append("")
             lines.append("warnings:")
@@ -359,18 +380,10 @@ class Report(Record):
     def _correlations_text(self):
         c = self.correlations
         lines = ["", f"== observed correlations (n = {c.n}) =="]
-        header = f"{'':<10}" + "".join(f"{v:>9}" for v in c.variables)
-        lines.append(header)
-        for i, v in enumerate(c.variables):
-            cells = []
-            for j in range(c.k):
-                if j < i:
-                    cells.append(f"{fmt(c.r_rows[i][j]):>7}{stars(c.p_rows[i][j]):<2}")
-                elif j == i:
-                    cells.append(f"{'1':>7}{'':<2}")
-                else:
-                    cells.append(f"{'':>9}")
-            lines.append(f"{v:<10}" + "".join(cells))
+        lines.append(f"{'':<10}" + "".join(f"{v:>9}" for v in c.variables))
+        for i, v in enumerate(c.variables):  # the lower triangle, a unit diagonal
+            cells = [f"{fmt(c.r_rows[i][j]):>7}{stars(c.p_rows[i][j]):<2}" for j in range(i)]
+            lines.append(f"{v:<10}" + "".join(cells) + f"{'1':>7}  " + " " * 9 * (c.k - i - 1))
         lines.append("strength (|r|): " + ", ".join(
             f"{a}-{b} {label}" for a, b, label in _strengths(c)))
         lines.append("stars: ** p<.01, * p<.05")
@@ -393,27 +406,21 @@ class Report(Record):
         return lines
 
     def _fit_text(self):
-        lines = ["", f"== fit (threshold {self.fit.threshold}) =="]
-        lines.append(
-            f"{'pair':<12}{'observed':>10}{'reproduced':>12}{'|diff|':>10}"
-        )
+        lines = ["", f"== fit (threshold {self.fit.threshold}) ==",
+                 f"{'pair':<12}{'observed':>10}{'reproduced':>12}{'|diff|':>10}"]
         for p in self.fit.pairs:
             mark = "  *" if p.flagged else ""
             lines.append(
                 f"{p.a + '-' + p.b:<12}{fmt(p.observed):>10}"
                 f"{fmt(p.reproduced):>12}{fmt(p.difference):>10}{mark}"
             )
-        lines.append(
-            f"misfit pairs: {self.fit.misfit_count}/{len(self.fit.pairs)} "
-            f"-> {self.fit.verdict}"
-        )
+        lines.append(f"misfit pairs: {self.fit.misfit_count}/{len(self.fit.pairs)} "
+                     f"-> {self.fit.verdict}")
         return lines
 
     def _effects_text(self):
-        lines = ["", "== causal effects =="]
-        lines.append(
-            f"{'outcome':<10}{'determinant':<14}{'direct':>9}{'indirect':>10}{'total':>9}"
-        )
+        lines = ["", "== causal effects ==",
+                 f"{'outcome':<10}{'determinant':<14}{'direct':>9}{'indirect':>10}{'total':>9}"]
         for r in self.effects.rows:
             direct = fmt(r.direct) if r.direct != 0.0 else "-"
             indirect = fmt(r.indirect) if r.indirect != 0.0 else "-"
@@ -422,8 +429,7 @@ class Report(Record):
                 f"{indirect:>10}{fmt(r.total):>9}"
             )
         lines.append("R²: " + ", ".join(
-            f"{v} = {fmt(r2)}" for v, r2 in self.effects.r_squared.items()
-        ))
+            f"{v} = {fmt(r2)}" for v, r2 in self.effects.r_squared.items()))
         return lines
 
     def _revision_text(self):
@@ -436,9 +442,7 @@ class Report(Record):
                 f"misfit now {s.misfit_count}, max |diff| {fmt(s.max_difference)}"
             )
             if s.candidates:
-                ranked = ", ".join(
-                    f"{a} -> {b} ({fmt(d)})" for a, b, d in s.candidates
-                )
+                ranked = ", ".join(f"{a} -> {b} ({fmt(d)})" for a, b, d in s.candidates)
                 lines.append(f"  candidates: {ranked}")
         state = "converged" if t.converged else "NOT converged"
         lines.append(f"{state} after {t.iterations} iteration(s)")

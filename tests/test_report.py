@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -122,13 +123,14 @@ def without_c_encoder():
         mp.setattr(report_module, "encode_basestring_ascii",
                    json.encoder.py_encode_basestring_ascii)
         mp.setitem(report_module._WRITERS, str, json.encoder.py_encode_basestring_ascii)
-        report_module._layout.cache_clear()
-        report_module._square.cache_clear()
+        caches = (report_module._layout, report_module._list_layout, report_module._square)
+        for cache in caches:
+            cache.cache_clear()
         try:
             yield
         finally:
-            report_module._layout.cache_clear()
-            report_module._square.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
 
 
 def assert_raises_as_json(report):
@@ -329,6 +331,45 @@ PLANTED = [
 @pytest.mark.parametrize("wrap", PLANTED)
 def test_render_rejects_non_finite_floats(study_report, bad, wrap):
     assert_raises_as_json(wrap(study_report, bad))
+
+
+def json_message(x):
+    with pytest.raises(ValueError) as error:
+        json.dumps(x, allow_nan=False, indent=2)
+    return str(error.value)
+
+
+@pytest.mark.parametrize("first, second", [(math.inf, math.nan), (math.nan, -math.inf)])
+def test_render_raises_json_error_for_one_of_two_non_finite_floats(study_report, first, second):
+    # json's message names the first bad float in its own order (sections by
+    # key, a list record by record); the writer's names one of the two
+    r = study_report
+    pairs = r.fit.pairs
+    effects = study_effects(r)
+    rows = (effects.rows[0]._replace(indirect=first), *effects.rows[1:])
+    for report in (
+            Report(command="fit", effects=EffectsTable(rows, effects.r_squared),
+                   fit=r.fit._replace(threshold=second),
+                   reproduced=ReproducedMatrix(r.reproduced.variables,
+                                               with_cell(r.reproduced.r_hat_rows, 1, 0, second))),
+            Report(command="fit", fit=r.fit._replace(threshold=first),
+                   reproduced=ReproducedMatrix(r.reproduced.variables,
+                                               with_cell(r.reproduced.r_hat_rows, 0, 1, second))),
+            Report(command="fit", fit=r.fit._replace(pairs=(
+                pairs[0]._replace(reproduced=first), pairs[1]._replace(difference=second),
+                *pairs[2:]))),
+            Report(command="fit", fitted=type(r.fitted)(r.fitted.model, dict(
+                zip(r.fitted.equations, [
+                    eq._replace(p=(first, *eq.p[1:])) if n == 0 else
+                    eq._replace(beta=(second, *eq.beta[1:])) if n == 1 else eq
+                    for n, eq in enumerate(r.fitted.equations.values())])), r.fitted.correlation)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(json_message(first))):
+            stdlib(report)
+        for method in (report.to_json, report.to_dict):
+            with pytest.raises(ValueError) as got:
+                method()
+            assert str(got.value) in {json_message(first), json_message(second)}
 
 
 def test_output_does_not_depend_on_the_c_encoder(report):
