@@ -28,8 +28,10 @@ files written, byte for byte, and each op's exit code, or each
 alone can hide a last-bit change in a few draws).  Then each round times
 every op on both sides, the side that goes first alternating from round to
 round.  It prints each side's median over rounds of the mean op time with
-its first and third quartiles, and in how many rounds the change was
-faster; then, per op id (per seed for recovery), each side's median time
+its first and third quartiles, in how many rounds the change was faster,
+and whether the gain rule holds (`gain_rule`): the change faster in at
+least 9 of every 10 rounds, and its median below the parent's by more than
+the parent's quartile gap; then, per op id (per seed for recovery), each side's median time
 over rounds, which shows a change whose gain grows with the input, such as
 k = 20 against k = 10.
 
@@ -117,6 +119,20 @@ def op_argvs(plan, kind, out):
     return argvs
 
 
+def gain_rule(parent, change):
+    """(rounds won, median gap, quartile gap, holds) for paired per-round times.
+
+    The change wins a round when its time is below the parent's in that
+    round.  The median gap is the parent's median minus the change's, the
+    quartile gap the parent's Q3 - Q1.  The rule holds when the change wins
+    at least 9 of every 10 rounds and the median gap exceeds the quartile gap.
+    """
+    won = sum(c < p for p, c in zip(parent, change, strict=True))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gap = statistics.median(parent) - statistics.median(change)
+    return won, gap, q3 - q1, 10 * won >= 9 * len(parent) and gap > q3 - q1
+
+
 def run_round(ops):
     """The seconds each op took, in one run of every op."""
     gc.collect()
@@ -178,7 +194,7 @@ def main(argv=None):
 
     times = {side: [statistics.fmean(round_) for round_ in op_times[side]] for side in SIDES}
     medians = {side: 1000.0 * statistics.median(times[side]) for side in SIDES}
-    won = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    won, gap, spread, holds = gain_rule(times["parent"], times["change"])
     change = 100.0 * (medians["change"] / medians["parent"] - 1.0)
     print(f"{args.kind}: {len(ops['parent'])} ops x {args.rounds} rounds")
     for side in SIDES:
@@ -186,6 +202,9 @@ def main(argv=None):
         note = f" ({change:+.1f}%)" if side == "change" else ""
         print(f"{side:<7} median {medians[side]:.3f} ms/op{note}, quartiles {q1:.3f}-{q3:.3f}")
     print(f"change faster in {won}/{args.rounds} rounds")
+    print(f"gain rule {'holds' if holds else 'fails'}: {won}/{args.rounds} rounds won "
+          f"(9/10 needed), median gap {1000.0 * gap:.3f} ms against the parent's "
+          f"quartile gap {1000.0 * spread:.3f} ms")
     width = max(map(len, ops["parent"]))
     for i, op_id in enumerate(ops["parent"]):
         parent, change = (1000.0 * statistics.median(round_[i] for round_ in op_times[side])

@@ -66,24 +66,29 @@ def correlation_p_value(r, n):
 
 def _check_correlations(r):
     """Reject non-finite cells, off-diagonal |r| > 1 + 1e-12, asymmetry above
-    ASYMMETRY_LIMIT and a diagonal off 1 by more than DIAGONAL_LIMIT; return
-    r averaged across the diagonal, clipped to [-1, 1], with a unit diagonal."""
-    if not all(math.isfinite(x) for row in r for x in row):
-        raise OutOfRange("correlations must be finite")
-    k = len(r)
-    worst = max((abs(r[i][j]) for i in range(k) for j in range(k) if i != j),
-                default=0.0)
+    ASYMMETRY_LIMIT and a diagonal off 1 by more than DIAGONAL_LIMIT, in that
+    order of precedence; return r averaged across the diagonal, clipped to
+    [-1, 1], with a unit diagonal.  One walk over the rows checks each row
+    finite, takes its off-diagonal maximum and, over the upper triangle, the
+    largest asymmetry and the repaired cells; a cell of a later row may be
+    non-finite, but its row raises before any maximum is read."""
+    out = [[1.0] * len(r) for _ in r]
+    worst = asym = 0.0
+    for i, (row, col) in enumerate(zip(r, zip(*r))):
+        if not all(map(math.isfinite, row)):
+            raise OutOfRange("correlations must be finite")
+        worst = max((worst, *map(abs, row[:i] + row[i + 1:])))
+        for j, a, b in zip(range(i + 1, len(r)), row[i + 1:], col[i + 1:]):
+            asym = abs(a - b) if abs(a - b) > asym else asym
+            # the mean m clipped to [-1, 1] as min(1.0, max(-1.0, m)) clips it
+            out[i][j] = out[j][i] = 1.0 if (m := (a + b) / 2.0) > 1.0 else -1.0 if m < -1.0 else m
     if worst > 1.0 + 1e-12:
         raise OutOfRange(f"correlation {worst!r} outside [-1, 1]")
-    asym = max((abs(r[i][j] - r[j][i]) for i in range(k) for j in range(i + 1, k)),
-               default=0.0)
     if asym > ASYMMETRY_LIMIT:
         raise AsymmetryTooLarge(f"max asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT}")
-    diag_dev = max((abs(r[i][i] - 1.0) for i in range(k)), default=0.0)
-    if diag_dev > DIAGONAL_LIMIT:
+    if (diag_dev := max(abs(row[i] - 1.0) for i, row in enumerate(r))) > DIAGONAL_LIMIT:
         raise DiagonalNotOne(f"diagonal deviates from 1 by {diag_dev:.3e}")
-    return tuple(tuple(1.0 if i == j else min(1.0, max(-1.0, (r[i][j] + r[j][i]) / 2.0))
-                       for j in range(k)) for i in range(k))
+    return tuple(map(tuple, out))
 
 
 def _variable_names(variables):
@@ -191,11 +196,11 @@ class CorrelationMatrix(FrozenRecord):
 
 
 def pearson_matrix(d):
-    """Sample Pearson correlations of a dataset, its block z'z / (n - 1);
-    CorrelationMatrix repairs the cells."""
+    """Sample Pearson correlations of a dataset, its block z'z / (n - 1)
+    handed over as Python floats; CorrelationMatrix repairs the cells."""
     if d.k < 2:
         raise ValueError("need at least 2 variables to correlate")
-    return CorrelationMatrix(d.variables, d._r, d.n)
+    return CorrelationMatrix(d.variables, d._r.tolist(), d.n)
 
 
 def load_correlation_csv(path, n):

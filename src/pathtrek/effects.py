@@ -40,7 +40,7 @@ class FitAssessment(NamedTuple):
 
     @property
     def fits(self):
-        return self.misfit_count == 0
+        return not any(p.flagged for p in self.pairs)  # stops at the first flagged pair
 
     @property
     def verdict(self):

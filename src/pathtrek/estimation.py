@@ -10,6 +10,7 @@ j, hence the SEs, so one factor per equation serves estimates and inference.
 """
 
 import math
+from operator import mul
 from typing import NamedTuple, Optional
 
 from . import numeric
@@ -79,18 +80,22 @@ def fit_standardized(corr, m):
     return _fit_model(corr, m, {})
 
 
-def _fit_model(corr, m, fits):
+def _fit_model(corr, m, fits, inference=True):
     """fit_standardized of `m`, each equation taken from or stored in `fits`.
 
     `fits` maps (target, parents) to its EquationFit.  Equations are
     independent, so one estimated for another model of the same variables
     is reused as it was, bit for bit; `revise_model` keeps one such dict.
+    With inference False every equation is fit for beta, R² and its
+    disturbance alone, its SE, t and p left None, and no t tail runs:
+    `recovery_check` reads only beta.
     """
     equations = {}
     for y in _endogenous(corr, m):
         key = (y, m.parents(y))
-        if key not in fits:
-            fits[key] = _fit_equation(corr, *key)
+        if key not in fits:  # fit and revise keep the three-argument call
+            fits[key] = (_fit_equation(corr, *key) if inference
+                         else _fit_equation(corr, *key, False))
         equations[y] = fits[key]
     return FittedModel(m, equations, corr)
 
@@ -121,20 +126,24 @@ def _endogenous(corr, m):
     return endo
 
 
-def _fit_equation(corr, y, parents):
-    """y regressed on `parents`: beta, R², disturbance and, when df allows, inference.
+def _fit_equation(corr, y, parents, inference=True):
+    """y regressed on `parents`: beta, R², disturbance and, when df allows
+    and `inference` is true, inference.
 
     SE(beta_j) = sqrt((1 - R²) [R_PP⁻¹]_jj / df) and t_j = beta_j / SE_j with
     df = n - |P| - 1 degrees of freedom; SE, t and p are None when df < 1.
+    Every dot product is a sum over `map(mul, ...)` of its operands in
+    order, the zeros above W's diagonal included.
     """
     rpy = [corr.value(p, y) for p in parents]
     try:
         w = numeric.inverse_factor(corr.submatrix(parents))
     except SingularMatrix as exc:
         raise SingularMatrix(f"equation for {y!r}: {exc}") from exc
-    u = [sum(wi * r for wi, r in zip(row, rpy)) for row in w]
-    beta = [sum(row[j] * ui for row, ui in zip(w, u)) for j in range(len(u))]
-    r2 = sum(ui * ui for ui in u)
+    columns = list(zip(*w))
+    u = [sum(map(mul, row, rpy)) for row in w]
+    beta = [sum(map(mul, col, u)) for col in columns]
+    r2 = sum(map(mul, u, u))
     if r2 > 1.0 + 1e-9:
         raise ValueError(
             f"equation for {y!r}: R² = {r2:.6g} exceeds 1; "
@@ -143,9 +152,8 @@ def _fit_equation(corr, y, parents):
     r2 = min(1.0, r2)
     se = t = p = None
     df = corr.n - len(parents) - 1
-    if df >= 1:  # [R_PP⁻¹]_jj is the squared norm of column j of W
-        se = tuple(math.sqrt((1.0 - r2) * sum(row[j] * row[j] for row in w) / df)
-                   for j in range(len(beta)))
+    if inference and df >= 1:  # [R_PP⁻¹]_jj is the squared norm of column j of W
+        se = tuple(math.sqrt((1.0 - r2) * sum(map(mul, col, col)) / df) for col in columns)
         # SE 0 means an exact fit: t is ±inf with beta's sign, or 0 for beta 0
         t = tuple(b / s if s > 0.0 else math.copysign(math.inf, b) if b else 0.0
                   for b, s in zip(beta, se))

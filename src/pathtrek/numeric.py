@@ -29,6 +29,7 @@ ndarray view.
 
 import functools
 import math
+from operator import mul
 
 from .errors import NoConvergence, SingularMatrix
 
@@ -66,8 +67,8 @@ def cholesky(a):
     for i in range(len(m)):
         row = []
         for j in range(i):
-            row.append((m[i][j] - sum(x * y for x, y in zip(row, low[j]))) / low[j][j])
-        pivot = m[i][i] - sum(x * x for x in row)
+            row.append((m[i][j] - sum(map(mul, row, low[j]))) / low[j][j])
+        pivot = m[i][i] - sum(map(mul, row, row))
         if pivot <= PIVOT_FLOOR * m[i][i]:
             raise SingularMatrix(
                 f"not positive definite: pivot {pivot:.3e} in column {i}", i, pivot)
@@ -82,17 +83,19 @@ def inverse_factor(a):
     Then a^-1 = W^T W: a solve a x = b is x = W^T (W b), [a^-1]_jj is the
     squared norm of column j of W, and b^T a^-1 b = |W b|^2 (Golub & Van
     Loan, Matrix Computations, 4.2).  Raises SingularMatrix as `cholesky`
-    does.  Returns W as lists of floats, zero above the diagonal.
+    does.  Returns W as lists of floats, zero above the diagonal.  W is
+    built a column at a time, column j as the list W[j:, j], so that each
+    entry's dot product is one `sum(map(mul, ...))` over L's row and that
+    column, the terms in the order of a loop over k = j .. i - 1.
     """
     low = cholesky(a)
-    order = len(low)
-    w = [[0.0] * order for _ in range(order)]
-    for i in range(order):
-        d = low[i][i]
-        for j in range(i):
-            w[i][j] = -sum(low[i][k] * w[k][j] for k in range(j, i)) / d
-        w[i][i] = 1.0 / d
-    return w
+    columns = []
+    for i, row in enumerate(low):
+        d = row[i]
+        for j, col in enumerate(columns):
+            col.append(-sum(map(mul, row[j:i], col)) / d)
+        columns.append([1.0 / d])
+    return [list(r) for r in zip(*([0.0] * j + col for j, col in enumerate(columns)))]
 
 
 # ---------------------------------------------------------------------------

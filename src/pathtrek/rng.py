@@ -39,6 +39,14 @@ libm's exact bits, so the output equals the scalar MMIX/Box-Muller loop over
   (binary128, or plain double) every log goes through `math.log`, with the
   same bytes; that speed is unmeasured.
 
+Each block's uniforms are drawn in place, in the one new array a block
+allocates: its states are multiplied into it, then the add and the shift
+by 11 run in place.  A shifted state is below 2^53, so its int64 view
+reads the same integer, and the cast of that view onto the float64 view of
+the same memory is exact; each element is read before it is written over,
+at the same address and width.  Then + 0.5 and * 2^-53 in place give the
+bits of ((state >> 11) + 0.5) * 2^-53, with no second array per block.
+
 Blocks bound the memory held beside the output array.  A stream
 can start anywhere: `_jump` moves the seed ahead by binary powering of the
 step map mod 2^64, so normal_stream(seed, count, first) is the slice
@@ -113,9 +121,13 @@ def _uniform_blocks(seed, count, first=0):
     mult, add = _jump_table()
     for start in range(0, count, BLOCK):
         size = min(BLOCK, count - start)
-        states = mult[:size] * state + add[:size]
+        states = mult[:size] * state  # the block's one new array
+        states += add[:size]
         state = states[-1]
-        yield ((states >> np.uint64(11)) + 0.5) * _INV_2_53
+        states >>= np.uint64(11)
+        u = states.view(np.float64)  # in place, exactly (module docstring)
+        np.copyto(u, states.view(np.int64))
+        yield np.multiply(np.add(u, 0.5, out=u), _INV_2_53, out=u)
 
 
 def uniform_stream(seed, count):

@@ -8,6 +8,7 @@ that stream, so memory stays bounded whatever n is.
 """
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import rng
 from .data import Dataset
 from .errors import ParseError
-from .estimation import fit_standardized
+from .estimation import _fit_model
 from .correlation import _sample_size, pearson_matrix
 from .record import FrozenRecord
 from .tracing import _steps, implied_matrix
@@ -97,17 +98,28 @@ class RecoveryReport(NamedTuple):
 
 
 def recovery_check(spec, tolerance):
-    """Simulate, refit on the true topology, and compare coefficients."""
-    d = simulate_dataset(spec)
-    fit = fit_standardized(pearson_matrix(d), spec.model)
-    errors = {}
-    for y, eq in fit.equations.items():
-        for parent, b_hat in zip(eq.parents, eq.beta):
-            truth = spec.model.coefficient(parent, y)
-            errors[(parent, y)] = abs(b_hat - truth)
-    return RecoveryReport(
-        spec=spec,
-        tolerance=float(tolerance),
-        max_abs_error=max(errors.values()),
-        errors=errors,
-    )
+    """Simulate, refit on the true topology, and compare coefficients.
+
+    The refit is beta only: beta, R² and each disturbance are those of
+    fit_standardized on the same table, bit for bit, but no SE, t or t
+    tail is computed, as nothing here reads them.  `tolerance` is a finite
+    real number >= 0, not a bool or a str; anything else raises ValueError
+    before a row is drawn.
+    """
+    tolerance = _tolerance(tolerance)
+    fit = _fit_model(pearson_matrix(simulate_dataset(spec)), spec.model, {}, inference=False)
+    errors = {(parent, y): abs(b_hat - spec.model.coefficient(parent, y))
+              for y, eq in fit.equations.items() for parent, b_hat in zip(eq.parents, eq.beta)}
+    return RecoveryReport(spec, tolerance, max(errors.values()), errors)
+
+
+def _tolerance(value):
+    """value as a float; ValueError unless it is a real number, not a bool,
+    that a float holds as finite and >= 0."""
+    try:
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and 0.0 <= float(value) < math.inf):
+            return float(value)
+    except OverflowError:  # an int or Fraction past the range of a float
+        pass
+    raise ValueError(f"tolerance must be a finite number >= 0, got {value!r}")

@@ -352,6 +352,88 @@ def test_load_correlation_past_one(tmp_path):
         load_correlation_csv(path, 100)
 
 
+def reference_check_correlations(r):
+    """correlation._check_correlations as it was before its checks shared one
+    walk: one pass per check, in order of precedence, then the repaired cells."""
+    if not all(math.isfinite(x) for row in r for x in row):
+        raise OutOfRange("correlations must be finite")
+    k = len(r)
+    worst = max((abs(r[i][j]) for i in range(k) for j in range(k) if i != j),
+                default=0.0)
+    if worst > 1.0 + 1e-12:
+        raise OutOfRange(f"correlation {worst!r} outside [-1, 1]")
+    asym = max((abs(r[i][j] - r[j][i]) for i in range(k) for j in range(i + 1, k)),
+               default=0.0)
+    if asym > ASYMMETRY_LIMIT:
+        raise AsymmetryTooLarge(f"max asymmetry {asym:.3e} exceeds {ASYMMETRY_LIMIT}")
+    diag_dev = max((abs(r[i][i] - 1.0) for i in range(k)), default=0.0)
+    if diag_dev > DIAGONAL_LIMIT:
+        raise DiagonalNotOne(f"diagonal deviates from 1 by {diag_dev:.3e}")
+    return tuple(tuple(1.0 if i == j else min(1.0, max(-1.0, (r[i][j] + r[j][i]) / 2.0))
+                       for j in range(k)) for i in range(k))
+
+
+def _check_outcome(check, r):
+    """The cells check returns, as float.hex, or the type and message it raises."""
+    try:
+        return [[x.hex() for x in row] for row in check(numeric.float_rows(r))]
+    except (OutOfRange, AsymmetryTooLarge, DiagonalNotOne) as exc:
+        return type(exc), str(exc)
+
+
+def _near_symmetric(gen, k):
+    """A sample correlation table of order k, each lower cell moved by up to
+    0.9 ASYMMETRY_LIMIT and each diagonal cell by up to 0.9 DIAGONAL_LIMIT,
+    with cells at +-1, just past +-1, -0.0, a 0.0 / -0.0 pair and an
+    asymmetry just under the limit planted where k leaves room."""
+    r = np.corrcoef(gen.standard_normal((k + 5, k)), rowvar=False).reshape(k, k)
+    r += np.tril(gen.uniform(-0.9, 0.9, (k, k)) * ASYMMETRY_LIMIT, -1)
+    r[np.diag_indices(k)] += gen.uniform(-0.9, 0.9, k) * DIAGONAL_LIMIT
+    planted = [(1.0, 1.0), (-1.0, -1.0 + 0.9 * ASYMMETRY_LIMIT), (1.0 + 1e-13, 1.0),
+               (-1.0 - 1e-13, -1.0 - 1e-13), (-0.0, -0.0), (0.0, -0.0),
+               (0.25, 0.25 + 0.999 * ASYMMETRY_LIMIT), (-0.5, -0.5 - 0.999 * ASYMMETRY_LIMIT)]
+    cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    for (i, j), (upper, lower) in zip(gen.permutation(cells), planted):
+        r[i, j], r[j, i] = upper, lower
+    return r
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_check_equals_the_multi_pass_reference_bit_for_bit(k):
+    gen = np.random.default_rng(4620 + k)
+    for _ in range(5):
+        r = _near_symmetric(gen, k)
+        expected = _check_outcome(reference_check_correlations, r)
+        assert isinstance(expected, list)  # every planted cell is within the limits
+        assert _check_outcome(correlation._check_correlations, r) == expected
+
+
+_FAULTS = {  # each breaks one rule at cell (i, j) of a table
+    "non-finite": lambda r, i, j: r.__setitem__((j, i), np.nan),
+    "infinite": lambda r, i, j: r.__setitem__((i, j), -np.inf),
+    "out of range": lambda r, i, j: r.__setitem__(((i, j), (j, i)), (1.5, 1.5)),
+    "asymmetric": lambda r, i, j: r.__setitem__((i, j), r[j, i] + 1e-3),
+    "off diagonal": lambda r, i, j: r.__setitem__((i, i), 1.0 + 1e-6),
+}
+
+
+@pytest.mark.parametrize("first,second", [
+    ("non-finite", "out of range"), ("infinite", "out of range"),
+    ("out of range", "asymmetric"), ("asymmetric", "off diagonal"),
+    ("non-finite", "asymmetric"), ("out of range", "off diagonal"),
+])
+@pytest.mark.parametrize("first_at,second_at", [((0, 1), (4, 5)), ((4, 5), (0, 1)),
+                                                ((1, 3), (1, 4)), ((2, 5), (0, 2))])
+def test_check_of_a_table_breaking_two_rules_raises_as_the_reference(
+        first, second, first_at, second_at):
+    r = np.corrcoef(np.random.default_rng(4641).standard_normal((20, 6)), rowvar=False)
+    _FAULTS[first](r, *first_at)
+    _FAULTS[second](r, *second_at)
+    expected = _check_outcome(reference_check_correlations, r)
+    assert not isinstance(expected, list)
+    assert _check_outcome(correlation._check_correlations, r) == expected
+
+
 def _build_direct(n):
     return CorrelationMatrix(("a", "b"), [[1.0, 0.5], [0.5, 1.0]], n)
 

@@ -125,6 +125,24 @@ def test_assess_fit_equals_lookup_per_cell(data):
     assert repr(got) == repr(want)  # same classes, fields and float bits
 
 
+class _Unread:
+    """A pair that fails the test if its flag is read."""
+
+    @property
+    def flagged(self):
+        raise AssertionError("pair read after the first flagged one")
+
+
+@pytest.mark.parametrize("flags,fits", [((), True), ((False,), True), ((False, False), True),
+                                        ((True,), False), ((False, True), False)])
+def test_fits_stops_at_the_first_flagged_pair(flags, fits):
+    pairs = tuple(effects.PairFit("a", "b", 0.5, 0.4, 0.1, flag) for flag in flags)
+    fa = effects.FitAssessment(pairs + ((_Unread(),) if not fits else ()), 0.05)
+    assert fa.fits is fits
+    assert fa.verdict == ("fits" if fits else "does-not-fit")
+    assert fits == (effects.FitAssessment(pairs, 0.05).misfit_count == 0)
+
+
 # ---------------------------------------------------------------------------
 # decompose_effects against the published causal-effects summary
 

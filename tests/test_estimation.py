@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pathtrek import numeric
+from pathtrek import estimation, numeric
 from pathtrek.correlation import CorrelationMatrix
 from pathtrek.errors import (
     DegreesOfFreedomExhausted,
@@ -19,6 +19,7 @@ from pathtrek.estimation import coefficient_inference, fit_standardized
 from pathtrek.pathspec import parse_model
 
 from conftest import NAMES, OBSERVED_R
+from test_numeric import random_correlation_block, reference_inverse_factor
 
 
 def test_single_parent_equals_raw_correlation(revised_refit, observed_corr):
@@ -195,3 +196,55 @@ def test_equations_independent(observed_corr, initial_model):
     fit_reduced = fit_standardized(observed_corr, reduced)
     for y in ("X2", "X3", "X4"):
         assert fit_full.equation(y).beta == fit_reduced.equation(y).beta
+
+
+def reference_fit_equation(corr, y, parents):
+    """estimation._fit_equation's arithmetic with every dot product a
+    generator sum over W's rows, as it was computed before `map(mul, ...)`."""
+    rpy = [corr.value(p, y) for p in parents]
+    w = reference_inverse_factor(corr.submatrix(parents))
+    u = [sum(wi * r for wi, r in zip(row, rpy)) for row in w]
+    beta = [sum(row[j] * ui for row, ui in zip(w, u)) for j in range(len(u))]
+    r2 = min(1.0, sum(ui * ui for ui in u))
+    se = t = p = None
+    df = corr.n - len(parents) - 1
+    if df >= 1:
+        se = tuple(math.sqrt((1.0 - r2) * sum(row[j] * row[j] for row in w) / df)
+                   for j in range(len(beta)))
+        t = tuple(b / s if s > 0.0 else math.copysign(math.inf, b) if b else 0.0
+                  for b, s in zip(beta, se))
+        p = tuple(numeric.t_sf_two_sided(tj, df) if math.isfinite(tj) else 0.0 for tj in t)
+    return (tuple(beta), r2, math.sqrt(1.0 - r2), se, t, p)
+
+
+def hex_fields(fields):
+    """Each float of an equation's fields as float.hex, tuples kept, None as None."""
+    return [None if f is None else tuple(map(float.hex, f)) if isinstance(f, tuple)
+            else f.hex() for f in fields]
+
+
+@pytest.mark.parametrize("order", range(1, 21))
+def test_fit_equation_equals_the_generator_sums_bit_for_bit(order):
+    gen = np.random.default_rng(4610 + order)
+    names = tuple(f"V{i}" for i in range(order + 1))
+    y, parents = names[-1], names[:-1]
+    for n in (max(3, order + 1), 200):  # df 0 (no inference) from order 2 on, and df >= 1
+        corr = CorrelationMatrix(names, random_correlation_block(gen, order + 1), n)
+        eq = estimation._fit_equation(corr, y, parents)
+        expected = hex_fields(reference_fit_equation(corr, y, parents))
+        assert hex_fields(eq[2:]) == expected
+        bare = estimation._fit_equation(corr, y, parents, False)
+        assert hex_fields(bare[2:]) == expected[:3] + [None] * 3
+
+
+def test_a_fit_without_inference_runs_no_t_tail(monkeypatch, observed_corr, initial_model):
+    fit = fit_standardized(observed_corr, initial_model)
+
+    def no_tail(*args):
+        raise AssertionError("t tail computed")
+
+    monkeypatch.setattr(numeric, "t_sf_two_sided", no_tail)
+    bare = estimation._fit_model(observed_corr, initial_model, {}, inference=False)
+    assert list(bare.equations) == list(fit.equations)
+    for eq, full in zip(bare.equations.values(), fit.equations.values()):
+        assert eq == full._replace(se=None, t=None, p=None)

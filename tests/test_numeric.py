@@ -221,6 +221,47 @@ def test_invert_singular():
         numeric.inverse_factor([[1, 0.5, 0.5], [0.5, 1, 1], [0.5, 1, 1]])
 
 
+def reference_cholesky(a):
+    """numeric.cholesky's arithmetic with every dot product a generator sum."""
+    low = []
+    for i, a_row in enumerate(a):
+        row = []
+        for j in range(i):
+            row.append((a_row[j] - sum(x * y for x, y in zip(row, low[j]))) / low[j][j])
+        row.append(math.sqrt(a_row[i] - sum(x * x for x in row)))
+        low.append(row)
+    return low
+
+
+def reference_inverse_factor(a):
+    """numeric.inverse_factor's arithmetic, W filled a row at a time with
+    generator sums over k = j .. i - 1."""
+    low = reference_cholesky(a)
+    order = len(low)
+    w = [[0.0] * order for _ in range(order)]
+    for i in range(order):
+        d = low[i][i]
+        for j in range(i):
+            w[i][j] = -sum(low[i][k] * w[k][j] for k in range(j, i)) / d
+        w[i][i] = 1.0 / d
+    return w
+
+
+def hex_rows(rows):
+    return [[float(x).hex() for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("order", range(1, 21))
+def test_factors_equal_the_generator_sums_bit_for_bit(order):
+    gen = np.random.default_rng(4600 + order)
+    for _ in range(5):
+        a = random_correlation_block(gen, order).tolist()
+        assert hex_rows(numeric.cholesky(a)) == hex_rows(reference_cholesky(a))
+        w = numeric.inverse_factor(a)
+        assert hex_rows(w) == hex_rows(reference_inverse_factor(a))
+        assert all(type(row) is list for row in w)
+
+
 def test_inverse_factor_rejects_indefinite():
     # every 2x2 minor is a valid correlation block; the smallest eigenvalue is -0.8
     with pytest.raises(SingularMatrix, match="not positive definite"):

@@ -2,7 +2,9 @@
 implied correlations, and estimation recovery.
 """
 
+import fractions
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,8 @@ from pathtrek.cli import main
 from pathtrek.correlation import pearson_matrix
 from pathtrek.data import write_csv
 from pathtrek.errors import NonPositiveResidualVariance
-from pathtrek.pathspec import parse_model, render_model, topological_order
+from pathtrek.estimation import fit_standardized
+from pathtrek.pathspec import Arrow, PathModel, parse_model, render_model, topological_order
 from pathtrek.simulate import (
     ROWS_PER_BLOCK,
     RecoveryReport,
@@ -105,6 +108,54 @@ def test_recovery_zero_coefficients():
     m = parse_model("var A\nvar B\npath A -> B : 0\n")
     report = recovery_check(SimulationSpec(model=m, n=2000, seed=13), tolerance=0.05)
     assert report.passed
+
+
+def k16_annotated_dag():
+    """A seeded annotated DAG on 16 variables, declared out of causal order,
+    each equation's |beta| sum below 0.9."""
+    gen = np.random.default_rng(4650)
+    causal = [f"V{i}" for i in gen.permutation(16)]
+    arrows = []
+    for j in range(1, 16):
+        parents = [causal[i] for i in range(j) if gen.random() < 0.3] or [causal[j - 1]]
+        arrows += [Arrow(p, causal[j], float(gen.uniform(-0.9, 0.9)) / len(parents))
+                   for p in parents]
+    return PathModel(tuple(sorted(causal)), tuple(arrows), {})
+
+
+@pytest.mark.parametrize("model", ["revised", "k16"])
+def test_recovery_errors_equal_those_of_a_full_fit(annotated_revised, model):
+    """The beta-only refit gives the errors a fit with inference gives, bit for bit."""
+    m = annotated_revised if model == "revised" else k16_annotated_dag()
+    for seed in (0, 4651, (1 << 64) - 1):
+        spec = SimulationSpec(model=m, n=2000, seed=seed)
+        fit = fit_standardized(pearson_matrix(simulate_dataset(spec)), m)
+        expected = {(p, y): abs(b - m.coefficient(p, y))
+                    for y, eq in fit.equations.items() for p, b in zip(eq.parents, eq.beta)}
+        report = recovery_check(spec, 0.05)
+        assert list(report.errors) == list(expected)
+        assert [e.hex() for e in report.errors.values()] == [e.hex() for e in expected.values()]
+        assert report.max_abs_error.hex() == max(expected.values()).hex()
+    assert len(report.errors) == len(m.arrows)
+
+
+@pytest.mark.parametrize("tolerance", [
+    math.nan, np.nan, -1.0, -1e-300, math.inf, -math.inf, "0.1", True, False, None, 10**400,
+], ids=["nan", "np-nan", "-1", "-1e-300", "inf", "-inf", "str", "True", "False", "None",
+        "10**400"])
+def test_recovery_refuses_a_tolerance_that_is_not_a_finite_number_at_least_0(
+        annotated_revised, tolerance):
+    spec = SimulationSpec(model=annotated_revised, n=100, seed=1)
+    with pytest.raises(ValueError, match=f"tolerance must be a finite number >= 0, "
+                                         f"got {re.escape(repr(tolerance))}"):
+        recovery_check(spec, tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [0, 0.0, 1, np.float64(0.25), fractions.Fraction(1, 4)])
+def test_recovery_takes_a_tolerance_as_a_float(annotated_revised, tolerance):
+    report = recovery_check(SimulationSpec(model=annotated_revised, n=100, seed=1), tolerance)
+    assert type(report.tolerance) is float and report.tolerance == tolerance
+    assert report.passed == (report.max_abs_error <= tolerance)
 
 
 def test_exploding_coefficient_rejected():
